@@ -271,6 +271,7 @@ def minmax_bounds(
     When ``session`` is given, ``options`` (if also given) overrides its
     solver options per probe — the service layer passes a deadline-clamped
     copy so MIN/MAX requests honour their budget too.
+    ``stats['solve_time']`` sums the probes' solver wall time.
     """
     if agg not in ("min", "max"):
         raise QueryError(f"agg must be 'min' or 'max', got {agg!r}")
@@ -285,6 +286,16 @@ def minmax_bounds(
     if not rows:
         return AggregateBounds(lower=None, upper=None, exact=True)
     values = sorted({row.values[position] for row in rows})
+    solve_time = 0.0
+
+    def feasible(extra) -> bool:
+        """One feasibility probe (as ``session.feasible``), timed."""
+        nonlocal solve_time
+        solution, _ = session.optimize(
+            LinearExpr({}, 0), "max", extra, options=probe_options
+        )
+        solve_time += solution.solve_time
+        return solution.status != "infeasible"
 
     def exists_bound(candidates, pick):
         """Extreme value over tuples that can individually exist."""
@@ -294,7 +305,7 @@ def minmax_bounds(
                 return value
             for row in group:
                 force = [(row.ext + 0) >= 1]
-                if session.feasible(force, options=probe_options):
+                if feasible(force):
                     return value
         return None
 
@@ -319,7 +330,7 @@ def minmax_bounds(
             # be defined; certain tuples guarantee it.
             if not any(r.certain for r in here_or_below):
                 extra.append(linear_sum([r.ext for r in here_or_below]) >= 1)
-            if session.feasible(extra, options=probe_options):
+            if feasible(extra):
                 return value
         return None
 
@@ -331,4 +342,6 @@ def minmax_bounds(
         lower = exists_bound(values, lambda vs: iter(vs))
         pick_order = list(reversed(values))  # largest first
         upper = absent_bound(values, "lower_cut")
-    return AggregateBounds(lower=lower, upper=upper, exact=True)
+    return AggregateBounds(
+        lower=lower, upper=upper, exact=True, stats={"solve_time": solve_time}
+    )

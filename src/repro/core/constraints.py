@@ -9,7 +9,7 @@ solver read from it.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Tuple
+from typing import Iterable, Iterator, KeysView, Mapping, Tuple
 
 from repro.core.linexpr import LinearExpr
 from repro.errors import ConstraintError
@@ -136,6 +136,8 @@ class ConstraintStore:
         self._constraints: list[LinearConstraint] = []
         # var index -> list of constraint positions mentioning it
         self._by_var: dict[int, list[int]] = {}
+        # id(constraint) -> its position (the last one, if appended twice)
+        self._position_of: dict[int, int] = {}
         # Monotone mutation counter; the engine's solve cache watches it
         # to invalidate entries when the store changes.  The store is
         # append-only, so it equals len(self) — kept explicit so the
@@ -157,6 +159,7 @@ class ConstraintStore:
         position = len(self._constraints)
         self._constraints.append(constraint)
         self._generation += 1
+        self._position_of[id(constraint)] = position
         for index in constraint.variables:
             self._by_var.setdefault(index, []).append(position)
 
@@ -168,10 +171,22 @@ class ConstraintStore:
         """All constraints mentioning the given variable index."""
         return [self._constraints[pos] for pos in self._by_var.get(var_index, ())]
 
+    def position(self, constraint: LinearConstraint) -> int:
+        """Position of this constraint *object* in the store (the last
+        one if it was appended more than once); ``KeyError`` if absent."""
+        return self._position_of[id(constraint)]
+
+    @property
+    def variables(self) -> KeysView[int]:
+        """Every variable index mentioned by some constraint (a live,
+        read-only view: reading it costs nothing)."""
+        return self._by_var.keys()
+
     def copy(self) -> "ConstraintStore":
         clone = ConstraintStore()
         clone._constraints = list(self._constraints)
         clone._by_var = {i: list(ps) for i, ps in self._by_var.items()}
+        clone._position_of = dict(self._position_of)
         clone._generation = self._generation
         return clone
 

@@ -43,17 +43,16 @@ class PruneResult(NamedTuple):
         }
 
 
-def _variables_in(store: ConstraintStore) -> set[int]:
-    out: set[int] = set()
-    for constraint in store:
-        out.update(constraint.variables)
-    return out
+def _count_variables(store: ConstraintStore, seeds: set[int]) -> int:
+    """``len(store variables | seeds)`` without copying the store's set."""
+    known = store.variables
+    return len(known) + sum(1 for seed in seeds if seed not in known)
 
 
 def prune_single_pass(store: ConstraintStore, seeds: Iterable[int]) -> PruneResult:
     """The paper's single backward pass over the constraint list."""
     reachable = set(seeds)
-    all_vars = _variables_in(store) | reachable
+    original_variables = _count_variables(store, reachable)
     kept_reversed: list[LinearConstraint] = []
     for position in range(len(store) - 1, -1, -1):
         constraint = store[position]
@@ -61,25 +60,23 @@ def prune_single_pass(store: ConstraintStore, seeds: Iterable[int]) -> PruneResu
             kept_reversed.append(constraint)
             reachable.update(constraint.variables)
     kept_reversed.reverse()
-    return PruneResult(kept_reversed, reachable, len(store), len(all_vars))
+    return PruneResult(kept_reversed, reachable, len(store), original_variables)
 
 
 def prune_fixpoint(store: ConstraintStore, seeds: Iterable[int]) -> PruneResult:
     """Reachability closure over the variable/constraint bipartite graph.
 
-    Uses the store's per-variable index, so the cost is linear in the size
-    of the reachable subproblem.
+    Uses the store's per-variable and position indexes, so the cost is
+    linear in the size of the reachable subproblem.
     """
     reachable = set(seeds)
-    all_vars = _variables_in(store) | reachable
+    original_variables = _count_variables(store, reachable)
     kept_positions: set[int] = set()
-    # Build position lookup once: store indexes constraints by variable.
     queue = deque(reachable)
-    position_of = {id(c): i for i, c in enumerate(store)}
     while queue:
         var = queue.popleft()
         for constraint in store.constraints_on(var):
-            pos = position_of[id(constraint)]
+            pos = store.position(constraint)
             if pos in kept_positions:
                 continue
             kept_positions.add(pos)
@@ -88,7 +85,7 @@ def prune_fixpoint(store: ConstraintStore, seeds: Iterable[int]) -> PruneResult:
                     reachable.add(other)
                     queue.append(other)
     kept = [store[pos] for pos in sorted(kept_positions)]
-    return PruneResult(kept, reachable, len(store), len(all_vars))
+    return PruneResult(kept, reachable, len(store), original_variables)
 
 
 def prune_lineage(model, seeds: Iterable[int]) -> PruneResult:
@@ -105,13 +102,12 @@ def prune_lineage(model, seeds: Iterable[int]) -> PruneResult:
 
     This is the right pruning when several queries have been answered
     against one shared model; on a single-query model it coincides with
-    :func:`prune_fixpoint`.
+    :func:`prune_fixpoint`.  Like it, the cost is linear in the size of
+    the reachable subproblem, not of the store.
     """
     store: ConstraintStore = model.constraints
-    position_of = {id(c): i for i, c in enumerate(store)}
-    all_vars = _variables_in(store) | set(seeds)
-
     reachable = set(seeds)
+    original_variables = _count_variables(store, reachable)
     kept_positions: set[int] = set()
     queue = deque(reachable)
     while queue:
@@ -120,7 +116,7 @@ def prune_lineage(model, seeds: Iterable[int]) -> PruneResult:
         # walk to its parents.
         if var in model.lineage_parents:
             for constraint in model.lineage_constraints[var]:
-                kept_positions.add(position_of[id(constraint)])
+                kept_positions.add(store.position(constraint))
             for parent in model.lineage_parents[var]:
                 if parent not in reachable:
                     reachable.add(parent)
@@ -130,7 +126,7 @@ def prune_lineage(model, seeds: Iterable[int]) -> PruneResult:
         for constraint in store.constraints_on(var):
             if model.is_lineage_constraint(constraint):
                 continue  # sibling lineage is dropped; own lineage handled above
-            pos = position_of[id(constraint)]
+            pos = store.position(constraint)
             if pos in kept_positions:
                 continue
             kept_positions.add(pos)
@@ -139,7 +135,7 @@ def prune_lineage(model, seeds: Iterable[int]) -> PruneResult:
                     reachable.add(other)
                     queue.append(other)
     kept = [store[pos] for pos in sorted(kept_positions)]
-    return PruneResult(kept, reachable, len(store), len(all_vars))
+    return PruneResult(kept, reachable, len(store), original_variables)
 
 
 def prune(

@@ -10,6 +10,9 @@ The cache is self-validating: the fingerprint is computed from the
 changes a problem changes its fingerprint and misses naturally.  The
 session layer additionally clears the cache outright when non-lineage
 constraints are added (see ``SolveSession._ensure_fresh``).
+
+The LRU itself (:class:`LRUCache`) is value-agnostic; the session also
+uses it, sized from the same ``cache_size``, for its prepared-problem memo.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from typing import Any, Hashable, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -32,8 +35,8 @@ class CachedSolve:
     backend: str
 
 
-class SolveCache:
-    """A thread-safe LRU map ``(fingerprint, sense) -> CachedSolve``.
+class LRUCache:
+    """A thread-safe bounded LRU map with hit/miss/eviction counters.
 
     ``maxsize <= 0`` disables caching entirely (every lookup misses and
     nothing is stored) — the facade path for one-shot solves.
@@ -41,14 +44,14 @@ class SolveCache:
 
     def __init__(self, maxsize: int = 128):
         self.maxsize = maxsize
-        self._data: "OrderedDict[Hashable, CachedSolve]" = OrderedDict()
+        self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
 
-    def get(self, key: Hashable) -> Optional[CachedSolve]:
+    def get(self, key: Hashable) -> Optional[Any]:
         with self._lock:
             entry = self._data.get(key)
             if entry is None:
@@ -58,7 +61,7 @@ class SolveCache:
             self.hits += 1
             return entry
 
-    def put(self, key: Hashable, entry: CachedSolve) -> None:
+    def put(self, key: Hashable, entry: Any) -> None:
         if self.maxsize <= 0:
             return
         with self._lock:
@@ -69,7 +72,7 @@ class SolveCache:
                 self.evictions += 1
 
     def clear(self) -> None:
-        """Explicit invalidation (constraint-store generation changed)."""
+        """Explicit invalidation (the constraint store changed)."""
         with self._lock:
             if self._data:
                 self.invalidations += 1
@@ -95,3 +98,7 @@ class SolveCache:
                 "evictions": self.evictions,
                 "invalidations": self.invalidations,
             }
+
+
+class SolveCache(LRUCache):
+    """The L1 tier: an LRU map ``(fingerprint, sense) -> CachedSolve``."""

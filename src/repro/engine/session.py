@@ -8,6 +8,9 @@ bound in the repo needs, and layers on top of it:
   (:mod:`repro.engine.canonical`), so structurally repeated queries are
   recognised even though each evaluation allocates fresh lineage
   variables;
+* a memo of prepared problems keyed by the objective's content, so a
+  structurally repeated request skips prune, normalize, canonicalize and
+  decompose entirely (see :meth:`SolveSession.prepare`);
 * a bounded LRU solve cache (:mod:`repro.engine.cache`) keyed by
   ``(fingerprint, sense)`` — the L1 tier — invalidated when non-lineage
   constraints are added to the model's store (lineage-only appends —
@@ -32,13 +35,13 @@ callers and their signatures are untouched.
 from __future__ import annotations
 
 from concurrent.futures import Executor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.constraints import LinearConstraint
 from repro.core.linexpr import LinearExpr
 from repro.core.pruning import prune
-from repro.engine.cache import CachedSolve, SolveCache
+from repro.engine.cache import CachedSolve, LRUCache, SolveCache
 from repro.engine.canonical import CanonicalBIP, canonicalize
 from repro.engine.fabric import (
     ExecutorFabric,
@@ -65,6 +68,13 @@ _SENSES = ("min", "max")
 
 #: Bucket edges for the components-per-solve histogram (counts, not seconds).
 _COMPONENT_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+
+#: L1 entries per memoized prepared problem.  An L1 entry is one solution
+#: vector; a prepared problem of the benchmark fixture (600 transactions)
+#: holds megabytes of dense and canonical forms, and answering it fills two
+#: L1 entries per component anyway.  The default ``cache_size=128`` keeps
+#: 8 prepared problems per session.
+_L1_ENTRIES_PER_PREPARED = 16
 
 
 @dataclass
@@ -98,6 +108,12 @@ class PreparedProblem:
     solves and caches independently, and :meth:`SolveSession.solve_prepared`
     recombines the per-component optima additively.  Empty means
     monolithic.
+
+    The session memoizes prepared problems and shares their parts between
+    callers, so nothing downstream may mutate one.  A memo hit returns the
+    first preparation with only ``prep_time`` refreshed: its
+    ``prune_stats`` — in particular ``variables_before`` and
+    ``constraints_before`` — describe the store as of that first prepare.
     """
 
     problem: object
@@ -123,7 +139,9 @@ class SolveSession:
     :param options: solver options applied to every solve in the session.
     :param prune_method: ``'lineage'`` (default), ``'fixpoint'`` or
         ``'single_pass'`` — see :mod:`repro.core.pruning`.
-    :param cache_size: L1 LRU capacity in solve outcomes; ``0`` disables.
+    :param cache_size: L1 LRU capacity in solve outcomes; it also sizes
+        the prepared-problem memo (one entry per 16, rounded up).  ``0``
+        disables both.
     :param max_workers: ``> 1`` builds a thread fabric running the min and
         max directions (and per-component fan-out) concurrently; ``1`` is
         strictly serial.  Ignored when ``fabric`` is given.
@@ -154,6 +172,7 @@ class SolveSession:
         self.options = options or SolverOptions()
         self.prune_method = prune_method
         self.cache = SolveCache(cache_size)
+        self._prepared = LRUCache(-(-cache_size // _L1_ENTRIES_PER_PREPARED))
         self.max_workers = max_workers
         self.telemetry = telemetry or Telemetry()
         self.l2_path = l2_path
@@ -199,15 +218,17 @@ class SolveSession:
 
     # -- cache freshness ---------------------------------------------------
     def _ensure_fresh(self) -> None:
-        """Invalidate the cache if non-lineage constraints were added.
+        """Invalidate the caches if non-lineage constraints were added.
 
         The store is append-only, so its generation counter equals its
         length.  Appends that are all registered operator lineage cannot
         change any previously fingerprinted pruned problem (lineage
         constraints are deterministic and sibling lineage is never part
         of another query's pruned BIP), so the cache stays warm across
-        repeated query evaluations.  Any other append — a user
-        correlation, a manual ``model.add`` — clears the cache.
+        repeated query evaluations.  The same argument keeps the
+        prepared-problem memo warm under lineage pruning (see
+        :meth:`prepare`).  Any other append — a user correlation, a manual
+        ``model.add`` — clears the cache and the memo.
         """
         if self._closed:
             raise EngineError(
@@ -230,6 +251,7 @@ class SolveSession:
         if lineage_only:
             return
         self.cache.clear()
+        self._prepared.clear()
         self.telemetry.count("cache_invalidations")
         self.telemetry.emit(CacheProbe("invalidate", size=0))
 
@@ -575,13 +597,37 @@ class SolveSession:
         fingerprint, so callers (the service scheduler's in-flight dedup)
         can recognise a structurally identical problem *before* paying for
         the BIP solves, then finish via :meth:`solve_prepared`.
+
+        Results are memoized by the objective's content (its terms and
+        constant), the extra constraints and ``do_prune``.  Under
+        ``prune_method="lineage"`` with pruning on, a memoized problem
+        stays valid across lineage-only appends: sibling lineage never
+        enters another query's pruned problem.  Every other mode can pull
+        later appends into the problem, so its key also carries the store
+        generation.  A hit still opens the ``engine.prepare`` span (with
+        ``memo=True``) and counts ``prepare_memo_hits``.
         """
         self._ensure_fresh()
         prep = Stopwatch()
-        problem, dense, canonical, prune_stats, components = self._prepare(
-            objective, extra_constraints, do_prune, decompose=True
+        extra = tuple(extra_constraints)
+        key = (
+            tuple(sorted(objective.coeffs.items())),
+            objective.constant,
+            extra,
+            do_prune,
         )
-        return PreparedProblem(
+        if not (do_prune and self.prune_method == "lineage"):
+            key += (self.model.constraints.generation,)
+        memoized = self._prepared.get(key)
+        if memoized is not None:
+            with current_tracer().span("engine.prepare", memo=True) as span:
+                span.set("fingerprint", memoized.fingerprint)
+            self.telemetry.count("prepare_memo_hits")
+            return replace(memoized, prep_time=prep.stop())
+        problem, dense, canonical, prune_stats, components = self._prepare(
+            objective, extra, do_prune, decompose=True
+        )
+        prepared = PreparedProblem(
             problem=problem,
             dense=dense,
             canonical=canonical,
@@ -589,6 +635,8 @@ class SolveSession:
             prep_time=prep.stop(),
             components=components,
         )
+        self._prepared.put(key, prepared)
+        return prepared
 
     def solve_prepared(
         self,
@@ -791,12 +839,14 @@ class SolveSession:
         Returns ``(solution, dense)`` where ``dense`` maps model variable
         indices to positions in ``solution.x`` — the contract the AVG
         (Dinkelbach) and MIN/MAX (feasibility-probe) paths rely on.
+        ``solution.solve_time`` is the solver's wall time (0 on a cache
+        hit).
         """
         self._ensure_fresh()
         problem, dense, canonical, _, _ = self._prepare(
             objective, extra_constraints, do_prune=True
         )
-        ((entry, _, _, _),) = self._solve_tasks(
+        ((entry, _, seconds, _),) = self._solve_tasks(
             [(problem, dense, canonical, sense, None)], options
         )
         x = None
@@ -810,6 +860,7 @@ class SolveSession:
             x=x,
             bound=entry.bound,
             nodes=entry.nodes,
+            solve_time=seconds,
             backend=entry.backend,
         )
         return solution, dense

@@ -96,16 +96,15 @@ def answer_licm(
             bounds = minmax_bounds(
                 relation, plan.attribute, agg, options=solve_options, session=session
             )
-            return LICMAnswer(bounds=bounds, query_time=total.stop(), solve_time=0.0)
-
-        with telemetry.timer("l_query"):
-            objective = evaluate_licm(plan, encoded.relations)
-        if not isinstance(objective, LinearExpr):
-            raise QueryError(
-                "answer_licm requires a plan ending in CountStar, SumAttr, "
-                "MinAttr or MaxAttr"
-            )
-        bounds = session.bounds(objective, options=solve_options)
+        else:
+            with telemetry.timer("l_query"):
+                objective = evaluate_licm(plan, encoded.relations)
+            if not isinstance(objective, LinearExpr):
+                raise QueryError(
+                    "answer_licm requires a plan ending in CountStar, SumAttr, "
+                    "MinAttr or MaxAttr"
+                )
+            bounds = session.bounds(objective, options=solve_options)
         solve_time = bounds.stats.get("solve_time", 0.0)
         root_span.set("lower", bounds.lower).set("upper", bounds.upper)
         root_span.set("solve_time", solve_time)

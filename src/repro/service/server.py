@@ -290,6 +290,9 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server: ServiceHTTPServer
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; with Nagle on, the body
+    # of a kept-alive response waits for the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
     def log_message(self, fmt, *args):  # noqa: A003 — BaseHTTPRequestHandler API

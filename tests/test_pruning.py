@@ -88,3 +88,121 @@ def test_pruning_is_lossless_for_bounds():
     unpruned = count_bounds(result, do_prune=False)
     assert (pruned.lower, pruned.upper) == (unpruned.lower, unpruned.upper)
     assert pruned.stats["constraints_after"] < unpruned.stats["constraints_after"]
+
+
+# -- the store's maintained indexes vs. the whole-store scans they replace ----
+def _scanned_variables(store):
+    out = set()
+    for constraint in store:
+        out.update(constraint.variables)
+    return out
+
+
+def _scanned_positions(store):
+    return {id(c): i for i, c in enumerate(store)}
+
+
+def _scan_prune_fixpoint(store, seeds):
+    """``prune_fixpoint`` as it was before the store kept its indexes."""
+    reachable = set(seeds)
+    all_vars = _scanned_variables(store) | reachable
+    position_of = _scanned_positions(store)
+    kept_positions = set()
+    queue = list(reachable)
+    while queue:
+        var = queue.pop()
+        for constraint in store.constraints_on(var):
+            pos = position_of[id(constraint)]
+            if pos in kept_positions:
+                continue
+            kept_positions.add(pos)
+            for other in constraint.variables:
+                if other not in reachable:
+                    reachable.add(other)
+                    queue.append(other)
+    kept = [store[pos] for pos in sorted(kept_positions)]
+    return kept, reachable, len(store), len(all_vars)
+
+
+def _scan_prune_lineage(model, seeds):
+    """``prune_lineage`` as it was before the store kept its indexes."""
+    store = model.constraints
+    position_of = _scanned_positions(store)
+    all_vars = _scanned_variables(store) | set(seeds)
+    reachable = set(seeds)
+    kept_positions = set()
+    queue = list(reachable)
+    while queue:
+        var = queue.pop()
+        if var in model.lineage_parents:
+            for constraint in model.lineage_constraints[var]:
+                kept_positions.add(position_of[id(constraint)])
+            for parent in model.lineage_parents[var]:
+                if parent not in reachable:
+                    reachable.add(parent)
+                    queue.append(parent)
+        for constraint in store.constraints_on(var):
+            if model.is_lineage_constraint(constraint):
+                continue
+            pos = position_of[id(constraint)]
+            if pos in kept_positions:
+                continue
+            kept_positions.add(pos)
+            for other in constraint.variables:
+                if other not in reachable:
+                    reachable.add(other)
+                    queue.append(other)
+    kept = [store[pos] for pos in sorted(kept_positions)]
+    return kept, reachable, len(store), len(all_vars)
+
+
+def _operator_models():
+    """Shared models after several operator-generated queries, with the
+    objective of every query as a seed set."""
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.runner import ExperimentContext
+    from repro.queries.licm_eval import evaluate_licm
+
+    config = ExperimentConfig(num_transactions=60, num_items=24, k_values=(2,), seed=7)
+    context = ExperimentContext(config)
+    try:
+        for scheme in ("km", "k-anonymity"):
+            encoded = context.encoding(scheme, 2).encoded
+            seeds = [
+                set(evaluate_licm(context.plan(q, encoded), encoded.relations).coeffs)
+                for q in ("Q1", "Q2", "Q1")
+            ]
+            yield encoded.model, seeds
+    finally:
+        context.close()
+    model, rel, _ = fig4b_model()
+    selected = licm_select(rel, InSet("ItemName", {"Pregnancy test", "Diapers", "Shampoo"}))
+    objective = count_objective(licm_having_count(selected, ["TID"], ">=", 2))
+    twice = model.add(next(iter(model.constraints)))  # one object, two positions
+    assert model.constraints.position(twice) == len(model.constraints) - 1
+    yield model, [set(objective.coeffs), set(objective.coeffs) | {10_000}]
+
+
+def test_maintained_indexes_match_whole_store_scans():
+    """The store keeps its position map and variable set up to date on
+    append; every prune must report what the old whole-store scans did."""
+    for model, seed_sets in _operator_models():
+        store = model.constraints
+        assert store.variables == _scanned_variables(store)
+        positions = _scanned_positions(store)
+        assert all(store.position(c) == positions[id(c)] for c in store)
+        for seeds in seed_sets:
+            results = {
+                "lineage": (prune(store, seeds, "lineage", model=model),
+                            _scan_prune_lineage(model, seeds)),
+                "fixpoint": (prune(store, seeds, "fixpoint"),
+                             _scan_prune_fixpoint(store, seeds)),
+            }
+            for method, (new, old) in results.items():
+                assert tuple(new) == old, method
+            single = prune(store, seeds, "single_pass")
+            assert single.original_variables == len(_scanned_variables(store) | seeds)
+            assert single.original_constraints == len(store)
+    copied = store.copy()
+    assert copied.variables == store.variables
+    assert all(copied.position(c) == store.position(c) for c in store)

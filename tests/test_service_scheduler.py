@@ -74,6 +74,14 @@ def test_adhoc_aggregates_answer_ok(scheduler, aggregate):
     assert response.lower <= response.upper
 
 
+def test_adhoc_max_reports_probe_solve_time(context, scheduler):
+    """MIN/MAX answers are feasibility probes; their solve time is real."""
+    context.session("km", 2).cache.clear()  # every probe solves
+    response = scheduler.execute(QueryRequest(aggregate="max"))
+    assert response.status == STATUS_OK, response.error
+    assert response.solve_ms > 0
+
+
 def test_repeat_identical_request_hits_solve_cache(scheduler):
     first = scheduler.execute(QueryRequest(query="Q2", params={"x_items": 3}))
     second = scheduler.execute(QueryRequest(query="Q2", params={"x_items": 3}))

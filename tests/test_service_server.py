@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import urllib.request
 
 import pytest
@@ -11,7 +12,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.obs import validate_trace
 from repro.service.api import STATUS_DEGRADED, STATUS_OK
 from repro.service.client import ServiceClient, ServiceClientError
-from repro.service.server import serve
+from repro.service.server import _Handler, serve
 
 
 @pytest.fixture(scope="module")
@@ -274,3 +275,19 @@ def test_client_raises_on_unreachable_server():
     dead = ServiceClient("http://127.0.0.1:9", timeout=0.5)
     with pytest.raises(ServiceClientError, match="failed"):
         dead.healthz()
+
+
+def test_accepted_connections_disable_nagle(running_server, monkeypatch):
+    """Kept-alive responses must not stall on Nagle + delayed ACK."""
+    url, _, _ = running_server
+    seen = []
+    original = _Handler.setup
+
+    def setup(self):
+        original(self)
+        seen.append(self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+    monkeypatch.setattr(_Handler, "setup", setup)
+    fresh = ServiceClient(url, timeout=30.0)  # a new connection, accepted now
+    assert fresh.healthz()["status"] == "ok"
+    assert seen and all(seen)
