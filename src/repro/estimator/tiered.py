@@ -104,6 +104,12 @@ class TieredAnswer:
     def seconds(self) -> float:
         return sum(self.tier_seconds.values())
 
+    @property
+    def cascaded(self) -> bool:
+        """Whether the estimator cascade ran: False for a ``tight``
+        answer, which goes straight to the exact solver."""
+        return self.precision != PRECISION_TIGHT
+
 
 class TieredAnswerer:
     """Policy object gluing estimator tiers to the exact engine.
@@ -192,30 +198,25 @@ class TieredAnswerer:
         :class:`~repro.errors.InfeasibleError` when an escalated component
         proves the constraint system empty, exactly like the exact path.
         """
+        if prepared.decomposed:
+            components = list(prepared.components)
+            constant = prepared.problem.objective_constant
+        else:
+            components = [prepared]  # (problem, dense, canonical)-shaped
+            constant = 0
         if precision == PRECISION_TIGHT:
             bounds = session.solve_prepared(prepared, options=options)
             count = int(bounds.stats.get("components", 1))
-            if prepared.decomposed:
-                exact_tiers = [
-                    {
-                        "component": index,
-                        "fingerprint": component.canonical.fingerprint,
-                        "tier": TIER_EXACT,
-                        "escalated": False,
-                        "exact": True,
-                    }
-                    for index, component in enumerate(prepared.components)
-                ]
-            else:
-                exact_tiers = [
-                    {
-                        "component": 0,
-                        "fingerprint": prepared.fingerprint,
-                        "tier": TIER_EXACT,
-                        "escalated": False,
-                        "exact": True,
-                    }
-                ]
+            exact_tiers = [
+                {
+                    "component": index,
+                    "fingerprint": component.canonical.fingerprint,
+                    "tier": TIER_EXACT,
+                    "escalated": False,
+                    "exact": bounds.exact,
+                }
+                for index, component in enumerate(components)
+            ]
             return TieredAnswer(
                 lower=bounds.lower,
                 upper=bounds.upper,
@@ -232,12 +233,6 @@ class TieredAnswerer:
                 component_tiers=exact_tiers,
             )
 
-        if prepared.decomposed:
-            components = list(prepared.components)
-            constant = prepared.problem.objective_constant
-        else:
-            components = [prepared]  # (problem, dense, canonical)-shaped
-            constant = 0
         verdicts: List[TierInterval] = []
         escalate: List[int] = []
         for index, component in enumerate(components):

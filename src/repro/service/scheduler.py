@@ -16,23 +16,26 @@ and a worker pool drains it.  Each worker:
    leader's published bounds; distinct requests that prepare to the same
    canonical BIP fingerprint coalesce on the fingerprint and read the
    answer through the session's solve cache — either way, identical
-   concurrent problems cost one engine solve.  Followers **park**: they
-   attach a completion callback to the leader's flight and release their
-   worker slot instead of blocking on an event, so a burst of identical
-   requests cannot starve the pool.  A deadline-monitor thread fires the
-   degrade path for any parked request whose budget runs out first;
-4. answers at the request's **precision**: ``tight`` runs the exact BIP
-   solves; ``fast``/``balanced`` consult the tiered estimator ladder
-   (:mod:`repro.estimator`) per decomposed component and escalate only
-   disagreeing components to the exact solver — estimated bounds are
-   per-request only and never enter the shared solve caches;
+   concurrent problems cost one engine solve.  The leader solves on its
+   own worker; only followers **park**: they attach a completion
+   callback to the leader's flight and release their worker slot instead
+   of blocking on an event, so a burst of identical requests cannot
+   starve the pool.  A deadline-monitor thread fires the degrade path
+   for any parked request whose budget runs out first;
+4. answers at the request's **precision** through one call,
+   :meth:`~repro.estimator.TieredAnswerer.answer`: ``tight`` solves every
+   component exactly; ``fast``/``balanced`` consult the tiered estimator
+   ladder (:mod:`repro.estimator`) per decomposed component and escalate
+   only disagreeing components to the exact solver — estimated bounds
+   are per-request only and never enter the shared solve caches;
 5. enforces the request **deadline** with a deadline-clamped
    ``time_limit`` plus the solver's absolute ``deadline_at`` (picklable —
    it crosses into forked solve workers, unlike a closure); a solve cut
-   short by its budget **degrades** down the ladder — first a fast
-   estimator interval (provably containing the exact range), then the
-   Monte Carlo estimator (observed range ⊆ exact range) — instead of
-   hanging, and a request with no time left at all answers ``timeout``.
+   short by its budget **degrades** down the ladder — a fast estimator
+   interval (provably containing the exact range) whenever the request
+   holds a prepared problem, the Monte Carlo estimator (observed range ⊆
+   exact range) only without one — instead of hanging, and a request
+   with neither rung available answers ``timeout``.
 
 Every request therefore reaches a terminal status — ``ok``, ``degraded``,
 ``timeout``, ``rejected`` or ``error`` — the service's no-hang invariant.
@@ -41,6 +44,7 @@ Every request therefore reaches a terminal status — ``ok``, ``degraded``,
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 import itertools
 import logging
@@ -149,23 +153,20 @@ class SchedulerStats:
 class _Flight:
     """One in-flight unit of work, continued by deduped followers.
 
-    The leader publishes its ``fingerprint`` and (exact) ``bounds``
+    The leader publishes its ``fingerprint`` and (tight) ``answer``
     before :meth:`finish` fires the attached callbacks; followers reuse
-    them directly.  ``bounds`` stays ``None`` when the leader failed, and
-    inexact when its solve was cut short by *its* deadline — followers
-    then answer under their own budget.
-
-    ``event`` remains for any in-thread waiter, but followers do not
-    block on it: they :meth:`attach` a completion callback and release
-    their worker slot.
+    them directly.  ``answer`` stays ``None`` when the leader failed or
+    answered at an estimated precision, and is inexact when its solve was
+    cut short by *its* deadline — followers then answer under their own
+    budget.
     """
 
-    __slots__ = ("event", "fingerprint", "bounds", "_lock", "_callbacks", "_finished")
+    __slots__ = ("key", "fingerprint", "answer", "_lock", "_callbacks", "_finished")
 
-    def __init__(self):
-        self.event = threading.Event()
+    def __init__(self, key: tuple):
+        self.key = key
         self.fingerprint = None
-        self.bounds = None
+        self.answer = None
         self._lock = threading.Lock()
         self._callbacks: list = []
         self._finished = False
@@ -183,7 +184,6 @@ class _Flight:
         with self._lock:
             self._finished = True
             callbacks, self._callbacks = self._callbacks, []
-        self.event.set()
         for callback in callbacks:
             try:
                 callback()
@@ -201,7 +201,7 @@ class _Task:
 
     __slots__ = ("run", "on_shutdown")
 
-    def __init__(self, run, on_shutdown=None):
+    def __init__(self, run, on_shutdown):
         self.run = run
         self.on_shutdown = on_shutdown
 
@@ -218,6 +218,8 @@ class _Pending:
         "_claimed",
         "response",
         "explain_ctx",
+        "queue_ms",
+        "trace_id",
     )
 
     def __init__(self, request: QueryRequest, deadline_at: Optional[float]):
@@ -228,6 +230,10 @@ class _Pending:
         self._claim_lock = threading.Lock()
         self._claimed = False
         self.response: Optional[QueryResponse] = None
+        #: Set at the start of each serve attempt: the admission-to-worker
+        #: wait and the attempt's trace id, reported by every response.
+        self.queue_ms = 0.0
+        self.trace_id: Optional[str] = None
         #: EXPLAIN raw material captured while it is in scope (the
         #: decomposition map, tier provenance, IIS) — assembled into the
         #: response's ``explain`` block at completion.
@@ -393,7 +399,7 @@ class QueryScheduler:
         self._closed = False
         self._close_lock = threading.Lock()
         # Deadline watches for parked followers: a heap of
-        # (deadline_at, seq, pending, on_deadline) drained by the monitor.
+        # (deadline_at, seq, pending, expiry task) drained by the monitor.
         self._monitor_cv = threading.Condition()
         self._watched: list = []
         self._watch_seq = itertools.count()
@@ -434,29 +440,17 @@ class QueryScheduler:
             if self._closed:
                 return
             self._closed = True
-        drained = []
         try:
             while True:
                 item = self._queue.get_nowait()
-                if item is not None:
-                    drained.append(item)
+                if isinstance(item, _Task):
+                    item.on_shutdown()
+                elif item is not None:
+                    with self._depth_lock:
+                        self._external_queued -= 1
+                    self._reject(item)
         except queue.Empty:
             pass
-        for item in drained:
-            if isinstance(item, _Task):
-                if item.on_shutdown is not None:
-                    item.on_shutdown()
-                continue
-            with self._depth_lock:
-                self._external_queued -= 1
-            if item.claim():
-                item.finish(
-                    QueryResponse(
-                        request_id=item.request.request_id,
-                        status=STATUS_REJECTED,
-                        error="scheduler shut down before execution",
-                    )
-                )
         for _ in self._threads:
             self._queue.put(None)
         for thread in self._threads:
@@ -514,13 +508,7 @@ class QueryScheduler:
                     self._queue.put(pending)
         if rejection is not None:
             self.stats.record_rejected()
-            pending.claim()
-            response = QueryResponse(
-                request_id=request.request_id,
-                status=STATUS_REJECTED,
-                error=rejection,
-            )
-            pending.finish(response)
+            response = self._reject(pending, rejection)
             # Rejections never reach _complete, but they still spend
             # availability budget and deserve a log line.
             total_s = time.monotonic() - pending.enqueued
@@ -559,27 +547,27 @@ class QueryScheduler:
             if not self._closed:
                 self._queue.put(task)
                 return
-        if task.on_shutdown is not None:
-            task.on_shutdown()
+        task.on_shutdown()
 
-    def _shutdown_finish(self, pending: _Pending) -> None:
+    def _reject(
+        self, pending: _Pending, reason: str = "scheduler shut down before execution"
+    ) -> QueryResponse:
+        """Answer ``rejected`` unless the request is already claimed."""
+        response = QueryResponse(
+            request_id=pending.request.request_id, status=STATUS_REJECTED, error=reason
+        )
         if pending.claim():
-            pending.finish(
-                QueryResponse(
-                    request_id=pending.request.request_id,
-                    status=STATUS_REJECTED,
-                    error="scheduler shut down before execution",
-                )
-            )
+            pending.finish(response)
+        return response
 
-    def _watch_deadline(self, pending: _Pending, on_deadline) -> None:
-        """Arm the deadline monitor for a parked request."""
+    def _watch_deadline(self, pending: _Pending, expiry: _Task) -> None:
+        """Arm the deadline monitor to enqueue ``expiry`` for a parked request."""
         if pending.deadline_at is None:
             return
         with self._monitor_cv:
             heapq.heappush(
                 self._watched,
-                (pending.deadline_at, next(self._watch_seq), pending, on_deadline),
+                (pending.deadline_at, next(self._watch_seq), pending, expiry),
             )
             self._monitor_cv.notify()
 
@@ -591,7 +579,7 @@ class QueryScheduler:
                 if not self._watched:
                     self._monitor_cv.wait(timeout=0.5)
                     continue
-                deadline_at, _, pending, on_deadline = self._watched[0]
+                deadline_at, _, pending, expiry = self._watched[0]
                 now = time.monotonic()
                 if deadline_at > now:
                     self._monitor_cv.wait(timeout=min(deadline_at - now, 0.5))
@@ -599,7 +587,7 @@ class QueryScheduler:
                 heapq.heappop(self._watched)
             if not pending.done:
                 try:
-                    on_deadline()
+                    self._enqueue_internal(expiry)
                 except Exception:  # noqa: BLE001 — monitor must survive
                     logger.exception("deadline continuation failed")
 
@@ -626,10 +614,10 @@ class QueryScheduler:
         try:
             response = self._serve(pending)
         except ValidationError as exc:
-            response = self._error_response(pending, str(exc))
+            response = self._response(pending, STATUS_ERROR, error=str(exc))
         except Exception as exc:  # noqa: BLE001 — terminal status, always
             logger.exception("request %s failed", pending.request.request_id)
-            response = self._error_response(pending, repr(exc))
+            response = self._response(pending, STATUS_ERROR, error=repr(exc))
         if response is not None:
             self._complete(pending, response)
 
@@ -716,21 +704,6 @@ class QueryScheduler:
         from repro.obs.explain import build_explanation
 
         ctx = pending.explain_ctx
-        decomposition = ctx.get("decomposition")
-        component_tiers = ctx.get("component_tiers")
-        if component_tiers is None and response.tier == TIER_EXACT and decomposition:
-            # The exact path never runs the tier cascade: every block was
-            # answered by the exact solver by definition.
-            component_tiers = [
-                {
-                    "component": block.get("component"),
-                    "fingerprint": block.get("fingerprint"),
-                    "tier": TIER_EXACT,
-                    "escalated": False,
-                    "exact": response.exact,
-                }
-                for block in decomposition.get("blocks", ())
-            ]
         return build_explanation(
             request=pending.request.to_dict(),
             status=response.status,
@@ -742,8 +715,8 @@ class QueryScheduler:
                 "tier": response.tier,
             },
             spans=spans,
-            decomposition=decomposition,
-            component_tiers=component_tiers,
+            decomposition=ctx.get("decomposition"),
+            component_tiers=ctx.get("component_tiers"),
             infeasibility=ctx.get("infeasibility"),
         )
 
@@ -866,19 +839,26 @@ class QueryScheduler:
             path,
         )
 
-    def _error_response(self, pending: _Pending, message: str) -> QueryResponse:
+    def _response(self, pending: _Pending, status: str, **fields) -> QueryResponse:
+        """A terminal response stamped with the serve attempt's queue wait
+        and trace id and the request's end-to-end time so far."""
         return QueryResponse(
             request_id=pending.request.request_id,
-            status=STATUS_ERROR,
-            error=message,
-            queue_ms=(time.monotonic() - pending.enqueued) * 1e3,
+            status=status,
+            queue_ms=pending.queue_ms,
             total_ms=(time.monotonic() - pending.enqueued) * 1e3,
+            trace_id=pending.trace_id,
+            **fields,
         )
 
     def _remaining_s(self, pending: _Pending) -> Optional[float]:
         if pending.deadline_at is None:
             return None
         return pending.deadline_at - time.monotonic()
+
+    def _expired(self, pending: _Pending) -> bool:
+        remaining = self._remaining_s(pending)
+        return remaining is not None and remaining <= 0
 
     def _deadline_options(self, session, pending: _Pending) -> Optional[SolverOptions]:
         remaining = self._remaining_s(pending)
@@ -921,7 +901,7 @@ class QueryScheduler:
         """One serve attempt.  ``None`` means the request parked on a
         leader's flight; a continuation owns its completion."""
         request = pending.request
-        queue_ms = (time.monotonic() - pending.enqueued) * 1e3
+        pending.queue_ms = (time.monotonic() - pending.enqueued) * 1e3
         tracer = current_tracer()
         with tracer.span(
             "service.request",
@@ -932,31 +912,24 @@ class QueryScheduler:
             scheme=request.scheme,
             k=request.k,
         ) as root:
-            trace_id = root.trace_id or None
+            pending.trace_id = root.trace_id or None
             # Attribute this worker's profiler samples to the request's
             # trace id for the duration of the request (no-op when no
             # sampling profiler is running — a single dict write).
-            with tagged(trace_id):
+            with tagged(pending.trace_id):
                 encoded, session, model_lock = self._resolve(request)
                 plan = self._build_plan(request, encoded)
 
-                remaining = self._remaining_s(pending)
-                if remaining is not None and remaining <= 0:
-                    self.stats.record_deadline_miss()
+                if self._expired(pending):
                     root.set("outcome", "deadline_before_start")
-                    return self._degrade(
-                        pending, encoded, plan, queue_ms, 0.0, trace_id,
-                        cause="queue wait",
-                    )
+                    return self._degrade(pending, encoded, plan, 0.0, cause="queue wait")
 
                 if isinstance(plan, (MinAttr, MaxAttr)):
                     return self._serve_minmax(
-                        pending, encoded, session, model_lock, plan, queue_ms,
-                        trace_id, root,
+                        pending, encoded, session, model_lock, plan, root
                     )
                 return self._serve_linear(
-                    pending, encoded, session, model_lock, plan, queue_ms,
-                    trace_id, root,
+                    pending, encoded, session, model_lock, plan, root
                 )
 
     def _join_flight(self, key: tuple) -> Tuple[_Flight, bool]:
@@ -964,56 +937,37 @@ class QueryScheduler:
         with self._inflight_lock:
             flight = self._inflight.get(key)
             if flight is None:
-                flight = self._inflight[key] = _Flight()
+                flight = self._inflight[key] = _Flight(key)
                 return flight, True
             return flight, False
 
-    def _finish_flight(self, key: tuple, flight: _Flight, fingerprint, bounds) -> None:
-        """Publish the leader's result and fire every follower continuation."""
+    def _finish_flight(self, flight: _Flight, fingerprint, answer) -> None:
+        """Publish the leader's result and fire every follower continuation.
+
+        Only a tight answer is published: estimated bounds are per-request
+        (followers re-answer at their own precision).
+        """
         with self._inflight_lock:
-            if self._inflight.get(key) is flight:
-                del self._inflight[key]
+            if self._inflight.get(flight.key) is flight:
+                del self._inflight[flight.key]
         flight.fingerprint = fingerprint
-        flight.bounds = bounds
+        flight.answer = None if answer is None or answer.cascaded else answer
         flight.finish()
 
-    def _ok_response(
-        self, pending, bounds, fingerprint, dedup, queue_ms, solve_ms, trace_id
-    ) -> QueryResponse:
-        """An ``ok`` answer from one (possibly reused) exact solved BIP."""
-        components = int(bounds.stats.get("components", 0))
-        return QueryResponse(
-            request_id=pending.request.request_id,
-            status=STATUS_OK,
-            lower=bounds.lower,
-            upper=bounds.upper,
-            exact=bounds.exact,
-            fingerprint=fingerprint,
-            dedup=dedup,
-            cache_hits=int(bounds.stats.get("cache_hits", 0)),
-            l2_hits=int(bounds.stats.get("l2_hits", 0)),
-            components=components,
-            backend=bounds.stats.get("backend") or None,
-            nodes=int(bounds.stats.get("nodes", 0)),
-            tier=TIER_EXACT,
-            exact_components=components,
-            estimated_components=0,
-            gap=0.0,
-            queue_ms=queue_ms,
-            solve_ms=solve_ms,
-            total_ms=(time.monotonic() - pending.enqueued) * 1e3,
-            trace_id=trace_id,
-        )
-
-    def _estimated_response(
-        self, pending, answer, fingerprint, dedup, queue_ms, trace_id,
+    def _answer_response(
+        self, pending, answer, fingerprint, dedup,
         status: str = STATUS_OK, cause: Optional[str] = None,
+        solve_ms: Optional[float] = None,
     ) -> QueryResponse:
-        """An answer served by the tiered estimator path, with provenance."""
+        """A COUNT/SUM answer at any precision, with its tier provenance.
+
+        ``solve_ms`` defaults to the answer's own tier time; a follower
+        reusing its leader's published answer passes 0.0.
+        """
         self._observe_tiers(answer)
-        return QueryResponse(
-            request_id=pending.request.request_id,
-            status=status,
+        return self._response(
+            pending,
+            status,
             lower=answer.lower,
             upper=answer.upper,
             exact=answer.exact,
@@ -1030,14 +984,16 @@ class QueryScheduler:
             estimated_components=answer.estimated_components,
             escalations=answer.escalations,
             gap=answer.gap,
-            queue_ms=queue_ms,
-            solve_ms=answer.seconds * 1e3,
-            total_ms=(time.monotonic() - pending.enqueued) * 1e3,
-            trace_id=trace_id,
+            solve_ms=answer.seconds * 1e3 if solve_ms is None else solve_ms,
         )
 
     def _observe_tiers(self, answer) -> None:
-        """Per-tier latency + component outcomes for one tiered answer."""
+        """Per-tier latency + component outcomes for one tiered answer.
+
+        A tight answer never ran the estimator cascade and is not observed.
+        """
+        if not answer.cascaded:
+            return
         try:
             self._estimator_components.inc(
                 answer.exact_components, labels={"outcome": "exact"}
@@ -1052,29 +1008,55 @@ class QueryScheduler:
         except Exception:  # noqa: BLE001 — observability must not break serving
             logger.exception("estimator tier accounting failed")
 
-    def _park(self, pending: _Pending, flight: _Flight, resume, on_deadline) -> None:
-        """Attach ``resume`` to the flight and release this worker slot.
+    def _park(
+        self, root, pending: _Pending, flight: _Flight, resume, encoded, plan,
+        cause: str, session=None, prepared=None, on_shutdown=None,
+    ) -> None:
+        """Record a dedup hit, attach ``resume`` to the flight and release
+        this worker slot.
 
         ``resume`` is enqueued as an internal task when the leader
-        finishes (immediately, if it already has); ``on_deadline`` fires
-        from the monitor if the parked request's budget runs out first —
-        whichever claims the pending first wins.
+        finishes (immediately, if it already has).  If the parked
+        request's budget runs out first, the deadline monitor enqueues the
+        degrade path instead — given ``session``/``prepared`` whenever the
+        request holds a prepared problem, so it degrades to the estimator
+        tiers — and whichever claims the pending first wins.
+        ``on_shutdown`` replaces ``resume``'s default shutdown path.
         """
-        task = _Task(resume, on_shutdown=lambda: self._shutdown_finish(pending))
+        self.stats.record_dedup_hit()
+        root.set("dedup", True)
+        root.set("outcome", "parked")
+        shutdown = functools.partial(self._reject, pending)
+
+        def expire():
+            if pending.done:
+                return
+            fingerprint = (
+                prepared.fingerprint if prepared is not None else flight.fingerprint
+            )
+            self._complete(
+                pending,
+                self._degrade(
+                    pending, encoded, plan, 0.0, cause, fingerprint=fingerprint,
+                    session=session, prepared=prepared,
+                ),
+            )
+
+        task = _Task(resume, on_shutdown=on_shutdown or shutdown)
         if flight.attach(lambda: self._enqueue_internal(task)):
-            self._watch_deadline(pending, on_deadline)
+            self._watch_deadline(pending, _Task(expire, on_shutdown=shutdown))
         else:
             self._enqueue_internal(task)
 
     def _serve_linear(
-        self, pending, encoded, session, model_lock, plan, queue_ms, trace_id, root
+        self, pending, encoded, session, model_lock, plan, root
     ) -> Optional[QueryResponse]:
         """COUNT/SUM plans: one BIP objective, deduped at two levels.
 
         *Request-level* first: identical in-flight requests coalesce on
         :meth:`~repro.service.api.QueryRequest.dedup_key` **before** plan
         evaluation, so followers skip the (per-model serialized) prepare
-        entirely and reuse the leader's published bounds.  *Fingerprint-
+        entirely and reuse the leader's published answer.  *Fingerprint-
         level* second: distinct requests whose plans prepare to the same
         canonical BIP coalesce on the fingerprint and read the answer
         through the solve cache.  Either way, identical concurrent
@@ -1084,55 +1066,34 @@ class QueryScheduler:
         request = pending.request
         telemetry = session.telemetry
 
-        coarse_key = ("request",) + request.dedup_key()
-        flight, leader = self._join_flight(coarse_key)
+        flight, leader = self._join_flight(("request",) + request.dedup_key())
         if not leader:
-            self.stats.record_dedup_hit()
-            root.set("dedup", True)
-            root.set("outcome", "parked")
-
             def resume():
                 if pending.done:
                     return
-                bounds, fingerprint = flight.bounds, flight.fingerprint
-                if bounds is not None and bounds.exact:
+                answer = flight.answer
+                if answer is not None and answer.exact:
                     self._complete(
                         pending,
-                        self._ok_response(
-                            pending, bounds, fingerprint, True, queue_ms, 0.0, trace_id
+                        self._answer_response(
+                            pending, answer, flight.fingerprint, True, solve_ms=0.0
                         ),
                     )
                     return
-                # The leader failed, or its solve was cut short by *its*
-                # deadline (truncated results are never cached): answer
-                # under our own budget with a fresh serve attempt.
+                # The leader failed, answered at an estimated precision,
+                # or its solve was cut short by *its* deadline (truncated
+                # results are never cached): answer under our own budget
+                # with a fresh serve attempt.
                 self._run_request(pending)
 
-            def on_deadline():
-                def expire():
-                    if pending.done:
-                        return
-                    self.stats.record_deadline_miss()
-                    self._complete(
-                        pending,
-                        self._degrade(
-                            pending, encoded, plan, queue_ms, 0.0, trace_id,
-                            cause="deduped request exceeded deadline",
-                            fingerprint=flight.fingerprint,
-                        ),
-                    )
-
-                self._enqueue_internal(
-                    _Task(expire, on_shutdown=lambda: self._shutdown_finish(pending))
-                )
-
-            self._park(pending, flight, resume, on_deadline)
+            self._park(
+                root, pending, flight, resume, encoded, plan,
+                cause="deduped request exceeded deadline",
+            )
             return None
 
         fingerprint = None
-        bounds = None
         answer = None
-        precision = self._effective_precision(request)
         parked = False
         try:
             # Plan evaluation appends lineage to the shared model:
@@ -1156,228 +1117,132 @@ class QueryScheduler:
 
                 pending.explain_ctx["decomposition"] = decomposition_map(prepared)
 
-            bip_key = ("bip", fingerprint)
-            bip_flight, bip_leader = self._join_flight(bip_key)
+            bip_flight, bip_leader = self._join_flight(("bip", fingerprint))
             if not bip_leader:
                 # A *different* request is already solving this exact BIP:
                 # park on it; the continuation reads the answer through
                 # the solve cache.  This request stays coarse leader — its
                 # continuation publishes the coarse flight.
-                self.stats.record_dedup_hit()
-                root.set("dedup", True)
-                root.set("outcome", "parked")
                 parked = True
                 self._follow_bip(
-                    pending, bip_flight, encoded, session, prepared, plan,
-                    queue_ms, trace_id, coarse_key, flight,
+                    root, pending, bip_flight, encoded, session, prepared, plan, flight
                 )
                 return None
 
-            options = self._deadline_options(session, pending)
             try:
-                if precision == PRECISION_TIGHT:
-                    bounds = session.solve_prepared(prepared, options=options)
-                else:
-                    # The tiered path: estimator ladder per component,
-                    # escalation through the session's fabric.  Estimated
-                    # bounds memoize per-request only ({} below) — never
-                    # into the shared caches, and never onto the flight
-                    # (followers re-answer at their own precision).
-                    answer = self.answerer.answer(
-                        session, prepared, precision, options=options, memo={}
-                    )
-            except InfeasibleError as exc:
-                if request.explain:
-                    pending.explain_ctx["infeasibility"] = (
-                        self._diagnose_infeasibility(prepared)
-                    )
-                return QueryResponse(
-                    request_id=request.request_id,
-                    status=STATUS_ERROR,
-                    error=str(exc),
-                    fingerprint=fingerprint,
-                    dedup=False,
-                    queue_ms=queue_ms,
-                    total_ms=(time.monotonic() - pending.enqueued) * 1e3,
-                    trace_id=trace_id,
+                response, answer = self._answer_prepared(
+                    pending, session, prepared, plan, encoded, dedup=False
                 )
             finally:
-                self._finish_flight(bip_key, bip_flight, fingerprint, bounds)
+                self._finish_flight(bip_flight, fingerprint, answer)
         finally:
             if not parked:
-                self._finish_flight(coarse_key, flight, fingerprint, bounds)
+                self._finish_flight(flight, fingerprint, answer)
 
-        if answer is not None:
+        if response.status == STATUS_OK:
             root.set("outcome", STATUS_OK)
-            root.set("tier", answer.tier)
-            if request.explain:
-                pending.explain_ctx["component_tiers"] = answer.component_tiers
-            return self._estimated_response(
-                pending, answer, fingerprint, False, queue_ms, trace_id
-            )
+            root.set("tier", response.tier)
+        return response
 
-        solve_ms = bounds.stats.get("solve_time", 0.0) * 1e3
-        expired = (
-            pending.deadline_at is not None
-            and time.monotonic() >= pending.deadline_at
-        )
-        if not bounds.exact and expired:
-            # The budgeted solve was cut short by the deadline: degrade.
-            self.stats.record_deadline_miss()
-            return self._degrade(
-                pending, encoded, plan, queue_ms, solve_ms, trace_id,
-                cause="BIP solve exceeded deadline", fingerprint=fingerprint,
-                session=session, prepared=prepared,
+    def _answer_prepared(
+        self, pending, session, prepared, plan, encoded, dedup: bool
+    ) -> Tuple[QueryResponse, object]:
+        """The one COUNT/SUM answer path, for leaders and BIP followers.
+
+        Answers ``prepared`` at the request's precision through
+        :meth:`~repro.estimator.TieredAnswerer.answer` — ``tight`` solves
+        every component exactly through the session's fabric and caches.
+        Estimated bounds memoize per-request only (``memo={}``): never
+        into the shared caches, and never onto a flight.  An infeasible
+        model answers ``error`` (with an IIS under ``explain``); a tight
+        answer cut short by the deadline degrades.  Returns the response
+        and the answer to publish (``None`` when infeasible).
+        """
+        request = pending.request
+        fingerprint = prepared.fingerprint
+        try:
+            answer = self.answerer.answer(
+                session, prepared, self._effective_precision(request),
+                options=self._deadline_options(session, pending), memo={},
             )
-        root.set("outcome", STATUS_OK)
-        return self._ok_response(
-            pending, bounds, fingerprint, False, queue_ms, solve_ms, trace_id
-        )
+        except InfeasibleError as exc:
+            if request.explain:
+                pending.explain_ctx["infeasibility"] = (
+                    self._diagnose_infeasibility(prepared)
+                )
+            return self._response(
+                pending, STATUS_ERROR, error=str(exc), fingerprint=fingerprint,
+                dedup=dedup,
+            ), None
+        if not answer.cascaded and not answer.exact and self._expired(pending):
+            # The budgeted solve was cut short by the deadline: degrade.
+            cause = (
+                "deduped solve exceeded deadline" if dedup
+                else "BIP solve exceeded deadline"
+            )
+            return self._degrade(
+                pending, encoded, plan, answer.seconds * 1e3, cause,
+                fingerprint=fingerprint, session=session, prepared=prepared,
+            ), answer
+        if request.explain:
+            pending.explain_ctx["component_tiers"] = answer.component_tiers
+        return self._answer_response(pending, answer, fingerprint, dedup), answer
 
     def _follow_bip(
         self,
+        root,
         pending: _Pending,
         bip_flight: _Flight,
         encoded,
         session,
         prepared,
         plan,
-        queue_ms: float,
-        trace_id: Optional[str],
-        coarse_key: tuple,
         coarse_flight: _Flight,
     ) -> None:
         """Park a coarse leader on another request's BIP flight.
 
-        The resume continuation re-solves through the (now warm) solve
+        The resume continuation answers through the (now warm) solve
         caches under this request's own budget, then publishes the coarse
         flight for any followers of *this* request.
         """
 
         def resume():
-            tracer = current_tracer()
-            bounds = None
-            fingerprint = prepared.fingerprint
+            answer = None
             try:
                 if pending.done:
                     return
-                if pending.request.explain:
-                    from repro.obs.explain import decomposition_map
-
-                    pending.explain_ctx["decomposition"] = decomposition_map(prepared)
-                with tracer.span(
+                with current_tracer().span(
                     "service.resume",
-                    trace_id=trace_id,
+                    trace_id=pending.trace_id,
                     request_id=pending.request.request_id,
-                    fingerprint=fingerprint,
+                    fingerprint=prepared.fingerprint,
                 ):
-                    options = self._deadline_options(session, pending)
-                    precision = self._effective_precision(pending.request)
-                    try:
-                        if precision == PRECISION_TIGHT:
-                            bounds = session.solve_prepared(prepared, options=options)
-                        else:
-                            answer = self.answerer.answer(
-                                session, prepared, precision, options=options,
-                                memo={},
-                            )
-                            if pending.request.explain:
-                                pending.explain_ctx["component_tiers"] = (
-                                    answer.component_tiers
-                                )
-                            self._complete(
-                                pending,
-                                self._estimated_response(
-                                    pending, answer, fingerprint, True,
-                                    queue_ms, trace_id,
-                                ),
-                            )
-                            return
-                    except InfeasibleError as exc:
-                        if pending.request.explain:
-                            pending.explain_ctx["infeasibility"] = (
-                                self._diagnose_infeasibility(prepared)
-                            )
-                        self._complete(
-                            pending,
-                            QueryResponse(
-                                request_id=pending.request.request_id,
-                                status=STATUS_ERROR,
-                                error=str(exc),
-                                fingerprint=fingerprint,
-                                dedup=True,
-                                queue_ms=queue_ms,
-                                total_ms=(time.monotonic() - pending.enqueued) * 1e3,
-                                trace_id=trace_id,
-                            ),
-                        )
-                        return
-                    solve_ms = bounds.stats.get("solve_time", 0.0) * 1e3
-                    expired = (
-                        pending.deadline_at is not None
-                        and time.monotonic() >= pending.deadline_at
+                    response, answer = self._answer_prepared(
+                        pending, session, prepared, plan, encoded, dedup=True
                     )
-                    if not bounds.exact and expired:
-                        self.stats.record_deadline_miss()
-                        self._complete(
-                            pending,
-                            self._degrade(
-                                pending, encoded, plan, queue_ms, solve_ms, trace_id,
-                                cause="deduped solve exceeded deadline",
-                                fingerprint=fingerprint,
-                                session=session, prepared=prepared,
-                            ),
-                        )
-                        return
-                    self._complete(
-                        pending,
-                        self._ok_response(
-                            pending, bounds, fingerprint, True,
-                            queue_ms, solve_ms, trace_id,
-                        ),
-                    )
+                    self._complete(pending, response)
             except Exception as exc:  # noqa: BLE001 — terminal status, always
                 logger.exception(
                     "deduped request %s failed", pending.request.request_id
                 )
-                self._complete(pending, self._error_response(pending, repr(exc)))
-            finally:
-                self._finish_flight(
-                    coarse_key, coarse_flight, prepared.fingerprint, bounds
-                )
-
-        def on_deadline():
-            def expire():
-                if pending.done:
-                    return
-                self.stats.record_deadline_miss()
                 self._complete(
-                    pending,
-                    self._degrade(
-                        pending, encoded, plan, queue_ms, 0.0, trace_id,
-                        cause="deduped solve exceeded deadline",
-                        fingerprint=prepared.fingerprint,
-                    ),
+                    pending, self._response(pending, STATUS_ERROR, error=repr(exc))
                 )
-                # resume() will still run when the BIP leader finishes and
-                # publish the coarse flight; nothing more to do here.
-
-            self._enqueue_internal(
-                _Task(expire, on_shutdown=lambda: self._shutdown_finish(pending))
-            )
+            finally:
+                self._finish_flight(coarse_flight, prepared.fingerprint, answer)
 
         def shutdown():
-            self._shutdown_finish(pending)
-            self._finish_flight(coarse_key, coarse_flight, prepared.fingerprint, None)
+            self._reject(pending)
+            self._finish_flight(coarse_flight, prepared.fingerprint, None)
 
-        task = _Task(resume, on_shutdown=shutdown)
-        if bip_flight.attach(lambda: self._enqueue_internal(task)):
-            self._watch_deadline(pending, on_deadline)
-        else:
-            self._enqueue_internal(task)
+        self._park(
+            root, pending, bip_flight, resume, encoded, plan,
+            cause="deduped solve exceeded deadline",
+            session=session, prepared=prepared, on_shutdown=shutdown,
+        )
 
     def _serve_minmax(
-        self, pending, encoded, session, model_lock, plan, queue_ms, trace_id, root
+        self, pending, encoded, session, model_lock, plan, root
     ) -> QueryResponse:
         """MIN/MAX plans: case-based feasibility probes (no BIP dedup).
 
@@ -1387,36 +1252,27 @@ class QueryScheduler:
         """
         from repro.queries import answer_licm
 
-        request = pending.request
         options = self._deadline_options(session, pending)
         with model_lock:
             answer = answer_licm(encoded, plan, session=session, options=options)
         bounds = answer.bounds
-        expired = (
-            pending.deadline_at is not None
-            and time.monotonic() >= pending.deadline_at
-        )
-        if expired and not bounds.exact:
-            self.stats.record_deadline_miss()
+        if self._expired(pending) and not bounds.exact:
             return self._degrade(
-                pending, encoded, plan, queue_ms, answer.solve_time * 1e3, trace_id,
+                pending, encoded, plan, answer.solve_time * 1e3,
                 cause="MIN/MAX probes exceeded deadline",
             )
         root.set("outcome", STATUS_OK)
         # MIN/MAX probes have no linear BIP objective to estimate over:
         # they are always answered exactly, whatever the precision.
-        return QueryResponse(
-            request_id=request.request_id,
-            status=STATUS_OK,
+        return self._response(
+            pending,
+            STATUS_OK,
             lower=bounds.lower,
             upper=bounds.upper,
             exact=bounds.exact,
             tier=TIER_EXACT,
             gap=0.0,
-            queue_ms=queue_ms,
             solve_ms=answer.solve_time * 1e3,
-            total_ms=(time.monotonic() - pending.enqueued) * 1e3,
-            trace_id=trace_id,
         )
 
     def _degrade(
@@ -1424,9 +1280,7 @@ class QueryScheduler:
         pending: _Pending,
         encoded,
         plan,
-        queue_ms: float,
         solve_ms: float,
-        trace_id: Optional[str],
         cause: str,
         fingerprint: Optional[str] = None,
         session=None,
@@ -1444,6 +1298,7 @@ class QueryScheduler:
         none).  ``exact`` is always False here, and ``tier`` records
         which rung actually served the answer.
         """
+        self.stats.record_deadline_miss()
         request = pending.request
         tracer = current_tracer()
         if session is not None and prepared is not None:
@@ -1455,8 +1310,8 @@ class QueryScheduler:
                         memo={},
                     )
                 if answer.lower is not None and answer.upper is not None:
-                    return self._estimated_response(
-                        pending, answer, fingerprint, False, queue_ms, trace_id,
+                    return self._answer_response(
+                        pending, answer, fingerprint, False,
                         status=STATUS_DEGRADED, cause=cause,
                     )
             except Exception as exc:  # noqa: BLE001 — next rung: MC
@@ -1473,9 +1328,9 @@ class QueryScheduler:
                         seed=self.context.config.seed,
                         telemetry=self.context.telemetry,
                     )
-                return QueryResponse(
-                    request_id=request.request_id,
-                    status=STATUS_DEGRADED,
+                return self._response(
+                    pending,
+                    STATUS_DEGRADED,
                     lower=mc.minimum,
                     upper=mc.maximum,
                     exact=False,
@@ -1483,22 +1338,13 @@ class QueryScheduler:
                     fingerprint=fingerprint,
                     tier="mc",
                     mc_samples=len(mc.values),
-                    queue_ms=queue_ms,
                     solve_ms=solve_ms,
-                    total_ms=(time.monotonic() - pending.enqueued) * 1e3,
-                    trace_id=trace_id,
                 )
             except Exception as exc:  # noqa: BLE001 — degrade to timeout
                 logger.warning(
                     "MC fallback for %s failed: %r", request.request_id, exc
                 )
-        return QueryResponse(
-            request_id=request.request_id,
-            status=STATUS_TIMEOUT,
-            error=cause,
-            fingerprint=fingerprint,
-            queue_ms=queue_ms,
+        return self._response(
+            pending, STATUS_TIMEOUT, error=cause, fingerprint=fingerprint,
             solve_ms=solve_ms,
-            total_ms=(time.monotonic() - pending.enqueued) * 1e3,
-            trace_id=trace_id,
         )

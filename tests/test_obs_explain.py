@@ -255,6 +255,15 @@ def test_explain_attaches_payload_without_perturbing_bounds_or_cache(context):
     assert payload["totals"]["solves"] == len(payload["components"])
     assert payload["bounds"]["lower"] == explained.lower
     assert payload["bounds"]["upper"] == explained.upper
+    # A tight answer's tier provenance: every block answered exactly by
+    # the exact solver, pinned to its decomposition block's fingerprint.
+    blocks = {block["component"]: block for block in decomposition["blocks"]}
+    for entry in payload["components"]:
+        detail = entry["tier_detail"]
+        assert detail["tier"] == "exact"
+        assert detail["escalated"] is False
+        assert detail["exact"] is True
+        assert detail["fingerprint"] == blocks[detail["component"]]["fingerprint"]
 
 
 def test_estimator_precision_explanations_carry_tier_provenance(context):

@@ -310,3 +310,105 @@ def test_concurrent_blast_every_request_terminal(scheduler):
     assert all(r is not None for r in responses)
     assert all(r.status in STATUSES for r in responses)
     assert all(r.total_ms >= 0 for r in responses)
+
+
+# -- fingerprint-level dedup and parked followers --------------------------
+def _slowed_counting_solve(context, monkeypatch, delay_s):
+    """Empty the solve cache and patch the backend to sleep ``delay_s`` per
+    call; returns the list of senses solved and an event set on the first
+    call."""
+    context.session("km", 2).cache.clear()  # every request below solves
+    calls = []
+    started = threading.Event()
+
+    def slow_counting_solve(problem, sense, options):
+        calls.append(sense)
+        started.set()
+        time.sleep(delay_s)
+        return REAL_SOLVE(problem, sense, options)
+
+    monkeypatch.setattr(fabric_module, "portfolio_solve", slow_counting_solve)
+    return calls, started
+
+
+def test_default_and_tight_precision_share_one_bip_solve(context, scheduler, monkeypatch):
+    """``precision=None`` and ``tight`` have different dedup keys but the
+    same fingerprint: they coalesce on the BIP flight, not the request."""
+    calls, _ = _slowed_counting_solve(context, monkeypatch, 0.25)
+    params = {"pb_selectivity": 0.52}
+    default = QueryRequest(query="Q1", params=params)
+    tight = QueryRequest(query="Q1", params=params, precision="tight")
+    assert default.dedup_key() != tight.dedup_key()
+    pending = [scheduler.submit(default), scheduler.submit(tight)]
+    responses = [p.wait(timeout=60.0) for p in pending]
+    assert all(r is not None and r.status == STATUS_OK for r in responses)
+    assert len(calls) == 2, calls  # min + max, once
+    assert sorted(r.dedup for r in responses) == [False, True]
+    assert responses[0].fingerprint == responses[1].fingerprint
+    assert (responses[0].lower, responses[0].upper) == (
+        responses[1].lower,
+        responses[1].upper,
+    )
+
+
+def test_fast_bip_follower_answers_at_its_own_precision(context, scheduler, monkeypatch):
+    calls, started = _slowed_counting_solve(context, monkeypatch, 0.25)
+    params = {"pb_selectivity": 0.53}
+    leader = scheduler.submit(QueryRequest(query="Q1", params=params, precision="tight"))
+    assert started.wait(timeout=30.0)  # the leader holds the BIP flight
+    follower = scheduler.submit(
+        QueryRequest(query="Q1", params=params, precision="fast")
+    )
+    tight = leader.wait(timeout=60.0)
+    fast = follower.wait(timeout=60.0)
+    assert tight.status == fast.status == STATUS_OK
+    assert not tight.dedup and fast.dedup
+    assert tight.exact and tight.tier == "exact"
+    assert fast.fingerprint == tight.fingerprint
+    assert fast.tier in ("structural", "entropy", "lp", "exact")
+    assert fast.estimated_components + fast.exact_components == fast.components
+    assert fast.lower <= tight.lower <= tight.upper <= fast.upper
+
+
+def test_parked_bip_follower_deadline_degrades_to_estimator(
+    context, scheduler, monkeypatch
+):
+    """A BIP follower whose budget runs out while parked holds its
+    prepared problem, so it degrades to a sound estimator interval."""
+    _, started = _slowed_counting_solve(context, monkeypatch, 1.0)
+    params = {"pb_selectivity": 0.54}
+    leader = scheduler.submit(QueryRequest(query="Q1", params=params, precision="tight"))
+    assert started.wait(timeout=30.0)
+    follower = scheduler.submit(
+        QueryRequest(
+            query="Q1", params=params, precision=None,
+            deadline_ms=200.0, mc_fallback=False,
+        )
+    )
+    degraded = follower.wait(timeout=60.0)
+    assert degraded is not None
+    assert degraded.status == STATUS_DEGRADED, degraded.error
+    assert degraded.tier in ("structural", "entropy", "lp", "exact")
+    assert degraded.mc_samples == 0
+    assert not degraded.exact
+    exact = leader.wait(timeout=60.0)
+    assert exact.status == STATUS_OK and exact.exact
+    assert degraded.fingerprint == exact.fingerprint
+    assert degraded.lower <= exact.lower <= exact.upper <= degraded.upper
+
+
+def test_error_response_reports_real_queue_wait(context, scheduler, monkeypatch):
+    context.session("km", 2).cache.clear()
+
+    def failing_solve(problem, sense, options):
+        time.sleep(0.2)
+        raise RuntimeError("backend failed")
+
+    monkeypatch.setattr(fabric_module, "portfolio_solve", failing_solve)
+    response = scheduler.execute(
+        QueryRequest(query="Q1", params={"pb_selectivity": 0.55}), timeout=60.0
+    )
+    assert response.status == "error"
+    assert "backend failed" in response.error
+    assert response.queue_ms < 100
+    assert response.total_ms >= 200
