@@ -64,7 +64,7 @@ from repro.core import (
     sum_bounds,
     sum_objective,
 )
-from repro.engine import ListSink, SolveSession, Telemetry
+from repro.engine import SolveSession
 from repro.errors import (
     AnonymizationError,
     ConstraintError,
@@ -99,14 +99,12 @@ __all__ = [
     "ModelError",
     "QueryError",
     "ReproError",
-    "ListSink",
     "SamplingError",
     "SchemaError",
     "Solution",
     "SolveSession",
     "SolverError",
     "SolverOptions",
-    "Telemetry",
     "at_least",
     "at_most",
     "bijection",

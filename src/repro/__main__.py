@@ -78,6 +78,8 @@ def _trace(args: argparse.Namespace) -> int:
         activate,
         build_manifest,
         build_metrics,
+        global_registry,
+        render_registries,
         render_report,
         validate_manifest,
         validate_trace,
@@ -109,10 +111,10 @@ def _trace(args: argparse.Namespace) -> int:
             mc = context.mc_answer(args.query, args.scheme, args.k)
     context.close()
 
-    build_metrics(context.telemetry, tracer).write(metrics_path)
+    with open(metrics_path, "w", encoding="utf-8") as handle:
+        handle.write(render_registries((build_metrics(tracer), global_registry())))
     manifest = build_manifest(
         config=config,
-        telemetry=context.telemetry,
         tracer=tracer,
         sessions=context.cache_stats(),
         extra={

@@ -9,7 +9,7 @@ vector is a witness — the assignment identifying the extreme possible world.
 The heavy lifting lives in :mod:`repro.engine`: a
 :class:`~repro.engine.session.SolveSession` owns the
 ``prune -> normal form -> solve(min)+solve(max) -> witness`` pipeline with
-caching, parallelism and telemetry.  The functions here are the stable
+caching and parallelism.  The functions here are the stable
 public facade — each builds (or accepts) a session and delegates.
 """
 
@@ -77,7 +77,7 @@ def objective_bounds(
     queries previously answered against the same model.
 
     Pass ``session`` (a :class:`~repro.engine.session.SolveSession`) to
-    reuse its solve cache, executor and telemetry across calls; ``options``
+    reuse its solve cache and executor across calls; ``options``
     and ``prune_method`` are then taken from the session.
     """
     return _session_for(model, options, prune_method, session).bounds(

@@ -2,8 +2,7 @@
 
 One :class:`SolveSession` per LICM model owns the
 ``prune -> canonicalize -> solve(min)+solve(max) -> witness`` pipeline
-with fingerprint-keyed solve caching, optional parallel min/max, and
-structured telemetry.  ``core.bounds`` and ``queries.answer`` are thin
+with fingerprint-keyed solve caching and optional parallel min/max.  ``core.bounds`` and ``queries.answer`` are thin
 facades over this package.
 """
 
@@ -20,40 +19,20 @@ from repro.engine.fabric import (
 )
 from repro.engine.l2cache import L2SolveCache
 from repro.engine.session import PreparedComponent, PreparedProblem, SolveSession
-from repro.engine.telemetry import (
-    CacheProbe,
-    CounterBumped,
-    ListSink,
-    LoggingSink,
-    PhaseTimed,
-    ProblemPrepared,
-    SolveFinished,
-    Stopwatch,
-    Telemetry,
-)
 
 __all__ = [
     "CachedSolve",
-    "CacheProbe",
     "CanonicalBIP",
     "canonicalize",
-    "CounterBumped",
     "ExecutorFabric",
     "InlineFabric",
     "L2SolveCache",
-    "ListSink",
-    "LoggingSink",
-    "PhaseTimed",
     "PreparedComponent",
     "PreparedProblem",
-    "ProblemPrepared",
     "ProcessFabric",
     "SolveCache",
-    "SolveFinished",
     "SolveSession",
     "SolveUnit",
-    "Stopwatch",
-    "Telemetry",
     "ThreadFabric",
     "UnitResult",
     "make_fabric",

@@ -23,9 +23,9 @@ bound in the repo needs, and layers on top of it:
   :class:`~repro.engine.fabric.ExecutorFabric` — inline (serial),
   thread pool, or a pool of forked worker processes — one code path,
   three scheduling configurations;
-* structured instrumentation (:mod:`repro.engine.telemetry`) replacing
-  the hand-rolled ``perf_counter`` bookkeeping previously scattered over
-  ``core/bounds.py``, ``queries/answer.py`` and the experiment harness.
+* counters and phase timings on the process metrics registry
+  (:func:`repro.obs.export.count` / :func:`~repro.obs.export.phase`),
+  in place of hand-rolled ``perf_counter`` bookkeeping.
 
 ``repro.core.bounds.objective_bounds`` and ``repro.queries.answer_licm``
 remain as thin facades constructing a throwaway session, so existing
@@ -50,16 +50,9 @@ from repro.engine.fabric import (
     ThreadFabric,
     UnitResult,
 )
-from repro.engine.telemetry import (
-    CacheProbe,
-    ProblemPrepared,
-    SolveFinished,
-    Stopwatch,
-    Telemetry,
-)
 from repro.errors import EngineError, InfeasibleError
-from repro.obs.export import global_registry
-from repro.obs.tracer import current_tracer
+from repro.obs.export import count, global_registry, phase
+from repro.obs.tracer import Stopwatch, current_tracer
 from repro.solver.decompose import split_blocks
 from repro.solver.model import from_licm
 from repro.solver.result import Solution, SolverOptions
@@ -145,8 +138,6 @@ class SolveSession:
     :param max_workers: ``> 1`` builds a thread fabric running the min and
         max directions (and per-component fan-out) concurrently; ``1`` is
         strictly serial.  Ignored when ``fabric`` is given.
-    :param telemetry: a shared :class:`Telemetry`; a private one is
-        created when omitted.
     :param executor: inject a pre-built thread executor (wrapped in a
         thread fabric; the session will not shut it down).
     :param fabric: inject a shared :class:`ExecutorFabric` — the service
@@ -163,7 +154,6 @@ class SolveSession:
         prune_method: str = "lineage",
         cache_size: int = 128,
         max_workers: int = 1,
-        telemetry: Optional[Telemetry] = None,
         executor: Optional[Executor] = None,
         fabric: Optional[ExecutorFabric] = None,
         l2_path: Optional[str] = None,
@@ -174,7 +164,6 @@ class SolveSession:
         self.cache = SolveCache(cache_size)
         self._prepared = LRUCache(-(-cache_size // _L1_ENTRIES_PER_PREPARED))
         self.max_workers = max_workers
-        self.telemetry = telemetry or Telemetry()
         self.l2_path = l2_path
         self._external_fabric = fabric is not None
         if fabric is None:
@@ -252,8 +241,7 @@ class SolveSession:
             return
         self.cache.clear()
         self._prepared.clear()
-        self.telemetry.count("cache_invalidations")
-        self.telemetry.emit(CacheProbe("invalidate", size=0))
+        count("cache_invalidations")
 
     # -- pipeline phases ---------------------------------------------------
     def _prepare(
@@ -266,7 +254,7 @@ class SolveSession:
         """Prune + densify + canonicalize one objective. Returns
         ``(problem, dense, canonical, prune_stats, components)``."""
         with current_tracer().span("engine.prepare") as span:
-            with self.telemetry.timer("prune"):
+            with phase("prune"):
                 extra = list(extra_constraints)
                 if do_prune:
                     seeds = set(objective.coeffs)
@@ -288,7 +276,7 @@ class SolveSession:
                         "variables_after": len(seen),
                         "constraints_after": len(constraints),
                     }
-            with self.telemetry.timer("normalize"):
+            with phase("normalize"):
                 names = {var.index: var.name for var in self.model.pool}
                 problem, dense = from_licm(objective, constraints, names)
                 canonical = canonicalize(objective, constraints)
@@ -298,7 +286,6 @@ class SolveSession:
             span.set("fingerprint", canonical.fingerprint)
             for key, value in prune_stats.items():
                 span.set(key, value)
-        self.telemetry.emit(ProblemPrepared(canonical.fingerprint, **prune_stats))
         return problem, dense, canonical, prune_stats, components
 
     def _decompose(
@@ -349,10 +336,10 @@ class SolveSession:
                     )
                 )
             span.set("largest_vars", max(c.problem.num_vars for c in components))
-            self.telemetry.count("decomposed_prepares")
+            count("decomposed_prepares")
         return tuple(components)
 
-    def _observe_components(self, count: int) -> None:
+    def _observe_components(self, components: int) -> None:
         """The always-on components-per-solve distribution (+ exemplar)."""
         span = current_tracer().current()
         trace_id = getattr(span, "trace_id", "") if span is not None else ""
@@ -361,7 +348,7 @@ class SolveSession:
             "Connected components per prepared engine BIP (1 = inseparable)",
             buckets=_COMPONENT_BUCKETS,
         ).observe(
-            float(count),
+            float(components),
             exemplar={"trace_id": trace_id} if trace_id else None,
         )
 
@@ -373,16 +360,12 @@ class SolveSession:
         component: Optional[int],
         parent_span,
     ) -> Optional[CachedSolve]:
-        """One L1 lookup, with its telemetry.  ``None`` means miss."""
+        """One L1 lookup, with its counters.  ``None`` means miss."""
         entry = self.cache.get((canonical.fingerprint, sense))
         if entry is None:
-            self.telemetry.count("cache_misses")
-            self.telemetry.emit(
-                CacheProbe("miss", canonical.fingerprint, len(self.cache))
-            )
+            count("cache_misses")
             return None
-        self.telemetry.count("cache_hits")
-        self.telemetry.emit(CacheProbe("hit", canonical.fingerprint, len(self.cache)))
+        count("cache_hits")
         tracer = current_tracer()
         if tracer.enabled:
             with tracer.span(f"engine.solve.{sense}", parent=parent_span) as span:
@@ -391,18 +374,6 @@ class SolveSession:
                 span.set("cached", True).set("status", entry.status)
                 span.set("objective", entry.objective).set("nodes", entry.nodes)
                 span.set("backend", entry.backend)
-        self.telemetry.emit(
-            SolveFinished(
-                sense=sense,
-                status=entry.status,
-                objective=entry.objective,
-                nodes=0,
-                seconds=0.0,
-                backend=entry.backend,
-                fingerprint=canonical.fingerprint,
-                cached=True,
-            )
-        )
         return entry
 
     def _unit(
@@ -447,10 +418,10 @@ class SolveSession:
     ) -> Tuple[CachedSolve, bool, float, bool]:
         """Fold one :class:`UnitResult` back into session state.
 
-        Runs on the submitting thread: L1 write-through (guarded),
-        telemetry, the always-on metrics, adoption of any span records
-        shipped home from a worker process, and replay of the worker's
-        metrics delta into this process's global registry.  Returns
+        Runs on the submitting thread: L1 write-through (guarded), the
+        always-on counters, phase timings and metrics, adoption of any
+        span records shipped home from a worker process, and replay of the
+        worker's metrics delta into this process's global registry.  Returns
         ``(entry, cached, seconds, l2_hit)``.
         """
         tracer = current_tracer()
@@ -464,29 +435,26 @@ class SolveSession:
         # a degraded request never poisons later full-budget answers.
         if options is None or entry.status == "optimal":
             self.cache.put((canonical.fingerprint, sense), entry)
-            self.telemetry.emit(
-                CacheProbe("store", canonical.fingerprint, len(self.cache))
-            )
-        self.telemetry.record(f"solve_{sense}", result.solve_time)
-        self.telemetry.count("solver_nodes", result.nodes)
         registry = global_registry()
+        # The solve ran (and was timed) on the fabric; credit its wall time.
+        registry.counter("phase_seconds_total").inc(
+            result.solve_time, labels={"phase": f"solve_{sense}"}
+        )
+        count("solver_nodes", result.nodes)
         registry.counter(
             "engine_fabric_units_total",
             "Solve units executed, by fabric kind",
         ).inc(labels={"fabric": self.fabric.kind})
         if self.l2_path is not None:
             if result.l2_hit:
-                self.telemetry.count("l2_hits")
                 registry.counter(
                     "engine_l2_hits_total", "Cross-process L2 solve cache hits"
                 ).inc()
             else:
-                self.telemetry.count("l2_misses")
                 registry.counter(
                     "engine_l2_misses_total", "Cross-process L2 solve cache misses"
                 ).inc()
             if result.l2_stored:
-                self.telemetry.count("l2_writes")
                 registry.counter(
                     "engine_l2_writes_total", "Cross-process L2 solve cache writes"
                 ).inc()
@@ -503,18 +471,6 @@ class SolveSession:
                 labels={"sense": sense, "backend": result.backend or "unknown"},
                 exemplar={"trace_id": trace_id} if trace_id else None,
             )
-        self.telemetry.emit(
-            SolveFinished(
-                sense=sense,
-                status=entry.status,
-                objective=entry.objective,
-                nodes=result.nodes,
-                seconds=result.solve_time,
-                backend=entry.backend,
-                fingerprint=canonical.fingerprint,
-                cached=False,
-            )
-        )
         return entry, False, result.solve_time, result.l2_hit
 
     def _solve_tasks(
@@ -622,7 +578,7 @@ class SolveSession:
         if memoized is not None:
             with current_tracer().span("engine.prepare", memo=True) as span:
                 span.set("fingerprint", memoized.fingerprint)
-            self.telemetry.count("prepare_memo_hits")
+            count("prepare_memo_hits")
             return replace(memoized, prep_time=prep.stop())
         problem, dense, canonical, prune_stats, components = self._prepare(
             objective, extra, do_prune, decompose=True

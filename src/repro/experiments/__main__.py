@@ -175,6 +175,8 @@ def main(argv: list[str]) -> int:
         activate,
         build_manifest,
         build_metrics,
+        global_registry,
+        render_registries,
         write_manifest,
     )
 
@@ -190,10 +192,10 @@ def main(argv: list[str]) -> int:
                 _run(args.target, context, args)
     finally:
         _finish_profile()
-    build_metrics(context.telemetry, tracer).write(metrics_path)
+    with open(metrics_path, "w", encoding="utf-8") as handle:
+        handle.write(render_registries((build_metrics(tracer), global_registry())))
     manifest = build_manifest(
         config=config,
-        telemetry=context.telemetry,
         tracer=tracer,
         sessions=context.cache_stats(),
         extra={

@@ -8,7 +8,7 @@ Each encoding also gets one :class:`~repro.engine.session.SolveSession`,
 shared by every query answered against it: a Figure-5 style sweep that
 issues structurally repeated aggregate queries is served from the
 session's solve cache instead of re-solving, and all phase timings flow
-into one :class:`~repro.engine.telemetry.Telemetry` (``context.telemetry``)
+into the process metrics registry (:func:`repro.obs.export.phase`)
 instead of ad-hoc ``perf_counter`` bookkeeping.
 """
 
@@ -34,9 +34,9 @@ from repro.anonymize import (
 from repro.data import TransactionDataset, generate
 from repro.engine.fabric import ExecutorFabric, make_fabric
 from repro.engine.session import SolveSession
-from repro.engine.telemetry import Telemetry
 from repro.experiments.config import ExperimentConfig
 from repro.mc import run_monte_carlo
+from repro.obs.export import phase
 from repro.queries import answer_licm, query1, query2, query3
 from repro.relational.query import PlanNode
 from repro.solver.result import SolverOptions
@@ -63,7 +63,6 @@ class ExperimentContext:
 
     def __init__(self, config: ExperimentConfig | None = None):
         self.config = config or ExperimentConfig()
-        self.telemetry = Telemetry()
         self._dataset: TransactionDataset | None = None
         self._hierarchy: Hierarchy | None = None
         self._encodings: Dict[Tuple[str, int], EncodingRecord] = {}
@@ -96,7 +95,7 @@ class ExperimentContext:
         if key in self._encodings:
             return self._encodings[key]
         logger.info("anonymizing + encoding %s (k=%d)...", scheme, k)
-        with self.telemetry.timer("anonymize", scheme=scheme, k=k) as anonymize_clock:
+        with phase("anonymize") as anonymize_clock:
             if scheme == "km":
                 anonymized = km_anonymize(
                     self.dataset, self.hierarchy, k, self.config.km_m
@@ -121,7 +120,7 @@ class ExperimentContext:
             else:
                 raise ValueError(f"unknown scheme {scheme!r}")
 
-        with self.telemetry.timer("l_model", scheme=scheme, k=k) as model_clock:
+        with phase("l_model") as model_clock:
             encoded = encode(anonymized)
 
         record = EncodingRecord(encoded, anonymize_clock.elapsed, model_clock.elapsed)
@@ -179,7 +178,6 @@ class ExperimentContext:
                 self.encoding(scheme, k).encoded.model,
                 options=self.solver_options(),
                 cache_size=self.config.solve_cache_size,
-                telemetry=self.telemetry,
                 fabric=self.fabric,
                 l2_path=self.l2_path,
             )
@@ -249,5 +247,4 @@ class ExperimentContext:
             self.config.mc_samples,
             seed=self.config.seed,
             max_workers=self.config.mc_workers,
-            telemetry=self.telemetry,
         )

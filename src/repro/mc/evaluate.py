@@ -11,13 +11,13 @@ from __future__ import annotations
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.anonymize.encode import EncodedDatabase
-from repro.engine.telemetry import Stopwatch, Telemetry
 from repro.errors import SamplingError
 from repro.mc.sampler import sample_world
-from repro.obs.tracer import current_tracer
+from repro.obs.export import phase
+from repro.obs.tracer import Stopwatch, current_tracer
 from repro.relational.query import PlanNode, evaluate
 
 
@@ -58,7 +58,6 @@ def run_monte_carlo(
     samples: int = 20,
     seed: int = 0,
     max_workers: int = 1,
-    telemetry: Optional[Telemetry] = None,
 ) -> MCResult:
     """Sample ``samples`` worlds (the paper uses 20) and evaluate the plan.
 
@@ -72,13 +71,12 @@ def run_monte_carlo(
     """
     if samples < 1:
         raise SamplingError("need at least one sample")
-    telemetry = telemetry or Telemetry()
     tracer = current_tracer()
     rng = random.Random(seed)
     result = MCResult()
 
     with tracer.span("mc.sample", samples=samples) as sample_span:
-        with telemetry.timer("mc_sample"):
+        with phase("mc_sample"):
             worlds = []
             for _ in range(samples):
                 per_world = Stopwatch()
@@ -96,7 +94,7 @@ def run_monte_carlo(
             return value, per_world.stop()
 
     with tracer.span("mc.evaluate", samples=samples, workers=max_workers) as eval_span:
-        with telemetry.timer("mc_evaluate"):
+        with phase("mc_evaluate"):
             if max_workers > 1:
                 with ThreadPoolExecutor(
                     max_workers=max_workers, thread_name_prefix="repro-mc"

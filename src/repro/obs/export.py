@@ -7,8 +7,10 @@ Three ways out of a traced run:
   machine-readable trace the CI smoke run validates.
 * :class:`MetricsRegistry` — counters/gauges/histograms rendered in the
   Prometheus text exposition format (``metrics.txt``);
-  :func:`build_metrics` populates one from a telemetry snapshot and a
-  tracer's spans.
+  :func:`build_metrics` populates one from a tracer's spans.  The
+  process-wide :func:`global_registry` also carries the engine's
+  counters and phase timings, recorded through :func:`count` and
+  :func:`phase`.
 * :func:`render_report` — the human view: a span tree plus a per-name
   aggregate table, printed by ``python -m repro trace``.
 """
@@ -19,9 +21,10 @@ import json
 import math
 import threading
 import time
-from typing import IO, Iterable, Optional, Union
+from contextlib import contextmanager
+from typing import IO, Iterable, Iterator, Optional, Union
 
-from repro.obs.tracer import Span, Tracer, iter_tree
+from repro.obs.tracer import Span, Stopwatch, Tracer, iter_tree
 
 __all__ = [
     "DURATION_BUCKETS",
@@ -31,8 +34,10 @@ __all__ = [
     "OPENMETRICS_CONTENT_TYPE",
     "TEXT_CONTENT_TYPE",
     "build_metrics",
+    "count",
     "global_registry",
     "load_jsonl",
+    "phase",
     "read_jsonl",
     "render_registries",
     "render_report",
@@ -585,44 +590,58 @@ def render_registries(registries, fmt: str = "text") -> str:
 
 
 #: the always-on process registry instrumented layers observe into (the
-#: engine's solve-wall histogram, the branch-and-bound nodes/prunes
-#: histograms).  The service's ``/metrics`` renders it after its own
-#: families; standalone runs can write it next to ``metrics.txt``.
+#: engine's counters, phase timings and solve-wall histogram, the
+#: branch-and-bound nodes/prunes histograms).  The service's ``/metrics``
+#: renders it after its own families; standalone runs write it into
+#: ``metrics.txt`` next to the span families of :func:`build_metrics`.
 _GLOBAL_REGISTRY = MetricsRegistry()
+
+# Registered up front so both families appear in every exposition, even
+# before the first query.
+_COUNTERS = _GLOBAL_REGISTRY.counter(
+    "counter_total", "Engine counters (cache hits, solver nodes, ...)"
+)
+_PHASE_SECONDS = _GLOBAL_REGISTRY.counter(
+    "phase_seconds_total", "Accumulated pipeline phase wall time"
+)
 
 
 def global_registry() -> MetricsRegistry:
-    """The process-wide registry for always-on engine/solver histograms."""
+    """The process-wide registry for always-on engine/solver metrics."""
     return _GLOBAL_REGISTRY
 
 
+def count(name: str, delta: float = 1) -> None:
+    """Add ``delta`` to ``repro_counter_total{name=...}``."""
+    _COUNTERS.inc(delta, labels={"name": name})
+
+
+@contextmanager
+def phase(name: str) -> Iterator[Stopwatch]:
+    """Time a block into ``repro_phase_seconds_total{phase=...}``.
+
+    Yields the running :class:`~repro.obs.tracer.Stopwatch`, so callers
+    that also need the block's own wall time read ``clock.elapsed``.
+    """
+    clock = Stopwatch()
+    try:
+        yield clock
+    finally:
+        _PHASE_SECONDS.inc(clock.stop(), labels={"phase": name})
+
+
 def build_metrics(
-    telemetry=None,
     tracer: Optional[Tracer] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> MetricsRegistry:
-    """Populate a registry from a run's telemetry totals and span tree.
+    """Populate a registry from a run's span tree.
 
-    Produces the standard metric families every traced run exports:
-
-    * ``repro_phase_seconds_total{phase=...}`` — accumulated telemetry
-      phase timings (prune, normalize, solve_min, l_query, mc_*, ...);
-    * ``repro_counter_total{name=...}`` — telemetry counters (cache hits,
-      solver nodes, ...);
-    * ``repro_span_duration_seconds{name=...}`` — histogram over span
-      durations, plus ``repro_spans_total{name=...}``.
+    Produces ``repro_span_duration_seconds{name=...}`` — a histogram over
+    span durations — plus ``repro_spans_total{name=...}``.  The counter
+    and phase families live in :func:`global_registry`; a traced run
+    writes both registries with :func:`render_registries`.
     """
     registry = registry or MetricsRegistry()
-    if telemetry is not None:
-        snapshot = telemetry.snapshot()
-        phase = registry.counter(
-            "phase_seconds_total", "Accumulated telemetry phase wall time"
-        )
-        for name, seconds in sorted(snapshot["timings"].items()):
-            phase.inc(seconds, labels={"phase": name})
-        counters = registry.counter("counter_total", "Telemetry counters")
-        for name, total in sorted(snapshot["counters"].items()):
-            counters.inc(total, labels={"name": name})
     if tracer is not None and tracer.enabled:
         spans = registry.counter("spans_total", "Finished spans per span name")
         durations = registry.histogram(

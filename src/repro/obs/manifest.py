@@ -1,7 +1,7 @@
 """Run manifests: one JSON document describing a traced run.
 
 The manifest is the "why was this run slow" record every figure run can
-emit: the experiment configuration, per-phase wall time, telemetry
+emit: the experiment configuration, per-phase wall time, the engine
 counters (cache hits, solver nodes), per-session solve-cache stats and a
 per-span-name summary of the trace.  :func:`validate_trace` /
 :func:`validate_manifest` are the well-formedness checks the CI smoke
@@ -15,7 +15,7 @@ import json
 import time
 from typing import Optional
 
-from repro.obs.export import load_jsonl
+from repro.obs.export import global_registry, load_jsonl
 from repro.obs.tracer import Tracer
 
 __all__ = [
@@ -51,6 +51,12 @@ def _config_dict(config) -> Optional[dict]:
     return json.loads(json.dumps(raw, default=repr))
 
 
+def _series(counter, label: str) -> dict:
+    """``{label value: total}`` of a one-label counter family."""
+    with counter._lock:
+        return {dict(key)[label]: value for key, value in counter.series.items()}
+
+
 def _span_summary(tracer: Optional[Tracer]) -> dict:
     if tracer is None or not tracer.enabled:
         return {}
@@ -69,25 +75,30 @@ def _span_summary(tracer: Optional[Tracer]) -> dict:
 
 def build_manifest(
     config=None,
-    telemetry=None,
     tracer: Optional[Tracer] = None,
     sessions: Optional[dict] = None,
     extra: Optional[dict] = None,
 ) -> dict:
     """Assemble the run manifest dict (JSON-serializable).
 
+    ``phase_seconds`` and ``counters`` are this process's totals of the
+    ``repro_phase_seconds_total`` / ``repro_counter_total`` families in
+    :func:`~repro.obs.export.global_registry`.
+
     :param config: an :class:`~repro.experiments.config.ExperimentConfig`
         (or any dataclass/dict) describing the workload.
-    :param telemetry: a :class:`~repro.engine.telemetry.Telemetry`; its
-        snapshot provides per-phase timings and counters.
     :param tracer: the run's tracer; summarized per span name.
     :param sessions: mapping of label -> solve-cache ``stats`` dict.
     :param extra: free-form additions (figure name, artifact paths, ...).
     """
     import repro
 
-    snapshot = telemetry.snapshot() if telemetry is not None else {}
-    counters = dict(snapshot.get("counters", {}))
+    registry = global_registry()
+    counters = {
+        name: int(total)
+        for name, total in _series(registry.counter("counter_total"), "name").items()
+    }
+    phases = _series(registry.counter("phase_seconds_total"), "phase")
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "created_unix": time.time(),
@@ -95,8 +106,7 @@ def build_manifest(
         "trace_id": tracer.trace_id if tracer is not None and tracer.enabled else None,
         "config": _config_dict(config),
         "phase_seconds": {
-            name: round(seconds, 6)
-            for name, seconds in sorted(snapshot.get("timings", {}).items())
+            name: round(seconds, 6) for name, seconds in sorted(phases.items())
         },
         "counters": counters,
         "solver_nodes": counters.get("solver_nodes", 0),

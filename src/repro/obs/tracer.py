@@ -36,11 +36,44 @@ __all__ = [
     "NullTracer",
     "RecordingTracer",
     "Span",
+    "Stopwatch",
     "Tracer",
     "activate",
     "current_tracer",
     "new_trace_id",
 ]
+
+
+class Stopwatch:
+    """A monotonic timer: created running, frozen by :meth:`stop`.
+
+    ``elapsed`` reads the live value while running and the frozen value
+    after ``stop()`` — the one timing primitive used across the repo in
+    place of paired ``time.perf_counter()`` calls.  It lives here, in a
+    module that imports nothing else from the repo, so the solver layer
+    can time itself without an import cycle.
+    """
+
+    __slots__ = ("_start", "_stopped")
+
+    def __init__(self):
+        self._start = time.perf_counter()
+        self._stopped: Optional[float] = None
+
+    @property
+    def elapsed(self) -> float:
+        end = self._stopped if self._stopped is not None else time.perf_counter()
+        return end - self._start
+
+    def stop(self) -> float:
+        """Freeze the timer and return the final elapsed seconds."""
+        if self._stopped is None:
+            self._stopped = time.perf_counter()
+        return self.elapsed
+
+    def restart(self) -> None:
+        self._start = time.perf_counter()
+        self._stopped = None
 
 
 def new_trace_id() -> str:

@@ -7,7 +7,7 @@ produces the latter two around a single plan, returning the bounds plus the
 timing/size stats the experiment harness prints.
 
 ``answer_licm`` is a facade over :class:`repro.engine.session.SolveSession`;
-pass a session to share its solve cache, executor and telemetry across a
+pass a session to share its solve cache and executor across a
 sweep (the experiment harness does — see
 :meth:`repro.experiments.runner.ExperimentContext.session`).
 """
@@ -20,9 +20,9 @@ from typing import Optional
 from repro.anonymize.encode import EncodedDatabase
 from repro.core.bounds import AggregateBounds
 from repro.core.linexpr import LinearExpr
-from repro.engine.telemetry import Stopwatch
 from repro.errors import QueryError
-from repro.obs.tracer import current_tracer
+from repro.obs.export import phase
+from repro.obs.tracer import Stopwatch, current_tracer
 from repro.queries.licm_eval import evaluate_licm
 from repro.relational.query import PlanNode
 from repro.solver.result import SolverOptions
@@ -83,21 +83,20 @@ def answer_licm(
         solve_options = None
     else:
         solve_options = options
-    telemetry = session.telemetry
 
     with current_tracer().span(
         "query.answer_licm", plan=type(plan).__name__
     ) as root_span:
         total = Stopwatch()
         if isinstance(plan, (MinAttr, MaxAttr)):
-            with telemetry.timer("l_query"):
+            with phase("l_query"):
                 relation = evaluate_licm(plan.child, encoded.relations)
             agg = "min" if isinstance(plan, MinAttr) else "max"
             bounds = minmax_bounds(
                 relation, plan.attribute, agg, options=solve_options, session=session
             )
         else:
-            with telemetry.timer("l_query"):
+            with phase("l_query"):
                 objective = evaluate_licm(plan, encoded.relations)
             if not isinstance(objective, LinearExpr):
                 raise QueryError(

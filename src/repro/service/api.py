@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import uuid
 from dataclasses import dataclass, field
 from typing import Optional
@@ -124,8 +125,12 @@ class QueryRequest:
                 self.deadline_ms, bool
             ):
                 problems.append(f"deadline_ms must be a number, got {self.deadline_ms!r}")
-            elif self.deadline_ms <= 0:
-                problems.append(f"deadline_ms must be > 0, got {self.deadline_ms!r}")
+            elif not math.isfinite(self.deadline_ms) or self.deadline_ms <= 0:
+                # json.loads parses NaN, Infinity and 1e400; NaN would never
+                # expire a leader and would expire a parked follower at once.
+                problems.append(
+                    f"deadline_ms must be finite and > 0, got {self.deadline_ms!r}"
+                )
         if (
             not isinstance(self.mc_samples, int)
             or isinstance(self.mc_samples, bool)

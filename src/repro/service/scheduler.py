@@ -62,7 +62,7 @@ from repro.estimator import (
     TieredAnswerer,
 )
 from repro.mc import run_monte_carlo
-from repro.obs.export import ESTIMATOR_BUCKETS, MetricsRegistry
+from repro.obs.export import ESTIMATOR_BUCKETS, MetricsRegistry, phase
 from repro.obs.logs import request_logger, wide_event
 from repro.obs.profiler import active_profiler, tagged
 from repro.obs.slo import SLOTracker
@@ -1064,7 +1064,6 @@ class QueryScheduler:
         ``None`` here) rather than hold a worker slot.
         """
         request = pending.request
-        telemetry = session.telemetry
 
         flight, leader = self._join_flight(("request",) + request.dedup_key())
         if not leader:
@@ -1104,7 +1103,7 @@ class QueryScheduler:
             with model_lock:
                 objective = self._objectives.get(objective_key)
                 if objective is None:
-                    with telemetry.timer("l_query"):
+                    with phase("l_query"):
                         objective = evaluate_licm(plan, encoded.relations)
                     if len(self._objectives) >= 256:  # bounded; eviction is rare
                         self._objectives.clear()
@@ -1326,7 +1325,6 @@ class QueryScheduler:
                         plan,
                         samples=request.mc_samples,
                         seed=self.context.config.seed,
-                        telemetry=self.context.telemetry,
                     )
                 return self._response(
                     pending,

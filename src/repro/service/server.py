@@ -8,8 +8,8 @@
   400 invalid.
 * ``GET /v1/status``  — JSON service/scheduler snapshot.
 * ``GET /healthz``    — liveness probe.
-* ``GET /metrics``    — the engine/telemetry families of
-  :func:`repro.obs.export.build_metrics` plus service gauges (queue
+* ``GET /metrics``    — the engine counters and phase timings of
+  :func:`repro.obs.export.global_registry` plus service gauges (queue
   depth, in-flight solves, dedup hits, deadline misses) and the latency
   histograms.  Content-negotiated: plain requests get
   Prometheus text 0.0.4 (exemplar-free — exemplars are illegal there);
@@ -43,7 +43,6 @@ from repro.obs.export import (
     TEXT_CONTENT_TYPE,
     JsonlSink,
     MetricsRegistry,
-    build_metrics,
     global_registry,
     render_registries,
 )
@@ -62,7 +61,7 @@ class QueryService:
     """Everything a serving process keeps resident, bundled.
 
     Owns the :class:`~repro.experiments.runner.ExperimentContext` (dataset,
-    encodings, shared solve sessions + telemetry), the
+    encodings, shared solve sessions), the
     :class:`~repro.service.scheduler.QueryScheduler`, and the long-lived
     tracer (optionally streaming JSONL to ``trace_path``).  Use as a
     context manager, or call :meth:`close`.
@@ -177,24 +176,22 @@ class QueryService:
 
         Three sections concatenated (metric names are disjoint):
 
-        1. a fresh snapshot registry — engine/telemetry families
-           (:func:`build_metrics`), service gauges and status counters
+        1. a fresh snapshot registry — service gauges and status counters
            (the point-in-time ``repro_service_latency_seconds`` /
            ``repro_service_solve_seconds`` quantile gauges, deprecated
            in favour of the duration histograms, are gone as of this
            release);
         2. the scheduler's long-lived **histograms** (queue wait, solve
            wall, end-to-end latency);
-        3. the process-global registry (engine solve wall, B&B
-           nodes/prunes per search, executor-fabric units, L2 cache
-           hits/misses/writes).
+        3. the process-global registry (engine counters and phase
+           timings, engine solve wall, B&B nodes/prunes per search,
+           executor-fabric units, L2 cache hits/misses/writes).
 
         ``fmt="text"`` is Prometheus 0.0.4 and exemplar-free;
         ``fmt="openmetrics"`` carries the trace-id exemplars on the
         histogram buckets and ends with ``# EOF``.
         """
         registry = MetricsRegistry()
-        build_metrics(self.context.telemetry, registry=registry)
         stats = self.scheduler.stats.snapshot()
         registry.gauge("service_queue_depth", "Requests waiting for a worker").set(
             self.scheduler.queue_depth

@@ -39,10 +39,9 @@ import logging
 import math
 from typing import Optional
 
-from repro.engine.telemetry import Stopwatch
 from repro.errors import InfeasibleError, SolverError
 from repro.obs.export import global_registry
-from repro.obs.tracer import NullSpan, current_tracer
+from repro.obs.tracer import NullSpan, Stopwatch, current_tracer
 from repro.solver.heuristics import greedy_seed, round_and_repair
 from repro.solver.model import BIPProblem
 from repro.solver.presolve import presolve

@@ -12,8 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.engine.telemetry import Stopwatch
 from repro.errors import SolverError
+from repro.obs.tracer import Stopwatch
 from repro.solver.model import BIPProblem
 from repro.solver.result import Solution, SolverOptions
 

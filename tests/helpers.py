@@ -1,4 +1,5 @@
-"""Shared test utilities: small-model builders and brute-force oracles."""
+"""Shared test utilities: small-model builders, brute-force oracles and
+readers of the process metrics registry."""
 
 from __future__ import annotations
 
@@ -7,7 +8,29 @@ from itertools import product as iter_product
 from repro.core.database import LICMModel
 from repro.core.relation import LICMRelation
 from repro.core.worlds import enumerate_assignments, instantiate
+from repro.obs.export import global_registry
+from repro.obs.manifest import _series
 from repro.relational.relation import Database, Relation
+
+
+def counter_totals() -> dict:
+    """``repro_counter_total`` as ``{name: total}`` (subtract two reads
+    for a delta — the registry is process-wide)."""
+    return _series(global_registry().counter("counter_total"), "name")
+
+
+def phase_totals() -> dict:
+    """``repro_phase_seconds_total`` as ``{phase: seconds}``."""
+    return _series(global_registry().counter("phase_seconds_total"), "phase")
+
+
+def delta(before: dict, after: dict) -> dict:
+    """The entries of ``after`` that moved since ``before``."""
+    return {
+        key: value - before.get(key, 0)
+        for key, value in after.items()
+        if value != before.get(key, 0)
+    }
 
 
 def all_valid_assignments(model: LICMModel):

@@ -20,7 +20,7 @@ import copy
 import pytest
 
 import repro.engine.session as session_module
-from helpers import fig2c_model
+from helpers import counter_totals, fig2c_model
 from repro.core.aggregates import count_objective
 from repro.core.operators import licm_project, licm_select
 from repro.engine import SolveSession
@@ -44,6 +44,11 @@ def count_tids_where(trans, op, item):
     lineage over the selected rows' base variables."""
     selected = licm_select(trans, Compare("ItemName", op, item))
     return count_objective(licm_project(selected, ["TID"]))
+
+
+def memo_hits() -> int:
+    """The process-wide ``prepare_memo_hits`` counter (read deltas)."""
+    return counter_totals().get("prepare_memo_hits", 0)
 
 
 def preparation(prepared, with_before=True):
@@ -78,6 +83,7 @@ def test_repeated_prepare_skips_prune_and_keeps_bounds(prune_calls):
     model, trans, _ = fig2c_model()
     session = SolveSession(model)
     objective = count_where(trans, "!=", "Shampoo")
+    hits = memo_hits()
 
     first = session.prepare(objective)
     cold = session.solve_prepared(first)
@@ -85,7 +91,7 @@ def test_repeated_prepare_skips_prune_and_keeps_bounds(prune_calls):
     warm = session.solve_prepared(second)
 
     assert len(prune_calls) == 1
-    assert session.telemetry.counters["prepare_memo_hits"] == 1
+    assert memo_hits() - hits == 1
     assert second.fingerprint == first.fingerprint
     assert preparation(second) == preparation(first)
     assert (warm.lower, warm.upper) == (cold.lower, cold.upper) == (1, 3)
@@ -97,13 +103,14 @@ def test_memo_key_is_content_not_identity(prune_calls):
     """An equal objective built anew (same variables) hits the memo."""
     model, trans, (b1, b2, b3) = fig2c_model()
     session = SolveSession(model)
+    hits = memo_hits()
     session.prepare(b1 + b2 + b3)
     session.prepare(b3 + b2 + b1)
     assert len(prune_calls) == 1
     session.prepare(b1 + b2 + b3 + 1)  # the constant is part of the key
     session.prepare(b1 + b2 + b3, do_prune=False)  # and so is do_prune
     session.prepare(b1 + b2 + b3, extra_constraints=[(b1 + 0) >= 1])
-    assert session.telemetry.counters["prepare_memo_hits"] == 1
+    assert memo_hits() - hits == 1
 
     lonely = model.new_var()  # in no constraint: pruning drops everything
     fixpoint = SolveSession(model, prune_method="fixpoint")
@@ -170,10 +177,11 @@ def test_store_dependent_preparations_are_never_stale(prune_method, do_prune):
         assert preparation(got) == preparation(want)
         return got
 
+    start = memo_hits()
     first = check()
     assert check().fingerprint == first.fingerprint  # no append: a hit
-    hits = session.telemetry.counters["prepare_memo_hits"]
-    assert hits == 1
+    hits = memo_hits()
+    assert hits - start == 1
 
     count_tids_where(trans, "<", "Shampoo")  # lineage that mentions b1
     grown = check()
@@ -183,17 +191,18 @@ def test_store_dependent_preparations_are_never_stale(prune_method, do_prune):
     count_tids_where(trans, "!=", "Shampoo")
     check()
     # every post-append prepare re-prepared; only the first repeat hit
-    assert session.telemetry.counters["prepare_memo_hits"] == hits
+    assert memo_hits() == hits
 
 
 def test_zero_cache_size_disables_the_memo(prune_calls):
     model, trans, _ = fig2c_model()
     session = SolveSession(model, cache_size=0)
     objective = count_where(trans, "!=", "Shampoo")
+    hits = memo_hits()
     session.prepare(objective)
     session.prepare(objective)
     assert len(prune_calls) == 2
-    assert "prepare_memo_hits" not in session.telemetry.counters
+    assert memo_hits() == hits
     assert len(session._prepared) == 0
 
 
@@ -222,6 +231,7 @@ def workload():
 
 def test_solves_and_tiers_leave_a_memoized_problem_unchanged(workload):
     encoded, objective = workload
+    hits = memo_hits()
     with SolveSession(encoded.model) as session:
         prepared = session.prepare(objective)
         assert prepared.decomposed  # the per-component paths are exercised
@@ -238,7 +248,7 @@ def test_solves_and_tiers_leave_a_memoized_problem_unchanged(workload):
         again = session.prepare(objective)
         resolved = session.solve_prepared(again)
 
-    assert session.telemetry.counters["prepare_memo_hits"] == 1
+    assert memo_hits() - hits == 1
     assert preparation(prepared) == preparation(snapshot)
     assert preparation(again) == preparation(snapshot)
     assert (resolved.lower, resolved.upper) == (exact.lower, exact.upper)
@@ -253,8 +263,8 @@ def test_served_tight_answers_match_a_memo_less_session():
     context = ExperimentContext(config)
     try:
         encoded = context.encoding("km", 2).encoded
-        session = context.session("km", 2)
         keys = ["Q1", "Q2", "Q1", "Q1", "Q2"]
+        hits = memo_hits()
         with QueryScheduler(context, workers=2, max_queue=16) as scheduler:
             scheduler.warm([("km", 2)])
             for query in keys:
@@ -273,6 +283,6 @@ def test_served_tight_answers_match_a_memo_less_session():
                     reference.upper,
                 ), query
         # every repeat of a key was prepared from the memo
-        assert session.telemetry.counters["prepare_memo_hits"] >= 3
+        assert memo_hits() - hits >= 3
     finally:
         context.close()

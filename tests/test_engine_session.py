@@ -17,14 +17,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import all_valid_assignments, brute_force_objective_range, fig2c_model
+from helpers import (
+    all_valid_assignments,
+    brute_force_objective_range,
+    counter_totals,
+    delta,
+    fig2c_model,
+    phase_totals,
+)
 from repro.core.aggregates import count_objective
 from repro.core.bounds import count_bounds, group_count_bounds, objective_bounds
 from repro.core.database import LICMModel
 from repro.core.linexpr import linear_sum
 from repro.core.operators import licm_select
-from repro.engine import ListSink, SolveSession, Telemetry
-from repro.engine.telemetry import CacheProbe, PhaseTimed, ProblemPrepared, SolveFinished
+from repro.engine import SolveSession
 from repro.relational.predicates import Compare
 
 
@@ -169,27 +175,26 @@ def test_group_count_bounds_shares_one_session():
     assert (out[("west",)].lower, out[("west",)].upper) == (1, 1)
 
 
-# -- telemetry flow ----------------------------------------------------------
+# -- counters and phase timings ----------------------------------------------
 
 
 def test_session_emits_structured_events():
-    sink = ListSink()
     model, trans, _ = fig2c_model()
-    session = SolveSession(model, telemetry=Telemetry([sink]))
-    session.bounds(count_objective(select_not_shampoo(trans)))
-    session.bounds(count_objective(select_not_shampoo(trans)))
+    session = SolveSession(model)
+    counters, phases = counter_totals(), phase_totals()
+    cold = session.bounds(count_objective(select_not_shampoo(trans)))
+    warm = session.bounds(count_objective(select_not_shampoo(trans)))
 
-    phases = {e.phase for e in sink.of_type(PhaseTimed)}
-    assert {"prune", "normalize", "solve_min", "solve_max"} <= phases
-    prepared = sink.of_type(ProblemPrepared)
-    assert prepared and prepared[0].variables_after <= prepared[0].variables_before
-    solves = sink.of_type(SolveFinished)
-    assert any(e.cached for e in solves) and any(not e.cached for e in solves)
-    probes = [e.kind for e in sink.of_type(CacheProbe)]
-    assert "miss" in probes and "store" in probes and "hit" in probes
-    telemetry = session.telemetry
-    assert telemetry.counters["cache_hits"] == 2
-    assert telemetry.total("solve_min") > 0.0
+    timed = delta(phases, phase_totals())
+    assert {"prune", "normalize", "solve_min", "solve_max"} <= set(timed)
+    assert timed["solve_min"] > 0.0
+    assert cold.stats["variables_after"] <= cold.stats["variables_before"]
+    counted = delta(counters, counter_totals())
+    # cold: both directions miss and solve; warm: both hit L1
+    assert counted["cache_misses"] == 2 and counted["cache_hits"] == 2
+    assert counted["prepare_memo_hits"] == 1
+    assert counted.get("solver_nodes", 0) == cold.stats["nodes"]
+    assert warm.stats["cache_hits"] == 2 and cold.stats["cache_hits"] == 0
 
 
 # -- parallel == serial on random small models -------------------------------

@@ -1,27 +1,25 @@
-"""Unit tests for the engine's building blocks: telemetry, canonicalizer,
-LRU solve cache, and the constraint store's generation counter."""
+"""Unit tests for the engine's building blocks: the Stopwatch and the
+process-registry counters/phase timings, canonicalizer, LRU solve cache,
+and the constraint store's generation counter."""
 
 from __future__ import annotations
 
-import logging
+import sys
 import threading
 
+import pytest
+
+from helpers import counter_totals, delta, phase_totals
 from repro.core.constraints import ConstraintStore
 from repro.core.database import LICMModel
 from repro.core.linexpr import linear_sum
 from repro.engine.cache import CachedSolve, SolveCache
 from repro.engine.canonical import canonicalize
-from repro.engine.telemetry import (
-    CounterBumped,
-    ListSink,
-    LoggingSink,
-    PhaseTimed,
-    Stopwatch,
-    Telemetry,
-)
+from repro.obs.export import count, phase
+from repro.obs.tracer import Stopwatch
 
 
-# -- Stopwatch / Telemetry ---------------------------------------------------
+# -- Stopwatch / counters / phase timings -------------------------------------
 
 
 def test_stopwatch_freezes_on_stop():
@@ -34,115 +32,44 @@ def test_stopwatch_freezes_on_stop():
 
 
 def test_timer_accumulates_and_emits():
-    sink = ListSink()
-    telemetry = Telemetry([sink])
-    with telemetry.timer("phase_a", detail=1):
+    before = phase_totals()
+    with phase("test.phase_a") as first:
         pass
-    with telemetry.timer("phase_a"):
+    with phase("test.phase_a") as second:
         pass
-    events = sink.of_type(PhaseTimed)
-    assert [e.phase for e in events] == ["phase_a", "phase_a"]
-    assert events[0].meta == {"detail": 1}
-    assert telemetry.total("phase_a") >= sum(e.seconds for e in events) * 0.99
-    assert telemetry.total("missing") == 0.0
+    moved = delta(before, phase_totals())
+    assert set(moved) <= {"test.phase_a"}
+    # the yielded clocks are frozen on exit and sum to the recorded total
+    assert moved.get("test.phase_a", 0.0) == pytest.approx(
+        first.elapsed + second.elapsed
+    )
+    assert "test.missing" not in phase_totals()
 
 
 def test_counters_and_snapshot():
-    sink = ListSink()
-    telemetry = Telemetry([sink])
-    assert telemetry.count("cache_hits") == 1
-    assert telemetry.count("cache_hits", 2) == 3
-    bumps = sink.of_type(CounterBumped)
-    assert [(b.delta, b.total) for b in bumps] == [(1, 1), (2, 3)]
-    snap = telemetry.snapshot()
-    assert snap["counters"] == {"cache_hits": 3}
+    before = counter_totals()
+    count("test.cache_hits")
+    count("test.cache_hits", 2)
+    assert delta(before, counter_totals()) == {"test.cache_hits": 3}
 
 
 def test_counters_thread_safe():
-    telemetry = Telemetry()
+    before = counter_totals()
     threads = [
-        threading.Thread(target=lambda: [telemetry.count("n") for _ in range(500)])
+        threading.Thread(target=lambda: [count("test.n") for _ in range(500)])
         for _ in range(4)
     ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert telemetry.counters["n"] == 2000
-
-
-def test_logging_sink(caplog):
-    telemetry = Telemetry([LoggingSink(level=logging.INFO)])
-    with caplog.at_level(logging.INFO, logger="repro.engine"):
-        telemetry.count("x")
-    assert "CounterBumped" in caplog.text
-
-
-def test_emit_does_not_race_add_sink():
-    """emit snapshots the sink list under the lock, so concurrent
-    add_sink calls can't blow up the iteration mid-emit."""
-    telemetry = Telemetry()
-    stop = threading.Event()
-    errors = []
-
-    def emitter():
-        try:
-            while not stop.is_set():
-                telemetry.count("n")
-        except Exception as exc:  # pragma: no cover - the bug under test
-            errors.append(exc)
-
-    worker = threading.Thread(target=emitter)
-    worker.start()
-    sinks = [ListSink() for _ in range(200)]
-    for sink in sinks:
-        telemetry.add_sink(sink)
-    stop.set()
-    worker.join()
-    assert not errors
-    # late sinks only see events emitted after their registration
-    assert len(sinks[0].events) >= len(sinks[-1].events)
-
-
-def test_failing_sink_logs_and_continues(caplog):
-    def bad_sink(event):
-        raise RuntimeError("sink exploded")
-
-    good = ListSink()
-    telemetry = Telemetry([bad_sink, good])
-    with caplog.at_level(logging.ERROR, logger="repro.engine"):
-        telemetry.count("survives")
-    assert telemetry.counters["survives"] == 1
-    assert len(good.events) == 1  # later sinks still reached
-    assert "sink" in caplog.text
-
-
-def test_remove_sink_is_idempotent():
-    sink = ListSink()
-    telemetry = Telemetry([sink])
-    telemetry.remove_sink(sink)
-    telemetry.remove_sink(sink)  # absent: no error
-    telemetry.count("n")
-    assert sink.events == [] if isinstance(sink.events, list) else not sink.events
-
-
-def test_list_sink_ring_buffer():
-    sink = ListSink(maxlen=3)
-    telemetry = Telemetry([sink])
-    for _ in range(10):
-        telemetry.count("n")
-    assert len(sink) == 3
-    assert sink.seen == 10
-    assert [e.total for e in sink.of_type(CounterBumped)] == [8, 9, 10]
-
-
-def test_list_sink_default_keeps_everything():
-    sink = ListSink()
-    for index in range(5):
-        sink(index)
-    assert isinstance(sink.events, list)
-    assert sink.events == [0, 1, 2, 3, 4]
-    assert sink.seen == len(sink) == 5
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # force interleaving inside inc()
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert delta(before, counter_totals()) == {"test.n": 2000}
 
 
 # -- canonicalizer -----------------------------------------------------------

@@ -6,19 +6,21 @@ import json
 
 import pytest
 
-from repro.engine.telemetry import Telemetry
 from repro.obs import (
     JsonlSink,
     MetricsRegistry,
     Tracer,
     build_manifest,
     build_metrics,
+    global_registry,
     read_jsonl,
+    render_registries,
     render_report,
     validate_manifest,
     validate_trace,
     write_manifest,
 )
+from repro.obs.export import count, phase
 
 
 def _traced_run(sink=None):
@@ -188,20 +190,24 @@ def test_metrics_registry_rejects_kind_conflicts():
 
 
 def test_build_metrics_from_telemetry_and_tracer(tmp_path):
-    telemetry = Telemetry()
-    telemetry.count("cache_hits", 5)
-    with telemetry.timer("solve_min"):
+    count("test.export_hits", 5)
+    with phase("test.export_phase"):
         pass
     tracer = _traced_run()
-    registry = build_metrics(telemetry, tracer)
+    registry = build_metrics(tracer)
     text = registry.render()
-    assert 'repro_counter_total{name="cache_hits"} 5' in text
-    assert 'repro_phase_seconds_total{phase="solve_min"}' in text
     assert 'repro_spans_total{name="solve"} 1' in text
     assert 'repro_span_duration_seconds_count{name="query"} 1' in text
+    # counters and phases live in the process registry only
+    assert "repro_counter_total" not in text
     path = str(tmp_path / "metrics.txt")
     registry.write(path)
     assert open(path).read() == text
+
+    both = render_registries((registry, global_registry()))
+    assert 'repro_counter_total{name="test.export_hits"} 5' in both
+    assert 'repro_phase_seconds_total{phase="test.export_phase"}' in both
+    assert 'repro_spans_total{name="solve"} 1' in both
 
 
 # -- report -------------------------------------------------------------------
@@ -223,21 +229,21 @@ def test_render_report_tree_and_table():
 
 
 def test_manifest_build_write_validate(tmp_path):
-    telemetry = Telemetry()
-    telemetry.count("solver_nodes", 17)
-    telemetry.count("cache_hits", 2)
-    with telemetry.timer("l_query"):
+    before = build_manifest()
+    count("solver_nodes", 17)
+    count("cache_hits", 2)
+    with phase("l_query"):
         pass
     tracer = _traced_run()
     manifest = build_manifest(
         config={"num_transactions": 100},
-        telemetry=telemetry,
         tracer=tracer,
         sessions={"km-k2": {"hits": 2, "size": 4}},
         extra={"figure": "demo"},
     )
-    assert manifest["solver_nodes"] == 17
-    assert manifest["cache"]["hits"] == 2
+    assert manifest["solver_nodes"] - before["solver_nodes"] == 17
+    assert manifest["counters"]["solver_nodes"] == manifest["solver_nodes"]
+    assert manifest["cache"]["hits"] - before["cache"]["hits"] == 2
     assert manifest["cache"]["sessions"]["km-k2"]["size"] == 4
     assert manifest["spans"]["query"]["count"] == 1
     assert manifest["trace_id"] == tracer.trace_id

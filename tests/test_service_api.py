@@ -72,6 +72,13 @@ def test_bool_is_not_a_valid_k_or_deadline():
         QueryRequest(query="Q1", deadline_ms=True).validate()
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])
+def test_non_finite_deadline_rejected(literal):
+    # json.loads accepts all three; none is a usable deadline.
+    with pytest.raises(ValidationError, match="deadline_ms must be finite"):
+        QueryRequest.from_json('{"query": "Q1", "deadline_ms": %s}' % literal)
+
+
 def test_mc_samples_bounds():
     with pytest.raises(ValidationError, match="mc_samples"):
         QueryRequest(query="Q1", mc_samples=0).validate()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import socket
 import urllib.request
 
@@ -15,9 +16,7 @@ from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.server import _Handler, serve
 
 
-@pytest.fixture(scope="module")
-def running_server(tmp_path_factory):
-    trace_path = str(tmp_path_factory.mktemp("serve") / "trace.jsonl")
+def _start(trace_path=None):
     config = ExperimentConfig(
         num_transactions=60,
         num_items=24,
@@ -38,11 +37,22 @@ def running_server(tmp_path_factory):
         block=False,
     )
     url = f"http://127.0.0.1:{httpd.server_address[1]}"
+
+    def stop():
+        httpd.shutdown()
+        httpd.server_close()
+        service.close()
+        thread.join(timeout=10.0)
+
+    return url, service, stop
+
+
+@pytest.fixture(scope="module")
+def running_server(tmp_path_factory):
+    trace_path = str(tmp_path_factory.mktemp("serve") / "trace.jsonl")
+    url, service, stop = _start(trace_path)
     yield url, trace_path, service
-    httpd.shutdown()
-    httpd.server_close()
-    service.close()
-    thread.join(timeout=10.0)
+    stop()
 
 
 @pytest.fixture()
@@ -105,6 +115,20 @@ def test_invalid_request_is_http_400(running_server):
     assert "Q9" in payload["error"]
 
 
+def test_non_finite_deadline_is_http_400(running_server):
+    url, _, _ = running_server
+    request = urllib.request.Request(
+        url + "/v1/query",
+        data=b'{"query": "Q1", "deadline_ms": NaN}',
+        method="POST",
+        headers={"Content-Type": "application/json"},
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=30)
+    assert excinfo.value.code == 400
+    assert "deadline_ms must be finite" in json.loads(excinfo.value.read())["error"]
+
+
 def test_unknown_precision_is_http_400_not_500(running_server):
     url, _, _ = running_server
     request = urllib.request.Request(
@@ -159,6 +183,50 @@ def test_metrics_exposes_engine_and_service_families(client):
     # histograms are the one source of latency truth.
     assert "repro_service_latency_seconds" not in text
     assert "repro_service_solve_seconds" not in text
+
+
+def _series(text, family, label):
+    pattern = r'^%s\{%s="([^"]+)"\} (\S+)$' % (family, label)
+    return {m[0]: float(m[1]) for m in re.findall(pattern, text, re.M)}
+
+
+def _moved(before, after, family, label):
+    old, new = _series(before, family, label), _series(after, family, label)
+    return {name for name, value in new.items() if value != old.get(name, 0)}
+
+
+def test_metrics_families_render_once_and_engine_series_move():
+    """Counters and phase timings live only in the process registry: no
+    family is registered in two of the registries a scrape concatenates,
+    and a cold then warm decomposed Q1 moves the engine series."""
+    url, _, stop = _start()
+    try:
+        client = ServiceClient(url, timeout=120.0)
+        before = client.metrics()
+        cold = client.query(query="Q1")
+        warm = client.query(query="Q1")
+        assert cold.status == warm.status == STATUS_OK
+        assert warm.cache_hits > 0
+        after = client.metrics()
+        for text in (after, client.metrics(openmetrics=True)):
+            families = re.findall(r"^# TYPE (\S+)", text, re.M)
+            assert families and len(families) == len(set(families))
+        assert _moved(before, after, "repro_counter_total", "name") == {
+            "cache_hits",
+            "cache_misses",
+            "decomposed_prepares",
+            "prepare_memo_hits",
+            "solver_nodes",
+        }
+        assert _moved(before, after, "repro_phase_seconds_total", "phase") == {
+            "prune",
+            "normalize",
+            "solve_min",
+            "solve_max",
+            "l_query",
+        }
+    finally:
+        stop()
 
 
 def test_status_reports_fabric_and_l2(client):
