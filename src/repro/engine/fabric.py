@@ -130,6 +130,23 @@ class UnitResult:
     spans_dropped: int = 0
     metrics_delta: Optional[dict] = None
 
+    @classmethod
+    def from_cached(
+        cls, fingerprint: str, sense: str, entry: CachedSolve, **fields
+    ) -> "UnitResult":
+        """A result carrying a cached outcome (``fields`` add the rest)."""
+        return cls(
+            fingerprint=fingerprint,
+            sense=sense,
+            status=entry.status,
+            objective=entry.objective,
+            x_canonical=entry.x_canonical,
+            bound=entry.bound,
+            nodes=entry.nodes,
+            backend=entry.backend,
+            **fields,
+        )
+
     def to_cached(self) -> CachedSolve:
         return CachedSolve(
             status=self.status,
@@ -165,18 +182,8 @@ def _execute(unit: SolveUnit) -> UnitResult:
     if l2 is not None:
         entry = l2.get(unit.fingerprint, unit.sense)
         if entry is not None:
-            return UnitResult(
-                fingerprint=unit.fingerprint,
-                sense=unit.sense,
-                status=entry.status,
-                objective=entry.objective,
-                x_canonical=entry.x_canonical,
-                bound=entry.bound,
-                nodes=entry.nodes,
-                backend=entry.backend,
-                solve_time=0.0,
-                l2_hit=True,
-                worker_pid=os.getpid(),
+            return UnitResult.from_cached(
+                unit.fingerprint, unit.sense, entry, l2_hit=True, worker_pid=os.getpid()
             )
     solution = None
     if unit.closed_form_ok:

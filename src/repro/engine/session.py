@@ -34,9 +34,12 @@ callers and their signatures are untouched.
 
 from __future__ import annotations
 
+import os
+import threading
+import time
 from concurrent.futures import Executor
 from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.constraints import LinearConstraint
 from repro.core.linexpr import LinearExpr
@@ -49,11 +52,13 @@ from repro.engine.fabric import (
     SolveUnit,
     ThreadFabric,
     UnitResult,
+    l2_handle,
 )
 from repro.errors import EngineError, InfeasibleError
 from repro.obs.export import count, global_registry, phase
 from repro.obs.tracer import Stopwatch, current_tracer
-from repro.solver.decompose import split_blocks
+from repro.solver.decompose import closed_form, split_blocks
+from repro.solver.interface import _resolve_backend
 from repro.solver.model import from_licm
 from repro.solver.result import Solution, SolverOptions
 
@@ -79,12 +84,15 @@ class PreparedComponent:
     the block's own dense BIP, ``dense`` maps *model* variable indices to
     its solution positions, and ``canonical`` carries the block's own
     fingerprint — the per-component cache key.  Everything here is plain
-    data, so a component crosses a process boundary intact.
+    data, so a component crosses a process boundary intact.  ``kernel``
+    is the block's :class:`~repro.solver.kernels.CompiledProblem`, built
+    by the first root pass that needs it and shared by both senses.
     """
 
     problem: object
     dense: dict
     canonical: CanonicalBIP
+    kernel: Optional[object] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -123,6 +131,37 @@ class PreparedProblem:
     @property
     def decomposed(self) -> bool:
         return len(self.components) > 1
+
+
+def _root_span_record(result: UnitResult, component: int, start_unix: float) -> dict:
+    """The ``engine.solve.*`` span of a block the root pass claimed, as a
+    record ``_collect`` ingests like a worker's (see ``run_unit``)."""
+    attributes = {
+        "component": component,
+        "cached": False,
+        "status": result.status,
+        "objective": result.objective,
+        "nodes": result.nodes,
+        "backend": result.backend,
+        "root_pass": True,
+    }
+    if result.l2_hit:
+        attributes["l2_hit"] = True
+    elif result.objective is not None:
+        # The point that closed the block, in the search's negated-max
+        # space (see explain.mine_timeline).
+        signed = -result.objective if result.sense == "min" else result.objective
+        attributes["incumbents"] = [
+            {"node": 0, "objective": signed, "source": "seed", "t": result.solve_time}
+        ]
+    return {
+        "name": f"engine.solve.{result.sense}",
+        "start_unix": start_unix,
+        "duration": result.solve_time,
+        "status": "ok",
+        "thread": threading.current_thread().name,
+        "attributes": attributes,
+    }
 
 
 class SolveSession:
@@ -378,9 +417,7 @@ class SolveSession:
 
     def _unit(
         self,
-        problem,
-        dense: dict,
-        canonical: CanonicalBIP,
+        part,
         sense: str,
         component: Optional[int],
         options: Optional[SolverOptions],
@@ -390,11 +427,11 @@ class SolveSession:
         span = parent_span if parent_span is not None else tracer.current()
         trace_id = getattr(span, "trace_id", "") if span is not None else ""
         return SolveUnit(
-            problem=problem,
+            problem=part.problem,
             sense=sense,
-            fingerprint=canonical.fingerprint,
-            var_order=tuple(canonical.var_order),
-            dense=dense,
+            fingerprint=part.canonical.fingerprint,
+            var_order=tuple(part.canonical.var_order),
+            dense=part.dense,
             options=options or self.options,
             closed_form_ok=component is not None,
             # A solve under per-call options (a request deadline) is not
@@ -473,63 +510,210 @@ class SolveSession:
             )
         return entry, False, result.solve_time, result.l2_hit
 
+    def _root_pass(
+        self,
+        tasks: Sequence[Tuple[object, str, Optional[int]]],
+        options: Optional[SolverOptions],
+    ) -> Dict[Tuple[str, str], UnitResult]:
+        """Close every root-closable L1 miss of ``tasks`` in one kernel pass.
+
+        Takes the distinct ``(fingerprint, sense)`` pairs of decomposed
+        components that are not in L1 and that the solver facade would
+        route to the branch-and-bound (whole-problem solves keep their
+        unit), stacks them into one :class:`~repro.solver.kernels.RootBatch` and
+        keeps the blocks the root kernels close: propagation proved them
+        infeasible, or a validated greedy point reaches the kernel bound.
+        That is the proof of the branch-and-bound's node-0 seed shortcut,
+        so a claimed block carries what its unit would have returned:
+        ``backend='bb'``, one node (none when presolve would have fixed
+        every variable or proved infeasibility).  Constraint-free blocks
+        get their closed form, as in a unit.  A claimed key found in L2
+        takes the stored outcome, and a fresh one is written through, so
+        L2 sees exactly what the unit path would show it.  Returns the
+        claimed results by key; every other task becomes a unit.
+
+        Skipped when ``kernels='off'``, ``seed_incumbent=False`` or
+        portfolio racing is on (each unit then runs as before), and when
+        the options already ask to stop — the pre-check ``_solve_max``
+        makes before any root work.
+        """
+        effective = options or self.options
+        if (
+            effective.kernels == "off"
+            or not effective.seed_incumbent
+            or effective.portfolio == "auto"
+        ):
+            return {}
+        todo: Dict[Tuple[str, str], Tuple[object, int]] = {}
+        for part, sense, component in tasks:
+            key = (part.canonical.fingerprint, sense)
+            if component is None or key in todo or key in self.cache:
+                continue
+            if _resolve_backend(effective.backend, part.problem) == "bb":
+                todo[key] = (part, component)
+        if not todo or effective.should_stop():
+            return {}
+        try:
+            from repro.solver import kernels
+        except ImportError:
+            return {}
+
+        tracer = current_tracer()
+        with tracer.span("engine.root_pass", blocks=len(todo)) as pass_span:
+            start_unix = time.time()
+            clock = Stopwatch()
+            solved: Dict[Tuple[str, str], object] = {}
+            kernel_keys = []
+            for key, (part, _) in todo.items():
+                if not part.problem.constraints:
+                    solved[key] = closed_form(part.problem, key[1])
+                    continue
+                if part.kernel is None:
+                    part.kernel = kernels.compile_problem(part.problem)
+                kernel_keys.append(key)
+            verdicts = kernels.close_roots(
+                [(todo[key][0].kernel, 1 if key[1] == "max" else -1) for key in kernel_keys]
+            )
+            for key, verdict in zip(kernel_keys, verdicts):
+                if verdict.closed:
+                    solved[key] = verdict
+            share = clock.stop() / max(len(solved), 1)
+            pass_span.set("closed", len(solved))
+
+            claims: Dict[Tuple[str, str], UnitResult] = {}
+            l2 = l2_handle(self.l2_path)
+            for key, outcome in solved.items():
+                part, component = todo[key]
+                fingerprint, sense = key
+                stored = l2.get(fingerprint, sense) if l2 is not None else None
+                if stored is not None:
+                    result = UnitResult.from_cached(
+                        fingerprint, sense, stored, l2_hit=True, worker_pid=os.getpid()
+                    )
+                else:
+                    result = self._root_result(part, sense, outcome, effective, share)
+                    if l2 is not None:
+                        result.l2_stored = l2.put(
+                            fingerprint, sense, result.to_cached(),
+                            authoritative=options is None,
+                        )
+                if tracer.enabled:
+                    result.spans.append(_root_span_record(result, component, start_unix))
+                claims[key] = result
+        return claims
+
+    @staticmethod
+    def _root_result(part, sense: str, outcome, options: SolverOptions, seconds: float):
+        """The :class:`UnitResult` of one block the root pass closed.
+
+        ``outcome`` is a closed-form :class:`Solution` or a closed
+        :class:`~repro.solver.kernels.RootVerdict` (signed max space).
+        """
+        if isinstance(outcome, Solution):
+            status, objective, x = outcome.status, outcome.objective, outcome.x
+            nodes, backend = outcome.nodes, outcome.backend
+        else:
+            status = "optimal" if outcome.feasible else "infeasible"
+            objective, x = outcome.objective, outcome.x
+            if objective is not None and sense == "min":
+                objective = -objective
+            # Presolve settles a block its root propagation fixes or
+            # refutes before the search counts a node.
+            presolved = options.use_presolve and (not outcome.feasible or outcome.fixed)
+            nodes = 0 if presolved else 1
+            backend = "bb"
+        x_canonical = None
+        if x is not None:
+            x_canonical = tuple(int(x[part.dense[index]]) for index in part.canonical.var_order)
+        return UnitResult(
+            fingerprint=part.canonical.fingerprint,
+            sense=sense,
+            status=status,
+            objective=objective,
+            x_canonical=x_canonical,
+            bound=None if objective is None else float(objective),
+            nodes=nodes,
+            backend=backend,
+            solve_time=seconds,
+            worker_pid=os.getpid(),
+        )
+
     def _solve_tasks(
         self,
-        tasks: Sequence[Tuple[object, dict, CanonicalBIP, str, Optional[int]]],
+        tasks: Sequence[Tuple[object, str, Optional[int]]],
         options: Optional[SolverOptions],
     ) -> List[Tuple[CachedSolve, bool, float, bool]]:
-        """Run ``(problem, dense, canonical, sense, component)`` tasks.
+        """Run ``(part, sense, component)`` tasks; ``part`` is a
+        :class:`PreparedComponent` or :class:`PreparedProblem`.
 
-        The one dispatch path for every fabric.  Serial (inline) fabrics
-        process tasks strictly in order — a later task whose fingerprint
-        was just stored by an earlier one hits L1, exactly like the
-        historical serial engine.  Parallel fabrics probe L1 for the
-        whole batch first, then submit every miss and collect as futures
-        complete; both directions (and all components) are in flight at
-        once.
+        The one dispatch path for every fabric.  First the root pass
+        (:meth:`_root_pass`) closes what the kernels can close for the
+        whole batch at once; then tasks are taken strictly in order: an
+        L1 probe, else the pass's result, else a unit on the fabric.  A
+        serial (inline) fabric waits for each unit before the next probe,
+        so a later task whose key an earlier one just stored hits L1.  A
+        parallel fabric submits every miss before collecting, with all
+        directions and components in flight at once; a task whose key is
+        already in flight waits for it and then probes L1, so duplicate
+        keys cost one solve and count as hits on every fabric.
         """
         parent_span = current_tracer().current()
+        claims = self._root_pass(tasks, options) if tasks else {}
         outcomes: List[Optional[Tuple[CachedSolve, bool, float, bool]]] = [None] * len(
             tasks
         )
-        if not self.parallel:
-            for i, (problem, dense, canonical, sense, component) in enumerate(tasks):
-                hit = self._l1_probe(canonical, sense, component, parent_span)
-                if hit is not None:
-                    outcomes[i] = (hit, True, 0.0, False)
-                    continue
-                unit = self._unit(
-                    problem, dense, canonical, sense, component, options, parent_span
-                )
-                result = self.fabric.submit_unit(unit, parent_span).result()
-                outcomes[i] = self._collect(result, canonical, sense, options, parent_span)
-            return outcomes  # type: ignore[return-value]
-        pending = []
-        for i, (problem, dense, canonical, sense, component) in enumerate(tasks):
-            hit = self._l1_probe(canonical, sense, component, parent_span)
+
+        def collect(i: int, result: UnitResult) -> None:
+            part, sense, _ = tasks[i]
+            outcomes[i] = self._collect(result, part.canonical, sense, options, parent_span)
+
+        def start(i: int):
+            """Probe, claim or submit task ``i``; a future when submitted."""
+            part, sense, component = tasks[i]
+            hit = self._l1_probe(part.canonical, sense, component, parent_span)
             if hit is not None:
                 outcomes[i] = (hit, True, 0.0, False)
+                return None
+            claim = claims.get((part.canonical.fingerprint, sense))
+            if claim is not None:
+                collect(i, claim)
+                return None
+            unit = self._unit(part, sense, component, options, parent_span)
+            return self.fabric.submit_unit(unit, parent_span)
+
+        pending = []
+        in_flight = set()
+        waiting = []
+        for i, (part, sense, _) in enumerate(tasks):
+            key = (part.canonical.fingerprint, sense)
+            if key in in_flight:
+                waiting.append(i)
                 continue
-            unit = self._unit(
-                problem, dense, canonical, sense, component, options, parent_span
-            )
-            pending.append(
-                (i, canonical, sense, self.fabric.submit_unit(unit, parent_span))
-            )
-        for i, canonical, sense, future in pending:
-            outcomes[i] = self._collect(
-                future.result(), canonical, sense, options, parent_span
-            )
+            future = start(i)
+            if future is None:
+                continue
+            if self.parallel:
+                pending.append((i, future))
+                in_flight.add(key)
+            else:
+                collect(i, future.result())
+        for i, future in pending:
+            collect(i, future.result())
+        for i in waiting:
+            future = start(i)
+            if future is not None:
+                collect(i, future.result())
         return outcomes  # type: ignore[return-value]
 
     # -- public API --------------------------------------------------------
     def solve_units(
         self,
-        tasks: Sequence[Tuple[object, dict, CanonicalBIP, str, Optional[int]]],
+        tasks: Sequence[Tuple[object, str, Optional[int]]],
         options: Optional[SolverOptions] = None,
     ) -> List[Tuple[CachedSolve, bool, float, bool]]:
-        """Dispatch raw ``(problem, dense, canonical, sense, component)``
-        units through the session's fabric and caches.
+        """Dispatch raw ``(part, sense, component)`` units through the
+        session's fabric and caches; ``part`` is a
+        :class:`PreparedComponent` or a monolithic :class:`PreparedProblem`.
 
         The escalation entry point for the tiered answerer
         (:mod:`repro.estimator`): individual disagreeing components go to
@@ -616,10 +800,10 @@ class SolveSession:
         self._ensure_fresh()
         if prepared.decomposed:
             return self._solve_prepared_decomposed(prepared, options)
-        problem, dense, canonical = prepared.problem, prepared.dense, prepared.canonical
+        problem, canonical = prepared.problem, prepared.canonical
 
         results = self._solve_tasks(
-            [(problem, dense, canonical, sense, None) for sense in _SENSES], options
+            [(prepared, sense, None) for sense in _SENSES], options
         )
         outcomes = dict(zip(_SENSES, results))
 
@@ -680,17 +864,7 @@ class SolveSession:
         components = prepared.components
         tasks = [(sense, c) for sense in _SENSES for c in range(len(components))]
         results = self._solve_tasks(
-            [
-                (
-                    components[c].problem,
-                    components[c].dense,
-                    components[c].canonical,
-                    sense,
-                    c,
-                )
-                for sense, c in tasks
-            ],
-            options,
+            [(components[c], sense, c) for sense, c in tasks], options
         )
         outcomes = dict(zip(tasks, results))
 
@@ -802,9 +976,8 @@ class SolveSession:
         problem, dense, canonical, _, _ = self._prepare(
             objective, extra_constraints, do_prune=True
         )
-        ((entry, _, seconds, _),) = self._solve_tasks(
-            [(problem, dense, canonical, sense, None)], options
-        )
+        part = PreparedComponent(problem=problem, dense=dense, canonical=canonical)
+        ((entry, _, seconds, _),) = self._solve_tasks([(part, sense, None)], options)
         x = None
         if entry.x_canonical is not None:
             x = [0] * problem.num_vars

@@ -254,15 +254,7 @@ class TieredAnswerer:
                 component = components[index]
                 dense_index = index if prepared.decomposed else None
                 for sense in ("min", "max"):
-                    tasks.append(
-                        (
-                            component.problem,
-                            component.dense,
-                            component.canonical,
-                            sense,
-                            dense_index,
-                        )
-                    )
+                    tasks.append((component, sense, dense_index))
             results = session.solve_units(tasks, options)
             for position, index in enumerate(escalate):
                 low = results[2 * position]

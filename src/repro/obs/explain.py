@@ -209,7 +209,9 @@ def mine_timeline(spans: Sequence[dict]) -> List[dict]:
     Each ``bb.search`` span carries ``incumbents`` and ``bounds`` event
     lists with search-relative offsets (``t`` seconds after the search
     started); absolute time is ``span.start_unix + t``, which holds for
-    repatriated worker spans too (ingest preserves ``start_unix``).
+    repatriated worker spans too (ingest preserves ``start_unix``).  A
+    block the engine's root pass closed has no search; its
+    ``engine.solve.*`` span carries the one incumbent instead.
     Minimization searches run in negated-max space internally, so their
     values are negated back for display.  Events are returned sorted by
     absolute time.
@@ -217,7 +219,8 @@ def mine_timeline(spans: Sequence[dict]) -> List[dict]:
     by_id = {s["span_id"]: s for s in spans if s.get("span_id")}
     events: List[dict] = []
     for span in spans:
-        if span.get("name") != "bb.search":
+        name = span.get("name", "")
+        if name != "bb.search" and not _SOLVE_SPAN.match(name):
             continue
         solve_span, sense = _solve_ancestor(span, by_id)
         if sense is None:

@@ -19,6 +19,8 @@ import pytest
 
 from helpers import fig2c_model
 from repro.core.aggregates import count_objective
+from repro.core.database import LICMModel
+from repro.core.linexpr import linear_sum
 from repro.core.operators import licm_select
 from repro.engine import L2SolveCache, SolveSession
 from repro.engine.cache import CachedSolve
@@ -86,6 +88,43 @@ def test_scheduler_serves_on_every_fabric(kind, workers):
             assert response.lower <= response.upper
     finally:
         context.close()
+
+
+def _identical_blocks():
+    """Three structurally identical cardinality blocks: one fingerprint."""
+    model = LICMModel()
+    variables = []
+    for _ in range(3):
+        block = model.new_vars(4)
+        model.add(linear_sum(block) <= 2)
+        variables.extend(block)
+    return model, linear_sum(variables)
+
+
+@pytest.mark.parametrize("kernels", ["auto", "off"])
+def test_duplicate_keys_solve_once_on_every_fabric(kernels):
+    """Identical ``(fingerprint, sense)`` misses in one request cost one
+    solve per sense and count as L1 hits, on every fabric — the serial
+    path's accounting.  ``kernels='off'`` keeps every block out of the
+    root pass, so the parallel fabrics' in-flight dedup is what runs."""
+    observed = {}
+    for kind, workers in FABRICS:
+        model, objective = _identical_blocks()
+        with make_fabric(kind, workers) as fabric:
+            with SolveSession(
+                model, options=SolverOptions(kernels=kernels), fabric=fabric
+            ) as session:
+                bounds = session.bounds(objective)
+                observed[kind] = (
+                    bounds.lower,
+                    bounds.upper,
+                    bounds.stats["component_cache_hits"],
+                    session.cache.stats,
+                )
+    assert observed["inline"][:3] == (0, 6, 4)
+    assert observed["inline"][3]["misses"] == 2  # one solve per sense
+    assert observed["thread"] == observed["inline"]
+    assert observed["process"] == observed["inline"]
 
 
 def test_make_fabric_degenerates_single_thread_to_inline():

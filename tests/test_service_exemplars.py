@@ -23,8 +23,10 @@ from repro.obs.slowlog import SlowQueryRing, SpanBuffer
 from repro.obs.tracer import Tracer, activate
 from repro.service.api import STATUS_DEGRADED, STATUS_OK, QueryRequest
 from repro.service.scheduler import QueryScheduler
+from repro.solver import kernels
 
 REAL_SOLVE = fabric_module.portfolio_solve
+REAL_CLOSE_ROOTS = kernels.close_roots
 
 
 @pytest.fixture(scope="module")
@@ -103,11 +105,17 @@ def test_every_histogram_count_advances_per_request(scheduler):
 
 # -- deduped followers -------------------------------------------------------
 def test_deduped_follower_gets_its_own_exemplar(scheduler, monkeypatch):
-    def slow_solve(problem, sense, options):
-        time.sleep(0.25)
-        return REAL_SOLVE(problem, sense, options)
+    def slow(solver):
+        def stalled(*args):
+            time.sleep(0.25)
+            return solver(*args)
 
-    monkeypatch.setattr(fabric_module, "portfolio_solve", slow_solve)
+        return stalled
+
+    # A cold decomposed solve runs the batched root pass, then a unit per
+    # block the pass left open: stall both.
+    monkeypatch.setattr(fabric_module, "portfolio_solve", slow(REAL_SOLVE))
+    monkeypatch.setattr(kernels, "close_roots", slow(REAL_CLOSE_ROOTS))
     request_a = QueryRequest(query="Q1", params={"pb_selectivity": 0.52})
     request_b = QueryRequest(query="Q1", params={"pb_selectivity": 0.52})
     pending = [scheduler.submit(request_a), scheduler.submit(request_b)]
@@ -144,11 +152,16 @@ def test_degraded_response_observed_with_status_and_exemplar(scheduler):
 def test_worker_thread_is_tagged_with_trace_id_during_solve(scheduler, monkeypatch):
     tags = []
 
-    def spying_solve(problem, sense, options):
-        tags.append(_THREAD_TRACES.get(threading.get_ident()))
-        return REAL_SOLVE(problem, sense, options)
+    def spying(solver):
+        def spy(*args):
+            tags.append(_THREAD_TRACES.get(threading.get_ident()))
+            return solver(*args)
 
-    monkeypatch.setattr(fabric_module, "portfolio_solve", spying_solve)
+        return spy
+
+    # Solving happens in the batched root pass and in per-block units.
+    monkeypatch.setattr(fabric_module, "portfolio_solve", spying(REAL_SOLVE))
+    monkeypatch.setattr(kernels, "close_roots", spying(REAL_CLOSE_ROOTS))
     response = scheduler.execute(
         QueryRequest(query="Q1", params={"pb_selectivity": 0.45})
     )
