@@ -54,6 +54,7 @@ from typing import Dict, Optional, Tuple
 from repro.engine.cache import CachedSolve
 from repro.engine.l2cache import L2SolveCache
 from repro.engine.portfolio import portfolio_solve
+from repro.obs.tracer import Stopwatch
 from repro.solver.cancel import CancelToken, create_scope, drop_scope
 from repro.solver.decompose import closed_form
 from repro.solver.result import SolverOptions
@@ -180,10 +181,13 @@ def l2_handle(path: Optional[str]) -> Optional[L2SolveCache]:
 def _execute(unit: SolveUnit) -> UnitResult:
     l2 = l2_handle(unit.l2_path)
     if l2 is not None:
+        read = Stopwatch()
         entry = l2.get(unit.fingerprint, unit.sense)
         if entry is not None:
+            # An L2 hit's cost is its read: what fetching it again takes.
             return UnitResult.from_cached(
-                unit.fingerprint, unit.sense, entry, l2_hit=True, worker_pid=os.getpid()
+                unit.fingerprint, unit.sense, entry, l2_hit=True,
+                solve_time=read.stop(), worker_pid=os.getpid(),
             )
     solution = None
     if unit.closed_form_ok:

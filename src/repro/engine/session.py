@@ -11,8 +11,9 @@ bound in the repo needs, and layers on top of it:
 * a memo of prepared problems keyed by the objective's content, so a
   structurally repeated request skips prune, normalize, canonicalize and
   decompose entirely (see :meth:`SolveSession.prepare`);
-* a bounded LRU solve cache (:mod:`repro.engine.cache`) keyed by
-  ``(fingerprint, sense)`` — the L1 tier — invalidated when non-lineage
+* a bounded cost-aware solve cache (:mod:`repro.engine.cache`) keyed by
+  ``(fingerprint, sense)`` — the L1 tier, GreedyDual-evicted by each
+  entry's recompute seconds — invalidated when non-lineage
   constraints are added to the model's store (lineage-only appends —
   i.e. answering more queries — keep the cache warm, which is what makes
   a Figure-5 k-sweep amortize its solves);
@@ -171,9 +172,11 @@ class SolveSession:
     :param options: solver options applied to every solve in the session.
     :param prune_method: ``'lineage'`` (default), ``'fixpoint'`` or
         ``'single_pass'`` — see :mod:`repro.core.pruning`.
-    :param cache_size: L1 LRU capacity in solve outcomes; it also sizes
-        the prepared-problem memo (one entry per 16, rounded up).  ``0``
-        disables both.
+    :param cache_size: L1 capacity in solve outcomes; it also sizes the
+        prepared-problem memo (one entry per 16, rounded up).  ``0``
+        disables both.  Both evict GreedyDual by recompute cost: an L1
+        entry costs its solve wall (or L2 read), a memo entry its
+        ``prep_time``.
     :param max_workers: ``> 1`` builds a thread fabric running the min and
         max directions (and per-component fan-out) concurrently; ``1`` is
         strictly serial.  Ignored when ``fabric`` is given.
@@ -471,7 +474,9 @@ class SolveSession:
         # authoritative for the fingerprint: only cache it when optimal, so
         # a degraded request never poisons later full-budget answers.
         if options is None or entry.status == "optimal":
-            self.cache.put((canonical.fingerprint, sense), entry)
+            # Costed by what recomputing it would take: the solve wall, the
+            # root pass's per-block share, or the L2 read on an L2 hit.
+            self.cache.put((canonical.fingerprint, sense), entry, cost=result.solve_time)
         registry = global_registry()
         # The solve ran (and was timed) on the fabric; credit its wall time.
         registry.counter("phase_seconds_total").inc(
@@ -585,10 +590,12 @@ class SolveSession:
             for key, outcome in solved.items():
                 part, component = todo[key]
                 fingerprint, sense = key
+                read = Stopwatch()
                 stored = l2.get(fingerprint, sense) if l2 is not None else None
                 if stored is not None:
                     result = UnitResult.from_cached(
-                        fingerprint, sense, stored, l2_hit=True, worker_pid=os.getpid()
+                        fingerprint, sense, stored, l2_hit=True,
+                        solve_time=read.stop(), worker_pid=os.getpid(),
                     )
                 else:
                     result = self._root_result(part, sense, outcome, effective, share)
@@ -775,7 +782,7 @@ class SolveSession:
             prep_time=prep.stop(),
             components=components,
         )
-        self._prepared.put(key, prepared)
+        self._prepared.put(key, prepared, cost=prepared.prep_time)
         return prepared
 
     def solve_prepared(

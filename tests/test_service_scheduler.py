@@ -131,23 +131,27 @@ def test_admission_queue_full_rejects(context, monkeypatch):
 
 
 def test_close_answers_queued_requests_and_refuses_new_ones(context, monkeypatch):
+    """Ordered by events, not sleeps: the only worker is parked inside
+    ``busy``'s solve until ``release``, so it cannot take ``queued``
+    before ``close()`` drains it, however slowly the closer runs."""
+    solving = threading.Event()
     release = threading.Event()
 
     def stalled_solve(problem, sense, options):
-        release.wait(timeout=10.0)
+        solving.set()
+        assert release.wait(timeout=120.0)
         return REAL_SOLVE(problem, sense, options)
 
     monkeypatch.setattr(fabric_module, "portfolio_solve", stalled_solve)
+    context.session("km", 2).cache.clear()  # busy's solve really runs
     sched = QueryScheduler(context, workers=1, max_queue=4)
     sched.warm([("km", 2)])
     busy = sched.submit(QueryRequest(query="Q1", params={"pb_selectivity": 0.44}))
-    deadline = time.monotonic() + 5.0
-    while sched.queue_depth > 0 and time.monotonic() < deadline:
-        time.sleep(0.005)
+    assert solving.wait(timeout=120.0)
     queued = sched.submit(QueryRequest(query="Q1", params={"pb_selectivity": 0.45}))
     closer = threading.Thread(target=sched.close)
     closer.start()
-    drained = queued.wait(timeout=5.0)
+    drained = queued.wait(timeout=120.0)
     assert drained is not None and drained.status == STATUS_REJECTED
     assert "shut down" in drained.error
     release.set()
