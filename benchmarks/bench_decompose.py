@@ -1,4 +1,4 @@
-"""Block-separable decomposition: warm per-component cache vs monolithic.
+"""Block-separable decomposition: warm per-component cache vs whole BIP.
 
 The workload is the k-anonymity encoding's Q1 aggregate — group-level
 cardinality constraints couple only the variables inside one generalized
@@ -14,6 +14,10 @@ constraints actually changed miss the cache; everything else is a hit.
 
 Protocol (both arms share one encoding and identical perturbations):
 
+* the decomposed arm answers through ``SolveSession.solve_prepared``; the
+  monolithic arm solves the prepared problem's whole BIP through the
+  solver facade (``repro.solver.interface.solve``), both senses, with no
+  cache — the reference the engine's recombination must match;
 * cold solve once to fill the cache;
 * ``REPS`` perturbed re-queries, each adding a trivially-true cardinality
   constraint on a *different* variable (a fresh fingerprint every rep, so
@@ -38,23 +42,35 @@ import time
 from repro.core.constraints import LinearConstraint
 from repro.engine.session import SolveSession
 from repro.queries.licm_eval import evaluate_licm
-from repro.solver.result import SolverOptions
+from repro.solver.interface import solve
 
 REPS = 9
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_decompose.json")
 
 
-def _run_arm(encoded, objective, perturb_vars, enable_decomposition):
+def _engine(session, prepared):
+    """Per-component solve, cache and recombination.  Returns
+    ``(bounds, components, component cache hits)``."""
+    answer = session.solve_prepared(prepared)
+    stats = answer.stats
+    hits = stats["component_cache_hits"]
+    return (answer.lower, answer.upper), stats["components"], hits
+
+
+def _whole_bip(session, prepared):
+    """The whole BIP through the solver facade: one problem, no cache."""
+    low, high = (solve(prepared.problem, sense) for sense in ("min", "max"))
+    return (low.objective, high.objective), 1, 0
+
+
+def _run_arm(encoded, objective, perturb_vars, solve_prepared):
     """Cold solve + REPS perturbed re-queries on one fresh session."""
-    session = SolveSession(
-        encoded.model,
-        options=SolverOptions(enable_decomposition=enable_decomposition),
-    )
+    session = SolveSession(encoded.model)
     t0 = time.perf_counter()
     prepared = session.prepare(objective)
     cold_prepare = time.perf_counter() - t0
     t0 = time.perf_counter()
-    cold = session.solve_prepared(prepared)
+    cold_bounds, components, _ = solve_prepared(session, prepared)
     cold_solve = time.perf_counter() - t0
 
     prep_samples, solve_samples, hits, misses, bounds = [], [], 0, 0, []
@@ -64,20 +80,17 @@ def _run_arm(encoded, objective, perturb_vars, enable_decomposition):
         prepared = session.prepare(objective, extra_constraints=extra)
         prep_samples.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        answer = session.solve_prepared(prepared)
+        answer, parts, hit = solve_prepared(session, prepared)
         solve_samples.append(time.perf_counter() - t0)
-        stats = answer.stats
-        entries = 2 * stats.get("components", 1)
-        hit = stats.get("component_cache_hits", stats["cache_hits"])
         hits += hit
-        misses += entries - hit
-        bounds.append((answer.lower, answer.upper))
+        misses += 2 * parts - hit
+        bounds.append(answer)
 
     return {
-        "components": cold.stats.get("components", 1),
+        "components": components,
         "cold_prepare_s": cold_prepare,
         "cold_solve_s": cold_solve,
-        "cold_bounds": [cold.lower, cold.upper],
+        "cold_bounds": list(cold_bounds),
         "warm_prepare_s": {
             "median": statistics.median(prep_samples),
             "samples": prep_samples,
@@ -105,8 +118,8 @@ def test_decomposed_warm_requery_vs_monolithic(benchmark, context):
     perturb_vars = sorted(objective.coeffs)[:REPS]
     assert len(perturb_vars) == REPS
 
-    deco = _run_arm(encoded, objective, perturb_vars, enable_decomposition=True)
-    mono = _run_arm(encoded, objective, perturb_vars, enable_decomposition=False)
+    deco = _run_arm(encoded, objective, perturb_vars, _engine)
+    mono = _run_arm(encoded, objective, perturb_vars, _whole_bip)
 
     # Both arms agree on every answer (the decomposition oracle, at scale).
     assert deco["cold_bounds"] == mono["cold_bounds"]

@@ -274,7 +274,6 @@ def _serve(args: argparse.Namespace) -> int:
         solve_workers=args.solve_workers,
         solve_fabric=args.fabric,
         l2_cache_path=args.l2_cache,
-        enable_decomposition=not args.no_decompose,
         portfolio=args.portfolio,
     )
 
@@ -510,11 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="request-log rendering: 'json' emits one JSON object per "
         "line on stdout (wide per-request events included)",
-    )
-    server.add_argument(
-        "--no-decompose",
-        action="store_true",
-        help="disable block-separable BIP decomposition (solve monolithically)",
     )
     sub.add_parser(
         "perfcheck",

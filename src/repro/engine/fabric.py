@@ -95,7 +95,6 @@ class SolveUnit:
     var_order: Tuple[int, ...]
     dense: dict
     options: SolverOptions
-    closed_form_ok: bool = False
     authoritative: bool = True
     component: Optional[int] = None
     l2_path: Optional[str] = None
@@ -189,11 +188,9 @@ def _execute(unit: SolveUnit) -> UnitResult:
                 unit.fingerprint, unit.sense, entry, l2_hit=True,
                 solve_time=read.stop(), worker_pid=os.getpid(),
             )
-    solution = None
-    if unit.closed_form_ok:
-        # Free blocks (objective-only variables) have an exact
-        # closed-form optimum — no backend round-trip.
-        solution = closed_form(unit.problem, unit.sense)
+    # Free blocks (objective-only variables) have an exact closed-form
+    # optimum — no backend round-trip.
+    solution = closed_form(unit.problem, unit.sense)
     if solution is None:
         # portfolio_solve() is the engine's backend-racing entry point:
         # a no-op passthrough to solve() unless options.portfolio='auto',

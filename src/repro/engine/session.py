@@ -78,16 +78,16 @@ _L1_ENTRIES_PER_PREPARED = 16
 
 @dataclass
 class PreparedComponent:
-    """One independent block of a decomposed problem.
+    """One independent block of a prepared problem.
 
-    Shaped exactly like the monolithic ``(problem, dense, canonical)``
-    triple so a component rides the same cache/solve path: ``problem`` is
-    the block's own dense BIP, ``dense`` maps *model* variable indices to
-    its solution positions, and ``canonical`` carries the block's own
-    fingerprint — the per-component cache key.  Everything here is plain
-    data, so a component crosses a process boundary intact.  ``kernel``
-    is the block's :class:`~repro.solver.kernels.CompiledProblem`, built
-    by the first root pass that needs it and shared by both senses.
+    ``problem`` is the block's own dense BIP, ``dense`` maps *model*
+    variable indices to its solution positions, and ``canonical`` carries
+    the block's own fingerprint — the per-component cache key.  A problem
+    that does not split has one component: the whole problem's own
+    ``(problem, dense, canonical)``.  Everything here is plain data, so a
+    component crosses a process boundary intact.  ``kernel`` is the
+    block's :class:`~repro.solver.kernels.CompiledProblem`, built by the
+    first root pass that needs it and shared by both senses.
     """
 
     problem: object
@@ -105,11 +105,11 @@ class PreparedProblem:
     on, *before* any solver work happens.  Hand it back to
     :meth:`SolveSession.solve_prepared` for the bounds.
 
-    ``components`` holds the block-separable decomposition when the
-    constraint graph splits (and decomposition is enabled): each entry
-    solves and caches independently, and :meth:`SolveSession.solve_prepared`
-    recombines the per-component optima additively.  Empty means
-    monolithic.
+    ``components`` holds the connected components of the constraint
+    graph — one or more: each solves and caches independently, and
+    :meth:`SolveSession.solve_prepared` adds up the per-component
+    optima.  A problem that does not split is its own single
+    component, so its cache keys are the whole problem's fingerprint.
 
     The session memoizes prepared problems and shares their parts between
     callers, so nothing downstream may mutate one.  A memo hit returns the
@@ -121,9 +121,9 @@ class PreparedProblem:
     problem: object
     dense: dict
     canonical: CanonicalBIP
+    components: Tuple[PreparedComponent, ...]
     prune_stats: dict = field(default_factory=dict)
     prep_time: float = 0.0
-    components: Tuple[PreparedComponent, ...] = ()
 
     @property
     def fingerprint(self) -> str:
@@ -132,6 +132,13 @@ class PreparedProblem:
     @property
     def decomposed(self) -> bool:
         return len(self.components) > 1
+
+    @property
+    def objective_offset(self):
+        """What recombination adds to the summed component optima: the
+        objective constant when the problem splits (sub-objectives carry
+        none), nothing when its one component is the whole problem."""
+        return self.problem.objective_constant if self.decomposed else 0
 
 
 def _root_span_record(result: UnitResult, component: int, start_unix: float) -> dict:
@@ -291,47 +298,48 @@ class SolveSession:
         objective: LinearExpr,
         extra_constraints: Sequence[LinearConstraint],
         do_prune: bool,
-        decompose: bool = False,
+        span,
     ):
-        """Prune + densify + canonicalize one objective. Returns
-        ``(problem, dense, canonical, prune_stats, components)``."""
-        with current_tracer().span("engine.prepare") as span:
-            with phase("prune"):
-                extra = list(extra_constraints)
-                if do_prune:
-                    seeds = set(objective.coeffs)
-                    for constraint in extra:
-                        seeds.update(constraint.variables)
-                    pruned = prune(
-                        self.model.constraints, seeds, self.prune_method, model=self.model
-                    )
-                    constraints = pruned.constraints + extra
-                    prune_stats = dict(pruned.stats)
-                else:
-                    constraints = list(self.model.constraints) + extra
-                    seen = set(objective.coeffs)
-                    for constraint in constraints:
-                        seen.update(constraint.variables)
-                    prune_stats = {
-                        "variables_before": len(seen),
-                        "constraints_before": len(constraints),
-                        "variables_after": len(seen),
-                        "constraints_after": len(constraints),
-                    }
-            with phase("normalize"):
-                names = {var.index: var.name for var in self.model.pool}
-                problem, dense = from_licm(objective, constraints, names)
-                canonical = canonicalize(objective, constraints)
-            components: Tuple[PreparedComponent, ...] = ()
-            if decompose and self.options.enable_decomposition:
-                components = self._decompose(objective, constraints, names)
-            span.set("fingerprint", canonical.fingerprint)
-            for key, value in prune_stats.items():
-                span.set(key, value)
-        return problem, dense, canonical, prune_stats, components
+        """Prune + densify + canonicalize one objective under the caller's
+        ``engine.prepare`` span.  Returns ``(whole, prune_stats,
+        constraints, names)``: the whole problem as one
+        :class:`PreparedComponent`, and the pruned LICM constraints and
+        variable names it was built from."""
+        with phase("prune"):
+            extra = list(extra_constraints)
+            if do_prune:
+                seeds = set(objective.coeffs)
+                for constraint in extra:
+                    seeds.update(constraint.variables)
+                pruned = prune(
+                    self.model.constraints, seeds, self.prune_method, model=self.model
+                )
+                constraints = pruned.constraints + extra
+                prune_stats = dict(pruned.stats)
+            else:
+                constraints = list(self.model.constraints) + extra
+                seen = set(objective.coeffs)
+                for constraint in constraints:
+                    seen.update(constraint.variables)
+                prune_stats = {
+                    "variables_before": len(seen),
+                    "constraints_before": len(constraints),
+                    "variables_after": len(seen),
+                    "constraints_after": len(constraints),
+                }
+        with phase("normalize"):
+            names = {var.index: var.name for var in self.model.pool}
+            problem, dense = from_licm(objective, constraints, names)
+            canonical = canonicalize(objective, constraints)
+        span.set("fingerprint", canonical.fingerprint)
+        for key, value in prune_stats.items():
+            span.set(key, value)
+        whole = PreparedComponent(problem=problem, dense=dense, canonical=canonical)
+        return whole, prune_stats, constraints, names
 
     def _decompose(
         self,
+        whole: PreparedComponent,
         objective: LinearExpr,
         constraints: Sequence[LinearConstraint],
         names: dict,
@@ -343,19 +351,20 @@ class SolveSession:
         solved in closed form).  Each component is normalized and
         fingerprinted independently, so the solve cache hits per block: a
         repeat query touching one changed anonymization group re-solves
-        only that block.  Returns ``()`` when the problem does not
-        separate (single component, or a degenerate empty-scope
-        constraint), which keeps the monolithic path byte-identical.
+        only that block.  A problem that does not separate (one block, or
+        a degenerate empty-scope constraint) is ``(whole,)``: the whole
+        problem's own objects, objective constant included, so its cache
+        keys are the whole problem's fingerprint.
         """
         scopes = [constraint.variables for constraint in constraints]
         if any(not scope for scope in scopes):
-            return ()
+            return (whole,)
         with current_tracer().span("engine.decompose") as span:
             blocks = split_blocks(scopes, variables=objective.coeffs)
             span.set("components", max(len(blocks), 1))
             self._observe_components(max(len(blocks), 1))
             if len(blocks) <= 1:
-                return ()
+                return (whole,)
             components = []
             for block in blocks:
                 sub_objective = LinearExpr(
@@ -420,7 +429,7 @@ class SolveSession:
 
     def _unit(
         self,
-        part,
+        part: PreparedComponent,
         sense: str,
         component: Optional[int],
         options: Optional[SolverOptions],
@@ -436,7 +445,6 @@ class SolveSession:
             var_order=tuple(part.canonical.var_order),
             dense=part.dense,
             options=options or self.options,
-            closed_form_ok=component is not None,
             # A solve under per-call options (a request deadline) is not
             # authoritative for the fingerprint — see the cache guards.
             authoritative=options is None,
@@ -517,15 +525,16 @@ class SolveSession:
 
     def _root_pass(
         self,
-        tasks: Sequence[Tuple[object, str, Optional[int]]],
+        tasks: Sequence[Tuple[PreparedComponent, str, Optional[int]]],
         options: Optional[SolverOptions],
     ) -> Dict[Tuple[str, str], UnitResult]:
         """Close every root-closable L1 miss of ``tasks`` in one kernel pass.
 
-        Takes the distinct ``(fingerprint, sense)`` pairs of decomposed
+        Takes the distinct ``(fingerprint, sense)`` pairs of prepared
         components that are not in L1 and that the solver facade would
-        route to the branch-and-bound (whole-problem solves keep their
-        unit), stacks them into one :class:`~repro.solver.kernels.RootBatch` and
+        route to the branch-and-bound (:meth:`optimize` probes, which
+        carry no component index, keep their unit), stacks them into one
+        :class:`~repro.solver.kernels.RootBatch` and
         keeps the blocks the root kernels close: propagation proved them
         infeasible, or a validated greedy point reaches the kernel bound.
         That is the proof of the branch-and-bound's node-0 seed shortcut,
@@ -647,11 +656,11 @@ class SolveSession:
 
     def _solve_tasks(
         self,
-        tasks: Sequence[Tuple[object, str, Optional[int]]],
+        tasks: Sequence[Tuple[PreparedComponent, str, Optional[int]]],
         options: Optional[SolverOptions],
     ) -> List[Tuple[CachedSolve, bool, float, bool]]:
-        """Run ``(part, sense, component)`` tasks; ``part`` is a
-        :class:`PreparedComponent` or :class:`PreparedProblem`.
+        """Run ``(component, sense, index)`` tasks; ``index`` is ``None``
+        only for an :meth:`optimize` probe.
 
         The one dispatch path for every fabric.  First the root pass
         (:meth:`_root_pass`) closes what the kernels can close for the
@@ -715,12 +724,11 @@ class SolveSession:
     # -- public API --------------------------------------------------------
     def solve_units(
         self,
-        tasks: Sequence[Tuple[object, str, Optional[int]]],
+        tasks: Sequence[Tuple[PreparedComponent, str, int]],
         options: Optional[SolverOptions] = None,
     ) -> List[Tuple[CachedSolve, bool, float, bool]]:
-        """Dispatch raw ``(part, sense, component)`` units through the
-        session's fabric and caches; ``part`` is a
-        :class:`PreparedComponent` or a monolithic :class:`PreparedProblem`.
+        """Dispatch raw ``(component, sense, index)`` units through the
+        session's fabric and caches.
 
         The escalation entry point for the tiered answerer
         (:mod:`repro.estimator`): individual disagreeing components go to
@@ -771,16 +779,18 @@ class SolveSession:
                 span.set("fingerprint", memoized.fingerprint)
             count("prepare_memo_hits")
             return replace(memoized, prep_time=prep.stop())
-        problem, dense, canonical, prune_stats, components = self._prepare(
-            objective, extra, do_prune, decompose=True
-        )
+        with current_tracer().span("engine.prepare") as span:
+            whole, prune_stats, constraints, names = self._prepare(
+                objective, extra, do_prune, span
+            )
+            components = self._decompose(whole, objective, constraints, names)
         prepared = PreparedProblem(
-            problem=problem,
-            dense=dense,
-            canonical=canonical,
+            problem=whole.problem,
+            dense=whole.dense,
+            canonical=whole.canonical,
+            components=components,
             prune_stats=prune_stats,
             prep_time=prep.stop(),
-            components=components,
         )
         self._prepared.put(key, prepared, cost=prepared.prep_time)
         return prepared
@@ -797,77 +807,19 @@ class SolveSession:
         from overridden solves enter the caches only when optimal.  Returns
         :class:`~repro.core.bounds.AggregateBounds`.
 
-        A decomposed preparation (``prepared.components``) dispatches
-        every ``(component, sense)`` pair through the fabric and
-        recombines the per-component optima additively; deadline options
-        and cancellation apply to each component solve.
-        """
-        from repro.core.bounds import AggregateBounds
-
-        self._ensure_fresh()
-        if prepared.decomposed:
-            return self._solve_prepared_decomposed(prepared, options)
-        problem, canonical = prepared.problem, prepared.canonical
-
-        results = self._solve_tasks(
-            [(prepared, sense, None) for sense in _SENSES], options
-        )
-        outcomes = dict(zip(_SENSES, results))
-
-        for entry, _, _, _ in outcomes.values():
-            if entry.status == "infeasible":
-                raise InfeasibleError("the LICM constraints admit no possible world")
-
-        (min_entry, min_cached, min_time, min_l2) = outcomes["min"]
-        (max_entry, max_cached, max_time, max_l2) = outcomes["max"]
-
-        def witness(entry: CachedSolve):
-            if entry.x_canonical is None:
-                return None
-            return canonical.witness(entry.x_canonical)
-
-        exact = min_entry.status == "optimal" and max_entry.status == "optimal"
-        return AggregateBounds(
-            lower=min_entry.objective,
-            upper=max_entry.objective,
-            lower_witness=witness(min_entry),
-            upper_witness=witness(max_entry),
-            exact=exact,
-            lower_bound_proven=min_entry.bound,
-            upper_bound_proven=max_entry.bound,
-            stats={
-                **prepared.prune_stats,
-                "problem_variables": problem.num_vars,
-                "problem_constraints": problem.num_constraints,
-                "prep_time": prepared.prep_time,
-                "solve_time": min_time + max_time,
-                "nodes": min_entry.nodes + max_entry.nodes,
-                "backend": max_entry.backend,
-                "cache_hits": int(min_cached) + int(max_cached),
-                "l2_hits": int(min_l2) + int(max_l2),
-                "components": 1,
-                "fingerprint": canonical.fingerprint,
-            },
-        )
-
-    def _solve_prepared_decomposed(
-        self,
-        prepared: PreparedProblem,
-        options: Optional[SolverOptions] = None,
-    ):
-        """Both directions of a block-separable preparation.
-
         Every ``(component, sense)`` pair runs through the per-component
-        cache (its own canonical fingerprint) and the recombination is
-        additive: ``min Σ = Σ min`` and ``max Σ = Σ max`` because no
-        constraint crosses components, an infeasible component proves
-        global infeasibility, and per-component dual bounds sum to a
-        valid global bound.  ``cache_hits`` stays 0..2 (a direction
+        cache (its own canonical fingerprint) and the fabric; deadline
+        options and cancellation apply to each component solve.  The
+        recombination is additive: ``min Σ = Σ min`` and ``max Σ = Σ max``
+        because no constraint crosses components, an infeasible component
+        proves global infeasibility, and per-component dual bounds sum to
+        a valid global bound.  ``cache_hits`` stays 0..2 (a direction
         counts as cached only when *every* component entry was); the raw
         per-component count is ``stats['component_cache_hits']``.
         """
         from repro.core.bounds import AggregateBounds
 
+        self._ensure_fresh()
         components = prepared.components
         tasks = [(sense, c) for sense in _SENSES for c in range(len(components))]
         results = self._solve_tasks(
@@ -879,7 +831,12 @@ class SolveSession:
             if entry.status == "infeasible":
                 raise InfeasibleError("the LICM constraints admit no possible world")
 
-        constant = prepared.problem.objective_constant
+        def summed(values):
+            """Σ per-component values + the objective offset; ``None`` if
+            any component has none."""
+            if any(value is None for value in values):
+                return None
+            return sum(values) + prepared.objective_offset
 
         def side(sense: str):
             entries = [outcomes[(sense, c)][0] for c in range(len(components))]
@@ -887,12 +844,8 @@ class SolveSession:
             hits = sum(int(outcomes[(sense, c)][1]) for c in range(len(components)))
             seconds = sum(outcomes[(sense, c)][2] for c in range(len(components)))
             l2_hits = sum(int(outcomes[(sense, c)][3]) for c in range(len(components)))
-            objective = None
-            if all(entry.objective is not None for entry in entries):
-                objective = sum(entry.objective for entry in entries) + constant
-            bound = None
-            if all(entry.bound is not None for entry in entries):
-                bound = sum(entry.bound for entry in entries) + constant
+            objective = summed([entry.objective for entry in entries])
+            bound = summed([entry.bound for entry in entries])
             witness = None
             if all(entry.x_canonical is not None for entry in entries):
                 witness = {}
@@ -980,16 +933,17 @@ class SolveSession:
         hit).
         """
         self._ensure_fresh()
-        problem, dense, canonical, _, _ = self._prepare(
-            objective, extra_constraints, do_prune=True
-        )
-        part = PreparedComponent(problem=problem, dense=dense, canonical=canonical)
-        ((entry, _, seconds, _),) = self._solve_tasks([(part, sense, None)], options)
+        with current_tracer().span("engine.prepare") as span:
+            whole, _, _, _ = self._prepare(
+                objective, extra_constraints, do_prune=True, span=span
+            )
+        ((entry, _, seconds, _),) = self._solve_tasks([(whole, sense, None)], options)
+        dense = whole.dense
         x = None
         if entry.x_canonical is not None:
-            x = [0] * problem.num_vars
+            x = [0] * whole.problem.num_vars
             for c, value in enumerate(entry.x_canonical):
-                x[dense[canonical.var_order[c]]] = int(value)
+                x[dense[whole.canonical.var_order[c]]] = int(value)
         solution = Solution(
             status=entry.status,
             objective=entry.objective,

@@ -198,12 +198,8 @@ class TieredAnswerer:
         :class:`~repro.errors.InfeasibleError` when an escalated component
         proves the constraint system empty, exactly like the exact path.
         """
-        if prepared.decomposed:
-            components = list(prepared.components)
-            constant = prepared.problem.objective_constant
-        else:
-            components = [prepared]  # (problem, dense, canonical)-shaped
-            constant = 0
+        components = prepared.components
+        constant = prepared.objective_offset
         if precision == PRECISION_TIGHT:
             bounds = session.solve_prepared(prepared, options=options)
             count = int(bounds.stats.get("components", 1))
@@ -251,10 +247,8 @@ class TieredAnswerer:
         if escalate:
             tasks = []
             for index in escalate:
-                component = components[index]
-                dense_index = index if prepared.decomposed else None
                 for sense in ("min", "max"):
-                    tasks.append((component, sense, dense_index))
+                    tasks.append((components[index], sense, index))
             results = session.solve_units(tasks, options)
             for position, index in enumerate(escalate):
                 low = results[2 * position]

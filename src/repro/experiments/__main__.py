@@ -74,11 +74,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     )
     parser.add_argument("--k", help="comma list of anonymity parameters (figure 5)")
     parser.add_argument(
-        "--no-decompose",
-        action="store_true",
-        help="disable block-separable BIP decomposition (solve monolithically)",
-    )
-    parser.add_argument(
         "--fabric",
         choices=("thread", "process", "inline"),
         default="thread",
@@ -134,7 +129,6 @@ def main(argv: list[str]) -> int:
     )
     args = _parse_args(argv)
     config = ExperimentConfig(
-        enable_decomposition=not args.no_decompose,
         solve_fabric=args.fabric,
         solve_workers=args.solve_workers,
         portfolio=args.portfolio,

@@ -35,9 +35,6 @@ class ExperimentConfig:
     seed: int = 7
     solver_backend: str = "auto"
     solver_time_limit: float = 600.0  # the paper's observed CPLEX budget
-    #: block-separable decomposition on the engine solve path
-    #: (``--no-decompose`` on the CLIs turns it off)
-    enable_decomposition: bool = True
     #: threads for the engine's min/max solves (1 = strictly serial)
     solve_workers: int = 1
     #: executor fabric for solve units: ``thread`` (historical in-process

@@ -227,7 +227,6 @@ class ExperimentContext:
         return SolverOptions(
             backend=self.config.solver_backend,
             time_limit=self.config.solver_time_limit,
-            enable_decomposition=self.config.enable_decomposition,
             portfolio=self.config.portfolio,
         )
 

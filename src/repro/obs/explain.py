@@ -70,32 +70,20 @@ def decomposition_map(prepared) -> dict:
     """The decomposition's structure, as a JSON-ready dict.
 
     ``prepared`` is an :class:`~repro.engine.session.PreparedProblem`;
-    a non-decomposed problem yields a single pseudo-component covering
-    the whole system.
+    a problem that does not split has one component, the whole system.
     """
-    if getattr(prepared, "decomposed", False):
-        blocks = [
-            {
-                "component": index,
-                "vars": component.problem.num_vars,
-                "constraints": component.problem.num_constraints,
-                "shape": _constraint_shape(component.problem),
-                "fingerprint": component.canonical.fingerprint,
-            }
-            for index, component in enumerate(prepared.components)
-        ]
-    else:
-        blocks = [
-            {
-                "component": 0,
-                "vars": prepared.problem.num_vars,
-                "constraints": prepared.problem.num_constraints,
-                "shape": _constraint_shape(prepared.problem),
-                "fingerprint": prepared.canonical.fingerprint,
-            }
-        ]
+    blocks = [
+        {
+            "component": index,
+            "vars": component.problem.num_vars,
+            "constraints": component.problem.num_constraints,
+            "shape": _constraint_shape(component.problem),
+            "fingerprint": component.canonical.fingerprint,
+        }
+        for index, component in enumerate(prepared.components)
+    ]
     return {
-        "decomposed": bool(getattr(prepared, "decomposed", False)),
+        "decomposed": prepared.decomposed,
         "components": len(blocks),
         "total_vars": prepared.problem.num_vars,
         "total_constraints": prepared.problem.num_constraints,
@@ -153,12 +141,12 @@ def mine_components(spans: Sequence[dict]) -> List[dict]:
     """Per-solve provenance from a request's finished span dicts.
 
     One entry per ``engine.solve.{sense}`` span: component index (``None``
-    for whole-problem solves), sense, cache level (``l1`` when the session
-    cache answered, ``l2`` for the shared cross-process store, ``miss``
-    otherwise), fabric placement (``worker:<pid>`` or ``inline``), solver
-    status/objective/nodes/backend, wall seconds, and — when the solve ran
-    a search — the ``bb.search`` breakdown (prunes by reason, root cuts,
-    root LP bound, depth).
+    for :meth:`~repro.engine.session.SolveSession.optimize` probes),
+    sense, cache level (``l1`` when the session cache answered, ``l2`` for
+    the shared cross-process store, ``miss`` otherwise), fabric placement
+    (``worker:<pid>`` or ``inline``), solver status/objective/nodes/backend,
+    wall seconds, and — when the solve ran a search — the ``bb.search``
+    breakdown (prunes by reason, root cuts, root LP bound, depth).
     """
     by_id = {s["span_id"]: s for s in spans if s.get("span_id")}
     entries: Dict[str, dict] = {}
@@ -511,18 +499,11 @@ def build_explanation(
         tiers_by_component = {
             entry.get("component"): entry for entry in component_tiers
         }
-        matched = False
         for entry in components:
             tier = tiers_by_component.get(entry.get("component"))
             if tier is not None:
-                matched = True
                 entry["tier"] = tier.get("tier")
                 entry["tier_detail"] = tier
-        if not matched and len(component_tiers) == 1 and len(components) >= 1:
-            # a non-decomposed problem solves as component=None spans
-            for entry in components:
-                entry["tier"] = component_tiers[0].get("tier")
-                entry["tier_detail"] = component_tiers[0]
         # components answered purely by estimators never open solve spans;
         # surface them anyway so the provenance list is complete.
         mined = {entry.get("component") for entry in components}

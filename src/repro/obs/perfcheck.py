@@ -223,15 +223,17 @@ def decompose_scenarios(quick: bool = False) -> List[Scenario]:
     Each rep re-queries with a trivially-true cardinality constraint on a
     fresh variable, so the whole-problem fingerprint always misses: the
     decomposed arm re-solves only the touched component (warm per-component
-    cache), the monolithic arm re-solves everything.  Gating both keeps the
-    decomposition win *and* the monolithic fallback from regressing.
+    cache), the monolithic arm prepares the same problem and solves the
+    whole BIP through the solver facade, both senses, with no cache.
+    Gating both keeps the decomposition win from regressing against the
+    whole-BIP reference.
     """
     from repro.core.constraints import LinearConstraint
     from repro.engine.session import SolveSession
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import ExperimentContext
     from repro.queries.licm_eval import evaluate_licm
-    from repro.solver.result import SolverOptions
+    from repro.solver.interface import solve
 
     tx = 300 if quick else 600
     items = 64 if quick else 128
@@ -250,36 +252,39 @@ def decompose_scenarios(quick: bool = False) -> List[Scenario]:
             shared["w"] = (encoded, objective, sorted(objective.coeffs))
         return shared["w"]
 
-    def make_setup(enable_decomposition: bool):
-        def setup():
-            encoded, objective, variables = workload()
-            session = SolveSession(
-                encoded.model,
-                options=SolverOptions(enable_decomposition=enable_decomposition),
-            )
-            session.bounds(objective)  # fill the cache outside the timed region
-            return {
-                "session": session,
-                "objective": objective,
-                "variables": variables,
-                "rep": 0,
-            }
+    def setup():
+        encoded, objective, variables = workload()
+        session = SolveSession(encoded.model)
+        session.bounds(objective)  # fill the cache outside the timed region
+        return {
+            "session": session,
+            "objective": objective,
+            "variables": variables,
+            "rep": 0,
+        }
 
-        return setup
-
-    def run_requery(state) -> None:
+    def perturbation(state) -> list:
         # A different perturbation target every rep: the exact query is
         # never in the LRU, only (for the decomposed arm) its components.
         var = state["variables"][state["rep"] % len(state["variables"])]
         state["rep"] += 1
+        return [LinearConstraint([(1, var)], "<=", 1)]
+
+    def run_requery(state) -> None:
         state["session"].bounds(
-            state["objective"],
-            extra_constraints=[LinearConstraint([(1, var)], "<=", 1)],
+            state["objective"], extra_constraints=perturbation(state)
         )
 
+    def run_whole_bip(state) -> None:
+        prepared = state["session"].prepare(
+            state["objective"], extra_constraints=perturbation(state)
+        )
+        for sense in ("min", "max"):
+            solve(prepared.problem, sense)
+
     return [
-        Scenario("requery_decomposed", make_setup(True), run_requery),
-        Scenario("requery_monolithic", make_setup(False), run_requery),
+        Scenario("requery_decomposed", setup, run_requery),
+        Scenario("requery_monolithic", setup, run_whole_bip),
     ]
 
 

@@ -1,13 +1,6 @@
 """Binary integer programming solver stack (the CPLEX substitute)."""
 
-from repro.solver.decompose import (
-    Block,
-    SubProblem,
-    decompose,
-    recombine,
-    solve_decomposed,
-    split_blocks,
-)
+from repro.solver.decompose import Block, split_blocks
 from repro.solver.interface import maximize, minimize, solve
 from repro.solver.lpformat import read_lp, write_lp
 from repro.solver.model import BIPConstraint, BIPProblem, from_licm
@@ -21,16 +14,12 @@ __all__ = [
     "PresolveResult",
     "Solution",
     "SolverOptions",
-    "SubProblem",
-    "decompose",
     "from_licm",
     "maximize",
     "minimize",
     "presolve",
     "read_lp",
-    "recombine",
     "solve",
-    "solve_decomposed",
     "split_blocks",
     "write_lp",
 ]

@@ -19,7 +19,7 @@ feasible (no constraint crosses blocks), and the objective splits as
 * if any block is infeasible the whole problem is infeasible (a global
   solution would restrict to a feasible assignment of that block);
 * a dual bound for the sum is the sum of per-block dual bounds, so even
-  truncated (``status='limit'``) components recombine soundly.
+  truncated (``status='limit'``) components add up soundly.
 
 Entry points:
 
@@ -27,16 +27,13 @@ Entry points:
   objective-only singleton variables, merged into one trailing *free*
   block), generic over hashable variable keys so the engine can reuse it
   at the LICM level;
-* :func:`decompose` — split a :class:`~repro.solver.model.BIPProblem`
-  into independent :class:`SubProblem`\\ s (``[the whole problem]`` when
-  it does not separate);
 * :func:`closed_form` — exact solutions for constraint-free blocks
-  without touching a backend;
-* :func:`recombine` / :func:`solve_decomposed` — additive recombination
-  of per-component :class:`~repro.solver.result.Solution`\\ s.
+  without touching a backend.
 
-The engine threads this through ``SolveSession.prepare()`` with a
-per-component canonical fingerprint and cache entry — see
+The engine does the splitting and the additive recombination:
+``SolveSession.prepare()`` turns every problem into components, each with
+its own canonical fingerprint and cache entry, and
+``SolveSession.solve_prepared()`` sums their optima — see
 ``repro/engine/session.py`` and docs/engine.md.
 """
 
@@ -45,8 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.solver.model import BIPConstraint, BIPProblem
-from repro.solver.result import Solution, SolverOptions
+from repro.solver.model import BIPProblem
+from repro.solver.result import Solution
 
 
 class UnionFind:
@@ -159,77 +156,6 @@ def split_blocks(
     return blocks
 
 
-@dataclass(frozen=True)
-class SubProblem:
-    """One independent sub-BIP plus its embedding into the parent.
-
-    ``parent_vars[i]`` is the parent's dense index of the sub-problem's
-    variable ``i``; ``constraint_ids`` index the parent's constraint
-    list.  The parent's ``objective_constant`` is *not* distributed over
-    sub-problems — :func:`recombine` adds it exactly once.
-    """
-
-    problem: BIPProblem
-    parent_vars: Tuple[int, ...]
-    constraint_ids: Tuple[int, ...]
-
-    @property
-    def is_free(self) -> bool:
-        return not self.problem.constraints
-
-
-def _whole(problem: BIPProblem) -> List[SubProblem]:
-    return [
-        SubProblem(
-            problem,
-            tuple(range(problem.num_vars)),
-            tuple(range(problem.num_constraints)),
-        )
-    ]
-
-
-def decompose(problem: BIPProblem) -> List[SubProblem]:
-    """Split a BIP into independent sub-problems.
-
-    Returns ``[the whole problem]`` when it does not separate: a single
-    connected component, no variables at all, or a degenerate constraint
-    with an empty scope (those constrain nothing or everything and are
-    left to the backends to adjudicate).
-    """
-    scopes = [tuple(idx for _, idx in c.terms) for c in problem.constraints]
-    if problem.num_vars == 0 or any(not scope for scope in scopes):
-        return _whole(problem)
-    blocks = split_blocks(scopes, variables=range(problem.num_vars))
-    if len(blocks) <= 1:
-        return _whole(problem)
-    subs: List[SubProblem] = []
-    for block in blocks:
-        dense = {parent: i for i, parent in enumerate(block.variables)}
-        constraints = [
-            BIPConstraint(
-                tuple(
-                    (coef, dense[idx]) for coef, idx in problem.constraints[cid].terms
-                ),
-                problem.constraints[cid].op,
-                problem.constraints[cid].rhs,
-            )
-            for cid in block.constraint_ids
-        ]
-        sub = BIPProblem(
-            num_vars=len(block.variables),
-            constraints=constraints,
-            objective={
-                dense[parent]: coef
-                for parent, coef in problem.objective.items()
-                if parent in dense
-            },
-            objective_constant=0,
-            names=[problem.names[parent] for parent in block.variables],
-        )
-        subs.append(SubProblem(sub, tuple(block.variables), tuple(block.constraint_ids)))
-    return subs
-
-
 def closed_form(problem: BIPProblem, sense: str) -> Optional[Solution]:
     """Exact optimum of a constraint-free BIP, no backend required.
 
@@ -253,79 +179,3 @@ def closed_form(problem: BIPProblem, sense: str) -> Optional[Solution]:
         solve_time=0.0,
         backend="closed-form",
     )
-
-
-def recombine(
-    problem: BIPProblem,
-    subs: Sequence[SubProblem],
-    solutions: Sequence[Solution],
-    sense: str,
-) -> Solution:
-    """Additive recombination of per-component optima.
-
-    Min/max of a separable sum is the sum of per-component min/max; an
-    infeasible component proves global infeasibility; per-component dual
-    bounds sum to a valid global dual bound, so ``'limit'`` components
-    recombine soundly (the result is then ``'limit'`` too).
-    """
-    nodes = sum(solution.nodes for solution in solutions)
-    wall = sum(solution.solve_time for solution in solutions)
-    if any(solution.status == "infeasible" for solution in solutions):
-        return Solution(
-            status="infeasible", nodes=nodes, solve_time=wall, backend="decomposed"
-        )
-    status = (
-        "optimal"
-        if all(solution.status == "optimal" for solution in solutions)
-        else "limit"
-    )
-    objective = None
-    if all(solution.objective is not None for solution in solutions):
-        objective = (
-            sum(solution.objective for solution in solutions)
-            + problem.objective_constant
-        )
-    bound = None
-    if all(solution.bound is not None for solution in solutions):
-        bound = (
-            sum(solution.bound for solution in solutions) + problem.objective_constant
-        )
-    x = None
-    if all(solution.x is not None for solution in solutions):
-        x = [0] * problem.num_vars
-        for sub, solution in zip(subs, solutions):
-            for i, parent in enumerate(sub.parent_vars):
-                x[parent] = int(solution.x[i])
-    return Solution(
-        status=status,
-        objective=objective,
-        x=x,
-        bound=bound,
-        nodes=nodes,
-        solve_time=wall,
-        backend="decomposed",
-    )
-
-
-def solve_decomposed(
-    problem: BIPProblem,
-    sense: str = "max",
-    options: Optional[SolverOptions] = None,
-) -> Solution:
-    """Decompose, solve every component, recombine.
-
-    The solver-level convenience (benchmarks, tests, one-shot callers);
-    the engine's cached, parallel variant lives in
-    ``SolveSession.solve_prepared``.  Falls back to a plain monolithic
-    solve when the problem does not separate.
-    """
-    from repro.solver.interface import solve
-
-    subs = decompose(problem)
-    if len(subs) == 1:
-        return solve(problem, sense, options)
-    solutions = [
-        closed_form(sub.problem, sense) or solve(sub.problem, sense, options)
-        for sub in subs
-    ]
-    return recombine(problem, subs, solutions, sense)

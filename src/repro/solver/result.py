@@ -76,12 +76,6 @@ class SolverOptions:
     *also* clamp ``time_limit`` (the solver facade derives the clamp
     from ``deadline_at`` automatically).
 
-    ``enable_decomposition`` lets the engine split block-separable
-    problems into independent connected components, solved (and cached)
-    per component — see :mod:`repro.solver.decompose` and docs/solver.md.
-    A no-op for genuinely coupled problems; ``--no-decompose`` on the
-    ``serve`` and ``experiments`` CLIs turns it off.
-
     ``kernels`` selects the B&B's inner loops: ``'auto'`` uses the
     vectorized numpy kernels (:mod:`repro.solver.kernels`) when numpy is
     importable, ``'on'`` requires them, ``'off'`` forces the scalar
@@ -105,7 +99,6 @@ class SolverOptions:
     use_heuristics: bool = True
     cut_rounds: int = 3  # rounds of root cover-cut separation (0 disables)
     integrality_tol: float = 1e-6
-    enable_decomposition: bool = True
     kernels: str = "auto"  # 'auto' | 'on' | 'off' — vectorized B&B inner loops
     seed_incumbent: bool = True  # greedy node-0 incumbent before search
     portfolio: str = "off"  # 'off' | 'auto' — race bb vs scipy per solve

@@ -35,12 +35,6 @@ def test_help_lists_every_subcommand(capsys):
         assert name in help_text, f"--help does not mention {name!r}"
 
 
-def test_serve_help_mentions_no_decompose(capsys):
-    with pytest.raises(SystemExit):
-        main(["serve", "--help"])
-    assert "--no-decompose" in capsys.readouterr().out
-
-
 def test_experiments_help_owns_its_argv(capsys):
     # Dispatched before the top-level parser; its own argparse prints and
     # exits, so the intercept must be in place for --help to work at all.
@@ -48,7 +42,7 @@ def test_experiments_help_owns_its_argv(capsys):
         main(["experiments", "--help"])
     assert excinfo.value.code == 0
     out = capsys.readouterr().out
-    assert "figure5" in out and "--no-decompose" in out
+    assert "figure5" in out and "--queries" in out
 
 
 def test_perfcheck_help_owns_its_argv(capsys):

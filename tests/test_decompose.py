@@ -1,14 +1,13 @@
 """Block-separable decomposition: unit tests plus hypothesis cross-checks.
 
-The solver-level half exercises ``split_blocks``/``decompose``/
-``recombine`` against a brute-force oracle on random block-diagonal BIPs;
-the engine-level half checks the per-component cache semantics of
-``SolveSession`` (see docs/engine.md).
+The solver-level half covers the union-find pass (``split_blocks``) and
+the closed form of free blocks; the engine-level half checks how
+``SolveSession`` splits every prepared problem into components, solves
+and caches them one at a time and recombines them additively, against a
+brute-force oracle on random block-diagonal models (see docs/engine.md).
 """
 
 from __future__ import annotations
-
-from itertools import product as iter_product
 
 import pytest
 from hypothesis import given, settings
@@ -19,28 +18,14 @@ from repro.core.database import LICMModel
 from repro.core.linexpr import LinearExpr
 from repro.engine.session import SolveSession
 from repro.errors import InfeasibleError
-from repro.solver.decompose import (
-    closed_form,
-    decompose,
-    recombine,
-    solve_decomposed,
-    split_blocks,
-)
+from repro.solver.decompose import closed_form, split_blocks
+from repro.solver.interface import solve
 from repro.solver.model import BIPConstraint, BIPProblem
 from repro.solver.result import SolverOptions
-from tests.helpers import brute_force_objective_range
+from tests.helpers import all_valid_assignments, brute_force_objective_range
 
 BB = SolverOptions(backend="bb")
-
-
-def _brute_force(problem: BIPProblem, sense: str):
-    best = None
-    for bits in iter_product((0, 1), repeat=problem.num_vars):
-        if problem.is_feasible(list(bits)):
-            value = problem.objective_value(list(bits))
-            if best is None or (value > best if sense == "max" else value < best):
-                best = value
-    return best
+SENSES = ("min", "max")
 
 
 # -- split_blocks ----------------------------------------------------------
@@ -65,69 +50,7 @@ def test_split_blocks_generic_keys():
     assert [b.variables for b in blocks] == [("a",), ("b", "c"), ("z",)]
 
 
-# -- decompose -------------------------------------------------------------
-
-
-def _two_block_problem():
-    return BIPProblem(
-        num_vars=5,
-        constraints=[
-            BIPConstraint(((1, 0), (1, 1)), ">=", 1),
-            BIPConstraint(((1, 2), (1, 3)), "<=", 1),
-        ],
-        objective={0: 2, 1: -1, 2: 3, 3: 1, 4: -4},
-        objective_constant=7,
-    )
-
-
-def test_decompose_two_blocks_plus_free():
-    subs = decompose(_two_block_problem())
-    assert [sub.parent_vars for sub in subs] == [(0, 1), (2, 3), (4,)]
-    assert [sub.is_free for sub in subs] == [False, False, True]
-    # The parent constant is not distributed; recombine adds it once.
-    assert all(sub.problem.objective_constant == 0 for sub in subs)
-
-
-def test_decompose_coupled_is_single_component():
-    problem = BIPProblem(
-        num_vars=4,
-        constraints=[BIPConstraint(((1, 0), (1, 1), (1, 2), (1, 3)), "<=", 2)],
-        objective={0: 1, 1: 2, 2: 3, 3: 4},
-    )
-    subs = decompose(problem)
-    assert len(subs) == 1
-    assert subs[0].problem is problem
-
-
-def test_decompose_empty_scope_falls_back_monolithic():
-    problem = BIPProblem(
-        num_vars=2,
-        constraints=[BIPConstraint((), "<=", 1), BIPConstraint(((1, 0),), "<=", 1)],
-        objective={0: 1, 1: 1},
-    )
-    assert len(decompose(problem)) == 1
-
-
-def test_solve_decomposed_matches_monolithic_and_adds_constant_once():
-    problem = _two_block_problem()
-    for sense in ("min", "max"):
-        solution = solve_decomposed(problem, sense, BB)
-        assert solution.status == "optimal"
-        assert solution.objective == _brute_force(problem, sense)
-        assert problem.is_feasible(solution.x)
-        assert problem.objective_value(solution.x) == solution.objective
-
-
-def test_infeasible_component_propagates():
-    problem = BIPProblem(
-        num_vars=3,
-        constraints=[
-            BIPConstraint(((1, 0),), ">=", 2),  # infeasible over {0,1}
-            BIPConstraint(((1, 1), (1, 2)), ">=", 1),
-        ],
-        objective={0: 1, 1: 1, 2: 1},
-    )
-    assert solve_decomposed(problem, "max", BB).status == "infeasible"
+# -- closed_form -----------------------------------------------------------
 
 
 def test_closed_form_free_block():
@@ -143,92 +66,216 @@ def test_closed_form_free_block():
     assert closed_form(constrained, "max") is None
 
 
-def test_recombine_limit_status_and_bound_sum():
-    problem = _two_block_problem()
-    subs = decompose(problem)
-    from repro.solver.result import Solution
+# -- engine decomposition: SolveSession.prepare / solve_prepared -----------
 
-    solutions = [
-        Solution(status="optimal", objective=1, x=[1, 0], bound=1.0),
-        Solution(status="limit", objective=3, x=[1, 0], bound=4.0),
-        solve_decomposed(subs[2].problem, "max", BB),
+
+def _two_block_model():
+    """Two constrained blocks, one free variable and objective constant 7."""
+    model = LICMModel()
+    v = model.new_vars(5)
+    model.add((v[0] + v[1]) >= 1)
+    model.add((v[2] + v[3]) <= 1)
+    weights = (2, -1, 3, 1, -4)
+    coeffs = {var.index: weight for var, weight in zip(v, weights)}
+    return model, v, LinearExpr(coeffs, 7)
+
+
+def test_decompose_two_blocks_plus_free():
+    model, v, objective = _two_block_model()
+    with SolveSession(model) as session:
+        prepared = session.prepare(objective)
+    blocks = [tuple(sorted(c.dense)) for c in prepared.components]
+    assert blocks == [
+        (v[0].index, v[1].index),
+        (v[2].index, v[3].index),
+        (v[4].index,),
     ]
-    combined = recombine(problem, subs, solutions, "max")
-    assert combined.status == "limit"  # any truncated component => limit
-    assert combined.objective == 1 + 3 + solutions[2].objective + 7
-    assert combined.bound == 1.0 + 4.0 + solutions[2].bound + 7
+    assert [c.problem.num_constraints for c in prepared.components] == [1, 1, 0]
+    # The parent constant is not distributed; recombination adds it once.
+    assert all(c.problem.objective_constant == 0 for c in prepared.components)
+    assert prepared.objective_offset == 7
 
 
-# -- hypothesis: random block-diagonal BIPs vs brute force -----------------
+def test_decompose_coupled_is_single_component():
+    model = LICMModel()
+    v = model.new_vars(4)
+    model.add((v[0] + v[1] + v[2] + v[3]) <= 2)
+    objective = LinearExpr({var.index: i + 1 for i, var in enumerate(v)}, 3)
+    with SolveSession(model) as session:
+        prepared = session.prepare(objective)
+    (component,) = prepared.components
+    # The one component is the whole problem's own objects, constant included.
+    assert component.problem is prepared.problem
+    assert component.dense is prepared.dense
+    assert component.canonical is prepared.canonical
+    assert prepared.objective_offset == 0
+
+
+def test_decompose_empty_scope_keeps_one_component():
+    # A constraint with no variables belongs to no block; the problem is
+    # left whole for the backends to adjudicate.
+    model = LICMModel()
+    a, b = model.new_vars(2)
+    model.add(LinearConstraint([], "<=", 1))
+    model.add(LinearConstraint([(1, a.index)], "<=", 1))
+    objective = LinearExpr({a.index: 1, b.index: 1}, 0)
+    with SolveSession(model, options=BB) as session:
+        prepared = session.prepare(objective, do_prune=False)
+        assert len(prepared.components) == 1
+        assert prepared.components[0].problem is prepared.problem
+        answer = session.solve_prepared(prepared)
+    assert (answer.lower, answer.upper) == brute_force_objective_range(model, objective)
+
+
+def test_session_matches_whole_bip_and_adds_constant_once():
+    model, _, objective = _two_block_model()
+    with SolveSession(model, options=BB) as session:
+        prepared = session.prepare(objective)
+        answer = session.solve_prepared(prepared)
+    assert answer.stats["components"] == 3
+    assert answer.exact
+    oracle = brute_force_objective_range(model, objective)
+    assert (answer.lower, answer.upper) == oracle
+    # The whole BIP through the solver facade carries the constant itself.
+    whole = tuple(solve(prepared.problem, sense, BB).objective for sense in SENSES)
+    assert whole == oracle
+    assert objective.value(answer.lower_witness) == answer.lower
+    assert objective.value(answer.upper_witness) == answer.upper
+
+
+def test_recombine_limit_status_and_bound_sum():
+    # A per-call node_limit=0 solve (seeding off, so no root shortcut)
+    # truncates both constrained blocks; the free block is closed form.
+    model = LICMModel()
+    a, b = model.new_vars(3), model.new_vars(3)
+    free = model.new_var("free")
+    model.add(LinearConstraint([(2, var.index) for var in a], "<=", 3))
+    model.add(LinearConstraint([(2, var.index) for var in b], ">=", 3))
+    coeffs = {var.index: 1 for var in a}
+    coeffs.update({var.index: 2 for var in b})
+    coeffs[free.index] = -4
+    objective = LinearExpr(coeffs, 7)
+    truncated = SolverOptions(backend="bb", node_limit=0, seed_incumbent=False)
+    with SolveSession(model, options=BB) as session:
+        prepared = session.prepare(objective)
+        answer = session.solve_prepared(prepared, options=truncated)
+        tasks = [
+            (c, sense, i) for i, c in enumerate(prepared.components) for sense in SENSES
+        ]
+        entries = session.solve_units(tasks, truncated)
+    assert answer.stats["components"] == 3
+    statuses = [entry.status for entry, _, _, _ in entries]
+    assert statuses == ["limit"] * 4 + ["optimal"] * 2
+    assert not answer.exact  # any truncated component => not exact
+    low_bounds = [entry.bound for entry, _, _, _ in entries[0::2]]
+    high_bounds = [entry.bound for entry, _, _, _ in entries[1::2]]
+    assert answer.lower_bound_proven == sum(low_bounds) + 7
+    assert answer.upper_bound_proven == sum(high_bounds) + 7
+    lower, upper = brute_force_objective_range(model, objective)
+    assert answer.lower_bound_proven <= lower <= upper <= answer.upper_bound_proven
+
+
+def test_infeasible_component_propagates():
+    model = LICMModel()
+    a, b, c = model.new_vars(3)
+    model.add(LinearConstraint([(1, a.index)], ">=", 2))  # infeasible over {0,1}
+    model.add((b + c) >= 1)
+    objective = LinearExpr({a.index: 1, b.index: 1, c.index: 1}, 0)
+    with SolveSession(model, options=BB) as session:
+        prepared = session.prepare(objective)
+        assert len(prepared.components) == 2
+        with pytest.raises(InfeasibleError):
+            session.solve_prepared(prepared)
+
+
+# -- hypothesis: random block-diagonal models vs brute force ---------------
 
 nonzero = st.integers(-3, 3).filter(lambda c: c != 0)
 
 
 @st.composite
-def block_diagonal_problems(draw):
-    """A BIP built from 1–4 independent blocks (plus possible free vars)."""
-    constraints = []
-    objective = {}
-    offset = 0
+def block_diagonal_models(draw):
+    """An LICM model of 1–4 independent blocks (plus possible free vars)
+    and an objective over them with a constant."""
+    model = LICMModel()
+    coeffs = {}
     for _ in range(draw(st.integers(1, 4))):
-        num_vars = draw(st.integers(1, 3))
-        members = list(range(offset, offset + num_vars))
+        members = [var.index for var in model.new_vars(draw(st.integers(1, 3)))]
         for _ in range(draw(st.integers(0, 2))):
             scope = draw(
                 st.lists(
-                    st.sampled_from(members), min_size=1, max_size=num_vars, unique=True
+                    st.sampled_from(members),
+                    min_size=1,
+                    max_size=len(members),
+                    unique=True,
                 )
             )
-            terms = tuple((draw(nonzero), idx) for idx in scope)
+            terms = [(draw(nonzero), idx) for idx in scope]
             op = draw(st.sampled_from(("<=", ">=", "==")))
-            constraints.append(BIPConstraint(terms, op, draw(st.integers(-3, 4))))
+            model.add(LinearConstraint(terms, op, draw(st.integers(-3, 4))))
         for idx in members:
             coef = draw(st.integers(-4, 4))
             if coef:
-                objective[idx] = coef
-        offset += num_vars
-    return BIPProblem(
-        num_vars=offset,
-        constraints=constraints,
-        objective=objective,
-        objective_constant=draw(st.integers(-5, 5)),
-    )
+                coeffs[idx] = coef
+    return model, LinearExpr(coeffs, draw(st.integers(-5, 5)))
+
+
+def _oracle(model, objective):
+    """Brute-force ``(min, max)``, or ``None`` when no world is valid."""
+    if not all_valid_assignments(model):
+        return None
+    return brute_force_objective_range(model, objective)
+
+
+def _check_against_oracle(model, objective):
+    """Prepare and solve ``objective`` through a session; compare with the
+    oracle.  No pruning: a constraint on objective-free variables can
+    still make the model infeasible.  Returns the prepared problem."""
+    oracle = _oracle(model, objective)
+    with SolveSession(model, options=BB) as session:
+        prepared = session.prepare(objective, do_prune=False)
+        if oracle is None:
+            with pytest.raises(InfeasibleError):
+                session.solve_prepared(prepared)
+            return prepared
+        answer = session.solve_prepared(prepared)
+    assert answer.exact
+    assert (answer.lower, answer.upper) == oracle
+    for witness, value in (
+        (answer.lower_witness, answer.lower),
+        (answer.upper_witness, answer.upper),
+    ):
+        assert all(constraint.satisfied_by(witness) for constraint in model.constraints)
+        assert objective.value(witness) == value
+    return prepared
 
 
 @settings(max_examples=60, deadline=None)
-@given(problem=block_diagonal_problems())
-def test_decomposed_equals_brute_force(problem):
-    subs = decompose(problem)
-    # The sub-problems partition the variables and the constraints.
-    seen = sorted(idx for sub in subs for idx in sub.parent_vars)
-    assert seen == list(range(problem.num_vars))
-    assert sum(len(sub.constraint_ids) for sub in subs) == problem.num_constraints
-    for sense in ("min", "max"):
-        oracle = _brute_force(problem, sense)
-        solution = solve_decomposed(problem, sense, BB)
-        if oracle is None:
-            assert solution.status == "infeasible"
-        else:
-            assert solution.status == "optimal"
-            assert solution.objective == oracle
-            assert problem.is_feasible(solution.x)
-            assert problem.objective_value(solution.x) == oracle
+@given(case=block_diagonal_models())
+def test_decomposed_equals_brute_force(case):
+    model, objective = case
+    prepared = _check_against_oracle(model, objective)
+    # The components partition the problem's variables and constraints.
+    seen = sorted(idx for c in prepared.components for idx in c.dense)
+    assert seen == sorted(prepared.dense)
+    assert (
+        sum(c.problem.num_constraints for c in prepared.components)
+        == prepared.problem.num_constraints
+    )
 
 
 @settings(max_examples=30, deadline=None)
-@given(problem=block_diagonal_problems(), data=st.data())
-def test_coupling_constraint_collapses_to_one_component(problem, data):
-    if problem.num_vars < 2:
+@given(case=block_diagonal_models(), data=st.data())
+def test_coupling_constraint_collapses_to_one_component(case, data):
+    model, objective = case
+    variables = sorted(set(objective.coeffs) | set(model.constraints.variables))
+    if len(variables) < 2:
         return
-    rhs = data.draw(st.integers(0, problem.num_vars))
-    coupled = BIPProblem(
-        num_vars=problem.num_vars,
-        constraints=problem.constraints
-        + [BIPConstraint(tuple((1, i) for i in range(problem.num_vars)), "<=", rhs)],
-        objective=problem.objective,
-        objective_constant=problem.objective_constant,
-    )
-    assert len(decompose(coupled)) == 1
+    rhs = data.draw(st.integers(0, len(variables)))
+    model.add(LinearConstraint([(1, idx) for idx in variables], "<=", rhs))
+    prepared = _check_against_oracle(model, objective)
+    assert len(prepared.components) == 1
+    assert prepared.components[0].canonical.fingerprint == prepared.fingerprint
 
 
 # -- engine: per-component caching in SolveSession -------------------------
@@ -310,15 +357,22 @@ def test_session_infeasible_component_raises():
         session.bounds(objective)
 
 
-def test_session_toggle_off_is_monolithic():
-    model, flat, objective = _three_group_model()
-    on = SolveSession(model).bounds(objective)
-    off = SolveSession(
-        model, options=SolverOptions(enable_decomposition=False)
-    ).bounds(objective)
-    assert off.stats["components"] == 1
-    assert "component_cache_hits" not in off.stats
-    assert (off.lower, off.upper) == (on.lower, on.upper)
+def test_session_non_separating_problem_is_one_component():
+    model = LICMModel()
+    v = model.new_vars(4)
+    model.add((v[0] + v[1] + v[2] + v[3]) <= 2)
+    model.add((v[0] + v[3]) >= 1)
+    objective = LinearExpr({var.index: i - 1 for i, var in enumerate(v)}, 5)
+    with SolveSession(model) as session:
+        prepared = session.prepare(objective)
+        answer = session.solve_prepared(prepared)
+    assert answer.stats["components"] == 1
+    (component,) = prepared.components
+    assert component.canonical.fingerprint == prepared.fingerprint
+    # The whole-BIP solver facade is the reference: same bounds, the
+    # objective constant counted once.
+    assert answer.lower == solve(prepared.problem, "min").objective
+    assert answer.upper == solve(prepared.problem, "max").objective
 
 
 def test_session_parallel_component_dispatch():

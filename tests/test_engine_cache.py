@@ -5,9 +5,9 @@ refreshes it, and an eviction removes the lowest priority (least recent
 on ties) and advances the clock to it.  With every cost 0 that is plain
 LRU, which the first property pins against an ``OrderedDict`` reference;
 the second pins costed sequences against a linear-scan reference.  The
-session test at the end checks the point of the policy: one expensive
-monolithic solve outlives a flood of cheap decomposed components without
-changing any bound.
+session test at the end checks the point of the policy: the expensive
+solves of one inseparable problem outlive a flood of cheap decomposed
+components without changing any bound.
 """
 
 from __future__ import annotations
@@ -251,17 +251,21 @@ def test_concurrent_puts_and_gets_stay_within_maxsize():
 
 # -- the session: an expensive solve outlives cheap components ------------
 
-CHAIN = 8  # variables in the one monolithic problem
+CHAIN = 8  # variables in the one-component problem
 
 
 def _flood_model(blocks: int):
-    """One connected chain (a monolithic problem) and ``blocks`` two-block
-    objectives of distinct weights (each a decomposed problem whose
-    components the root pass closes)."""
+    """One connected chain (a one-component problem the root pass closes
+    in neither sense) and ``blocks`` two-block objectives of distinct
+    weights (each a decomposed problem whose components the root pass
+    closes)."""
     model = LICMModel()
     chain = model.new_vars(CHAIN)
     for left, right in zip(chain, chain[1:]):
         model.add(left + right <= 1)
+    # Without a lower cardinality the minimum is the all-zero point, which
+    # the root pass closes: the chain would cost one real solve, not two.
+    model.add(linear_sum(chain) >= 2)
     expensive = LinearExpr({v.index: p + 1 for p, v in enumerate(chain)}, 0)
     cheap = []
     for i in range(blocks):

@@ -166,11 +166,12 @@ def test_process_fabric_repatriates_spans_and_metrics():
     model, objective = _objective()
     before = _bb_nodes_count()
     tracer = Tracer(sample_every=4)
+    # Seeding off: the root pass would otherwise close this small problem
+    # in the parent, and no unit would reach a worker.
+    options = SolverOptions(backend="bb", seed_incumbent=False)
     with ProcessFabric(workers=2) as fabric:
         with activate(tracer):
-            with SolveSession(
-                model, options=SolverOptions(backend="bb"), fabric=fabric
-            ) as session:
+            with SolveSession(model, options=options, fabric=fabric) as session:
                 bounds = session.bounds(objective)
     assert (bounds.lower, bounds.upper) == (1, 3) and bounds.exact
 

@@ -2,8 +2,11 @@
 
 Runs against one tiny shared :class:`ExperimentContext` (60 transactions,
 ``bb`` backend so the cooperative ``stop_check`` deadline hook is live).
-Tests that need a stalled or counted solver monkeypatch
-``repro.engine.fabric.solve`` — the exact symbol the solve-unit path calls.
+Tests that need a stalled or counted solver monkeypatch both solver entry
+points (:func:`_patch_solvers`): ``repro.engine.fabric.portfolio_solve``,
+which every solve unit calls, and ``repro.solver.kernels.close_roots``,
+which the batched root pass calls first — on this fixture it closes every
+component of a COUNT/SUM problem, so no unit runs at all.
 """
 
 from __future__ import annotations
@@ -27,8 +30,27 @@ from repro.service.api import (
     QueryRequest,
 )
 from repro.service.scheduler import QueryScheduler
+from repro.solver import kernels
 
 REAL_SOLVE = fabric_module.portfolio_solve
+REAL_CLOSE_ROOTS = kernels.close_roots
+
+
+def _patch_solvers(monkeypatch, before):
+    """Call ``before(entry)`` ahead of every solver call, at both entry
+    points: ``("unit", sense)`` for a fabric unit, ``("roots", blocks)``
+    for a root-pass batch."""
+
+    def unit(problem, sense, options):
+        before(("unit", sense))
+        return REAL_SOLVE(problem, sense, options)
+
+    def roots(blocks, *args, **kwargs):
+        before(("roots", len(blocks)))
+        return REAL_CLOSE_ROOTS(blocks, *args, **kwargs)
+
+    monkeypatch.setattr(fabric_module, "portfolio_solve", unit)
+    monkeypatch.setattr(kernels, "close_roots", roots)
 
 
 @pytest.fixture(scope="module")
@@ -40,10 +62,6 @@ def context():
         mc_samples=4,
         seed=7,
         solver_backend="bb",
-        # Monolithic solves keep this module's backend-call accounting
-        # exact (dedup = "min + max, nothing for the follower"); the
-        # decomposed solve path has its own coverage in test_decompose.py.
-        enable_decomposition=False,
     )
     ctx = ExperimentContext(config)
     yield ctx
@@ -104,12 +122,8 @@ def test_unwarmed_encoding_is_refused(scheduler):
 
 def test_admission_queue_full_rejects(context, monkeypatch):
     release = threading.Event()
-
-    def stalled_solve(problem, sense, options):
-        release.wait(timeout=10.0)
-        return REAL_SOLVE(problem, sense, options)
-
-    monkeypatch.setattr(fabric_module, "portfolio_solve", stalled_solve)
+    _patch_solvers(monkeypatch, lambda entry: release.wait(timeout=10.0))
+    context.session("km", 2).cache.clear()  # busy's solve really runs
     with QueryScheduler(context, workers=1, max_queue=1) as sched:
         sched.warm([("km", 2)])
         # Occupy the only worker (a fresh key so the solve really runs) …
@@ -137,12 +151,11 @@ def test_close_answers_queued_requests_and_refuses_new_ones(context, monkeypatch
     solving = threading.Event()
     release = threading.Event()
 
-    def stalled_solve(problem, sense, options):
+    def stall(entry):
         solving.set()
         assert release.wait(timeout=120.0)
-        return REAL_SOLVE(problem, sense, options)
 
-    monkeypatch.setattr(fabric_module, "portfolio_solve", stalled_solve)
+    _patch_solvers(monkeypatch, stall)
     context.session("km", 2).cache.clear()  # busy's solve really runs
     sched = QueryScheduler(context, workers=1, max_queue=4)
     sched.warm([("km", 2)])
@@ -164,23 +177,19 @@ def test_close_answers_queued_requests_and_refuses_new_ones(context, monkeypatch
 
 
 # -- in-flight dedup -------------------------------------------------------
-def test_two_concurrent_identical_requests_cost_one_solve(scheduler, monkeypatch):
-    calls = []
-
-    def slow_counting_solve(problem, sense, options):
-        calls.append(sense)
-        time.sleep(0.25)
-        return REAL_SOLVE(problem, sense, options)
-
-    monkeypatch.setattr(fabric_module, "portfolio_solve", slow_counting_solve)
+def test_two_concurrent_identical_requests_cost_one_solve(
+    context, scheduler, monkeypatch
+):
     request_a = QueryRequest(query="Q1", params={"pb_selectivity": 0.51})
     request_b = QueryRequest(query="Q1", params={"pb_selectivity": 0.51})
+    solo = _solo_leader_calls(context, scheduler, monkeypatch, request_a)
+    calls, _ = _slowed_counting_solve(context, monkeypatch, 0.25)
     pending = [scheduler.submit(request_a), scheduler.submit(request_b)]
     responses = [p.wait(timeout=60.0) for p in pending]
     assert all(r is not None and r.status == STATUS_OK for r in responses)
-    # One engine solve total: min + max for the leader, nothing for the
-    # coalesced follower.
-    assert len(calls) == 2, calls
+    # One engine solve total: the leader's, nothing for the coalesced
+    # follower.
+    assert sorted(calls) == solo, (calls, solo)
     assert sorted(r.dedup for r in responses) == [False, True]
     assert responses[0].fingerprint == responses[1].fingerprint
     assert (responses[0].lower, responses[0].upper) == (
@@ -209,9 +218,14 @@ def test_deadline_without_fallback_times_out(scheduler):
     assert response.lower is None and response.upper is None
 
 
-def test_slow_solver_is_cancelled_and_degrades(scheduler, monkeypatch):
+def test_slow_solver_is_cancelled_and_degrades(context, scheduler, monkeypatch):
     """A solve that outlives the deadline is stopped via ``stop_check``."""
     stop_seen = []
+
+    def hopeless_roots(blocks, *args, **kwargs):
+        # Hard blocks: the root kernels close none, so each one becomes a
+        # unit, and the units are where the deadline is polled.
+        return [kernels.RootVerdict(True, False, None, None, None) for _ in blocks]
 
     def dawdling_solve(problem, sense, options):
         give_up = time.monotonic() + 5.0
@@ -231,6 +245,8 @@ def test_slow_solver_is_cancelled_and_degrades(scheduler, monkeypatch):
         return REAL_SOLVE(problem, sense, truncated)
 
     monkeypatch.setattr(fabric_module, "portfolio_solve", dawdling_solve)
+    monkeypatch.setattr(kernels, "close_roots", hopeless_roots)
+    context.session("km", 2).cache.clear()  # every component really solves
     response = scheduler.execute(
         QueryRequest(
             query="Q1", params={"pb_selectivity": 0.61},
@@ -318,35 +334,44 @@ def test_concurrent_blast_every_request_terminal(scheduler):
 
 # -- fingerprint-level dedup and parked followers --------------------------
 def _slowed_counting_solve(context, monkeypatch, delay_s):
-    """Empty the solve cache and patch the backend to sleep ``delay_s`` per
-    call; returns the list of senses solved and an event set on the first
-    call."""
+    """Empty the solve cache and patch both solver entry points to sleep
+    ``delay_s`` per call; returns the list of solver calls and an event set
+    on the first one."""
     context.session("km", 2).cache.clear()  # every request below solves
     calls = []
     started = threading.Event()
 
-    def slow_counting_solve(problem, sense, options):
-        calls.append(sense)
+    def count(entry):
+        calls.append(entry)
         started.set()
         time.sleep(delay_s)
-        return REAL_SOLVE(problem, sense, options)
 
-    monkeypatch.setattr(fabric_module, "portfolio_solve", slow_counting_solve)
+    _patch_solvers(monkeypatch, count)
     return calls, started
+
+
+def _solo_leader_calls(context, scheduler, monkeypatch, request):
+    """The solver calls ``request`` makes on its own on a cleared cache,
+    sorted (what one leader costs, with no follower)."""
+    calls, _ = _slowed_counting_solve(context, monkeypatch, 0.0)
+    assert scheduler.execute(request).status == STATUS_OK
+    assert calls  # the request really reached a solver
+    return sorted(calls)
 
 
 def test_default_and_tight_precision_share_one_bip_solve(context, scheduler, monkeypatch):
     """``precision=None`` and ``tight`` have different dedup keys but the
     same fingerprint: they coalesce on the BIP flight, not the request."""
-    calls, _ = _slowed_counting_solve(context, monkeypatch, 0.25)
     params = {"pb_selectivity": 0.52}
     default = QueryRequest(query="Q1", params=params)
     tight = QueryRequest(query="Q1", params=params, precision="tight")
     assert default.dedup_key() != tight.dedup_key()
+    solo = _solo_leader_calls(context, scheduler, monkeypatch, default)
+    calls, _ = _slowed_counting_solve(context, monkeypatch, 0.25)
     pending = [scheduler.submit(default), scheduler.submit(tight)]
     responses = [p.wait(timeout=60.0) for p in pending]
     assert all(r is not None and r.status == STATUS_OK for r in responses)
-    assert len(calls) == 2, calls  # min + max, once
+    assert sorted(calls) == solo, (calls, solo)  # the leader's solve, once
     assert sorted(r.dedup for r in responses) == [False, True]
     assert responses[0].fingerprint == responses[1].fingerprint
     assert (responses[0].lower, responses[0].upper) == (
@@ -404,11 +429,11 @@ def test_parked_bip_follower_deadline_degrades_to_estimator(
 def test_error_response_reports_real_queue_wait(context, scheduler, monkeypatch):
     context.session("km", 2).cache.clear()
 
-    def failing_solve(problem, sense, options):
+    def fail(entry):
         time.sleep(0.2)
         raise RuntimeError("backend failed")
 
-    monkeypatch.setattr(fabric_module, "portfolio_solve", failing_solve)
+    _patch_solvers(monkeypatch, fail)
     response = scheduler.execute(
         QueryRequest(query="Q1", params={"pb_selectivity": 0.55}), timeout=60.0
     )
