@@ -204,9 +204,7 @@ def _explain(args: argparse.Namespace) -> int:
                 prepared = session.prepare(objective, extra_constraints=extra)
                 decomposition = decomposition_map(prepared)
                 try:
-                    answer = TieredAnswerer().answer(
-                        session, prepared, args.precision, memo={}
-                    )
+                    answer = TieredAnswerer().answer(session, prepared, args.precision)
                     bounds_payload = {
                         "lower": answer.lower,
                         "upper": answer.upper,

@@ -116,6 +116,12 @@ class PreparedProblem:
     first preparation with only ``prep_time`` refreshed: its
     ``prune_stats`` — in particular ``variables_before`` and
     ``constraints_before`` — describe the store as of that first prepare.
+
+    The one exception is ``verdicts``: the estimator tier verdicts
+    :class:`~repro.estimator.tiered.TieredAnswerer` computed for this
+    problem's components, keyed by answerer and component fingerprint.
+    A memo hit shares the dict, so the verdicts live exactly as long as
+    the memo entry.  Nothing but the answerer reads it.
     """
 
     problem: object
@@ -124,6 +130,7 @@ class PreparedProblem:
     components: Tuple[PreparedComponent, ...]
     prune_stats: dict = field(default_factory=dict)
     prep_time: float = 0.0
+    verdicts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def fingerprint(self) -> str:

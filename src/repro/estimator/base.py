@@ -72,7 +72,8 @@ class BoundEstimator(Protocol):
     ``BIPProblem`` — and one sense, and returns an :class:`EstimateResult`
     whose bound satisfies the one-sided soundness contract above.
     Estimators are stateless and thread-safe; any memoization happens in
-    the policy layer, per request, never in the shared solve caches.
+    the policy layer, on the prepared problem the verdict belongs to,
+    never in the shared solve caches.
     """
 
     name: str

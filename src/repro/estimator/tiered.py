@@ -15,10 +15,16 @@ fabric and both cache tiers — any component that
 
 Escalated solves are ordinary authoritative solve units: they hit and
 populate the L1/L2 caches exactly like the exact path.  Estimated bounds,
-by contrast, **never** touch the shared caches — the answerer memoizes
-them only in the per-request ``memo`` dict the caller passes in, so a
-``fast`` answer can never poison a later ``tight`` answer on the same
-fingerprint (see tests/test_estimator.py).
+by contrast, **never** touch the shared caches.  A component's verdict is
+a pure function of its BIP, the estimator ladder and ``tolerance``, so
+the answerer keeps it on the prepared problem
+(:attr:`~repro.engine.session.PreparedProblem.verdicts`), keyed by its
+own identity and the component fingerprint: later ``fast``/``balanced``
+answers on the same prepared problem — and the scheduler's deadline
+fallback — reuse it instead of re-running the cascade, and the verdicts
+live and die with the session's prepared-problem memo entry.  ``tight``
+never reads them, so a ``fast`` answer can never poison a later ``tight``
+answer on the same fingerprint (see tests/test_estimator.py).
 """
 
 from __future__ import annotations
@@ -96,9 +102,12 @@ class TieredAnswer:
     tier_seconds: Dict[str, float] = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
     #: per-component provenance dicts (component index, fingerprint, tier,
-    #: agreed/infeasible/gap from the cascade, escalated, exact) — the raw
+    #: agreed/infeasible/gap from the cascade, escalated, exact, and
+    #: whether the verdict was reused from the prepared problem) — the raw
     #: material for EXPLAIN payloads.
     component_tiers: List[dict] = field(default_factory=list)
+    #: components whose cascade verdict was reused, not computed here
+    reused_components: int = 0
 
     @property
     def seconds(self) -> float:
@@ -130,22 +139,17 @@ class TieredAnswerer:
             sorted(tiers, key=lambda e: _TIER_DEPTH.get(e.cost, len(COST_ORDER)))
         )
         self.tolerance = float(tolerance)
+        # Keys this answerer's verdicts in PreparedProblem.verdicts: only
+        # the same ladder and tolerance may reuse a verdict.
+        self._identity = object()
 
     # -- the per-component cascade ----------------------------------------
-    def estimate_interval(
-        self,
-        prepared_component,
-        memo: Optional[dict] = None,
-        key: Optional[str] = None,
-    ) -> TierInterval:
+    def estimate_interval(self, prepared_component) -> TierInterval:
         """Run the tier cascade on one component (or bare BIPProblem).
 
-        ``memo``/``key`` is the *per-request* memoization hook — pass the
-        component fingerprint to reuse a cascade within one request.
-        Estimated intervals are never written anywhere else.
+        Always runs every tier it needs; :meth:`answer` is what reuses
+        verdicts across requests.
         """
-        if memo is not None and key is not None and key in memo:
-            return memo[key]
         interval = TierInterval()
         previous: Optional[Tuple[float, float]] = None
         for estimator in self.estimators:
@@ -176,8 +180,6 @@ class TieredAnswerer:
                     interval.agreed = True
                     break
             previous = (low.bound, high.bound)
-        if memo is not None and key is not None:
-            memo[key] = interval
         return interval
 
     # -- the request-level policy ------------------------------------------
@@ -187,7 +189,6 @@ class TieredAnswerer:
         prepared,
         precision: str,
         options=None,
-        memo: Optional[dict] = None,
     ) -> TieredAnswer:
         """Answer one prepared problem at the requested precision.
 
@@ -197,6 +198,11 @@ class TieredAnswerer:
         ``options`` (the scheduler's deadline-carrying copy).  Raises
         :class:`~repro.errors.InfeasibleError` when an escalated component
         proves the constraint system empty, exactly like the exact path.
+
+        ``fast``/``balanced`` first look up each component's verdict in
+        ``prepared.verdicts`` under this answerer's identity and run the
+        cascade only on a miss (so identical fingerprints inside one
+        request also cascade once); ``tight`` never reads the store.
         """
         components = prepared.components
         constant = prepared.objective_offset
@@ -229,12 +235,19 @@ class TieredAnswerer:
                 component_tiers=exact_tiers,
             )
 
+        stored = prepared.verdicts
         verdicts: List[TierInterval] = []
+        reused: List[bool] = []
         escalate: List[int] = []
         for index, component in enumerate(components):
-            verdict = self.estimate_interval(
-                component, memo=memo, key=component.canonical.fingerprint
-            )
+            key = (self._identity, component.canonical.fingerprint)
+            verdict = stored.get(key)
+            reused.append(verdict is not None)
+            if verdict is None:
+                # Two requests racing on one problem may both run the
+                # cascade; it is deterministic, so either verdict serves.
+                verdict = self.estimate_interval(component)
+                stored.setdefault(key, verdict)
             verdicts.append(verdict)
             if verdict.infeasible or not verdict.bounded:
                 escalate.append(index)
@@ -277,7 +290,9 @@ class TieredAnswerer:
         tier_seconds: Dict[str, float] = {}
         component_tiers: List[dict] = []
         for index, (component, verdict) in enumerate(zip(components, verdicts)):
-            for name, seconds in verdict.seconds.items():
+            # A reused verdict ran no tier in this request.
+            ran = {} if reused[index] else verdict.seconds
+            for name, seconds in ran.items():
                 tier_seconds[name] = tier_seconds.get(name, 0.0) + seconds
             provenance = {
                 "component": index,
@@ -288,7 +303,8 @@ class TieredAnswerer:
                 "gap": verdict.gap if math.isfinite(verdict.gap) else None,
                 "escalated": index in exact_values,
                 "exact": False,
-                "seconds": sum(verdict.seconds.values()),
+                "reused": reused[index],
+                "seconds": sum(ran.values()),
             }
             if index in exact_values:
                 low_entry, high_entry = exact_values[index]
@@ -329,6 +345,7 @@ class TieredAnswerer:
             escalations=len(escalate),
             gap=worst_gap,
             tier_seconds=tier_seconds,
+            reused_components=sum(reused),
             stats={
                 **stats,
                 "components": len(components),

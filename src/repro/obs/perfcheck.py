@@ -505,10 +505,11 @@ def tiers_scenarios(quick: bool = False) -> List[Scenario]:
         return setup
 
     def run_answer(state) -> None:
-        # A fresh memo per rep: the per-request estimator memo never
-        # outlives a request in the service either.
+        # Every rep shares one prepared problem; empty its verdict store so
+        # the estimator arms time the cascade, not a lookup.
+        state["prepared"].verdicts.clear()
         state["answerer"].answer(
-            state["session"], state["prepared"], state["precision"], memo={}
+            state["session"], state["prepared"], state["precision"]
         )
 
     return [

@@ -369,6 +369,10 @@ class QueryScheduler:
             "estimator_escalations_total",
             "Components escalated from estimator tiers to the exact solver",
         )
+        self._estimator_reused = self.metrics.counter(
+            "estimator_reused_components_total",
+            "Components answered from a verdict kept on the prepared problem",
+        )
         self._hist_estimator = self.metrics.histogram(
             "estimator_tier_seconds",
             "Wall seconds spent per answering tier for one request",
@@ -944,8 +948,9 @@ class QueryScheduler:
     def _finish_flight(self, flight: _Flight, fingerprint, answer) -> None:
         """Publish the leader's result and fire every follower continuation.
 
-        Only a tight answer is published: estimated bounds are per-request
-        (followers re-answer at their own precision).
+        Only a tight answer is published: followers re-answer estimated
+        bounds at their own precision (from the verdicts kept on the
+        prepared problem).
         """
         with self._inflight_lock:
             if self._inflight.get(flight.key) is flight:
@@ -1003,6 +1008,8 @@ class QueryScheduler:
             )
             if answer.escalations:
                 self._estimator_escalations.inc(answer.escalations)
+            if answer.reused_components:
+                self._estimator_reused.inc(answer.reused_components)
             for tier, seconds in answer.tier_seconds.items():
                 self._hist_estimator.observe(seconds, labels={"tier": tier})
         except Exception:  # noqa: BLE001 — observability must not break serving
@@ -1151,8 +1158,9 @@ class QueryScheduler:
         Answers ``prepared`` at the request's precision through
         :meth:`~repro.estimator.TieredAnswerer.answer` — ``tight`` solves
         every component exactly through the session's fabric and caches.
-        Estimated bounds memoize per-request only (``memo={}``): never
-        into the shared caches, and never onto a flight.  An infeasible
+        Estimator verdicts are kept on ``prepared`` (reused by later
+        ``fast``/``balanced`` answers and the deadline fallback): never in
+        the shared caches, and never on a flight.  An infeasible
         model answers ``error`` (with an IIS under ``explain``); a tight
         answer cut short by the deadline degrades.  Returns the response
         and the answer to publish (``None`` when infeasible).
@@ -1162,7 +1170,7 @@ class QueryScheduler:
         try:
             answer = self.answerer.answer(
                 session, prepared, self._effective_precision(request),
-                options=self._deadline_options(session, pending), memo={},
+                options=self._deadline_options(session, pending),
             )
         except InfeasibleError as exc:
             if request.explain:
@@ -1306,7 +1314,6 @@ class QueryScheduler:
                     answer = self.answerer.answer(
                         session, prepared, PRECISION_FAST,
                         options=self._deadline_options(session, pending),
-                        memo={},
                     )
                 if answer.lower is not None and answer.upper is not None:
                     return self._answer_response(

@@ -10,7 +10,8 @@ never a stale one:
   append can change the problem, so no memoized problem outlives one;
 * ``cache_size=0`` disables it;
 * nothing downstream (exact solves, the tier cascade) mutates a memoized
-  problem, and the service serves the same bounds as a memo-less session.
+  problem beyond its estimator verdict store, and the service serves the
+  same bounds as a memo-less session.
 """
 
 from __future__ import annotations
@@ -239,11 +240,9 @@ def test_solves_and_tiers_leave_a_memoized_problem_unchanged(workload):
 
         exact = session.solve_prepared(prepared)
         for precision in (PRECISION_FAST, PRECISION_BALANCED, PRECISION_TIGHT):
-            TieredAnswerer().answer(session, prepared, precision, memo={})
+            TieredAnswerer().answer(session, prepared, precision)
         # tolerance -1 escalates every component through solve_units
-        TieredAnswerer(tolerance=-1.0).answer(
-            session, prepared, PRECISION_BALANCED, memo={}
-        )
+        TieredAnswerer(tolerance=-1.0).answer(session, prepared, PRECISION_BALANCED)
         session.cache.clear()  # re-solve from scratch on the memoized problem
         again = session.prepare(objective)
         resolved = session.solve_prepared(again)

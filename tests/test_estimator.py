@@ -2,19 +2,24 @@
 
 Unit-level soundness on hand-built BIPs (each tier's interval contains the
 brute-force exact range), the cascade's short-circuit and escalation
-policy, and the cache-hygiene contract: estimated bounds live only in the
-per-request memo — the session's L1/L2 solve caches never see them, so a
-``fast`` answer can never poison a later ``tight`` one (the service-level
-half of that guarantee lives in tests/test_service_scheduler.py).
+policy, and the cache-hygiene contract: estimator verdicts live only on
+the prepared problem, keyed by the answerer that computed them — the
+session's L1/L2 solve caches never see them, so a ``fast`` answer can
+never poison a later ``tight`` one (the service-level half of that
+guarantee lives in tests/test_service_scheduler.py).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
+from collections import Counter
 
 import pytest
 
+from repro.core.database import LICMModel
+from repro.core.linexpr import LinearExpr
 from repro.engine.session import SolveSession
 from repro.errors import InfeasibleError
 from repro.estimator import (
@@ -187,16 +192,89 @@ def test_estimators_sorted_cheapest_first_regardless_of_input_order():
     assert [e.name for e in answerer.estimators] == ["structural", "entropy", "lp"]
 
 
-def test_estimate_interval_memoizes_per_request_only():
-    lp = CountingLP()
-    answerer = TieredAnswerer(estimators=(lp,))
-    memo = {}
-    first = answerer.estimate_interval(DISAGREEING, memo=memo, key="fp")
-    again = answerer.estimate_interval(DISAGREEING, memo=memo, key="fp")
-    assert again is first and lp.calls == 2  # min+max once, second call memoized
-    # A new request (fresh memo) pays the cascade again.
-    answerer.estimate_interval(DISAGREEING, memo={}, key="fp")
-    assert lp.calls == 4
+class CountingTier:
+    """Delegates to a real tier and counts cascades per fingerprint."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name, self.cost, self.validity = inner.name, inner.cost, inner.validity
+        self.calls = Counter()
+
+    def estimate(self, prepared_component, sense):
+        self.calls[prepared_component.canonical.fingerprint] += 1
+        return self.inner.estimate(prepared_component, sense)
+
+
+def counting_answerer(tolerance=1e-6):
+    tiers = [CountingTier(tier) for tier in default_estimators()]
+    return TieredAnswerer(estimators=tiers, tolerance=tolerance), tiers[0]
+
+
+def _repeated_block_model():
+    """Two identical <=1 blocks (one fingerprint), a block whose tiers
+    disagree, and two variables outside the objective."""
+    model = LICMModel()
+    v = model.new_vars(11)
+    model.add((v[0] + v[1] + v[2]) <= 1)
+    model.add((v[3] + v[4] + v[5]) <= 1)
+    model.add((v[6] + v[7]) >= 1)
+    model.add((v[6] + v[8]) <= 1)
+    objective = LinearExpr({var.index: 1 for var in v[:9]}, 0)
+    return model, v, objective
+
+
+def test_verdicts_are_kept_per_prepared_problem_and_answerer():
+    model, v, objective = _repeated_block_model()
+    with SolveSession(model) as session:
+        prepared = session.prepare(objective)
+        fingerprints = [c.canonical.fingerprint for c in prepared.components]
+        assert len(set(fingerprints)) < len(fingerprints)  # a repeated block
+        answerer, structural = counting_answerer()
+
+        answers = [
+            answerer.answer(session, session.prepare(objective), precision)
+            for precision in (PRECISION_FAST, PRECISION_FAST, PRECISION_BALANCED)
+        ]
+        # One cascade (min + max) per distinct fingerprint, across all
+        # three requests and the memo hits between them.
+        assert structural.calls == {fp: 2 for fp in fingerprints}
+        first, second, balanced = answers
+        assert [t["reused"] for t in first.component_tiers] == [
+            fingerprints.index(fp) != i for i, fp in enumerate(fingerprints)
+        ]
+        assert all(t["reused"] for t in second.component_tiers)
+        assert second.reused_components == len(fingerprints)
+        assert second.tier_seconds == {}
+        assert all(t["seconds"] == 0.0 for t in second.component_tiers)
+        for field in ("lower", "upper", "tier", "gap", "escalations"):
+            assert getattr(first, field) == getattr(second, field)
+        assert 0 < balanced.escalations < balanced.components
+
+        # Another ladder/tolerance never reads those verdicts.
+        strict, strict_structural = counting_answerer(tolerance=-1.0)
+        escalated = strict.answer(session, prepared, PRECISION_BALANCED)
+        assert strict_structural.calls == {fp: 2 for fp in fingerprints}
+        assert escalated.escalations == escalated.components
+        assert escalated.exact
+        assert structural.calls == {fp: 2 for fp in fingerprints}
+
+        # A non-lineage append clears the prepared memo: the rebuilt
+        # problem (same fingerprints) runs the cascade again.
+        model.add((v[9] + v[10]) <= 1)
+        rebuilt = session.prepare(objective)
+        assert rebuilt is not prepared and not rebuilt.verdicts
+        assert [c.canonical.fingerprint for c in rebuilt.components] == fingerprints
+        answerer.answer(session, rebuilt, PRECISION_FAST)
+        assert structural.calls == {fp: 4 for fp in fingerprints}
+
+
+def test_cache_size_zero_reuses_no_verdict():
+    model, _, objective = _repeated_block_model()
+    with SolveSession(model, cache_size=0) as session:
+        answerer, structural = counting_answerer()
+        for _ in range(2):
+            answerer.answer(session, session.prepare(objective), PRECISION_FAST)
+    assert set(structural.calls.values()) == {4}
 
 
 # -- the answer() policy against a real session ----------------------------
@@ -226,16 +304,19 @@ def test_fast_answer_contains_exact_and_never_touches_l1(workload, session):
     exact = session.solve_prepared(prepared)
     session.cache.clear()
 
-    memo = {}
-    answer = TieredAnswerer().answer(session, prepared, PRECISION_FAST, memo=memo)
+    answer = TieredAnswerer().answer(session, prepared, PRECISION_FAST)
     assert answer.precision == PRECISION_FAST
     assert answer.lower <= exact.lower <= exact.upper <= answer.upper
     assert not answer.exact
     assert answer.estimated_components == answer.components
     assert answer.exact_components == 0 and answer.escalations == 0
     assert answer.tier in {e.name for e in default_estimators()}
-    assert memo  # per-request memo was used ...
-    assert len(session.cache) == 0  # ... and the shared L1 never was
+    assert prepared.verdicts  # the verdicts stay on the prepared problem ...
+    assert len(session.cache) == 0  # ... and the shared L1 never sees them
+    # A tight answer on the same problem never reads them.
+    tight = TieredAnswerer().answer(session, prepared, PRECISION_TIGHT)
+    assert (tight.lower, tight.upper) == (exact.lower, exact.upper)
+    assert tight.exact
 
 
 def test_balanced_escalation_reaches_the_exact_answer(workload, session):
@@ -245,7 +326,7 @@ def test_balanced_escalation_reaches_the_exact_answer(workload, session):
     # tolerance -1 makes agreement impossible: balanced escalates every
     # component, so the answer must equal the exact one bit-for-bit.
     answerer = TieredAnswerer(tolerance=-1.0)
-    answer = answerer.answer(session, prepared, PRECISION_BALANCED, memo={})
+    answer = answerer.answer(session, prepared, PRECISION_BALANCED)
     assert (answer.lower, answer.upper) == (exact.lower, exact.upper)
     assert answer.exact
     assert answer.tier == TIER_EXACT
@@ -263,6 +344,34 @@ def test_tight_precision_is_the_exact_path(workload, session):
     assert answer.estimated_components == 0
 
 
+def test_two_threads_answering_one_prepared_problem_agree(workload, session):
+    _, objective = workload
+    prepared = session.prepare(objective)
+    answerer = TieredAnswerer()
+    barrier = threading.Barrier(2)
+    answers = [None, None]
+
+    def run(slot):
+        barrier.wait()
+        answers[slot] = answerer.answer(session, prepared, PRECISION_FAST)
+
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    first, second = answers
+    assert (first.lower, first.upper, first.tier, first.gap, first.escalations) == (
+        second.lower, second.upper, second.tier, second.gap, second.escalations
+    )
+    assert len(prepared.verdicts) == len({
+        c.canonical.fingerprint for c in prepared.components
+    })
+    again = answerer.answer(session, prepared, PRECISION_FAST)
+    assert (again.lower, again.upper) == (first.lower, first.upper)
+    assert again.reused_components == again.components
+
+
 def test_escalated_infeasible_component_raises(session, workload):
     encoded, objective = workload
     from repro.core.constraints import LinearConstraint
@@ -276,7 +385,7 @@ def test_escalated_infeasible_component_raises(session, workload):
         ],
     )
     with pytest.raises(InfeasibleError):
-        TieredAnswerer().answer(session, prepared, PRECISION_FAST, memo={})
+        TieredAnswerer().answer(session, prepared, PRECISION_FAST)
 
 
 def test_estimate_result_bounded_property():

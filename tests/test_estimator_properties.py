@@ -6,7 +6,8 @@ maximum, a lower bound on the true minimum — and no tier ever declares a
 feasible instance infeasible.  The tiered cascade's intersected interval
 (including its agreement short-circuit) therefore always contains the
 exact ``[min, max]`` range: the short-circuit can stop *wider* than
-exact, never tighter.
+exact, never tighter.  And a verdict kept on the prepared problem
+answers exactly as the cascade that computed it.
 """
 
 from __future__ import annotations
@@ -16,15 +17,23 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.constraints import LinearConstraint
+from repro.core.database import LICMModel
+from repro.core.linexpr import LinearExpr
+from repro.engine.session import SolveSession
+from repro.errors import InfeasibleError
 from repro.estimator import (
     ESTIMATE_BOUNDED,
     ESTIMATE_INFEASIBLE,
+    PRECISION_BALANCED,
+    PRECISION_FAST,
     EntropyEstimator,
     LPRelaxationEstimator,
     StructuralEstimator,
     TieredAnswerer,
 )
 from repro.solver.model import BIPConstraint, BIPProblem
+from repro.solver.result import SolverOptions
 
 TIERS = (StructuralEstimator(), EntropyEstimator(), LPRelaxationEstimator())
 
@@ -103,3 +112,38 @@ def test_cascade_interval_contains_exact_even_when_short_circuiting(
     # The agreement short-circuit may stop wider than exact, never tighter.
     assert interval.lower <= exact[0] + 1e-9
     assert interval.upper >= exact[1] - 1e-9
+
+
+def _answer_or_infeasible(answerer, session, objective, precision):
+    try:
+        answer = answerer.answer(session, session.prepare(objective), precision)
+    except InfeasibleError:
+        return "infeasible"
+    return (answer.lower, answer.upper, answer.tier, answer.gap, answer.escalations)
+
+
+@given(
+    random_bip(),
+    st.sampled_from([PRECISION_FAST, PRECISION_BALANCED]),
+    st.sampled_from([-1.0, 1e-6, 0.5, 2.0]),
+)
+@settings(max_examples=40, deadline=None)
+def test_answering_twice_reuses_an_identical_verdict(problem, precision, tolerance):
+    model = LICMModel()
+    variables = model.new_vars(problem.num_vars)
+    for row in problem.constraints:
+        model.add(
+            LinearConstraint(
+                [(coef, variables[i].index) for coef, i in row.terms], row.op, row.rhs
+            )
+        )
+    objective = LinearExpr(
+        {variables[i].index: c for i, c in problem.objective.items()},
+        problem.objective_constant,
+    )
+    answerer = TieredAnswerer(tolerance=tolerance)
+    with SolveSession(model, options=SolverOptions(backend="bb")) as session:
+        first = _answer_or_infeasible(answerer, session, objective, precision)
+        again = _answer_or_infeasible(answerer, session, objective, precision)
+        assert session.prepare(objective).verdicts  # the second one reused
+    assert again == first

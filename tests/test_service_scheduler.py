@@ -313,6 +313,24 @@ def test_estimator_metrics_families_present_after_fast_request(scheduler):
     assert "repro_estimator_tier_seconds_bucket" in exposition
 
 
+def test_repeated_fast_request_reuses_the_kept_verdicts(scheduler):
+    def reused_total():
+        return sum(
+            float(line.rsplit(" ", 1)[1])
+            for line in scheduler.metrics.render().splitlines()
+            if line.startswith("repro_estimator_reused_components_total")
+        )
+
+    first = scheduler.execute(QueryRequest(query="Q2", precision="fast"))
+    before = reused_total()
+    again = scheduler.execute(QueryRequest(query="Q2", precision="fast"))
+    assert first.status == again.status == STATUS_OK
+    assert (again.lower, again.upper, again.tier, again.gap) == (
+        first.lower, first.upper, first.tier, first.gap
+    )
+    assert reused_total() - before == again.components
+
+
 # -- the no-hang invariant -------------------------------------------------
 def test_concurrent_blast_every_request_terminal(scheduler):
     requests = [
