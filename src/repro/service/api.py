@@ -183,7 +183,12 @@ class QueryRequest:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def dedup_key(self) -> tuple:
-        """Coarse request-level identity (the fine key is the BIP fingerprint).
+        """Request identity: the plan (kind, query or aggregate, scheme,
+        k, params) plus ``precision``.
+
+        The scheduler coalesces in-flight requests on the plan alone
+        (``precision`` excluded): one leader prepares, and each follower
+        answers the published prepared problem at its own precision.
 
         ``explain`` is deliberately excluded: an explain request must
         coalesce with (and reuse the cache entries of) its plain twin —
@@ -210,10 +215,11 @@ class QueryResponse:
     exact: bool = False
     error: Optional[str] = None
     fingerprint: Optional[str] = None
-    #: coalesced onto another in-flight identical solve.  A deduped
-    #: follower is *parked* (no worker slot held) until the leader's
-    #: bounds publish; its ``queue_ms`` covers that parked wait and its
-    #: ``solve_ms`` is 0 when the leader's answer was reused verbatim.
+    #: coalesced onto another in-flight request for the same plan.  A
+    #: deduped follower is *parked* (no worker slot held) until the
+    #: leader finishes, then answers the leader's prepared problem at its
+    #: own precision — solve-cache hits, so its ``solve_ms`` is small — or
+    #: degrades over it when its deadline expires first.
     dedup: bool = False
     cache_hits: int = 0
     l2_hits: int = 0

@@ -11,31 +11,35 @@ and a worker pool drains it.  Each worker:
 2. evaluates the LICM plan and *prepares* the BIP under the encoding's
    model lock (plan evaluation appends lineage to the shared model, so it
    must be serialized per model; the expensive solves happen outside);
-3. **dedups in-flight work** at two levels: identical requests coalesce
-   *before* plan evaluation (the request's dedup key) and reuse the
-   leader's published bounds; distinct requests that prepare to the same
-   canonical BIP fingerprint coalesce on the fingerprint and read the
-   answer through the session's solve cache — either way, identical
-   concurrent problems cost one engine solve.  The leader solves on its
-   own worker; only followers **park**: they attach a completion
-   callback to the leader's flight and release their worker slot instead
-   of blocking on an event, so a burst of identical requests cannot
-   starve the pool.  A deadline-monitor thread fires the degrade path
-   for any parked request whose budget runs out first;
+3. **dedups in-flight work** on the plan identity (scheme, k, kind,
+   query or aggregate, params — the key that also memoizes evaluated
+   objectives): concurrent requests for one plan coalesce *before* plan
+   evaluation, at any precision.  The leader evaluates, prepares and
+   publishes its prepared problem on the flight, then answers on its own
+   worker; only followers **park**: they attach a completion callback to
+   the leader's flight and release their worker slot instead of blocking
+   on an event, so a burst of identical requests cannot starve the pool.
+   On resume a follower answers the leader's prepared problem at its own
+   precision, reading the solve cache and the estimator verdicts the
+   leader left behind — identical concurrent problems cost one engine
+   solve.  A deadline-monitor thread fires the degrade path for any
+   parked request whose budget runs out first;
 4. answers at the request's **precision** through one call,
    :meth:`~repro.estimator.TieredAnswerer.answer`: ``tight`` solves every
    component exactly; ``fast``/``balanced`` consult the tiered estimator
    ladder (:mod:`repro.estimator`) per decomposed component and escalate
-   only disagreeing components to the exact solver — estimated bounds
-   are per-request only and never enter the shared solve caches;
+   only disagreeing components to the exact solver — estimator verdicts
+   are kept on the prepared problem (reused by later answers over it)
+   and never enter the shared solve caches;
 5. enforces the request **deadline** with a deadline-clamped
    ``time_limit`` plus the solver's absolute ``deadline_at`` (picklable —
    it crosses into forked solve workers, unlike a closure); a solve cut
    short by its budget **degrades** down the ladder — a fast estimator
-   interval (provably containing the exact range) whenever the request
-   holds a prepared problem, the Monte Carlo estimator (observed range ⊆
-   exact range) only without one — instead of hanging, and a request
-   with neither rung available answers ``timeout``.
+   interval (provably containing the exact range) whenever the request,
+   or the leader it follows, holds a prepared problem, the Monte Carlo
+   estimator (observed range ⊆ exact range) only without one — instead
+   of hanging, and a request with neither rung available answers
+   ``timeout``.
 
 Every request therefore reaches a terminal status — ``ok``, ``degraded``,
 ``timeout``, ``rejected`` or ``error`` — the service's no-hang invariant.
@@ -151,22 +155,21 @@ class SchedulerStats:
 
 
 class _Flight:
-    """One in-flight unit of work, continued by deduped followers.
+    """One in-flight plan answer, continued by deduped followers.
 
-    The leader publishes its ``fingerprint`` and (tight) ``answer``
-    before :meth:`finish` fires the attached callbacks; followers reuse
-    them directly.  ``answer`` stays ``None`` when the leader failed or
-    answered at an estimated precision, and is inexact when its solve was
-    cut short by *its* deadline — followers then answer under their own
-    budget.
+    The leader sets ``prepared`` as soon as it holds the prepared problem,
+    before it answers; followers answer that problem at their own
+    precision once :meth:`finish` fires their callbacks, or degrade over
+    it when their deadline expires first.  ``prepared`` stays ``None``
+    when the leader failed before preparing — followers then serve
+    themselves.
     """
 
-    __slots__ = ("key", "fingerprint", "answer", "_lock", "_callbacks", "_finished")
+    __slots__ = ("key", "prepared", "_lock", "_callbacks", "_finished")
 
     def __init__(self, key: tuple):
         self.key = key
-        self.fingerprint = None
-        self.answer = None
+        self.prepared = None
         self._lock = threading.Lock()
         self._callbacks: list = []
         self._finished = False
@@ -385,14 +388,13 @@ class QueryScheduler:
         self._queue: "queue.Queue" = queue.Queue()
         self._depth_lock = threading.Lock()
         self._external_queued = 0
-        # Keyed at two levels: ("request", *dedup_key) before plan
-        # evaluation and ("bip", fingerprint) after preparation.
+        # Both keyed by the plan identity (scheme, k, kind, name, params):
+        # one in-flight answer per plan, one evaluated objective per plan.
         self._inflight: Dict[tuple, _Flight] = {}
         self._inflight_lock = threading.Lock()
         self._model_locks: Dict[Tuple[str, int], threading.Lock] = {}
         self._locks_lock = threading.Lock()
-        # Evaluated LICM objectives, keyed by the plan identity (scheme, k,
-        # kind, name, params).  Lineage evaluation is deterministic for a
+        # Evaluated LICM objectives.  Lineage evaluation is deterministic for a
         # fixed encoding and append-only on the shared model, so reusing
         # the LinearExpr across requests is safe (the decompose benchmark
         # reuses one objective across many prepares the same way) and
@@ -612,11 +614,13 @@ class QueryScheduler:
                 continue
             self._run_request(item)
 
-    def _run_request(self, pending: _Pending) -> None:
-        """One full serve attempt; parked requests complete later via
-        their flight continuation (``_serve`` returns None)."""
+    def _run_request(self, pending: _Pending, serve=None) -> None:
+        """One serve attempt — ``serve(pending)``, a full :meth:`_serve`
+        by default — always ending in a terminal response; parked
+        requests complete later via their flight continuation (``serve``
+        returns None)."""
         try:
-            response = self._serve(pending)
+            response = (serve or self._serve)(pending)
         except ValidationError as exc:
             response = self._response(pending, STATUS_ERROR, error=str(exc))
         except Exception as exc:  # noqa: BLE001 — terminal status, always
@@ -945,30 +949,18 @@ class QueryScheduler:
                 return flight, True
             return flight, False
 
-    def _finish_flight(self, flight: _Flight, fingerprint, answer) -> None:
-        """Publish the leader's result and fire every follower continuation.
-
-        Only a tight answer is published: followers re-answer estimated
-        bounds at their own precision (from the verdicts kept on the
-        prepared problem).
-        """
+    def _finish_flight(self, flight: _Flight) -> None:
+        """Retire the leader's flight and fire every follower continuation."""
         with self._inflight_lock:
             if self._inflight.get(flight.key) is flight:
                 del self._inflight[flight.key]
-        flight.fingerprint = fingerprint
-        flight.answer = None if answer is None or answer.cascaded else answer
         flight.finish()
 
     def _answer_response(
         self, pending, answer, fingerprint, dedup,
         status: str = STATUS_OK, cause: Optional[str] = None,
-        solve_ms: Optional[float] = None,
     ) -> QueryResponse:
-        """A COUNT/SUM answer at any precision, with its tier provenance.
-
-        ``solve_ms`` defaults to the answer's own tier time; a follower
-        reusing its leader's published answer passes 0.0.
-        """
+        """A COUNT/SUM answer at any precision, with its tier provenance."""
         self._observe_tiers(answer)
         return self._response(
             pending,
@@ -989,7 +981,7 @@ class QueryScheduler:
             estimated_components=answer.estimated_components,
             escalations=answer.escalations,
             gap=answer.gap,
-            solve_ms=answer.seconds * 1e3 if solve_ms is None else solve_ms,
+            solve_ms=answer.seconds * 1e3,
         )
 
     def _observe_tiers(self, answer) -> None:
@@ -1016,40 +1008,53 @@ class QueryScheduler:
             logger.exception("estimator tier accounting failed")
 
     def _park(
-        self, root, pending: _Pending, flight: _Flight, resume, encoded, plan,
-        cause: str, session=None, prepared=None, on_shutdown=None,
+        self, root, pending: _Pending, flight: _Flight, encoded, session, plan
     ) -> None:
-        """Record a dedup hit, attach ``resume`` to the flight and release
-        this worker slot.
+        """Follow the leader's ``flight`` without holding this worker slot.
 
-        ``resume`` is enqueued as an internal task when the leader
-        finishes (immediately, if it already has).  If the parked
-        request's budget runs out first, the deadline monitor enqueues the
-        degrade path instead — given ``session``/``prepared`` whenever the
-        request holds a prepared problem, so it degrades to the estimator
-        tiers — and whichever claims the pending first wins.
-        ``on_shutdown`` replaces ``resume``'s default shutdown path.
+        Records a dedup hit and attaches the resume continuation, which is
+        enqueued as an internal task when the leader finishes (at once, if
+        it already has).  On resume the follower answers the leader's
+        published prepared problem at its own precision through
+        :meth:`_answer_prepared` — the solve cache and the kept estimator
+        verdicts make that a read — and serves itself afresh only when the
+        leader failed before preparing.  If the follower's budget runs out
+        first, the deadline monitor enqueues the degrade path instead, over
+        the prepared problem whenever the leader has published one; the
+        first to claim the pending wins.  Every answer over the leader's
+        flight — resumed or degraded — reports ``dedup=True``.
         """
         self.stats.record_dedup_hit()
         root.set("dedup", True)
         root.set("outcome", "parked")
-        shutdown = functools.partial(self._reject, pending)
+
+        def answer_published(pending):
+            prepared = flight.prepared
+            with current_tracer().span(
+                "service.resume",
+                trace_id=pending.trace_id,
+                request_id=pending.request.request_id,
+                fingerprint=prepared.fingerprint,
+            ):
+                return self._answer_prepared(
+                    pending, session, prepared, plan, encoded, dedup=True
+                )
+
+        def resume():
+            if not pending.done:
+                self._run_request(
+                    pending, answer_published if flight.prepared is not None else None
+                )
 
         def expire():
-            if pending.done:
-                return
-            fingerprint = (
-                prepared.fingerprint if prepared is not None else flight.fingerprint
-            )
-            self._complete(
-                pending,
-                self._degrade(
-                    pending, encoded, plan, 0.0, cause, fingerprint=fingerprint,
-                    session=session, prepared=prepared,
-                ),
-            )
+            if not pending.done:
+                self._complete(pending, self._degrade(
+                    pending, encoded, plan, 0.0, "deduped request exceeded deadline",
+                    session=session, prepared=flight.prepared, dedup=True,
+                ))
 
-        task = _Task(resume, on_shutdown=on_shutdown or shutdown)
+        shutdown = functools.partial(self._reject, pending)
+        task = _Task(resume, on_shutdown=shutdown)
         if flight.attach(lambda: self._enqueue_internal(task)):
             self._watch_deadline(pending, _Task(expire, on_shutdown=shutdown))
         else:
@@ -1058,92 +1063,42 @@ class QueryScheduler:
     def _serve_linear(
         self, pending, encoded, session, model_lock, plan, root
     ) -> Optional[QueryResponse]:
-        """COUNT/SUM plans: one BIP objective, deduped at two levels.
+        """COUNT/SUM plans: one BIP objective, deduped on the plan.
 
-        *Request-level* first: identical in-flight requests coalesce on
-        :meth:`~repro.service.api.QueryRequest.dedup_key` **before** plan
-        evaluation, so followers skip the (per-model serialized) prepare
-        entirely and reuse the leader's published answer.  *Fingerprint-
-        level* second: distinct requests whose plans prepare to the same
-        canonical BIP coalesce on the fingerprint and read the answer
-        through the solve cache.  Either way, identical concurrent
-        problems cost one engine solve, and followers park (returning
-        ``None`` here) rather than hold a worker slot.
+        Concurrent requests for the same plan — any precision — coalesce
+        **before** plan evaluation, so followers skip the (per-model
+        serialized) evaluation and prepare entirely: they park (returning
+        ``None`` here) rather than hold a worker slot, and answer the
+        prepared problem the leader publishes on its flight.
         """
         request = pending.request
-
-        flight, leader = self._join_flight(("request",) + request.dedup_key())
+        plan_key = (request.scheme, request.k) + request.dedup_key()[:2] + (
+            tuple(sorted(request.params.items())),
+        )
+        flight, leader = self._join_flight(plan_key)
         if not leader:
-            def resume():
-                if pending.done:
-                    return
-                answer = flight.answer
-                if answer is not None and answer.exact:
-                    self._complete(
-                        pending,
-                        self._answer_response(
-                            pending, answer, flight.fingerprint, True, solve_ms=0.0
-                        ),
-                    )
-                    return
-                # The leader failed, answered at an estimated precision,
-                # or its solve was cut short by *its* deadline (truncated
-                # results are never cached): answer under our own budget
-                # with a fresh serve attempt.
-                self._run_request(pending)
-
-            self._park(
-                root, pending, flight, resume, encoded, plan,
-                cause="deduped request exceeded deadline",
-            )
+            self._park(root, pending, flight, encoded, session, plan)
             return None
 
-        fingerprint = None
-        answer = None
-        parked = False
         try:
             # Plan evaluation appends lineage to the shared model:
             # serialize it per encoding.  The solves run outside the lock.
-            objective_key = (request.scheme, request.k) + request.dedup_key()[:2] + (
-                tuple(sorted(request.params.items())),
-            )
             with model_lock:
-                objective = self._objectives.get(objective_key)
+                objective = self._objectives.get(plan_key)
                 if objective is None:
                     with phase("l_query"):
                         objective = evaluate_licm(plan, encoded.relations)
                     if len(self._objectives) >= 256:  # bounded; eviction is rare
                         self._objectives.clear()
-                    self._objectives[objective_key] = objective
+                    self._objectives[plan_key] = objective
                 prepared = session.prepare(objective)
-            fingerprint = prepared.fingerprint
-            root.set("fingerprint", fingerprint)
-            if request.explain:
-                from repro.obs.explain import decomposition_map
-
-                pending.explain_ctx["decomposition"] = decomposition_map(prepared)
-
-            bip_flight, bip_leader = self._join_flight(("bip", fingerprint))
-            if not bip_leader:
-                # A *different* request is already solving this exact BIP:
-                # park on it; the continuation reads the answer through
-                # the solve cache.  This request stays coarse leader — its
-                # continuation publishes the coarse flight.
-                parked = True
-                self._follow_bip(
-                    root, pending, bip_flight, encoded, session, prepared, plan, flight
-                )
-                return None
-
-            try:
-                response, answer = self._answer_prepared(
-                    pending, session, prepared, plan, encoded, dedup=False
-                )
-            finally:
-                self._finish_flight(bip_flight, fingerprint, answer)
+            flight.prepared = prepared
+            root.set("fingerprint", prepared.fingerprint)
+            response = self._answer_prepared(
+                pending, session, prepared, plan, encoded, dedup=False
+            )
         finally:
-            if not parked:
-                self._finish_flight(flight, fingerprint, answer)
+            self._finish_flight(flight)
 
         if response.status == STATUS_OK:
             root.set("outcome", STATUS_OK)
@@ -1152,21 +1107,24 @@ class QueryScheduler:
 
     def _answer_prepared(
         self, pending, session, prepared, plan, encoded, dedup: bool
-    ) -> Tuple[QueryResponse, object]:
-        """The one COUNT/SUM answer path, for leaders and BIP followers.
+    ) -> QueryResponse:
+        """The one COUNT/SUM answer path, for leaders and followers.
 
         Answers ``prepared`` at the request's precision through
         :meth:`~repro.estimator.TieredAnswerer.answer` — ``tight`` solves
         every component exactly through the session's fabric and caches.
         Estimator verdicts are kept on ``prepared`` (reused by later
-        ``fast``/``balanced`` answers and the deadline fallback): never in
-        the shared caches, and never on a flight.  An infeasible
-        model answers ``error`` (with an IIS under ``explain``); a tight
-        answer cut short by the deadline degrades.  Returns the response
-        and the answer to publish (``None`` when infeasible).
+        ``fast``/``balanced`` answers and the deadline fallback), never in
+        the shared caches.  An infeasible model answers ``error`` (with an
+        IIS under ``explain``); a tight answer cut short by the deadline
+        degrades.
         """
         request = pending.request
         fingerprint = prepared.fingerprint
+        if request.explain:
+            from repro.obs.explain import decomposition_map
+
+            pending.explain_ctx["decomposition"] = decomposition_map(prepared)
         try:
             answer = self.answerer.answer(
                 session, prepared, self._effective_precision(request),
@@ -1180,7 +1138,7 @@ class QueryScheduler:
             return self._response(
                 pending, STATUS_ERROR, error=str(exc), fingerprint=fingerprint,
                 dedup=dedup,
-            ), None
+            )
         if not answer.cascaded and not answer.exact and self._expired(pending):
             # The budgeted solve was cut short by the deadline: degrade.
             cause = (
@@ -1189,64 +1147,11 @@ class QueryScheduler:
             )
             return self._degrade(
                 pending, encoded, plan, answer.seconds * 1e3, cause,
-                fingerprint=fingerprint, session=session, prepared=prepared,
-            ), answer
+                session=session, prepared=prepared, dedup=dedup,
+            )
         if request.explain:
             pending.explain_ctx["component_tiers"] = answer.component_tiers
-        return self._answer_response(pending, answer, fingerprint, dedup), answer
-
-    def _follow_bip(
-        self,
-        root,
-        pending: _Pending,
-        bip_flight: _Flight,
-        encoded,
-        session,
-        prepared,
-        plan,
-        coarse_flight: _Flight,
-    ) -> None:
-        """Park a coarse leader on another request's BIP flight.
-
-        The resume continuation answers through the (now warm) solve
-        caches under this request's own budget, then publishes the coarse
-        flight for any followers of *this* request.
-        """
-
-        def resume():
-            answer = None
-            try:
-                if pending.done:
-                    return
-                with current_tracer().span(
-                    "service.resume",
-                    trace_id=pending.trace_id,
-                    request_id=pending.request.request_id,
-                    fingerprint=prepared.fingerprint,
-                ):
-                    response, answer = self._answer_prepared(
-                        pending, session, prepared, plan, encoded, dedup=True
-                    )
-                    self._complete(pending, response)
-            except Exception as exc:  # noqa: BLE001 — terminal status, always
-                logger.exception(
-                    "deduped request %s failed", pending.request.request_id
-                )
-                self._complete(
-                    pending, self._response(pending, STATUS_ERROR, error=repr(exc))
-                )
-            finally:
-                self._finish_flight(coarse_flight, prepared.fingerprint, answer)
-
-        def shutdown():
-            self._reject(pending)
-            self._finish_flight(coarse_flight, prepared.fingerprint, None)
-
-        self._park(
-            root, pending, bip_flight, resume, encoded, plan,
-            cause="deduped solve exceeded deadline",
-            session=session, prepared=prepared, on_shutdown=shutdown,
-        )
+        return self._answer_response(pending, answer, fingerprint, dedup)
 
     def _serve_minmax(
         self, pending, encoded, session, model_lock, plan, root
@@ -1289,9 +1194,9 @@ class QueryScheduler:
         plan,
         solve_ms: float,
         cause: str,
-        fingerprint: Optional[str] = None,
         session=None,
         prepared=None,
+        dedup: bool = False,
     ) -> QueryResponse:
         """Deadline exceeded: step down the ladder — estimator tiers,
         then the MC estimator, then ``timeout``.
@@ -1303,10 +1208,12 @@ class QueryScheduler:
         the exact range instead).  Both fallbacks run slightly past the
         deadline on purpose (a slightly-late approximate answer beats
         none).  ``exact`` is always False here, and ``tier`` records
-        which rung actually served the answer.
+        which rung actually served the answer; every rung reports
+        ``dedup``.
         """
         self.stats.record_deadline_miss()
         request = pending.request
+        fingerprint = prepared.fingerprint if prepared is not None else None
         tracer = current_tracer()
         if session is not None and prepared is not None:
             try:
@@ -1317,7 +1224,7 @@ class QueryScheduler:
                     )
                 if answer.lower is not None and answer.upper is not None:
                     return self._answer_response(
-                        pending, answer, fingerprint, False,
+                        pending, answer, fingerprint, dedup,
                         status=STATUS_DEGRADED, cause=cause,
                     )
             except Exception as exc:  # noqa: BLE001 — next rung: MC
@@ -1341,6 +1248,7 @@ class QueryScheduler:
                     exact=False,
                     error=cause,
                     fingerprint=fingerprint,
+                    dedup=dedup,
                     tier="mc",
                     mc_samples=len(mc.values),
                     solve_ms=solve_ms,
@@ -1351,5 +1259,5 @@ class QueryScheduler:
                 )
         return self._response(
             pending, STATUS_TIMEOUT, error=cause, fingerprint=fingerprint,
-            solve_ms=solve_ms,
+            dedup=dedup, solve_ms=solve_ms,
         )

@@ -10,7 +10,7 @@
 * ``GET /healthz``    — liveness probe.
 * ``GET /metrics``    — the engine counters and phase timings of
   :func:`repro.obs.export.global_registry` plus service gauges (queue
-  depth, in-flight solves, dedup hits, deadline misses) and the latency
+  depth, in-flight leaders, dedup hits, deadline misses) and the latency
   histograms.  Content-negotiated: plain requests get
   Prometheus text 0.0.4 (exemplar-free — exemplars are illegal there);
   ``Accept: application/openmetrics-text`` gets the OpenMetrics
@@ -196,9 +196,9 @@ class QueryService:
         registry.gauge("service_queue_depth", "Requests waiting for a worker").set(
             self.scheduler.queue_depth
         )
-        registry.gauge("service_in_flight", "BIP solves currently running").set(
-            self.scheduler.in_flight
-        )
+        registry.gauge(
+            "service_in_flight", "Requests leading an in-flight answer"
+        ).set(self.scheduler.in_flight)
         registry.gauge("service_uptime_seconds", "Seconds since service start").set(
             self.uptime_s
         )

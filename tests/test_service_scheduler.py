@@ -18,6 +18,7 @@ import time
 import pytest
 
 import repro.engine.fabric as fabric_module
+import repro.service.scheduler as scheduler_module
 from repro.errors import ValidationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentContext
@@ -350,7 +351,7 @@ def test_concurrent_blast_every_request_terminal(scheduler):
     assert all(r.total_ms >= 0 for r in responses)
 
 
-# -- fingerprint-level dedup and parked followers --------------------------
+# -- plan-level dedup and parked followers ---------------------------------
 def _slowed_counting_solve(context, monkeypatch, delay_s):
     """Empty the solve cache and patch both solver entry points to sleep
     ``delay_s`` per call; returns the list of solver calls and an event set
@@ -442,6 +443,129 @@ def test_parked_bip_follower_deadline_degrades_to_estimator(
     assert exact.status == STATUS_OK and exact.exact
     assert degraded.fingerprint == exact.fingerprint
     assert degraded.lower <= exact.lower <= exact.upper <= degraded.upper
+
+
+def test_parked_same_plan_follower_degrades_over_the_published_problem(
+    context, scheduler, monkeypatch
+):
+    """A follower of an identical request whose budget runs out while
+    parked degrades over the prepared problem its leader published —
+    to a sound estimator interval, not ``timeout``."""
+    _, started = _slowed_counting_solve(context, monkeypatch, 1.0)
+    params = {"pb_selectivity": 0.56}
+    leader = scheduler.submit(QueryRequest(query="Q1", params=params))
+    assert started.wait(timeout=30.0)  # the leader has prepared and is solving
+    follower = scheduler.submit(
+        QueryRequest(query="Q1", params=params, deadline_ms=200.0, mc_fallback=False)
+    )
+    degraded = follower.wait(timeout=60.0)
+    assert degraded is not None
+    assert degraded.status == STATUS_DEGRADED, degraded.error
+    assert degraded.tier in ("structural", "entropy", "lp", "exact")
+    assert degraded.mc_samples == 0 and not degraded.exact
+    assert degraded.dedup
+    exact = leader.wait(timeout=60.0)
+    assert exact.status == STATUS_OK and exact.exact and not exact.dedup
+    assert degraded.fingerprint == exact.fingerprint
+    assert degraded.lower <= exact.lower <= exact.upper <= degraded.upper
+
+
+def _stalled_evaluation(monkeypatch, delay_s, fail_first=False):
+    """Patch the scheduler's plan evaluation to sleep ``delay_s`` per call
+    (the first call raising after its sleep when ``fail_first``); returns
+    an event set on the first call."""
+    entered = threading.Event()
+    real = scheduler_module.evaluate_licm
+
+    def evaluate(plan, relations):
+        first = not entered.is_set()
+        entered.set()
+        time.sleep(delay_s)
+        if first and fail_first:
+            raise RuntimeError("plan evaluation failed")
+        return real(plan, relations)
+
+    monkeypatch.setattr(scheduler_module, "evaluate_licm", evaluate)
+    return entered
+
+
+@pytest.mark.parametrize("mc_fallback", [True, False])
+def test_parked_follower_reports_dedup_on_every_degrade_rung(
+    scheduler, monkeypatch, mc_fallback
+):
+    """A follower that expires before its leader has prepared falls to
+    Monte Carlo or ``timeout`` — still a follower's answer."""
+    entered = _stalled_evaluation(monkeypatch, 1.0)
+    params = {"pb_selectivity": 0.57 if mc_fallback else 0.58}
+    leader = scheduler.submit(QueryRequest(query="Q1", params=params))
+    assert entered.wait(timeout=30.0)
+    follower = scheduler.submit(
+        QueryRequest(
+            query="Q1", params=params, deadline_ms=200.0,
+            mc_fallback=mc_fallback, mc_samples=4,
+        )
+    )
+    expired = follower.wait(timeout=60.0)
+    assert expired is not None
+    if mc_fallback:
+        assert expired.status == STATUS_DEGRADED and expired.tier == "mc"
+    else:
+        assert expired.status == STATUS_TIMEOUT
+    assert expired.dedup
+    assert scheduler._wide_payload(follower, expired, 0.0)["dedup"] == "follower"
+    assert leader.wait(timeout=60.0).status == STATUS_OK
+
+
+def test_explain_follower_of_plain_leader_carries_decomposition(
+    context, scheduler, monkeypatch
+):
+    _, started = _slowed_counting_solve(context, monkeypatch, 0.25)
+    params = {"pb_selectivity": 0.59}
+    leader = scheduler.submit(QueryRequest(query="Q1", params=params))
+    assert started.wait(timeout=30.0)
+    follower = scheduler.submit(QueryRequest(query="Q1", params=params, explain=True))
+    explained = follower.wait(timeout=60.0)
+    assert leader.wait(timeout=60.0).status == STATUS_OK
+    assert explained.status == STATUS_OK and explained.dedup
+    decomposition = explained.explain["decomposition"]
+    assert decomposition["components"] == len(decomposition["blocks"]) > 0
+
+
+def test_follower_of_a_leader_failing_before_prepare_serves_itself(
+    scheduler, monkeypatch
+):
+    """No prepared problem is published when the leader's plan evaluation
+    fails: the parked follower answers with a fresh serve attempt."""
+    entered = _stalled_evaluation(monkeypatch, 0.3, fail_first=True)
+    params = {"pb_selectivity": 0.62}
+    leader = scheduler.submit(QueryRequest(query="Q1", params=params))
+    assert entered.wait(timeout=30.0)
+    follower = scheduler.submit(QueryRequest(query="Q1", params=params))
+    failed = leader.wait(timeout=60.0)
+    served = follower.wait(timeout=60.0)
+    assert failed.status == "error" and "plan evaluation failed" in failed.error
+    assert served is not None and served.status == STATUS_OK, served.error
+    assert served.exact and served.lower <= served.upper
+
+
+def test_one_stalled_leader_counts_once_in_flight(context, scheduler, monkeypatch):
+    solving = threading.Event()
+    release = threading.Event()
+
+    def stall(entry):
+        solving.set()
+        assert release.wait(timeout=60.0)
+
+    context.session("km", 2).cache.clear()
+    _patch_solvers(monkeypatch, stall)
+    leader = scheduler.submit(QueryRequest(query="Q1", params={"pb_selectivity": 0.63}))
+    try:
+        assert solving.wait(timeout=30.0)
+        assert scheduler.in_flight == 1
+    finally:
+        release.set()
+    assert leader.wait(timeout=60.0).status == STATUS_OK
+    assert scheduler.in_flight == 0
 
 
 def test_error_response_reports_real_queue_wait(context, scheduler, monkeypatch):
