@@ -270,8 +270,11 @@ def minmax_bounds(
 
     When ``session`` is given, ``options`` (if also given) overrides its
     solver options per probe — the service layer passes a deadline-clamped
-    copy so MIN/MAX requests honour their budget too.
-    ``stats['solve_time']`` sums the probes' solver wall time.
+    copy so MIN/MAX requests honour their budget too.  A probe stopped
+    by a limit before it found a world is undecided: it is answered as
+    feasible, so the interval still contains the exact one, and the
+    result reports ``exact=False``.  ``stats['solve_time']`` sums the
+    probes' solver wall time.
     """
     if agg not in ("min", "max"):
         raise QueryError(f"agg must be 'min' or 'max', got {agg!r}")
@@ -287,15 +290,27 @@ def minmax_bounds(
         return AggregateBounds(lower=None, upper=None, exact=True)
     values = sorted({row.values[position] for row in rows})
     solve_time = 0.0
+    decided = True
 
     def feasible(extra) -> bool:
-        """One feasibility probe (as ``session.feasible``), timed."""
-        nonlocal solve_time
+        """One feasibility probe (as ``session.feasible``), timed.
+
+        Optimal, or stopped at a limit holding an incumbent world: proven
+        feasible.  Infeasible: proven.  Stopped with no incumbent: not
+        decided — answered feasible, which widens the interval outward
+        (every scan below stops at its first feasible cut, which is then
+        at or beyond the exact endpoint), and the result loses ``exact``.
+        """
+        nonlocal solve_time, decided
         solution, _ = session.optimize(
             LinearExpr({}, 0), "max", extra, options=probe_options
         )
         solve_time += solution.solve_time
-        return solution.status != "infeasible"
+        if solution.status == "infeasible":
+            return False
+        if solution.status != "optimal" and solution.x is None:
+            decided = False
+        return True
 
     def exists_bound(candidates, pick):
         """Extreme value over tuples that can individually exist."""
@@ -343,5 +358,8 @@ def minmax_bounds(
         pick_order = list(reversed(values))  # largest first
         upper = absent_bound(values, "lower_cut")
     return AggregateBounds(
-        lower=lower, upper=upper, exact=True, stats={"solve_time": solve_time}
+        lower=lower,
+        upper=upper,
+        exact=decided,
+        stats={"solve_time": solve_time},
     )

@@ -19,6 +19,9 @@ not forever.  With every cost 0 the policy is exactly LRU.
 
 The cache itself (:class:`LRUCache`) is value-agnostic; the session also
 uses it, sized from the same ``cache_size``, for its prepared-problem memo.
+Next to the per-component solves, the L1 holds whole exact answers
+(:class:`KeptAnswer`) under ``("answer", key)`` keys — see
+:meth:`~repro.engine.session.SolveSession.kept_answer`.
 """
 
 from __future__ import annotations
@@ -42,6 +45,19 @@ class CachedSolve:
     bound: Optional[float]
     nodes: int
     backend: str
+
+
+@dataclass(frozen=True)
+class KeptAnswer:
+    """A whole exact answer kept in L1: its bounds, never its witnesses.
+
+    Only exact answers are kept, so there is no ``exact`` flag; ``backend``
+    is the solver that produced the bounds (``None`` for MIN/MAX probes).
+    """
+
+    lower: Any
+    upper: Any
+    backend: Optional[str] = None
 
 
 class LRUCache:
@@ -121,6 +137,12 @@ class LRUCache:
             count(f"{self.metric}_evictions", len(evicted))
             count(f"{self.metric}_evicted_seconds", sum(evicted))
 
+    def cost(self, key: Hashable) -> float:
+        """The recompute cost ``key`` was stored with (0 when absent)."""
+        with self._lock:
+            stamp = self._stamps.get(key)
+            return stamp[2] if stamp is not None else 0.0
+
     def clear(self) -> None:
         """Explicit invalidation (the constraint store changed)."""
         with self._lock:
@@ -161,6 +183,7 @@ class LRUCache:
 
 class SolveCache(LRUCache):
     """The L1 tier: a GreedyDual map ``(fingerprint, sense) -> CachedSolve``,
-    each entry costed by the seconds its solve (or L2 read) took."""
+    each entry costed by the seconds its solve (or L2 read) took, plus
+    ``("answer", key) -> KeptAnswer`` entries for whole exact answers."""
 
     metric = "cache"

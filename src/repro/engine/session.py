@@ -17,6 +17,9 @@ bound in the repo needs, and layers on top of it:
   constraints are added to the model's store (lineage-only appends —
   i.e. answering more queries — keep the cache warm, which is what makes
   a Figure-5 k-sweep amortize its solves);
+* whole exact answers kept in that same L1 under ``("answer", key)``
+  (:meth:`SolveSession.kept_answer` / :meth:`SolveSession.keep_answer`),
+  so a repeated exact answer is one read — same lifetime, same eviction;
 * optionally, a cross-process L2 tier (:mod:`repro.engine.l2cache`)
   shared by every worker pointed at the same SQLite file — pass
   ``l2_path``;
@@ -40,12 +43,12 @@ import threading
 import time
 from concurrent.futures import Executor
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.constraints import LinearConstraint
 from repro.core.linexpr import LinearExpr
 from repro.core.pruning import prune
-from repro.engine.cache import CachedSolve, LRUCache, SolveCache
+from repro.engine.cache import CachedSolve, KeptAnswer, LRUCache, SolveCache
 from repro.engine.canonical import CanonicalBIP, canonicalize
 from repro.engine.fabric import (
     ExecutorFabric,
@@ -186,11 +189,11 @@ class SolveSession:
     :param options: solver options applied to every solve in the session.
     :param prune_method: ``'lineage'`` (default), ``'fixpoint'`` or
         ``'single_pass'`` — see :mod:`repro.core.pruning`.
-    :param cache_size: L1 capacity in solve outcomes; it also sizes the
-        prepared-problem memo (one entry per 16, rounded up).  ``0``
-        disables both.  Both evict GreedyDual by recompute cost: an L1
-        entry costs its solve wall (or L2 read), a memo entry its
-        ``prep_time``.
+    :param cache_size: L1 capacity in solve outcomes and kept answers; it
+        also sizes the prepared-problem memo (one entry per 16, rounded
+        up).  ``0`` disables both.  Both evict GreedyDual by recompute
+        cost: an L1 entry costs its solve wall (or L2 read), a kept answer
+        at least the entries it replaces, a memo entry its ``prep_time``.
     :param max_workers: ``> 1`` builds a thread fabric running the min and
         max directions (and per-component fan-out) concurrently; ``1`` is
         strictly serial.  Ignored when ``fabric`` is given.
@@ -746,6 +749,45 @@ class SolveSession:
         """
         self._ensure_fresh()
         return self._solve_tasks(list(tasks), options)
+
+    def kept_answer(self, key: Hashable) -> Optional[KeptAnswer]:
+        """The exact answer :meth:`keep_answer` kept under ``key``, or ``None``.
+
+        Runs the freshness check first, so a non-lineage append drops every
+        kept answer before it can be read; counts ``answer_hits`` or
+        ``answer_misses``.  ``key`` must determine the answer given the
+        store's non-lineage constraints: the tiered answerer keys a
+        COUNT/SUM answer by its pruned problem's fingerprint (identical
+        problems, identical optima), the service scheduler a MIN/MAX
+        answer by its plan identity (lineage appends only define fresh
+        variables, so they never change which worlds a probe admits).
+        """
+        self._ensure_fresh()
+        kept = self.cache.get(("answer", key))
+        count("answer_hits" if kept is not None else "answer_misses")
+        return kept
+
+    def keep_answer(
+        self,
+        key: Hashable,
+        answer: KeptAnswer,
+        cost: float,
+        replaces: Sequence[PreparedComponent] = (),
+    ) -> None:
+        """Keep an exact answer in L1 under ``key`` (nothing when
+        ``cache_size=0``).
+
+        Priced at ``cost`` or the summed L1 cost of the ``(component,
+        sense)`` entries of ``replaces``, whichever is higher: a read
+        stands in for all of those entries, so it must not be cheaper to
+        evict than any one of them.
+        """
+        floor = sum(
+            self.cache.cost((part.canonical.fingerprint, sense))
+            for part in replaces
+            for sense in _SENSES
+        )
+        self.cache.put(("answer", key), answer, cost=max(cost, floor))
 
     def prepare(
         self,

@@ -15,7 +15,15 @@ fabric and both cache tiers — any component that
 
 Escalated solves are ordinary authoritative solve units: they hit and
 populate the L1/L2 caches exactly like the exact path.  Estimated bounds,
-by contrast, **never** touch the shared caches.  A component's verdict is
+by contrast, **never** touch the shared caches.  A ``tight`` answer that
+a solve proved exact is kept whole in the session's L1 under
+``("answer", fingerprint)`` — bounds, backend, no witnesses — and a
+repeated ``tight`` answer on the same fingerprint is that one read
+(:meth:`~repro.engine.session.SolveSession.kept_answer`).  It lives as
+long as any L1 entry: ``cache.clear()``, a non-lineage append or
+GreedyDual eviction drops it, and ``cache_size=0`` keeps nothing.
+Non-exact (deadline-cut or node-limited) answers are never kept.
+A component's verdict is
 a pure function of its BIP, the estimator ladder and ``tolerance``, so
 the answerer keeps it on the prepared problem
 (:attr:`~repro.engine.session.PreparedProblem.verdicts`), keyed by its
@@ -33,6 +41,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.cache import KeptAnswer
 from repro.errors import InfeasibleError
 from repro.estimator.base import (
     COST_ORDER,
@@ -108,6 +117,8 @@ class TieredAnswer:
     component_tiers: List[dict] = field(default_factory=list)
     #: components whose cascade verdict was reused, not computed here
     reused_components: int = 0
+    #: a ``tight`` answer read from the session's kept whole answers
+    kept: bool = False
 
     @property
     def seconds(self) -> float:
@@ -202,38 +213,13 @@ class TieredAnswerer:
         ``fast``/``balanced`` first look up each component's verdict in
         ``prepared.verdicts`` under this answerer's identity and run the
         cascade only on a miss (so identical fingerprints inside one
-        request also cascade once); ``tight`` never reads the store.
+        request also cascade once); ``tight`` never reads the verdicts —
+        it reads the kept whole answer instead (:meth:`_answer_tight`).
         """
         components = prepared.components
         constant = prepared.objective_offset
         if precision == PRECISION_TIGHT:
-            bounds = session.solve_prepared(prepared, options=options)
-            count = int(bounds.stats.get("components", 1))
-            exact_tiers = [
-                {
-                    "component": index,
-                    "fingerprint": component.canonical.fingerprint,
-                    "tier": TIER_EXACT,
-                    "escalated": False,
-                    "exact": bounds.exact,
-                }
-                for index, component in enumerate(components)
-            ]
-            return TieredAnswer(
-                lower=bounds.lower,
-                upper=bounds.upper,
-                exact=bounds.exact,
-                precision=precision,
-                tier=TIER_EXACT,
-                components=count,
-                exact_components=count,
-                estimated_components=0,
-                escalations=0,
-                gap=0.0,
-                tier_seconds={TIER_EXACT: bounds.stats.get("solve_time", 0.0)},
-                stats=dict(bounds.stats),
-                component_tiers=exact_tiers,
-            )
+            return self._answer_tight(session, prepared, options)
 
         stored = prepared.verdicts
         verdicts: List[TierInterval] = []
@@ -353,6 +339,66 @@ class TieredAnswerer:
                 "solve_time": sum(tier_seconds.values()),
             },
             component_tiers=component_tiers,
+        )
+
+    def _answer_tight(self, session, prepared, options) -> TieredAnswer:
+        """Every component exactly, or one read of the kept whole answer.
+
+        The whole problem's answer is kept in the session L1 under its
+        fingerprint once a solve proved it exact; a repeated answer reads
+        it back (``kept=True``, no solve, both directions reported as
+        cache hits).  A deadline-cut or node-limited answer is not exact
+        and never kept.
+        """
+        components = prepared.components
+        kept = session.kept_answer(prepared.fingerprint)
+        if kept is not None:
+            lower, upper, exact = kept.lower, kept.upper, True
+            stats = {
+                "nodes": 0,
+                "cache_hits": 2,
+                "l2_hits": 0,
+                "backend": kept.backend,
+                "components": len(components),
+                "fingerprint": prepared.fingerprint,
+                "solve_time": 0.0,
+            }
+        else:
+            bounds = session.solve_prepared(prepared, options=options)
+            lower, upper, exact = bounds.lower, bounds.upper, bounds.exact
+            stats = dict(bounds.stats)
+            if exact:
+                session.keep_answer(
+                    prepared.fingerprint,
+                    KeptAnswer(lower, upper, stats.get("backend")),
+                    cost=stats.get("solve_time", 0.0),
+                    replaces=components,
+                )
+        count = len(components)
+        return TieredAnswer(
+            lower=lower,
+            upper=upper,
+            exact=exact,
+            precision=PRECISION_TIGHT,
+            tier=TIER_EXACT,
+            components=count,
+            exact_components=count,
+            estimated_components=0,
+            escalations=0,
+            gap=0.0,
+            tier_seconds={TIER_EXACT: stats.get("solve_time", 0.0)},
+            stats=stats,
+            component_tiers=[
+                {
+                    "component": index,
+                    "fingerprint": component.canonical.fingerprint,
+                    "tier": TIER_EXACT,
+                    "escalated": False,
+                    "exact": exact,
+                }
+                for index, component in enumerate(components)
+            ],
+            kept=kept is not None,
         )
 
 

@@ -481,6 +481,7 @@ def build_explanation(
     decomposition: Optional[dict] = None,
     component_tiers: Optional[Sequence[dict]] = None,
     infeasibility: Optional[dict] = None,
+    kept: bool = False,
 ) -> SolveExplanation:
     """Assemble a :class:`SolveExplanation` from already-collected parts.
 
@@ -491,6 +492,9 @@ def build_explanation(
     entries are joined onto the mined solve provenance by component
     index, so each component reports *both* how it was answered (tier)
     and what the exact machinery did when it ran (cache/fabric/nodes).
+    ``kept`` marks a read of an exact answer kept whole in the session
+    L1: no solve span opened, so each component surfaces with cache
+    ``answer``.
     """
     spans = list(spans or ())
     components = mine_components(spans)
@@ -504,8 +508,10 @@ def build_explanation(
             if tier is not None:
                 entry["tier"] = tier.get("tier")
                 entry["tier_detail"] = tier
-        # components answered purely by estimators never open solve spans;
-        # surface them anyway so the provenance list is complete.
+        # components answered purely by estimators, or read from a kept
+        # answer, never open solve spans; surface them anyway so the
+        # provenance list is complete.
+        source = "answer" if kept else "estimated"
         mined = {entry.get("component") for entry in components}
         for tier in component_tiers:
             if tier.get("component") not in mined and not tier.get("escalated"):
@@ -513,9 +519,9 @@ def build_explanation(
                     {
                         "component": tier.get("component"),
                         "sense": "both",
-                        "cache": "estimated",
+                        "cache": source,
                         "fabric": "inline",
-                        "status": "estimated",
+                        "status": "optimal" if kept else "estimated",
                         "objective": None,
                         "nodes": 0,
                         "backend": tier.get("tier"),

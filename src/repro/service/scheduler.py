@@ -30,7 +30,10 @@ and a worker pool drains it.  Each worker:
    ladder (:mod:`repro.estimator`) per decomposed component and escalate
    only disagreeing components to the exact solver — estimator verdicts
    are kept on the prepared problem (reused by later answers over it)
-   and never enter the shared solve caches;
+   and never enter the shared solve caches.  **Exact answers are kept
+   whole** in the session L1: a ``tight`` COUNT/SUM answer under its
+   fingerprint, a MIN/MAX answer under its plan identity, so a repeated
+   exact answer is one read (wide event ``cache_tier="answer"``);
 5. enforces the request **deadline** with a deadline-clamped
    ``time_limit`` plus the solver's absolute ``deadline_at`` (picklable —
    it crosses into forked solve workers, unlike a closure); a solve cut
@@ -58,6 +61,7 @@ import time
 from collections import deque
 from typing import Dict, Iterable, Optional, Tuple
 
+from repro.engine.cache import KeptAnswer
 from repro.errors import InfeasibleError, ServiceError, ValidationError
 from repro.estimator import (
     PRECISION_FAST,
@@ -70,7 +74,7 @@ from repro.obs.export import ESTIMATOR_BUCKETS, MetricsRegistry, phase
 from repro.obs.logs import request_logger, wide_event
 from repro.obs.profiler import active_profiler, tagged
 from repro.obs.slo import SLOTracker
-from repro.obs.tracer import current_tracer, new_trace_id
+from repro.obs.tracer import Stopwatch, current_tracer, new_trace_id
 from repro.queries.licm_eval import evaluate_licm
 from repro.queries.workload import QUERY_BUILDERS
 from repro.relational.query import CountStar, MaxAttr, MinAttr, NaturalJoin, Scan, SumAttr
@@ -223,6 +227,7 @@ class _Pending:
         "explain_ctx",
         "queue_ms",
         "trace_id",
+        "kept",
     )
 
     def __init__(self, request: QueryRequest, deadline_at: Optional[float]):
@@ -237,6 +242,9 @@ class _Pending:
         #: wait and the attempt's trace id, reported by every response.
         self.queue_ms = 0.0
         self.trace_id: Optional[str] = None
+        #: The response is a read of an exact answer kept in the session
+        #: L1 (wide event ``cache_tier="answer"``, EXPLAIN ``source``).
+        self.kept = False
         #: EXPLAIN raw material captured while it is in scope (the
         #: decomposition map, tier provenance, IIS) — assembled into the
         #: response's ``explain`` block at completion.
@@ -662,9 +670,11 @@ class QueryScheduler:
         )
         self._observe_done(pending, response, total_s, spans)
 
-    def _cache_tier(self, response: QueryResponse) -> str:
-        """Where the answer came from: both senses in L1, any L2 hit, or
-        a cold solve."""
+    def _cache_tier(self, pending: _Pending, response: QueryResponse) -> str:
+        """Where the answer came from: a kept whole answer, both senses in
+        L1, any L2 hit, or a cold solve."""
+        if pending.kept:
+            return "answer"
         if response.cache_hits >= 2:
             return "l1"
         if response.l2_hits > 0:
@@ -689,7 +699,7 @@ class QueryScheduler:
             "query": request.query or request.aggregate,
             "scheme": request.scheme,
             "k": request.k,
-            "cache_tier": self._cache_tier(response),
+            "cache_tier": self._cache_tier(pending, response),
             "components": response.components,
             "cache_hits": response.cache_hits,
             "l2_hits": response.l2_hits,
@@ -721,11 +731,13 @@ class QueryScheduler:
                 "exact": response.exact,
                 "precision": self._effective_precision(pending.request),
                 "tier": response.tier,
+                "source": self._cache_tier(pending, response),
             },
             spans=spans,
             decomposition=ctx.get("decomposition"),
             component_tiers=ctx.get("component_tiers"),
             infeasibility=ctx.get("infeasibility"),
+            kept=pending.kept,
         )
 
     def _diagnose_infeasibility(self, prepared, budget_s: float = 2.0) -> Optional[dict]:
@@ -1060,6 +1072,14 @@ class QueryScheduler:
         else:
             self._enqueue_internal(task)
 
+    @staticmethod
+    def _plan_key(request: QueryRequest) -> tuple:
+        """The plan identity (scheme, k, kind, query or aggregate, params):
+        keys in-flight dedup, evaluated objectives and kept MIN/MAX answers."""
+        return (request.scheme, request.k) + request.dedup_key()[:2] + (
+            tuple(sorted(request.params.items())),
+        )
+
     def _serve_linear(
         self, pending, encoded, session, model_lock, plan, root
     ) -> Optional[QueryResponse]:
@@ -1071,10 +1091,7 @@ class QueryScheduler:
         ``None`` here) rather than hold a worker slot, and answer the
         prepared problem the leader publishes on its flight.
         """
-        request = pending.request
-        plan_key = (request.scheme, request.k) + request.dedup_key()[:2] + (
-            tuple(sorted(request.params.items())),
-        )
+        plan_key = self._plan_key(pending.request)
         flight, leader = self._join_flight(plan_key)
         if not leader:
             self._park(root, pending, flight, encoded, session, plan)
@@ -1151,6 +1168,7 @@ class QueryScheduler:
             )
         if request.explain:
             pending.explain_ctx["component_tiers"] = answer.component_tiers
+        pending.kept = answer.kept
         return self._answer_response(pending, answer, fingerprint, dedup)
 
     def _serve_minmax(
@@ -1158,24 +1176,46 @@ class QueryScheduler:
     ) -> QueryResponse:
         """MIN/MAX plans: case-based feasibility probes (no BIP dedup).
 
-        The probes interleave plan-relative model reads with solves, so the
-        whole answer runs under the model lock; the deadline still applies
-        through the per-probe solver options.
+        An exact answer is kept in the session L1 under the plan identity
+        (:meth:`_plan_key`), so a repeated MIN/MAX request is one read —
+        no plan evaluation, no probe.  Otherwise the probes interleave
+        plan-relative model reads with solves, so the whole answer runs
+        under the model lock; the deadline still applies through the
+        per-probe solver options.  An answer with an undecided probe is
+        not exact: it degrades once the deadline has passed, and it is
+        never kept — nor is any answer finished after the deadline.
         """
         from repro.queries import answer_licm
 
+        plan_key = self._plan_key(pending.request)
+        kept = session.kept_answer(plan_key)
+        if kept is not None:
+            pending.kept = True
+            root.set("outcome", STATUS_OK)
+            return self._response(
+                pending, STATUS_OK, lower=kept.lower, upper=kept.upper,
+                exact=True, cache_hits=2, tier=TIER_EXACT, gap=0.0,
+            )
         options = self._deadline_options(session, pending)
         with model_lock:
+            clock = Stopwatch()
             answer = answer_licm(encoded, plan, session=session, options=options)
+            seconds = clock.stop()
         bounds = answer.bounds
         if self._expired(pending) and not bounds.exact:
             return self._degrade(
                 pending, encoded, plan, answer.solve_time * 1e3,
                 cause="MIN/MAX probes exceeded deadline",
             )
+        if bounds.exact and not self._expired(pending):
+            # Priced by the whole answer's wall: plan evaluation and every
+            # probe's prepare and solve.
+            session.keep_answer(
+                plan_key, KeptAnswer(bounds.lower, bounds.upper), cost=seconds
+            )
         root.set("outcome", STATUS_OK)
         # MIN/MAX probes have no linear BIP objective to estimate over:
-        # they are always answered exactly, whatever the precision.
+        # they are always answered by the probes, whatever the precision.
         return self._response(
             pending,
             STATUS_OK,

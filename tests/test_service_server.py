@@ -212,6 +212,8 @@ def test_metrics_families_render_once_and_engine_series_move():
             families = re.findall(r"^# TYPE (\S+)", text, re.M)
             assert families and len(families) == len(set(families))
         assert _moved(before, after, "repro_counter_total", "name") == {
+            "answer_hits",
+            "answer_misses",
             "cache_hits",
             "cache_misses",
             "decomposed_prepares",
