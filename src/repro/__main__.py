@@ -266,13 +266,11 @@ def _serve(args: argparse.Namespace) -> int:
     config = ExperimentConfig(
         num_transactions=args.transactions,
         num_items=args.items,
-        mc_samples=args.mc_samples,
         seed=args.seed,
         solver_backend=args.backend,
         solve_workers=args.solve_workers,
         solve_fabric=args.fabric,
         l2_cache_path=args.l2_cache,
-        portfolio=args.portfolio,
     )
 
     # SIGTERM (what `kill` and CI teardown send) must take the same
@@ -443,9 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--transactions", type=int, default=300, help="fixture dataset size"
     )
     server.add_argument("--items", type=int, default=96, help="fixture item count")
-    server.add_argument(
-        "--mc-samples", type=int, default=8, help="Monte Carlo fallback sample count"
-    )
     server.add_argument("--seed", type=int, default=3)
     server.add_argument("--backend", default="auto", help="solver backend")
     server.add_argument(
@@ -457,13 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="thread",
         help="executor fabric for solve units (process = forked workers, "
         "sidesteps the GIL; pair with --solve-workers)",
-    )
-    server.add_argument(
-        "--portfolio",
-        choices=("off", "auto"),
-        default="off",
-        help="race own B&B vs SciPy HiGHS per solve unit, first conclusive "
-        "finisher wins (see docs/performance.md)",
     )
     server.add_argument(
         "--l2-cache",

@@ -53,10 +53,10 @@ from typing import Dict, Optional, Tuple
 
 from repro.engine.cache import CachedSolve
 from repro.engine.l2cache import L2SolveCache
-from repro.engine.portfolio import portfolio_solve
 from repro.obs.tracer import Stopwatch
 from repro.solver.cancel import CancelToken, create_scope, drop_scope
 from repro.solver.decompose import closed_form
+from repro.solver.interface import solve
 from repro.solver.result import SolverOptions
 
 __all__ = [
@@ -71,6 +71,9 @@ __all__ = [
 ]
 
 FABRIC_KINDS = ("inline", "thread", "process")
+
+# The unit-solve seam, kept by name: traced_serve.py wraps it, tests monkeypatch it.
+portfolio_solve = solve
 
 
 @dataclass
@@ -192,9 +195,8 @@ def _execute(unit: SolveUnit) -> UnitResult:
     # optimum — no backend round-trip.
     solution = closed_form(unit.problem, unit.sense)
     if solution is None:
-        # portfolio_solve() is the engine's backend-racing entry point:
-        # a no-op passthrough to solve() unless options.portfolio='auto',
-        # in which case the worker races B&B vs SciPy inside this unit.
+        # One exact solve on the backend the options name; 'auto' picks
+        # the B&B for small blocks and HiGHS for large ones.
         solution = portfolio_solve(unit.problem, unit.sense, unit.options)
     x_canonical = None
     if solution.x is not None:

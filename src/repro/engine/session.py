@@ -556,17 +556,12 @@ class SolveSession:
         L2 sees exactly what the unit path would show it.  Returns the
         claimed results by key; every other task becomes a unit.
 
-        Skipped when ``kernels='off'``, ``seed_incumbent=False`` or
-        portfolio racing is on (each unit then runs as before), and when
-        the options already ask to stop — the pre-check ``_solve_max``
-        makes before any root work.
+        Skipped when ``kernels='off'`` or ``seed_incumbent=False`` (each
+        unit then runs as before), and when the options already ask to
+        stop — the pre-check ``_solve_max`` makes before any root work.
         """
         effective = options or self.options
-        if (
-            effective.kernels == "off"
-            or not effective.seed_incumbent
-            or effective.portfolio == "auto"
-        ):
+        if effective.kernels == "off" or not effective.seed_incumbent:
             return {}
         todo: Dict[Tuple[str, str], Tuple[object, int]] = {}
         for part, sense, component in tasks:

@@ -80,12 +80,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         help="executor fabric for solve units (process = forked workers)",
     )
     parser.add_argument(
-        "--portfolio",
-        choices=("off", "auto"),
-        default="off",
-        help="race own B&B vs SciPy HiGHS per solve, first finisher wins",
-    )
-    parser.add_argument(
         "--solve-workers",
         type=int,
         default=1,
@@ -131,7 +125,6 @@ def main(argv: list[str]) -> int:
     config = ExperimentConfig(
         solve_fabric=args.fabric,
         solve_workers=args.solve_workers,
-        portfolio=args.portfolio,
     )
     context = ExperimentContext(config)
     print(f"# workload: {config.label}")

@@ -41,10 +41,6 @@ class ExperimentConfig:
     #: pool), ``process`` (forked workers that sidestep the GIL), or
     #: ``inline`` (always serial, regardless of ``solve_workers``)
     solve_fabric: str = "thread"
-    #: backend portfolio racing on the engine solve path: ``'auto'``
-    #: races the own B&B against SciPy HiGHS per solve unit, first
-    #: conclusive finisher wins (``--portfolio`` on the CLIs)
-    portfolio: str = "off"
     #: SQLite path for the cross-process L2 solve cache.  ``None`` leaves
     #: L2 off for thread/inline fabrics and auto-provisions a temp file
     #: for the process fabric (workers need a shared medium); the literal

@@ -227,7 +227,6 @@ class ExperimentContext:
         return SolverOptions(
             backend=self.config.solver_backend,
             time_limit=self.config.solver_time_limit,
-            portfolio=self.config.portfolio,
         )
 
     def licm_answer(self, query: str, scheme: str, k: int):

@@ -81,12 +81,6 @@ class SolverOptions:
     importable, ``'on'`` requires them, ``'off'`` forces the scalar
     worklist paths (the parity oracle).  ``seed_incumbent`` installs a
     greedy node-0 incumbent before search (see docs/solver.md).
-
-    ``portfolio`` (``'off'``/``'auto'``) races the own B&B against the
-    SciPy HiGHS backend per solve, first conclusive finisher wins — see
-    :mod:`repro.engine.portfolio`.  Honoured by the engine's execution
-    path (fabric workers run both arms inside one unit); plain
-    :func:`repro.solver.interface.solve` ignores it.
     """
 
     backend: str = "auto"
@@ -101,7 +95,6 @@ class SolverOptions:
     integrality_tol: float = 1e-6
     kernels: str = "auto"  # 'auto' | 'on' | 'off' — vectorized B&B inner loops
     seed_incumbent: bool = True  # greedy node-0 incumbent before search
-    portfolio: str = "off"  # 'off' | 'auto' — race bb vs scipy per solve
     stop_check: Optional[Callable[[], bool]] = field(
         default=None, repr=False, compare=False
     )

@@ -8,9 +8,12 @@ from itertools import product as iter_product
 from repro.core.database import LICMModel
 from repro.core.relation import LICMRelation
 from repro.core.worlds import enumerate_assignments, instantiate
+from repro.experiments.config import ExperimentConfig
 from repro.obs.export import global_registry
 from repro.obs.manifest import _series
+from repro.queries.licm_eval import evaluate_licm
 from repro.relational.relation import Database, Relation
+from repro.service.scheduler import _adhoc_plan
 
 
 def counter_totals() -> dict:
@@ -43,6 +46,37 @@ def brute_force_objective_range(model: LICMModel, objective):
     """(min, max) of a LinearExpr over all valid assignments."""
     values = [objective.value(a) for a in all_valid_assignments(model)]
     return min(values), max(values)
+
+
+def tiny_config(**overrides) -> ExperimentConfig:
+    """An enumerable database: 4 transactions, 16 variables, 50,625 worlds."""
+    defaults = dict(
+        num_transactions=4, num_items=4, k_values=(2,), seed=7, solver_backend="bb"
+    )
+    return ExperimentConfig(**{**defaults, **overrides})
+
+
+def brute_force_adhoc(encoded, aggregate):
+    """The exact ``[lower, upper]`` of the scheduler's ad-hoc ``aggregate``
+    (``count``/``sum``/``min``/``max``) over every world."""
+    plan = _adhoc_plan(encoded, aggregate)
+    if aggregate in ("count", "sum"):
+        return brute_force_objective_range(
+            encoded.model, evaluate_licm(plan, encoded.relations)
+        )
+    relation = evaluate_licm(plan.child, encoded.relations)
+    position = relation.position(plan.attribute)
+    pick = max if aggregate == "max" else min
+    answers = set()
+    for assignment in all_valid_assignments(encoded.model):
+        present = [
+            row.values[position]
+            for row in relation.rows
+            if row.certain or assignment[row.ext.index] == 1
+        ]
+        if present:
+            answers.add(pick(present))
+    return min(answers), max(answers)
 
 
 def fig2c_model():

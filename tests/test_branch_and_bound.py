@@ -4,7 +4,7 @@ cross-checks against brute force and the SciPy HiGHS backend."""
 from itertools import product as iter_product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.solver.interface import solve
@@ -189,7 +189,14 @@ def test_bb_matches_brute_force(problem, sense):
         assert problem.is_feasible(solution.x)
 
 
+KNAPSACK = _problem([([(3, 0), (4, 1), (5, 2)], "<=", 7)], 3, {0: 3, 1: 4, 2: 5})
+INFEASIBLE = _problem([([(1, 0)], ">=", 2)], 1, {0: 1})
+
+
 @given(random_bip(), st.sampled_from(["max", "min"]))
+@example(KNAPSACK, "max")
+@example(KNAPSACK, "min")
+@example(INFEASIBLE, "max")
 @settings(max_examples=50, deadline=None)
 def test_bb_matches_scipy(problem, sense):
     ours = solve(problem, sense, BB)

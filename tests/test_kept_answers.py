@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import repro.engine.fabric as fabric_module
-from helpers import all_valid_assignments, counter_totals, delta
+from helpers import brute_force_adhoc, counter_totals, delta, tiny_config
 from repro.core.bounds import minmax_bounds
 from repro.engine.session import SolveSession
 from repro.estimator import PRECISION_TIGHT, TieredAnswerer
@@ -36,7 +36,6 @@ from repro.obs.slowlog import SpanBuffer
 from repro.obs.tracer import Tracer, activate
 from repro.queries.licm_eval import evaluate_licm
 from repro.queries.workload import QUERY_BUILDERS
-from repro.relational.query import CountStar
 from repro.service.api import STATUS_DEGRADED, STATUS_OK, QueryRequest
 from repro.service.scheduler import QueryScheduler, _adhoc_plan
 from repro.solver import kernels
@@ -83,36 +82,9 @@ def scheduler(context):
 @pytest.fixture()
 def tiny():
     """An enumerable database: 4 transactions, 16 variables, 50,625 worlds."""
-    config = ExperimentConfig(
-        num_transactions=4, num_items=4, k_values=(2,), seed=7, solver_backend="bb"
-    )
-    ctx = ExperimentContext(config)
+    ctx = ExperimentContext(tiny_config())
     yield ctx
     ctx.close()
-
-
-def _brute_force_minmax(encoded, aggregate):
-    """The exact ``[lower, upper]`` of an ad-hoc MIN/MAX over every world."""
-    plan = _adhoc_plan(encoded, aggregate)
-    relation = evaluate_licm(plan.child, encoded.relations)
-    position = relation.position(plan.attribute)
-    pick = max if aggregate == "max" else min
-    answers = set()
-    for assignment in all_valid_assignments(encoded.model):
-        present = [
-            row.values[position]
-            for row in relation.rows
-            if row.certain or assignment[row.ext.index] == 1
-        ]
-        if present:
-            answers.add(pick(present))
-    return min(answers), max(answers)
-
-
-def _brute_force_count(encoded):
-    objective = evaluate_licm(CountStar(encoded.transitem_plan()), encoded.relations)
-    values = [objective.value(a) for a in all_valid_assignments(encoded.model)]
-    return min(values), max(values)
 
 
 # -- 1. a kept answer equals a cleared-cache solve ---------------------------
@@ -253,7 +225,7 @@ def test_undecided_probes_report_inexact_and_still_contain_brute_force(
     bounds = minmax_bounds(relation, plan.attribute, aggregate, options=starved)
     assert ("limit", False) in statuses  # a probe really stopped undecided
     assert bounds.exact is False
-    low, high = _brute_force_minmax(encoded, aggregate)
+    low, high = brute_force_adhoc(encoded, aggregate)
     assert bounds.lower <= low <= high <= bounds.upper
 
 
@@ -268,7 +240,7 @@ def test_limit_probe_with_an_incumbent_is_proven_feasible(tiny, aggregate):
     limited = SolverOptions(node_limit=0, backend="bb", kernels="off")
     bounds = minmax_bounds(relation, plan.attribute, aggregate, options=limited)
     assert bounds.exact is True
-    assert (bounds.lower, bounds.upper) == _brute_force_minmax(encoded, aggregate)
+    assert (bounds.lower, bounds.upper) == brute_force_adhoc(encoded, aggregate)
 
 
 # -- 3. a non-lineage append drops every kept answer --------------------------
@@ -287,8 +259,8 @@ def test_non_lineage_add_drops_kept_answers_and_the_next_answer_is_brute_force(
         assert _kept(session, fingerprint)
         assert _kept(session, QueryScheduler._plan_key(peak))
         assert [(r.lower, r.upper) for r in first] == [
-            _brute_force_count(encoded),
-            _brute_force_minmax(encoded, "max"),
+            brute_force_adhoc(encoded, "count"),
+            brute_force_adhoc(encoded, "max"),
         ]
 
         # Rule out the most expensive uncertain item: MAX and COUNT move.
@@ -305,23 +277,15 @@ def test_non_lineage_add_drops_kept_answers_and_the_next_answer_is_brute_force(
         assert delta(before, _answer_counters()) == {"answer_misses": 2}
     assert all(r.status == STATUS_OK and r.exact for r in again)
     assert [(r.lower, r.upper) for r in again] == [
-        _brute_force_count(encoded),
-        _brute_force_minmax(encoded, "max"),
+        brute_force_adhoc(encoded, "count"),
+        brute_force_adhoc(encoded, "max"),
     ]
     assert [(r.lower, r.upper) for r in again] != [(r.lower, r.upper) for r in first]
 
 
 # -- 4. cache_size=0 keeps nothing ---------------------------------------------
 def test_cache_size_zero_keeps_nothing():
-    config = ExperimentConfig(
-        num_transactions=4,
-        num_items=4,
-        k_values=(2,),
-        seed=7,
-        solver_backend="bb",
-        solve_cache_size=0,
-    )
-    ctx = ExperimentContext(config)
+    ctx = ExperimentContext(tiny_config(solve_cache_size=0))
     try:
         session = ctx.session("k-anonymity", 2)
         before = _answer_counters()
