@@ -1,8 +1,8 @@
-"""Ablation: solver backends and LP engines on the same query BIP.
+"""Ablation: solver backends and B&B ingredients on the same query BIP.
 
 The paper delegates to CPLEX; this reproduction offers SciPy HiGHS
-(the off-the-shelf substitute) and a from-scratch branch-and-bound with
-two LP engines.  These benchmarks time each backend on an identical
+(the off-the-shelf substitute) and a from-scratch branch-and-bound over
+HiGHS LP relaxations.  These benchmarks time each backend on an identical
 pruned BIP from Query 1 and assert they agree.  Run with::
 
     pytest benchmarks/bench_ablation_solver.py --benchmark-only
@@ -20,7 +20,7 @@ from repro.solver.result import SolverOptions
 
 BACKENDS = {
     "scipy-highs": SolverOptions(backend="scipy"),
-    "bb-highs-lp": SolverOptions(backend="bb", lp_engine="highs"),
+    "bb-highs-lp": SolverOptions(backend="bb"),
     "bb-no-presolve": SolverOptions(backend="bb", use_presolve=False),
     "bb-no-heuristics": SolverOptions(backend="bb", use_heuristics=False),
 }

@@ -146,7 +146,6 @@ def _trace(args: argparse.Namespace) -> int:
 
 def _explain(args: argparse.Namespace) -> int:
     import json
-    import time
 
     from repro.errors import InfeasibleError
     from repro.estimator import TieredAnswerer
@@ -156,7 +155,7 @@ def _explain(args: argparse.Namespace) -> int:
     from repro.obs.explain import build_explanation, decomposition_map
     from repro.queries.licm_eval import evaluate_licm
     from repro.queries.workload import QUERY_BUILDERS
-    from repro.solver.diagnostics import find_iis, render_constraints
+    from repro.solver.diagnostics import diagnose_infeasibility
 
     config = ExperimentConfig(
         num_transactions=args.transactions,
@@ -215,16 +214,9 @@ def _explain(args: argparse.Namespace) -> int:
                     component_tiers = answer.component_tiers
                 except InfeasibleError:
                     status = "infeasible"
-                    started = time.monotonic()
-                    iis = find_iis(prepared.problem, time_budget=args.iis_budget)
-                    took = time.monotonic() - started
-                    if iis is not None:
-                        infeasibility = {
-                            "iis": render_constraints(iis, prepared.problem.names),
-                            "constraints": len(iis),
-                            "seconds": took,
-                            "budget_exhausted": took >= args.iis_budget,
-                        }
+                    infeasibility = diagnose_infeasibility(
+                        prepared.problem, args.iis_budget
+                    )
     finally:
         context.close()
 

@@ -556,12 +556,12 @@ class SolveSession:
         L2 sees exactly what the unit path would show it.  Returns the
         claimed results by key; every other task becomes a unit.
 
-        Skipped when ``kernels='off'`` or ``seed_incumbent=False`` (each
-        unit then runs as before), and when the options already ask to
-        stop — the pre-check ``_solve_max`` makes before any root work.
+        Skipped when ``seed_incumbent=False`` (each unit then runs as
+        before), and when the options already ask to stop — the pre-check
+        ``_solve_max`` makes before any root work.
         """
         effective = options or self.options
-        if effective.kernels == "off" or not effective.seed_incumbent:
+        if not effective.seed_incumbent:
             return {}
         todo: Dict[Tuple[str, str], Tuple[object, int]] = {}
         for part, sense, component in tasks:
@@ -572,10 +572,7 @@ class SolveSession:
                 todo[key] = (part, component)
         if not todo or effective.should_stop():
             return {}
-        try:
-            from repro.solver import kernels
-        except ImportError:
-            return {}
+        from repro.solver import kernels
 
         tracer = current_tracer()
         with tracer.span("engine.root_pass", blocks=len(todo)) as pass_span:

@@ -6,8 +6,8 @@ Three stock tiers, cheapest first —
   interval arithmetic on pure-cardinality rows (``Z1 <= Σx <= Z2``);
 * :class:`~repro.estimator.entropy.EntropyEstimator`: an info-theoretic
   counting bound from the aggregated capacity of the constraint system;
-* :class:`~repro.estimator.lp.LPRelaxationEstimator`: the existing
-  simplex/SciPy LP backends without integrality —
+* :class:`~repro.estimator.lp.LPRelaxationEstimator`: the solver's
+  HiGHS LP relaxation without integrality —
 
 behind the :class:`~repro.estimator.base.BoundEstimator` protocol, driven
 by the :class:`~repro.estimator.tiered.TieredAnswerer` policy that the

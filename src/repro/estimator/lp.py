@@ -1,4 +1,4 @@
-"""LP-relaxation bounds: the existing simplex/SciPy backends, no integrality.
+"""LP-relaxation bounds: the solver's HiGHS LP, no integrality.
 
 Tier (a) reuses :mod:`repro.solver.relaxation` — the exact same LP the
 branch-and-bound roots its search at — but stops there: the relaxation's
@@ -8,8 +8,8 @@ constant are integral, the fractional LP value is rounded *inward*
 (``floor`` for max, ``ceil`` for min), which is still sound for the
 integer optimum and often closes the gap entirely.
 
-This is the most expensive estimator tier (one ``linprog``/simplex call
-per direction) and the tightest: on the paper's cardinality systems the
+This is the most expensive estimator tier (one ``linprog`` call per
+direction) and the tightest: on the paper's cardinality systems the
 constraint matrix is an interval matrix per row, and the LP bound is
 frequently integral already.
 """
@@ -42,14 +42,11 @@ class LPRelaxationEstimator:
     cost = COST_LP
     validity = _VALIDITY
 
-    def __init__(self, engine: str = "highs"):
-        self.engine = engine
-
     def estimate(self, prepared_component, sense: str) -> EstimateResult:
         problem = component_problem(prepared_component)
         start = perf_counter()
         try:
-            status, value = relaxation_bound(problem, sense, engine=self.engine)
+            status, value = relaxation_bound(problem, sense)
         except SolverError as exc:
             return EstimateResult(
                 sense=sense,
@@ -90,7 +87,7 @@ class LPRelaxationEstimator:
             validity=self.validity,
             cost=self.cost,
             seconds=perf_counter() - start,
-            detail={"engine": self.engine},
+            detail={"engine": "highs"},
         )
 
 

@@ -369,13 +369,11 @@ def fabric_scenarios(quick: bool = False) -> List[Scenario]:
 
 def kernels_scenarios(quick: bool = False) -> List[Scenario]:
     """The ``kernels``-mode workloads: the vectorized B&B inner loops
-    against their scalar fallback (see docs/performance.md).
+    (see docs/performance.md).
 
     ``solve_kernels_auto`` is the tentpole path — a fully cold decomposed
     k-anonymity solve with the numpy kernels and node-0 seeding, where
     nearly every component closes at the root with zero LP calls.
-    ``solve_kernels_off`` is the same solve through the scalar worklist
-    paths (the parity oracle), gated so the fallback cannot silently rot.
     ``kernel_microbench`` times compile → propagate → greedy seed →
     surrogate bound on one synthetic BIP, isolating the kernel module
     from the engine around it.
@@ -404,12 +402,9 @@ def kernels_scenarios(quick: bool = False) -> List[Scenario]:
             shared["w"] = (encoded, evaluate_licm(plan, encoded.relations))
         return shared["w"]
 
-    def make_setup(kernels: str):
-        def setup():
-            encoded, objective = workload()
-            return {"encoded": encoded, "objective": objective, "kernels": kernels}
-
-        return setup
+    def setup_cold_solve():
+        encoded, objective = workload()
+        return {"encoded": encoded, "objective": objective}
 
     def run_cold_solve(state) -> None:
         # A fresh session per rep: every rep pays the real cold
@@ -417,7 +412,7 @@ def kernels_scenarios(quick: bool = False) -> List[Scenario]:
         session = SolveSession(
             state["encoded"].model,
             cache_size=0,
-            options=SolverOptions(kernels=state["kernels"]),
+            options=SolverOptions(),
         )
         session.bounds(state["objective"])
 
@@ -452,8 +447,7 @@ def kernels_scenarios(quick: bool = False) -> List[Scenario]:
             compiled.upper_bound(domains)
 
     return [
-        Scenario("solve_kernels_auto", make_setup("auto"), run_cold_solve),
-        Scenario("solve_kernels_off", make_setup("off"), run_cold_solve),
+        Scenario("solve_kernels_auto", setup_cold_solve, run_cold_solve),
         Scenario("kernel_microbench", setup_micro, run_micro),
     ]
 
@@ -723,8 +717,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--kernels",
         action="store_true",
-        help="gate the vectorized-kernel scenarios instead (cold decomposed "
-        "solves with kernels auto/off + a kernel microbench; mode 'kernels')",
+        help="gate the vectorized-kernel scenarios instead (a cold decomposed "
+        "solve + a kernel microbench; mode 'kernels')",
     )
     parser.add_argument("--reps", type=int, default=None, help="timed reps per scenario")
     parser.add_argument(

@@ -119,9 +119,10 @@ class SchedulerStats:
         with self._lock:
             self.submitted += 1
 
-    def record_rejected(self) -> None:
+    def record_rejected(self, admission: bool) -> None:
         with self._lock:
-            self.rejected_full += 1
+            if admission:
+                self.rejected_full += 1
             self.by_status[STATUS_REJECTED] = self.by_status.get(STATUS_REJECTED, 0) + 1
 
     def record_dedup_hit(self) -> None:
@@ -521,16 +522,7 @@ class QueryScheduler:
                 if rejection is None:
                     self._queue.put(pending)
         if rejection is not None:
-            self.stats.record_rejected()
-            response = self._reject(pending, rejection)
-            # Rejections never reach _complete, but they still spend
-            # availability budget and deserve a log line.
-            total_s = time.monotonic() - pending.enqueued
-            try:
-                self.slo.record(STATUS_REJECTED, total_s)
-                wide_event(request_logger(), self._wide_payload(pending, response, total_s))
-            except Exception:  # noqa: BLE001 — observability must not break serving
-                logger.exception("rejection accounting failed")
+            self._reject(pending, rejection, admission=True)
         return pending
 
     def execute(
@@ -564,15 +556,33 @@ class QueryScheduler:
         task.on_shutdown()
 
     def _reject(
-        self, pending: _Pending, reason: str = "scheduler shut down before execution"
-    ) -> QueryResponse:
-        """Answer ``rejected`` unless the request is already claimed."""
+        self,
+        pending: _Pending,
+        reason: str = "scheduler shut down before execution",
+        admission: bool = False,
+    ) -> None:
+        """Answer ``rejected`` unless the request is already claimed.
+
+        Every rejection (admission, queue drain at shutdown, a parked
+        continuation's shutdown path) is accounted here, once per claimed
+        request: the status count, an SLO event and a wide log line.
+        ``admission`` additionally counts it in ``rejected_full``.
+        """
+        if not pending.claim():
+            return
         response = QueryResponse(
             request_id=pending.request.request_id, status=STATUS_REJECTED, error=reason
         )
-        if pending.claim():
-            pending.finish(response)
-        return response
+        pending.finish(response)
+        self.stats.record_rejected(admission)
+        # Rejections never reach _complete, but they still spend
+        # availability budget and deserve a log line.
+        total_s = time.monotonic() - pending.enqueued
+        try:
+            self.slo.record(STATUS_REJECTED, total_s)
+            wide_event(request_logger(), self._wide_payload(pending, response, total_s))
+        except Exception:  # noqa: BLE001 — observability must not break serving
+            logger.exception("rejection accounting failed")
 
     def _watch_deadline(self, pending: _Pending, expiry: _Task) -> None:
         """Arm the deadline monitor to enqueue ``expiry`` for a parked request."""
@@ -743,20 +753,10 @@ class QueryScheduler:
     def _diagnose_infeasibility(self, prepared, budget_s: float = 2.0) -> Optional[dict]:
         """A time-budgeted IIS over the prepared BIP, rendered with the
         problem's variable names (EXPLAIN's infeasibility block)."""
-        from repro.solver.diagnostics import find_iis, render_constraints
+        from repro.solver.diagnostics import diagnose_infeasibility
 
         try:
-            started = time.monotonic()
-            iis = find_iis(prepared.problem, time_budget=budget_s)
-            took = time.monotonic() - started
-            if iis is None:
-                return None
-            return {
-                "iis": render_constraints(iis, prepared.problem.names),
-                "constraints": len(iis),
-                "seconds": took,
-                "budget_exhausted": took >= budget_s,
-            }
+            return diagnose_infeasibility(prepared.problem, budget_s)
         except Exception:  # noqa: BLE001 — diagnosis must not break serving
             logger.exception("IIS diagnosis failed")
             return None

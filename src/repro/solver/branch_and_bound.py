@@ -1,26 +1,25 @@
 """From-scratch branch-and-bound for pure-binary integer programs.
 
 The reproduction's stand-in for CPLEX's MIP search: LP-relaxation bounding
-(HiGHS or the built-in simplex), bound propagation at every node, rounding
-heuristics for incumbents, best-bound node selection, and configurable
-branching rules.  Because LICM objectives have integer coefficients, dual
-bounds are floored to the nearest integer, which prunes far earlier than
-the raw LP value.
+(HiGHS ``linprog``), bound propagation at every node, rounding heuristics
+for incumbents, best-bound node selection, and configurable branching
+rules.  Because LICM objectives have integer coefficients, dual bounds are
+floored to the nearest integer, which prunes far earlier than the raw LP
+value.
 
 Two raw-speed mechanisms sit in front of the search (see docs/solver.md):
 
-* **Vectorized kernels** (``SolverOptions.kernels``, default ``'auto'``):
-  the problem is compiled once into numpy CSR arrays
-  (:mod:`repro.solver.kernels`) and per-node propagation, cover-cut
+* **Vectorized kernels**: the problem is compiled once into numpy CSR
+  arrays (:mod:`repro.solver.kernels`) and per-node propagation, cover-cut
   separation, and a surrogate knapsack dual bound run as batch array
-  operations.  The scalar worklist remains the fallback and parity oracle.
+  operations.
 * **Node-0 incumbent seeding** (``SolverOptions.seed_incumbent``): a
-  greedy point (repaired by :func:`~repro.solver.heuristics.greedy_seed`)
-  is installed as the incumbent before any LP is solved; when the kernel
-  bound already matches it, the solve closes at the root with *zero* LP
-  calls — the common case for single-cardinality-row components.  The
-  rounded root LP point is also offered as a seed.  Provenance lands in
-  ``Solution.seed_incumbent`` and the ``incumbents`` span events.
+  greedy point is installed as the incumbent before any LP is solved;
+  when the kernel bound already matches it, the solve closes at the root
+  with *zero* LP calls — the common case for single-cardinality-row
+  components.  The rounded root LP point is also offered as a seed.
+  Provenance lands in ``Solution.seed_incumbent`` and the ``incumbents``
+  span events.
 
 When a tracer is active (:mod:`repro.obs.tracer`) the search opens a
 ``bb.search`` span with node-level profiling: nodes expanded, maximum
@@ -39,13 +38,14 @@ import logging
 import math
 from typing import Optional
 
-from repro.errors import InfeasibleError, SolverError
+from repro.errors import InfeasibleError
 from repro.obs.export import global_registry
 from repro.obs.tracer import NullSpan, Stopwatch, current_tracer
-from repro.solver.heuristics import greedy_seed, round_and_repair
+from repro.solver import kernels
+from repro.solver.heuristics import round_and_repair
 from repro.solver.model import BIPProblem
 from repro.solver.presolve import presolve
-from repro.solver.propagation import FREE, ONE, ZERO, CompiledConstraints, propagate
+from repro.solver.propagation import FREE, ONE, ZERO
 from repro.solver.relaxation import solve_relaxation
 from repro.solver.result import Solution, SolverOptions
 
@@ -53,19 +53,6 @@ logger = logging.getLogger(__name__)
 
 _NULL_SPAN = NullSpan()
 
-
-def _load_kernels(options: SolverOptions):
-    """Resolve the kernels toggle to a module or ``None`` (scalar path)."""
-    mode = getattr(options, "kernels", "auto")
-    if mode == "off":
-        return None
-    try:
-        from repro.solver import kernels
-    except ImportError:
-        if mode == "on":
-            raise SolverError("kernels='on' requires numpy, which is not importable")
-        return None
-    return kernels
 
 #: count-shaped buckets for the per-search node/prune distributions
 _SEARCH_BUCKETS = (1, 3, 10, 30, 100, 300, 1_000, 3_000, 10_000, 100_000)
@@ -188,9 +175,7 @@ def _solve_max(
             backend="bb",
         )
 
-    kernels = _load_kernels(options)
-    kern = kernels.compile_problem(core) if kernels is not None else None
-    compiled = CompiledConstraints(core) if kern is None else None
+    kern = kernels.compile_problem(core)
     counter = itertools.count()
     best_x: Optional[list[int]] = None
     best_obj = -math.inf
@@ -241,10 +226,7 @@ def _solve_max(
             )
 
     # Root node.
-    if kern is not None:
-        root_domains = kern.propagate(kern.root_domains())
-    else:
-        root_domains = propagate(compiled, [FREE] * core.num_vars)
+    root_domains = kern.propagate(kern.root_domains())
     if root_domains is None:
         return Solution(
             status="infeasible",
@@ -257,10 +239,7 @@ def _solve_max(
     # is solved, so bound pruning bites from the very first node.
     seed_source: Optional[str] = None
     if options.seed_incumbent:
-        if kern is not None:
-            seeded = kern.greedy_seed(root_domains)
-        else:
-            seeded = greedy_seed(core, root_domains)
+        seeded = kern.greedy_seed(root_domains)
         if seeded is not None:
             try_incumbent(seeded, "seed")
             if incumbent_updates:
@@ -269,20 +248,17 @@ def _solve_max(
     # Kernel shortcut: when the surrogate knapsack bound already equals the
     # seed, the root is closed without solving a single LP.
     seed_closed = False
-    if kern is not None and best_x is not None:
-        if kern.upper_bound(root_domains) <= best_obj:
-            seed_closed = True
-            nodes_processed = 1  # the root was evaluated and closed
-            span.set("seed_shortcut", 1)
+    if best_x is not None and kern.upper_bound(root_domains) <= best_obj:
+        seed_closed = True
+        nodes_processed = 1  # the root was evaluated and closed
+        span.set("seed_shortcut", 1)
 
     heap: list = []
     hit_limit = False
     if not seed_closed:
         # Heap of (-bound, tiebreak, domains, x_lp, depth). Bound is the
         # floored LP value.
-        status_root, lp_value, x_lp = solve_relaxation(
-            core, root_domains, options.lp_engine
-        )
+        status_root, lp_value, x_lp = solve_relaxation(core, root_domains)
         if status_root == "infeasible":
             return Solution(
                 status="infeasible",
@@ -306,8 +282,6 @@ def _solve_max(
         # point, so the optimum is unchanged; only the LP bound tightens.
         cuts_added = 0
         if options.cut_rounds > 0:
-            from repro.solver.cuts import separate_cover_cuts
-
             for _ in range(options.cut_rounds):
                 if options.should_stop():
                     break
@@ -319,10 +293,7 @@ def _solve_max(
                 )
                 if not fractional_point:
                     break
-                if kern is not None:
-                    cuts = kernels.separate_cover_cuts_vec(kern, x_lp)
-                else:
-                    cuts = separate_cover_cuts(core, x_lp)
+                cuts = kernels.separate_cover_cuts_vec(kern, x_lp)
                 if not cuts:
                     break
                 cuts_added += len(cuts)
@@ -333,13 +304,8 @@ def _solve_max(
                     objective_constant=core.objective_constant,
                     names=core.names,
                 )
-                if kern is not None:
-                    kern = kernels.compile_problem(core)
-                else:
-                    compiled = CompiledConstraints(core)
-                status_root, lp_value, x_lp = solve_relaxation(
-                    core, root_domains, options.lp_engine
-                )
+                kern = kernels.compile_problem(core)
+                status_root, lp_value, x_lp = solve_relaxation(core, root_domains)
                 if status_root == "infeasible":
                     # Cuts are valid for every integer point, so a
                     # cut-tightened LP going empty proves the instance has
@@ -427,23 +393,17 @@ def _solve_max(
         order = (ONE, ZERO) if x_lp[branch_var] >= 0.5 else (ZERO, ONE)
         parent_lp = lp_value
         for value in order:
-            if kern is not None:
-                fixed = domains.copy()
-                fixed[branch_var] = value
-                child = kern.propagate(fixed)
-            else:
-                fixed = list(domains)
-                fixed[branch_var] = value
-                child = propagate(compiled, fixed, dirty=compiled.by_var[branch_var])
+            fixed = domains.copy()
+            fixed[branch_var] = value
+            child = kern.propagate(fixed)
             if child is None:
                 prunes["propagation"] += 1
                 continue
             # Surrogate knapsack bound: prune before paying for an LP solve.
-            if kern is not None and best_obj != -math.inf:
-                if kern.upper_bound(child) <= best_obj:
-                    prunes["kernel_bound"] += 1
-                    continue
-            status, child_lp, child_x = solve_relaxation(core, child, options.lp_engine)
+            if best_obj != -math.inf and kern.upper_bound(child) <= best_obj:
+                prunes["kernel_bound"] += 1
+                continue
+            status, child_lp, child_x = solve_relaxation(core, child)
             if status == "infeasible":
                 prunes["lp_infeasible"] += 1
                 continue

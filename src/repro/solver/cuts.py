@@ -2,7 +2,9 @@
 
 The paper leans on solvers that "already implement many techniques, such
 as pre-solving, cutting plane methods, branch-and-bound, branch-and-cut";
-this module gives the from-scratch branch-and-bound its cutting planes.
+this module defines the from-scratch branch-and-bound's cutting planes,
+which the search separates with the vectorized twin in
+:mod:`repro.solver.kernels`.
 
 For a knapsack row ``sum(a_i * x_i) <= b`` with positive weights, any
 *cover* ``C`` (a set with ``sum_{i in C} a_i > b``) yields the valid

@@ -84,6 +84,22 @@ def render_constraints(
     return rendered
 
 
+def diagnose_infeasibility(problem: BIPProblem, time_budget: float) -> Optional[dict]:
+    """A time-budgeted IIS over ``problem``, rendered with its variable
+    names — EXPLAIN's ``infeasibility`` block, or ``None`` if feasible."""
+    started = time.monotonic()
+    iis = find_iis(problem, time_budget=time_budget)
+    took = time.monotonic() - started
+    if iis is None:
+        return None
+    return {
+        "iis": render_constraints(iis, problem.names),
+        "constraints": len(iis),
+        "seconds": took,
+        "budget_exhausted": took >= time_budget,
+    }
+
+
 def explain_infeasibility(
     model, names: bool = True, time_budget: Optional[float] = None
 ) -> Optional[List[str]]:

@@ -5,8 +5,7 @@ rounding-and-repair heuristic here exploits the structure of LICM
 constraints (short rows, mostly 0/±1 coefficients): round the LP point,
 then greedily flip free variables to mend violated rows.
 
-Input/output invariants (the contract the vectorized kernels and the
-node-0 seeding path rely on):
+Input/output invariants (the contract branch-and-bound relies on):
 
 * ``domains`` uses the :mod:`repro.solver.propagation` encoding
   (``FREE=-1, ZERO=0, ONE=1``).  Variables fixed by propagation are
@@ -100,27 +99,3 @@ def round_and_repair(
             return None
     return _accept(problem, x, domains)
 
-
-def greedy_seed(
-    problem: BIPProblem,
-    domains: Sequence[int],
-    max_passes: Optional[int] = None,
-) -> Optional[list[int]]:
-    """Pure-greedy node-0 incumbent: no LP point required.
-
-    Starts from the objective's preferred corner (1 where the coefficient
-    is positive, 0 elsewhere — in the search's own objective space, so
-    minimization callers pass the negated problem) and lets
-    :func:`round_and_repair` mend violated rows.  Repair flips one bit
-    per violated row per sweep, so cardinality rows ``sum(x) == z`` may
-    need up to ``num_vars`` sweeps to shed their excess: the default
-    pass budget scales with problem size instead of the LP-rounding
-    default of 5.
-    """
-    point = [
-        1.0 if problem.objective.get(i, 0) > 0 else 0.0
-        for i in range(problem.num_vars)
-    ]
-    if max_passes is None:
-        max_passes = max(8, 2 * problem.num_vars)
-    return round_and_repair(problem, point, domains, max_passes=max_passes)

@@ -13,43 +13,21 @@ from repro.solver.model import BIPProblem
 from repro.solver.result import Solution, SolverOptions
 
 
-# Memo for the 'auto' backend probe: importing scipy.optimize is not free,
-# and a session issues dozens of solves — probe once per process.
-_auto_backend: Optional[str] = None
-
 # 'auto' routes problems at or under this size to the own branch-and-bound:
 # with the vectorized kernels and node-0 seeding, small components (the
 # decomposed k-anonymity workload) close at the root faster than a SciPy
 # MILP round-trip — and without even paying the scipy import on the cold
-# path.  Larger, genuinely coupled programs still go to HiGHS.
+# path.  Larger, genuinely coupled programs go to HiGHS.
 AUTO_BB_MAX_VARS = 160
 AUTO_BB_MAX_CONSTRAINTS = 96
-
-
-def _probe_scipy() -> bool:
-    """Can we import SciPy's MILP entry point?"""
-    try:
-        from scipy.optimize import milp  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
-
-
-def _reset_backend_probe() -> None:
-    """Forget the memoized 'auto' resolution (tests only)."""
-    global _auto_backend
-    _auto_backend = None
 
 
 def _resolve_backend(name: str, problem: Optional[BIPProblem] = None) -> str:
     """Resolve ``'auto'`` to a concrete backend.
 
     Size-aware when a ``problem`` is given: small instances go to the
-    kernel-accelerated B&B without probing scipy at all; everything else
-    memoizes one scipy import probe per process.
+    kernel-accelerated B&B, everything else to SciPy's HiGHS MILP.
     """
-    global _auto_backend
     if name != "auto":
         return name
     if (
@@ -58,9 +36,7 @@ def _resolve_backend(name: str, problem: Optional[BIPProblem] = None) -> str:
         and problem.num_constraints <= AUTO_BB_MAX_CONSTRAINTS
     ):
         return "bb"
-    if _auto_backend is None:
-        _auto_backend = "scipy" if _probe_scipy() else "bb"
-    return _auto_backend
+    return "scipy"
 
 
 def solve(

@@ -29,11 +29,13 @@ the per-node primitives as whole-matrix batch operations:
   branch-and-bound's node-0 seed shortcut, paid once per request instead
   of once per component.
 
-The scalar implementations remain the fallback (``SolverOptions.kernels
-= 'off'``, or numpy missing) and the parity oracle for the hypothesis
-suites in ``tests/test_kernels_properties.py``.
+These kernels are the branch-and-bound's only inner loop.  The scalar
+:mod:`repro.solver.propagation` and :mod:`repro.solver.cuts` stay as the
+parity oracles of the hypothesis suites in
+``tests/test_kernels_properties.py`` (and serve presolve and IIS
+diagnosis).
 
-Conventions shared with the scalar path: domains use ``FREE=-1, ZERO=0,
+Conventions shared with the scalar modules: domains use ``FREE=-1, ZERO=0,
 ONE=1``; the search works in negated-max objective space (minimization is
 solved by negating coefficients); all coefficients, bounds and objective
 values are integers, so dual bounds may be floored.
@@ -337,8 +339,7 @@ class CompiledProblem:
     ) -> Optional[list]:
         """Vectorized pure-greedy incumbent attempt (no LP point needed).
 
-        The batch analogue of :func:`repro.solver.heuristics.greedy_seed`:
-        start from the objective's preferred corner, then repair each
+        Start from the objective's preferred corner, then repair each
         violated row in bulk — flipping however many free bits that row
         needs in one sweep (ordered by objective retention per unit of
         activity), instead of one bit per row per sweep.  Returns a

@@ -3,8 +3,9 @@
 Given 0/1 domains (possibly partially fixed), repeatedly tighten: for each
 constraint, compute the minimum and maximum achievable activity under the
 current domains; detect infeasibility; and fix any variable whose two values
-are not both compatible with the constraint.  This is the workhorse of both
-presolve and the branch-and-bound nodes — LICM constraints are short
+are not both compatible with the constraint.  This is the workhorse of
+presolve, and :mod:`repro.solver.kernels` runs the same closure at every
+branch-and-bound node — LICM constraints are short
 ("each constraint contains only a very small number of variables", as the
 paper notes), so propagation is cheap and strong.
 

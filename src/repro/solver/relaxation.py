@@ -1,8 +1,7 @@
 """LP relaxation of a BIP under branch fixings.
 
-Two engines: SciPy's HiGHS ``linprog`` (default, fast, sparse) and the
-from-scratch dense simplex in :mod:`repro.solver.simplex` (ablation and
-cross-check).  Both maximize; the branch-and-bound negates for minimization.
+One engine: SciPy's HiGHS ``linprog`` over a sparse constraint matrix.  It
+maximizes; the branch-and-bound negates for minimization.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ def _bounds_from_domains(domains: Sequence[int]) -> tuple[np.ndarray, np.ndarray
 def solve_relaxation(
     problem: BIPProblem,
     domains: Sequence[int],
-    engine: str = "highs",
 ) -> Tuple[str, float, Optional[np.ndarray]]:
     """Maximize the LP relaxation with variables boxed by branch domains.
 
@@ -38,18 +36,10 @@ def solve_relaxation(
     the problem's objective constant.
     """
     lower, upper = _bounds_from_domains(domains)
-    if engine == "simplex":
-        return _solve_simplex(problem, lower, upper)
-    if engine == "highs":
-        return _solve_highs(problem, lower, upper)
-    raise SolverError(f"unknown LP engine {engine!r}")
+    return _solve_highs(problem, lower, upper)
 
 
-def relaxation_bound(
-    problem: BIPProblem,
-    sense: str = "max",
-    engine: str = "highs",
-) -> Tuple[str, float]:
+def relaxation_bound(problem: BIPProblem, sense: str = "max") -> Tuple[str, float]:
     """A valid one-sided bound on the 0/1 optimum from the pure relaxation.
 
     All variables are left free in ``[0, 1]`` (no branch fixings, no
@@ -65,7 +55,7 @@ def relaxation_bound(
         return "optimal", float(problem.objective_constant)
     domains = [FREE] * problem.num_vars
     if sense == "max":
-        status, value, _ = solve_relaxation(problem, domains, engine)
+        status, value, _ = solve_relaxation(problem, domains)
         if status != "optimal":
             return status, 0.0
         return status, float(np.floor(value + 1e-9))
@@ -76,7 +66,7 @@ def relaxation_bound(
         objective_constant=-problem.objective_constant,
         names=list(problem.names),
     )
-    status, value, _ = solve_relaxation(negated, domains, engine)
+    status, value, _ = solve_relaxation(negated, domains)
     if status != "optimal":
         return status, 0.0
     return status, float(np.ceil(-value - 1e-9))
@@ -87,18 +77,6 @@ def _objective_vector(problem: BIPProblem) -> np.ndarray:
     for idx, coef in problem.objective.items():
         c[idx] = coef
     return c
-
-
-def _solve_simplex(problem, lower, upper):
-    from repro.solver import simplex
-
-    constraints = [(list(c.terms), c.op, float(c.rhs)) for c in problem.constraints]
-    status, value, x = simplex.solve_lp(
-        _objective_vector(problem), constraints, problem.num_vars, lower, upper
-    )
-    if status != "optimal":
-        return status, 0.0, None
-    return status, value + problem.objective_constant, x
 
 
 def _solve_highs(problem, lower, upper):

@@ -48,11 +48,10 @@ class SolverOptions:
     """Tuning knobs for :func:`repro.solver.interface.solve`.
 
     ``backend``:
-      * ``'auto'``  — SciPy HiGHS MILP when available, else own B&B;
+      * ``'auto'``  — own B&B for small programs, SciPy HiGHS MILP otherwise;
       * ``'bb'``    — the from-scratch branch-and-bound;
       * ``'scipy'`` — SciPy HiGHS MILP.
 
-    ``lp_engine`` (B&B only): ``'highs'`` or the from-scratch ``'simplex'``.
     ``branching``: ``'most_fractional'``, ``'pseudocost'`` or ``'first'``.
     ``node_selection``: ``'best_bound'`` or ``'dfs'``.
 
@@ -76,15 +75,11 @@ class SolverOptions:
     *also* clamp ``time_limit`` (the solver facade derives the clamp
     from ``deadline_at`` automatically).
 
-    ``kernels`` selects the B&B's inner loops: ``'auto'`` uses the
-    vectorized numpy kernels (:mod:`repro.solver.kernels`) when numpy is
-    importable, ``'on'`` requires them, ``'off'`` forces the scalar
-    worklist paths (the parity oracle).  ``seed_incumbent`` installs a
-    greedy node-0 incumbent before search (see docs/solver.md).
+    ``seed_incumbent`` installs a greedy node-0 incumbent before search
+    (see docs/solver.md).
     """
 
     backend: str = "auto"
-    lp_engine: str = "highs"
     branching: str = "most_fractional"
     node_selection: str = "best_bound"
     node_limit: int = 200_000
@@ -93,7 +88,6 @@ class SolverOptions:
     use_heuristics: bool = True
     cut_rounds: int = 3  # rounds of root cover-cut separation (0 disables)
     integrality_tol: float = 1e-6
-    kernels: str = "auto"  # 'auto' | 'on' | 'off' — vectorized B&B inner loops
     seed_incumbent: bool = True  # greedy node-0 incumbent before search
     stop_check: Optional[Callable[[], bool]] = field(
         default=None, repr=False, compare=False

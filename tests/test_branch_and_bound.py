@@ -140,20 +140,6 @@ def test_node_limit_reports_limit_status():
     assert solution.bound is not None
 
 
-def test_simplex_lp_engine_agrees():
-    problem = _problem(
-        [
-            (((2, 0), (3, 1), (4, 2)), "<=", 6),
-            (((1, 1), (1, 2)), ">=", 1),
-        ],
-        3,
-        {0: 3, 1: 5, 2: 4},
-    )
-    highs = solve(problem, "max", SolverOptions(backend="bb", lp_engine="highs"))
-    simplex = solve(problem, "max", SolverOptions(backend="bb", lp_engine="simplex"))
-    assert highs.objective == simplex.objective == _brute_force(problem, "max")
-
-
 @st.composite
 def random_bip(draw):
     num_vars = draw(st.integers(1, 7))

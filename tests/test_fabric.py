@@ -101,18 +101,18 @@ def _identical_blocks():
     return model, linear_sum(variables)
 
 
-@pytest.mark.parametrize("kernels", ["auto", "off"])
-def test_duplicate_keys_solve_once_on_every_fabric(kernels):
+@pytest.mark.parametrize("backend", ["auto", "scipy"])
+def test_duplicate_keys_solve_once_on_every_fabric(backend):
     """Identical ``(fingerprint, sense)`` misses in one request cost one
     solve per sense and count as L1 hits, on every fabric — the serial
-    path's accounting.  ``kernels='off'`` keeps every block out of the
+    path's accounting.  ``backend='scipy'`` keeps every block out of the
     root pass, so the parallel fabrics' in-flight dedup is what runs."""
     observed = {}
     for kind, workers in FABRICS:
         model, objective = _identical_blocks()
         with make_fabric(kind, workers) as fabric:
             with SolveSession(
-                model, options=SolverOptions(kernels=kernels), fabric=fabric
+                model, options=SolverOptions(backend=backend), fabric=fabric
             ) as session:
                 bounds = session.bounds(objective)
                 observed[kind] = (

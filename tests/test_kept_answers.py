@@ -230,14 +230,20 @@ def test_undecided_probes_report_inexact_and_still_contain_brute_force(
 
 
 @pytest.mark.parametrize("aggregate", ["max", "min"])
-def test_limit_probe_with_an_incumbent_is_proven_feasible(tiny, aggregate):
+def test_limit_probe_with_an_incumbent_is_proven_feasible(
+    tiny, aggregate, monkeypatch
+):
     """A probe stopped by a limit after it found a world has proved the
     world exists: with every probe decided the answer stays exact."""
     encoded = tiny.encoding("k-anonymity", 2).encoded
     plan = _adhoc_plan(encoded, aggregate)
     relation = evaluate_licm(plan.child, encoded.relations)
-    # The scalar B&B installs its seed incumbent, then stops at node 0.
-    limited = SolverOptions(node_limit=0, backend="bb", kernels="off")
+    # A useless kernel bound never closes the root, so the B&B installs
+    # its seed incumbent and then stops at node 0.
+    monkeypatch.setattr(
+        kernels.CompiledProblem, "upper_bound", lambda self, domains: 10**9
+    )
+    limited = SolverOptions(node_limit=0, backend="bb")
     bounds = minmax_bounds(relation, plan.attribute, aggregate, options=limited)
     assert bounds.exact is True
     assert (bounds.lower, bounds.upper) == brute_force_adhoc(encoded, aggregate)

@@ -133,17 +133,6 @@ def test_seeded_matches_unseeded(problem, sense):
     assert seeded.nodes <= unseeded.nodes
 
 
-@given(random_bip(), st.sampled_from(["max", "min"]))
-@settings(max_examples=60, deadline=None)
-def test_kernels_on_matches_kernels_off(problem, sense):
-    on = solve(problem, sense, SolverOptions(backend="bb", kernels="on"))
-    off = solve(problem, sense, SolverOptions(backend="bb", kernels="off"))
-    assert on.status == off.status
-    if on.status == "optimal":
-        assert on.objective == off.objective
-        assert problem.is_feasible(on.x)
-
-
 @given(
     bip_with_domains(),
     st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7),

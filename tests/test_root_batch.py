@@ -5,7 +5,7 @@ into one :class:`~repro.solver.kernels.RootBatch`.  The contracts:
 
 * a closed block's verdict is exact: an infeasible verdict means no 0/1
   point satisfies the block, and an optimal one equals brute-force
-  enumeration and the scalar branch-and-bound (``kernels='off'``);
+  enumeration and SciPy's HiGHS MILP;
 * every witness satisfies its block and attains the reported objective;
 * stacking changes nothing: each block gets the verdict it gets alone,
   so a block left open in a batch is left open on its own;
@@ -124,11 +124,11 @@ def test_closed_blocks_are_exact_and_witnessed(blocks):
     for (problem, sign), verdict in zip(blocks, _verdicts(blocks)):
         signed = _signed(problem, sign)
         optimum = _brute_max(signed)
-        scalar = solve(signed, "max", SolverOptions(backend="bb", kernels="off"))
+        highs = solve(signed, "max", SolverOptions(backend="scipy"))
         if not verdict.feasible:
             assert verdict.closed
             assert optimum is None
-            assert scalar.status == "infeasible"
+            assert highs.status == "infeasible"
             continue
         if verdict.x is not None:
             assert signed.is_feasible(verdict.x)
@@ -139,7 +139,7 @@ def test_closed_blocks_are_exact_and_witnessed(blocks):
             continue
         assert verdict.bound >= optimum  # the kernel bound is sound
         if verdict.closed:
-            assert verdict.objective == optimum == scalar.objective
+            assert verdict.objective == optimum == highs.objective
 
 
 @settings(max_examples=100, deadline=None)

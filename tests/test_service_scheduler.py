@@ -12,6 +12,7 @@ component of a COUNT/SUM problem, so no unit runs at all.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import threading
 import time
 
@@ -22,6 +23,7 @@ import repro.service.scheduler as scheduler_module
 from repro.errors import ValidationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentContext
+from repro.obs.logs import request_logger
 from repro.service.api import (
     STATUS_DEGRADED,
     STATUS_OK,
@@ -145,10 +147,14 @@ def test_admission_queue_full_rejects(context, monkeypatch):
     assert sched.stats.rejected_full == 1
 
 
-def test_close_answers_queued_requests_and_refuses_new_ones(context, monkeypatch):
+def test_close_answers_queued_requests_and_refuses_new_ones(
+    context, monkeypatch, caplog
+):
     """Ordered by events, not sleeps: the only worker is parked inside
     ``busy``'s solve until ``release``, so it cannot take ``queued``
-    before ``close()`` drains it, however slowly the closer runs."""
+    before ``close()`` drains it, however slowly the closer runs.  The
+    drained and the late request are each accounted once as rejected."""
+    caplog.set_level(logging.INFO, logger=request_logger().name)
     solving = threading.Event()
     release = threading.Event()
 
@@ -175,6 +181,16 @@ def test_close_answers_queued_requests_and_refuses_new_ones(context, monkeypatch
     late = sched.submit(QueryRequest(query="Q1"))
     assert late.wait(timeout=1.0).status == STATUS_REJECTED
     assert sched.close() is None  # idempotent
+    assert sched.stats.snapshot()["by_status"][STATUS_REJECTED] == 2
+    rejected = [
+        record.wide["request_id"]
+        for record in caplog.records
+        if record.name == request_logger().name
+        and record.wide["status"] == STATUS_REJECTED
+    ]
+    assert sorted(rejected) == sorted(
+        [queued.request.request_id, late.request.request_id]
+    )
 
 
 # -- in-flight dedup -------------------------------------------------------

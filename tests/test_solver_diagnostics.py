@@ -4,7 +4,11 @@ from __future__ import annotations
 
 from repro.core.database import LICMModel
 from repro.core.linexpr import linear_sum
-from repro.solver.diagnostics import explain_infeasibility, find_iis
+from repro.solver.diagnostics import (
+    diagnose_infeasibility,
+    explain_infeasibility,
+    find_iis,
+)
 from repro.solver.model import BIPConstraint, BIPProblem
 
 
@@ -61,3 +65,19 @@ def test_explain_infeasibility_none_when_feasible():
     a, b = model.new_vars(2)
     model.add((a + b) <= 2)
     assert explain_infeasibility(model) is None
+
+
+def test_diagnose_infeasibility_is_the_explain_block():
+    conflicting = [
+        BIPConstraint(((1, 0),), ">=", 1),
+        BIPConstraint(((1, 0),), "<=", 0),
+    ]
+    problem = BIPProblem(
+        num_vars=1, constraints=conflicting, objective={}, names=["x"]
+    )
+    block = diagnose_infeasibility(problem, time_budget=5.0)
+    assert block["iis"] == ["1*x >= 1", "1*x <= 0"]
+    assert block["constraints"] == 2
+    assert block["budget_exhausted"] is False
+    assert block["seconds"] >= 0
+    assert diagnose_infeasibility(_problem([], 1), time_budget=5.0) is None

@@ -60,41 +60,32 @@ def test_repair_feasible_point_returned_unchanged():
 # --- relaxation --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ["highs", "simplex"])
-def test_relaxation_engines_agree(engine):
+def test_relaxation_optimum_includes_constant():
     problem = _problem(
         [(((2, 0), (3, 1)), "<=", 4), (((1, 0), (1, 1)), ">=", 1)],
         2,
         {0: 3, 1: 5},
         constant=2,
     )
-    status, value, x = solve_relaxation(problem, [FREE, FREE], engine)
+    status, value, x = solve_relaxation(problem, [FREE, FREE])
     assert status == "optimal"
     # LP optimum: x1 = 1, x0 = 1/2 -> 3*0.5 + 5 + 2 = 8.5
     assert value == pytest.approx(8.5)
 
 
-@pytest.mark.parametrize("engine", ["highs", "simplex"])
-def test_relaxation_respects_domains(engine):
+def test_relaxation_respects_domains():
     problem = _problem([], 2, {0: 1, 1: 1})
-    status, value, x = solve_relaxation(problem, [ZERO, ONE], engine)
+    status, value, x = solve_relaxation(problem, [ZERO, ONE])
     assert status == "optimal"
     assert value == pytest.approx(1.0)
     assert x[0] == pytest.approx(0.0)
     assert x[1] == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("engine", ["highs", "simplex"])
-def test_relaxation_infeasible(engine):
+def test_relaxation_infeasible():
     problem = _problem([(((1, 0),), ">=", 1)], 1, {0: 1})
-    status, _, _ = solve_relaxation(problem, [ZERO], engine)
+    status, _, _ = solve_relaxation(problem, [ZERO])
     assert status == "infeasible"
-
-
-def test_relaxation_unknown_engine():
-    problem = _problem([], 1, {0: 1})
-    with pytest.raises(SolverError):
-        solve_relaxation(problem, [FREE], "cplex")
 
 
 # --- scipy backend edge cases -------------------------------------------------
@@ -152,3 +143,4 @@ def test_auto_backend_resolves_to_scipy():
 
     assert _resolve_backend("auto") == "scipy"
     assert _resolve_backend("bb") == "bb"
+    assert _resolve_backend("scipy") == "scipy"
