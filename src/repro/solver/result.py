@@ -71,9 +71,9 @@ class SolverOptions:
       to a shared (inheritable) event; the parent can stop one specific
       in-flight solve mid-search.
 
-    The SciPy backend cannot poll mid-solve, so deadline callers must
-    *also* clamp ``time_limit`` (the solver facade derives the clamp
-    from ``deadline_at`` automatically).
+    The SciPy backend polls only before each HiGHS call, not mid-solve,
+    so deadline callers must *also* clamp ``time_limit`` (the solver
+    facade derives the clamp from ``deadline_at`` automatically).
 
     ``seed_incumbent`` installs a greedy node-0 incumbent before search
     (see docs/solver.md).

@@ -2,20 +2,24 @@
 
 On an enumerable database every ad-hoc ``count``/``sum``/``min``/``max``
 request answered through :class:`QueryScheduler` is checked against the
-exact range over all 50,625 worlds, with the serving default
-``backend="auto"``, under every solve fabric, every
-precision and three cache states: cold, a warm repeat, and a repeat
-after ``session.cache.clear()``.  A ``tight`` answer must equal the
-enumeration and report ``exact``; a ``fast`` or ``balanced`` answer must
-contain it.  On this database the root pass closes every COUNT/SUM
+exact range over all 50,625 worlds, under every precision and three
+cache states: cold, a warm repeat, and a repeat after
+``session.cache.clear()``.  A ``tight`` answer must equal the enumeration
+and report ``exact``; a ``fast`` or ``balanced`` answer must contain it.
+
+With the serving default ``backend="auto"`` this runs under every solve
+fabric.  On this database the root pass then closes every COUNT/SUM
 component, so the fabric's units are the MIN/MAX feasibility probes.
+With ``backend="scipy"`` (inline fabric) the root pass steps aside and
+every component is a HiGHS solve, so the answers also go through the
+SciPy backend's target-fixing probe and its fall-through solve.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from helpers import brute_force_adhoc, tiny_config
+from helpers import brute_force_adhoc, counter_totals, delta, tiny_config
 from repro.experiments.runner import ExperimentContext
 from repro.service.api import STATUS_OK, QueryRequest
 from repro.service.scheduler import QueryScheduler
@@ -39,9 +43,20 @@ def truth():
 @pytest.mark.parametrize("precision", ["tight", "balanced", "fast"])
 @pytest.mark.parametrize("fabric", ["inline", "thread", "process"])
 def test_served_answers_match_possible_world_enumeration(truth, fabric, precision):
-    ctx = ExperimentContext(
-        tiny_config(solver_backend="auto", solve_fabric=fabric, solve_workers=2)
-    )
+    _check_served_answers(truth, precision, solver_backend="auto", solve_fabric=fabric)
+
+
+@pytest.mark.parametrize("precision", ["tight", "balanced", "fast"])
+def test_scipy_served_answers_match_possible_world_enumeration(truth, precision):
+    before = counter_totals()
+    _check_served_answers(truth, precision, solver_backend="scipy", solve_fabric="inline")
+    probes = delta(before, counter_totals())
+    if precision == "tight":
+        assert probes.get("target_probe_proved", 0) + probes.get("target_probe_refuted", 0) > 0
+
+
+def _check_served_answers(truth, precision, **config):
+    ctx = ExperimentContext(tiny_config(solve_workers=2, **config))
     try:
         with QueryScheduler(ctx, workers=2) as sched:
             sched.warm([(SCHEME, 2)])
