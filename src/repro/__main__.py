@@ -13,8 +13,9 @@ emits ``trace_out/trace.jsonl`` (hierarchical span trace),
 the from-scratch ``bb`` solver backend so the trace includes node-level
 branch-and-bound search profiling.
 
-The ``explain`` subcommand answers one workload query and prints the
-structured EXPLAIN account (see :mod:`repro.obs.explain`): the
+The ``explain`` subcommand sends one ``explain=true`` workload query to
+an in-process :class:`~repro.service.scheduler.QueryScheduler` and prints
+the structured EXPLAIN account it returns (see :mod:`repro.obs.explain`): the
 decomposition map, per-component provenance (tier, cache level, fabric,
 B&B nodes, prunes by reason), a time-ordered bound-convergence chart,
 and — with ``--infeasible`` (which injects a contradictory constraint)
@@ -147,15 +148,16 @@ def _trace(args: argparse.Namespace) -> int:
 def _explain(args: argparse.Namespace) -> int:
     import json
 
-    from repro.errors import InfeasibleError
-    from repro.estimator import TieredAnswerer
+    from repro.core.linexpr import linear_sum
+    from repro.core.pruning import prune_fixpoint
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import ExperimentContext
-    from repro.obs import SpanBuffer, Tracer, activate, new_trace_id
-    from repro.obs.explain import build_explanation, decomposition_map
+    from repro.obs import SpanBuffer, Tracer, activate
+    from repro.obs.explain import SolveExplanation
     from repro.queries.licm_eval import evaluate_licm
     from repro.queries.workload import QUERY_BUILDERS
-    from repro.solver.diagnostics import diagnose_infeasibility
+    from repro.service.api import QueryRequest
+    from repro.service.scheduler import QueryScheduler
 
     config = ExperimentConfig(
         num_transactions=args.transactions,
@@ -166,78 +168,47 @@ def _explain(args: argparse.Namespace) -> int:
         solver_backend=args.backend,
     )
     context = ExperimentContext(config)
-    # A SpanBuffer-only tracer: EXPLAIN mines the request's finished
-    # span tree exactly like the service does.
+    # One explain=true request through an in-process scheduler, which
+    # mines the request's finished span tree from this buffer exactly
+    # like the service does.
     buffer = SpanBuffer()
     tracer = Tracer([buffer], retain=False, sample_every=args.sample_every)
-    trace_id = new_trace_id()
-    status = "ok"
-    bounds_payload: dict = {}
-    decomposition = None
-    component_tiers = None
-    infeasibility = None
     try:
-        with activate(tracer):
-            with tracer.span(
-                "explain.request",
-                trace_id=trace_id,
-                query=args.query,
-                scheme=args.scheme,
-                k=args.k,
-            ):
+        with activate(tracer), QueryScheduler(
+            context, workers=1, span_buffer=buffer
+        ) as scheduler:
+            scheduler.warm([(args.scheme, args.k)])
+            if args.infeasible:
+                # x >= 1 and x <= 0 on the lowest-numbered variable the
+                # query's objective reaches (a base tuple variable: the
+                # encoding creates those before any lineage), a guaranteed
+                # two-constraint conflict on an otherwise-real encoding.
                 encoded = context.encoding(args.scheme, args.k).encoded
-                session = context.session(args.scheme, args.k)
-                plan = QUERY_BUILDERS[args.query](encoded, context.config.params)
+                plan = QUERY_BUILDERS[args.query](encoded, config.params)
                 objective = evaluate_licm(plan, encoded.relations)
-                extra = []
-                if args.infeasible:
-                    # Inject x >= 1 and x <= 0 on one objective variable:
-                    # a guaranteed two-constraint conflict demonstrating
-                    # the IIS path on an otherwise-real encoding.
-                    from repro.core.linexpr import linear_sum
-
-                    by_index = {var.index: var for var in session.model.pool}
-                    indexes = sorted(objective.coeffs) or sorted(by_index)
-                    pivot = by_index[indexes[0]]
-                    extra = [linear_sum([pivot]) >= 1, linear_sum([pivot]) <= 0]
-                prepared = session.prepare(objective, extra_constraints=extra)
-                decomposition = decomposition_map(prepared)
-                try:
-                    answer = TieredAnswerer().answer(session, prepared, args.precision)
-                    bounds_payload = {
-                        "lower": answer.lower,
-                        "upper": answer.upper,
-                        "exact": answer.exact,
-                        "precision": args.precision,
-                        "tier": answer.tier,
-                    }
-                    component_tiers = answer.component_tiers
-                except InfeasibleError:
-                    status = "infeasible"
-                    infeasibility = diagnose_infeasibility(
-                        prepared.problem, args.iis_budget
-                    )
+                reached = prune_fixpoint(encoded.model.constraints, objective.coeffs)
+                target = encoded.model.pool.get(min(reached.variables))
+                encoded.model.add(linear_sum([target]) >= 1)
+                encoded.model.add(linear_sum([target]) <= 0)
+            response = scheduler.execute(
+                QueryRequest(
+                    query=args.query,
+                    scheme=args.scheme,
+                    k=args.k,
+                    precision=args.precision,
+                    explain=True,
+                )
+            )
     finally:
         context.close()
 
-    explanation = build_explanation(
-        request={
-            "query": args.query,
-            "scheme": args.scheme,
-            "k": args.k,
-            "precision": args.precision,
-        },
-        status=status,
-        bounds=bounds_payload,
-        spans=buffer.pop(trace_id),
-        decomposition=decomposition,
-        component_tiers=component_tiers,
-        infeasibility=infeasibility,
-    )
+    if response.explain is None:
+        print(f"no explanation for {response.status}: {response.error}", file=sys.stderr)
+        return 1
     if args.json:
-        print(json.dumps(explanation.to_dict(), indent=2, sort_keys=True, default=repr))
+        print(json.dumps(response.explain, indent=2, sort_keys=True, default=repr))
     else:
-        print(explanation.render_text())
+        print(SolveExplanation(**response.explain).render_text())
     return 0
 
 
@@ -292,7 +263,6 @@ def _serve(args: argparse.Namespace) -> int:
             max_queue=args.queue_size,
             default_deadline_ms=args.default_deadline_ms,
             default_precision=args.default_precision,
-            estimator_tolerance=args.estimator_tolerance,
             allow_cold=args.allow_cold,
             trace_path=args.trace,
             slow_threshold_ms=args.slow_threshold_ms,
@@ -377,12 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="inject a contradictory constraint pair to demonstrate IIS diagnosis",
     )
-    explain.add_argument(
-        "--iis-budget",
-        type=float,
-        default=2.0,
-        help="IIS deletion-filter time budget in seconds",
-    )
     server = sub.add_parser(
         "serve", help="start the HTTP aggregate-query service on a fixture database"
     )
@@ -417,12 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="tight",
         help="answering precision for requests that carry none "
         "(estimator tiers vs. exact BIP; see docs/estimators.md)",
-    )
-    server.add_argument(
-        "--estimator-tolerance",
-        type=float,
-        default=1e-6,
-        help="tier-agreement tolerance for the estimator cascade",
     )
     server.add_argument(
         "--allow-cold",

@@ -428,16 +428,13 @@ class InlineFabric(ExecutorFabric):
 
 
 class ThreadFabric(ExecutorFabric):
-    """Schedule units on a thread pool (or an injected executor)."""
+    """Schedule units on a thread pool."""
 
     kind = "thread"
 
-    def __init__(self, workers: int = 2, executor: Optional[Executor] = None):
-        if executor is not None:
-            workers = max(int(workers), getattr(executor, "_max_workers", 2))
+    def __init__(self, workers: int = 2):
         super().__init__(workers=workers)
-        self._external = executor
-        self._pool: Optional[Executor] = executor
+        self._pool: Optional[Executor] = None
         self._pool_lock = threading.Lock()
 
     def _ensure(self) -> Executor:
@@ -458,7 +455,7 @@ class ThreadFabric(ExecutorFabric):
     def close(self) -> None:
         if self._closed:
             return
-        if self._pool is not None and self._external is None:
+        if self._pool is not None:
             self._pool.shutdown(wait=True)
         self._pool = None
         super().close()

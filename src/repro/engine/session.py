@@ -41,7 +41,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import Executor
 from dataclasses import dataclass, field, replace
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -197,8 +196,6 @@ class SolveSession:
     :param max_workers: ``> 1`` builds a thread fabric running the min and
         max directions (and per-component fan-out) concurrently; ``1`` is
         strictly serial.  Ignored when ``fabric`` is given.
-    :param executor: inject a pre-built thread executor (wrapped in a
-        thread fabric; the session will not shut it down).
     :param fabric: inject a shared :class:`ExecutorFabric` — the service
         scheduler passes one process fabric to every session; the session
         will not close it.
@@ -213,7 +210,6 @@ class SolveSession:
         prune_method: str = "lineage",
         cache_size: int = 128,
         max_workers: int = 1,
-        executor: Optional[Executor] = None,
         fabric: Optional[ExecutorFabric] = None,
         l2_path: Optional[str] = None,
     ):
@@ -226,12 +222,7 @@ class SolveSession:
         self.l2_path = l2_path
         self._external_fabric = fabric is not None
         if fabric is None:
-            if executor is not None:
-                fabric = ThreadFabric(max_workers, executor=executor)
-            elif max_workers > 1:
-                fabric = ThreadFabric(max_workers)
-            else:
-                fabric = InlineFabric()
+            fabric = ThreadFabric(max_workers) if max_workers > 1 else InlineFabric()
         self.fabric = fabric
         self._closed = False
         self._seen_generation = model.constraints.generation

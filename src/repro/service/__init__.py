@@ -30,7 +30,7 @@ from repro.service.api import (
     http_status_for,
 )
 from repro.service.client import ServiceClient, ServiceClientError
-from repro.service.scheduler import QueryScheduler, SchedulerStats
+from repro.service.scheduler import QueryScheduler
 from repro.service.server import QueryService, serve
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "STATUS_OK",
     "STATUS_REJECTED",
     "STATUS_TIMEOUT",
-    "SchedulerStats",
     "ServiceClient",
     "ServiceClientError",
     "http_status_for",

@@ -58,7 +58,6 @@ import logging
 import queue
 import threading
 import time
-from collections import deque
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.engine.cache import KeptAnswer
@@ -91,72 +90,6 @@ from repro.service.api import (
 from repro.solver.result import SolverOptions
 
 logger = logging.getLogger(__name__)
-
-
-def _percentile(samples, fraction: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, max(0, round(fraction * (len(ordered) - 1))))
-    return ordered[index]
-
-
-class SchedulerStats:
-    """Thread-safe counters + a bounded latency reservoir (for p50/p99)."""
-
-    def __init__(self, latency_window: int = 2048):
-        self._lock = threading.Lock()
-        self.submitted = 0
-        self.completed = 0
-        self.rejected_full = 0
-        self.dedup_hits = 0
-        self.deadline_misses = 0
-        self.by_status: Dict[str, int] = {}
-        self._latencies = deque(maxlen=latency_window)
-        self._solve_latencies = deque(maxlen=latency_window)
-
-    def record_submit(self) -> None:
-        with self._lock:
-            self.submitted += 1
-
-    def record_rejected(self, admission: bool) -> None:
-        with self._lock:
-            if admission:
-                self.rejected_full += 1
-            self.by_status[STATUS_REJECTED] = self.by_status.get(STATUS_REJECTED, 0) + 1
-
-    def record_dedup_hit(self) -> None:
-        with self._lock:
-            self.dedup_hits += 1
-
-    def record_deadline_miss(self) -> None:
-        with self._lock:
-            self.deadline_misses += 1
-
-    def record_done(self, status: str, total_s: float, solve_s: float) -> None:
-        with self._lock:
-            self.completed += 1
-            self.by_status[status] = self.by_status.get(status, 0) + 1
-            self._latencies.append(total_s)
-            self._solve_latencies.append(solve_s)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            latencies = list(self._latencies)
-            solves = list(self._solve_latencies)
-            return {
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "rejected_full": self.rejected_full,
-                "dedup_hits": self.dedup_hits,
-                "deadline_misses": self.deadline_misses,
-                "by_status": dict(self.by_status),
-                "latency_p50_s": _percentile(latencies, 0.50),
-                "latency_p99_s": _percentile(latencies, 0.99),
-                "solve_p50_s": _percentile(solves, 0.50),
-                "solve_p99_s": _percentile(solves, 0.99),
-                "latency_samples": len(latencies),
-            }
 
 
 class _Flight:
@@ -316,8 +249,6 @@ class QueryScheduler:
     :param default_precision: applied when a request carries no
         ``precision`` — ``tight`` (exact, the historical behavior),
         ``balanced`` or ``fast``; see :mod:`repro.estimator`.
-    :param estimator_tolerance: two consecutive estimator tiers whose
-        intervals agree within this distance short-circuit the cascade.
     """
 
     def __init__(
@@ -332,7 +263,6 @@ class QueryScheduler:
         span_buffer=None,
         slo=None,
         default_precision: str = PRECISION_TIGHT,
-        estimator_tolerance: float = 1e-6,
     ):
         if default_precision not in PRECISIONS:
             raise ValueError(
@@ -341,7 +271,7 @@ class QueryScheduler:
             )
         self.context = context
         self.default_precision = default_precision
-        self.answerer = TieredAnswerer(tolerance=estimator_tolerance)
+        self.answerer = TieredAnswerer()
         self.workers = max(1, int(workers))
         self.max_queue = max(1, int(max_queue))
         self.default_deadline_ms = default_deadline_ms
@@ -350,12 +280,27 @@ class QueryScheduler:
         self.slow_log = slow_log
         self.span_buffer = span_buffer
         self.slo = slo or SLOTracker()
-        self.stats = SchedulerStats()
-        # Real latency *distributions* (the /metrics histograms) live here,
-        # one registry per scheduler so concurrent schedulers in one
+        self._submitted = 0
+        # The request counters and latency *distributions* (the /metrics
+        # families, and the source of the /v1/status scheduler block) live
+        # here, one registry per scheduler so concurrent schedulers in one
         # process (tests) never cross-pollute.  Every observation carries a
         # trace-id exemplar when the request ran under an active tracer.
         self.metrics = MetricsRegistry()
+        self._requests = self.metrics.counter(
+            "service_requests_total", "Terminal responses per status"
+        )
+        self._dedup_hits = self.metrics.counter(
+            "service_dedup_hits_total", "Requests coalesced onto an in-flight solve"
+        )
+        self._deadline_misses = self.metrics.counter(
+            "service_deadline_misses_total", "Requests that exceeded their deadline"
+        )
+        self._rejected_full = self.metrics.counter(
+            "service_rejected_total", "Requests refused by admission control"
+        )
+        for counter in (self._dedup_hits, self._deadline_misses, self._rejected_full):
+            counter.inc(0)  # expose the zero sample before the first event
         self._hist_queue_wait = self.metrics.histogram(
             "service_queue_wait_seconds", "Admission-to-worker queue wait"
         )
@@ -491,6 +436,25 @@ class QueryScheduler:
         with self._inflight_lock:
             return len(self._inflight)
 
+    def status(self) -> dict:
+        """The ``/v1/status`` scheduler block, read off :attr:`metrics`.
+
+        ``completed`` counts every terminal response but the rejections;
+        ``rejected_full`` only the admission-control refusals.
+        """
+        by_status = {
+            dict(key)["status"]: int(count)
+            for key, count in dict(self._requests.series).items()
+        }
+        return {
+            "submitted": self._submitted,
+            "completed": sum(by_status.values()) - by_status.get(STATUS_REJECTED, 0),
+            "rejected_full": int(self._rejected_full.series[()]),
+            "dedup_hits": int(self._dedup_hits.series[()]),
+            "deadline_misses": int(self._deadline_misses.series[()]),
+            "by_status": by_status,
+        }
+
     # -- submission --------------------------------------------------------
     def submit(self, request: QueryRequest) -> _Pending:
         """Admit a request (validated) or answer ``rejected`` immediately.
@@ -508,8 +472,8 @@ class QueryScheduler:
             time.monotonic() + deadline_ms / 1000.0 if deadline_ms is not None else None
         )
         pending = _Pending(request, deadline_at)
-        self.stats.record_submit()
         with self._close_lock:
+            self._submitted += 1
             if self._closed:
                 rejection = "scheduler is shut down"
             else:
@@ -561,28 +525,13 @@ class QueryScheduler:
         reason: str = "scheduler shut down before execution",
         admission: bool = False,
     ) -> None:
-        """Answer ``rejected`` unless the request is already claimed.
-
-        Every rejection (admission, queue drain at shutdown, a parked
-        continuation's shutdown path) is accounted here, once per claimed
-        request: the status count, an SLO event and a wide log line.
-        ``admission`` additionally counts it in ``rejected_full``.
-        """
-        if not pending.claim():
-            return
-        response = QueryResponse(
-            request_id=pending.request.request_id, status=STATUS_REJECTED, error=reason
-        )
-        pending.finish(response)
-        self.stats.record_rejected(admission)
-        # Rejections never reach _complete, but they still spend
-        # availability budget and deserve a log line.
-        total_s = time.monotonic() - pending.enqueued
-        try:
-            self.slo.record(STATUS_REJECTED, total_s)
-            wide_event(request_logger(), self._wide_payload(pending, response, total_s))
-        except Exception:  # noqa: BLE001 — observability must not break serving
-            logger.exception("rejection accounting failed")
+        """Answer ``rejected`` (admission, queue drain at shutdown, a
+        parked continuation's shutdown path) through :meth:`_complete`,
+        unless the request is already claimed.  ``admission`` — always a
+        fresh, unclaimed request — also counts it in ``rejected_full``."""
+        if admission:
+            self._rejected_full.inc()
+        self._complete(pending, self._response(pending, STATUS_REJECTED, error=reason))
 
     def _watch_deadline(self, pending: _Pending, expiry: _Task) -> None:
         """Arm the deadline monitor to enqueue ``expiry`` for a parked request."""
@@ -648,37 +597,66 @@ class QueryScheduler:
             self._complete(pending, response)
 
     def _complete(self, pending: _Pending, response: QueryResponse) -> None:
-        """Deliver a terminal response exactly once (claim-guarded).
+        """Deliver and account one terminal response exactly once
+        (claim-guarded) — every status, rejections included.
 
-        The request's finished span tree is popped here — *before*
-        ``pending.finish`` — so the EXPLAIN assembly and the slow-query
-        capture share one pop.  Explanations are attached per-response
-        and never published onto flights or caches.
+        Before ``pending.finish``: the request's finished span tree is
+        popped, an ``explain`` request's explanation is built, and
+        ``total_ms`` is stamped — the one total that the response, the
+        wide event, the latency histogram and the SLO event all carry.
+        After it (the caller is already unblocked, and a failure here must
+        never turn a served request into an error): the request counters
+        and histograms, the SLO event, the wide log line and slow-query
+        capture.  The explanation is built at most once; a slow request
+        without ``explain`` builds it for its ring entry.  Explanations
+        are attached per-response, never published onto flights or caches.
         """
         if not pending.claim():
             return
+        request = pending.request
         spans = (
             self.span_buffer.pop(response.trace_id)
             if self.span_buffer is not None and response.trace_id
             else []
         )
-        if pending.request.explain:
+        explanation = None
+        if request.explain:
             try:
-                response.explain = self._build_explanation(
-                    pending, response, spans
-                ).to_dict()
+                explanation = self._build_explanation(pending, response, spans)
+                response.explain = explanation.to_dict()
             except Exception:  # noqa: BLE001 — explain must not break serving
-                logger.exception(
-                    "explain assembly for %s failed", pending.request.request_id
-                )
+                logger.exception("explain assembly for %s failed", request.request_id)
+        response.total_ms = (time.monotonic() - pending.enqueued) * 1e3
         pending.finish(response)
-        total_s = time.monotonic() - pending.enqueued
-        self.stats.record_done(
-            response.status,
-            total_s=total_s,
-            solve_s=response.solve_ms / 1000.0,
-        )
-        self._observe_done(pending, response, total_s, spans)
+        try:
+            status, total_s = response.status, response.total_ms / 1e3
+            exemplar = {"trace_id": response.trace_id} if response.trace_id else None
+            self._requests.inc(labels={"status": status})
+            self._hist_total.observe(total_s, labels={"status": status}, exemplar=exemplar)
+            if status != STATUS_REJECTED:
+                self._hist_queue_wait.observe(response.queue_ms / 1e3, exemplar=exemplar)
+                self._hist_solve.observe(response.solve_ms / 1e3, exemplar=exemplar)
+            if response.tier:
+                self._estimator_requests.inc(
+                    labels={
+                        "tier": response.tier,
+                        "precision": self._effective_precision(request),
+                    }
+                )
+            self.slo.record(status, total_s)
+            wide_event(request_logger(), self._wide_payload(pending, response))
+            if (
+                self.slow_log is not None
+                and self.slow_threshold_ms is not None
+                and response.total_ms >= self.slow_threshold_ms
+            ):
+                if explanation is None:
+                    explanation = self._build_explanation(pending, response, spans)
+                self._record_slow(pending, response, explanation, spans)
+        except Exception:  # noqa: BLE001 — observability must not break serving
+            logger.exception(
+                "post-completion accounting for %s failed", request.request_id
+            )
 
     def _cache_tier(self, pending: _Pending, response: QueryResponse) -> str:
         """Where the answer came from: a kept whole answer, both senses in
@@ -691,9 +669,7 @@ class QueryScheduler:
             return "l2"
         return "cold"
 
-    def _wide_payload(
-        self, pending: _Pending, response: QueryResponse, total_s: float
-    ) -> dict:
+    def _wide_payload(self, pending: _Pending, response: QueryResponse) -> dict:
         """The one-line-per-request wide event (stable keys — the CI smoke
         job and tests/test_obs_reqlog_slo.py parse these)."""
         request = pending.request
@@ -721,7 +697,7 @@ class QueryScheduler:
             "mc_samples": response.mc_samples,
             "queue_ms": round(response.queue_ms, 3),
             "solve_ms": round(response.solve_ms, 3),
-            "total_ms": round(total_s * 1e3, 3),
+            "total_ms": round(response.total_ms, 3),
         }
 
     def _build_explanation(
@@ -761,50 +737,8 @@ class QueryScheduler:
             logger.exception("IIS diagnosis failed")
             return None
 
-    def _observe_done(
-        self,
-        pending: _Pending,
-        response: QueryResponse,
-        total_s: float,
-        spans: list,
-    ) -> None:
-        """Post-terminal accounting: histograms, exemplars, SLO events,
-        the wide request log line, slow-query capture.
-
-        Runs after ``pending.finish`` on purpose: the caller is already
-        unblocked, and a failure here must never turn a served request
-        into an error.  ``spans`` is the request's span tree, popped once
-        in :meth:`_complete`.
-        """
-        try:
-            self.slo.record(response.status, total_s)
-            if response.tier:
-                self._estimator_requests.inc(
-                    labels={
-                        "tier": response.tier,
-                        "precision": self._effective_precision(pending.request),
-                    }
-                )
-            exemplar = {"trace_id": response.trace_id} if response.trace_id else None
-            self._hist_queue_wait.observe(response.queue_ms / 1e3, exemplar=exemplar)
-            self._hist_solve.observe(response.solve_ms / 1e3, exemplar=exemplar)
-            self._hist_total.observe(
-                total_s, labels={"status": response.status}, exemplar=exemplar
-            )
-            wide_event(request_logger(), self._wide_payload(pending, response, total_s))
-            if (
-                self.slow_threshold_ms is not None
-                and total_s * 1e3 >= self.slow_threshold_ms
-                and self.slow_log is not None
-            ):
-                self._record_slow(pending, response, total_s, spans)
-        except Exception:  # noqa: BLE001 — observability must not break serving
-            logger.exception(
-                "post-completion accounting for %s failed", pending.request.request_id
-            )
-
     def _record_slow(
-        self, pending: _Pending, response: QueryResponse, total_s: float, spans: list
+        self, pending: _Pending, response: QueryResponse, explanation, spans: list
     ) -> None:
         """Persist the full context of one over-threshold request."""
         profiler = active_profiler()
@@ -813,31 +747,23 @@ class QueryScheduler:
             if profiler is not None and response.trace_id
             else {}
         )
-        # Per-component node counts from the repatriated engine.solve.*
-        # spans (worker-side solves included — see fabric repatriation).
+        # Per-component node counts off the explanation's components
+        # (worker-side solves included — see fabric repatriation).
         component_nodes: Dict[str, int] = {}
-        for span in spans:
-            if not str(span.get("name", "")).startswith("engine.solve."):
-                continue
-            attributes = span.get("attributes") or {}
-            component = str(attributes.get("component", "?"))
-            component_nodes[component] = component_nodes.get(
-                component, 0
-            ) + int(attributes.get("nodes", 0) or 0)
-        # A compact explanation (top-cost components, prune/cache totals,
-        # convergence event count) so the slow log says *why* a request
-        # was slow without storing the full EXPLAIN payload.
-        try:
-            compact = self._build_explanation(pending, response, spans).compact()
-        except Exception:  # noqa: BLE001 — capture must not break serving
-            logger.exception("compact explanation failed")
-            compact = None
+        for entry in explanation.components:
+            component = str(entry.get("component"))
+            component_nodes[component] = component_nodes.get(component, 0) + int(
+                entry.get("nodes") or 0
+            )
         path = self.slow_log.record(
             {
-                "explain": compact,
+                # A compact explanation (top-cost components, prune/cache
+                # totals, convergence event count): *why* the request was
+                # slow without storing the full EXPLAIN payload.
+                "explain": explanation.compact(),
                 "trace_id": response.trace_id,
                 "fingerprint": response.fingerprint,
-                "total_ms": total_s * 1e3,
+                "total_ms": response.total_ms,
                 "threshold_ms": self.slow_threshold_ms,
                 "fabric": self.context.fabric_stats().get("kind"),
                 "l2_hits": response.l2_hits,
@@ -854,19 +780,18 @@ class QueryScheduler:
         logger.warning(
             "slow query %s (%.1f ms >= %.1f ms) captured to %s",
             pending.request.request_id,
-            total_s * 1e3,
+            response.total_ms,
             self.slow_threshold_ms,
             path,
         )
 
     def _response(self, pending: _Pending, status: str, **fields) -> QueryResponse:
         """A terminal response stamped with the serve attempt's queue wait
-        and trace id and the request's end-to-end time so far."""
+        and trace id (:meth:`_complete` stamps ``total_ms``)."""
         return QueryResponse(
             request_id=pending.request.request_id,
             status=status,
             queue_ms=pending.queue_ms,
-            total_ms=(time.monotonic() - pending.enqueued) * 1e3,
             trace_id=pending.trace_id,
             **fields,
         )
@@ -1036,7 +961,7 @@ class QueryScheduler:
         first to claim the pending wins.  Every answer over the leader's
         flight — resumed or degraded — reports ``dedup=True``.
         """
-        self.stats.record_dedup_hit()
+        self._dedup_hits.inc()
         root.set("dedup", True)
         root.set("outcome", "parked")
 
@@ -1251,7 +1176,7 @@ class QueryScheduler:
         which rung actually served the answer; every rung reports
         ``dedup``.
         """
-        self.stats.record_deadline_miss()
+        self._deadline_misses.inc()
         request = pending.request
         fingerprint = prepared.fingerprint if prepared is not None else None
         tracer = current_tracer()

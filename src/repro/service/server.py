@@ -10,8 +10,9 @@
 * ``GET /healthz``    — liveness probe.
 * ``GET /metrics``    — the engine counters and phase timings of
   :func:`repro.obs.export.global_registry` plus service gauges (queue
-  depth, in-flight leaders, dedup hits, deadline misses) and the latency
-  histograms.  Content-negotiated: plain requests get
+  depth, in-flight leaders) and the scheduler's request counters (per
+  status, dedup hits, deadline misses) and latency histograms.
+  Content-negotiated: plain requests get
   Prometheus text 0.0.4 (exemplar-free — exemplars are illegal there);
   ``Accept: application/openmetrics-text`` gets the OpenMetrics
   exposition with trace-id exemplars and the ``# EOF`` terminator.
@@ -79,10 +80,8 @@ class QueryService:
         trace_path: Optional[str] = None,
         slow_threshold_ms: Optional[float] = None,
         slow_log_dir: Optional[str] = None,
-        slow_log_capacity: int = 32,
         slo_config: Optional[SLOConfig] = None,
         default_precision: str = "tight",
-        estimator_tolerance: float = 1e-6,
     ):
         self.config = config or ExperimentConfig()
         self.context = ExperimentContext(self.config)
@@ -94,9 +93,7 @@ class QueryService:
         self._span_buffer = SpanBuffer()
         self.slow_log: Optional[SlowQueryRing] = None
         if slow_threshold_ms is not None:
-            self.slow_log = SlowQueryRing(
-                slow_log_dir or "slow-queries", capacity=slow_log_capacity
-            )
+            self.slow_log = SlowQueryRing(slow_log_dir or "slow-queries")
         self.scheduler = QueryScheduler(
             self.context,
             workers=workers,
@@ -108,7 +105,6 @@ class QueryService:
             span_buffer=self._span_buffer,
             slo=self.slo,
             default_precision=default_precision,
-            estimator_tolerance=estimator_tolerance,
         )
         self._sink = JsonlSink(trace_path) if trace_path else None
         sinks = [s for s in (self._sink, self._span_buffer) if s is not None]
@@ -155,7 +151,7 @@ class QueryService:
             "default_precision": self.scheduler.default_precision,
             "queue_depth": self.scheduler.queue_depth,
             "in_flight": self.scheduler.in_flight,
-            "scheduler": self.scheduler.stats.snapshot(),
+            "scheduler": self.scheduler.status(),
             "sessions": self.context.cache_stats(),
             "fabric": self.context.fabric_stats(),
             "slo": self.slo.snapshot(),
@@ -176,13 +172,12 @@ class QueryService:
 
         Three sections concatenated (metric names are disjoint):
 
-        1. a fresh snapshot registry — service gauges and status counters
-           (the point-in-time ``repro_service_latency_seconds`` /
-           ``repro_service_solve_seconds`` quantile gauges, deprecated
-           in favour of the duration histograms, are gone as of this
-           release);
-        2. the scheduler's long-lived **histograms** (queue wait, solve
-           wall, end-to-end latency);
+        1. a fresh snapshot registry — the point-in-time service gauges,
+           the slow-query capture count, profiler and SLO state;
+        2. the scheduler's long-lived registry — the request counters
+           (per terminal status, dedup hits, deadline misses, admission
+           rejections) and histograms (queue wait, solve wall, end-to-end
+           latency, estimator tiers);
         3. the process-global registry (engine counters and phase
            timings, engine solve wall, B&B nodes/prunes per search,
            executor-fabric units, L2 cache hits/misses/writes).
@@ -192,7 +187,6 @@ class QueryService:
         histogram buckets and ends with ``# EOF``.
         """
         registry = MetricsRegistry()
-        stats = self.scheduler.stats.snapshot()
         registry.gauge("service_queue_depth", "Requests waiting for a worker").set(
             self.scheduler.queue_depth
         )
@@ -202,20 +196,6 @@ class QueryService:
         registry.gauge("service_uptime_seconds", "Seconds since service start").set(
             self.uptime_s
         )
-        requests = registry.counter(
-            "service_requests_total", "Terminal responses per status"
-        )
-        for status_name, count in sorted(stats["by_status"].items()):
-            requests.inc(count, labels={"status": status_name})
-        registry.counter(
-            "service_dedup_hits_total", "Requests coalesced onto an in-flight solve"
-        ).inc(stats["dedup_hits"])
-        registry.counter(
-            "service_deadline_misses_total", "Requests that exceeded their deadline"
-        ).inc(stats["deadline_misses"])
-        registry.counter(
-            "service_rejected_total", "Requests refused by admission control"
-        ).inc(stats["rejected_full"])
         if self.slow_log is not None:
             registry.counter(
                 "service_slow_queries_total", "Requests captured by the slow-query log"
@@ -374,7 +354,6 @@ def serve(
     log_format: Optional[str] = None,
     slo_config: Optional[SLOConfig] = None,
     default_precision: str = "tight",
-    estimator_tolerance: float = 1e-6,
     block: bool = True,
 ):
     """Warm a service and run the HTTP front-end.
@@ -409,7 +388,6 @@ def serve(
         slow_log_dir=slow_log_dir,
         slo_config=slo_config,
         default_precision=default_precision,
-        estimator_tolerance=estimator_tolerance,
     )
     try:
         httpd = ServiceHTTPServer((host, port), service)

@@ -190,7 +190,7 @@ def test_slow_request_captured_with_spans_and_fingerprint(context, tmp_path):
             assert response.status == STATUS_OK
             deadline = time.monotonic() + 10.0
             while ring.written == 0 and time.monotonic() < deadline:
-                time.sleep(0.01)  # _observe_done runs after finish()
+                time.sleep(0.01)  # slow capture runs after finish()
     entries = ring.entries()
     assert entries, "slow ring stayed empty"
     entry = entries[-1]

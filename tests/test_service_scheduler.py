@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import re
 import threading
 import time
 
@@ -24,6 +25,7 @@ from repro.errors import ValidationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentContext
 from repro.obs.logs import request_logger
+from repro.obs.slo import SLOTracker
 from repro.service.api import (
     STATUS_DEGRADED,
     STATUS_OK,
@@ -144,7 +146,7 @@ def test_admission_queue_full_rejects(context, monkeypatch):
         release.set()
         assert busy.wait(timeout=30.0).status == STATUS_OK
         assert queued.wait(timeout=30.0).status == STATUS_OK
-    assert sched.stats.rejected_full == 1
+    assert sched.status()["rejected_full"] == 1
 
 
 def test_close_answers_queued_requests_and_refuses_new_ones(
@@ -181,7 +183,7 @@ def test_close_answers_queued_requests_and_refuses_new_ones(
     late = sched.submit(QueryRequest(query="Q1"))
     assert late.wait(timeout=1.0).status == STATUS_REJECTED
     assert sched.close() is None  # idempotent
-    assert sched.stats.snapshot()["by_status"][STATUS_REJECTED] == 2
+    assert sched.status()["by_status"][STATUS_REJECTED] == 2
     rejected = [
         record.wide["request_id"]
         for record in caplog.records
@@ -528,7 +530,7 @@ def test_parked_follower_reports_dedup_on_every_degrade_rung(
     else:
         assert expired.status == STATUS_TIMEOUT
     assert expired.dedup
-    assert scheduler._wide_payload(follower, expired, 0.0)["dedup"] == "follower"
+    assert scheduler._wide_payload(follower, expired)["dedup"] == "follower"
     assert leader.wait(timeout=60.0).status == STATUS_OK
 
 
@@ -599,3 +601,98 @@ def test_error_response_reports_real_queue_wait(context, scheduler, monkeypatch)
     assert "backend failed" in response.error
     assert response.queue_ms < 100
     assert response.total_ms >= 200
+
+
+# -- one accounting path per terminal response -----------------------------
+class _RecordingSLO(SLOTracker):
+    """An SLO tracker that also keeps every ``(status, total_s)`` event."""
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+
+    def record(self, status: str, total_s: float) -> None:
+        self.events.append((status, total_s))
+        super().record(status, total_s)
+
+
+def _wide_events(caplog) -> list:
+    return [
+        record.wide
+        for record in caplog.records
+        if record.name == request_logger().name and getattr(record, "wide", None)
+    ]
+
+
+def _histogram_totals(sched) -> dict:
+    """``{status: (count, sum)}`` of ``service_request_duration_seconds``."""
+    text = sched.metrics.render()
+
+    def series(suffix):
+        pattern = (
+            rf"^repro_service_request_duration_seconds_{suffix}"
+            r'\{status="(\w+)"\} (\S+)$'
+        )
+        return {status: float(value) for status, value in re.findall(pattern, text, re.M)}
+
+    counts, sums = series("count"), series("sum")
+    return {status: (int(counts[status]), sums[status]) for status in counts}
+
+
+def test_one_total_per_request(context, caplog):
+    """The response's ``total_ms``, its wide event's, the latency
+    histogram observation and the SLO event are one number, with and
+    without ``explain`` (whose assembly runs before delivery)."""
+    caplog.set_level(logging.INFO, logger=request_logger().name)
+    slo = _RecordingSLO()
+    with QueryScheduler(context, workers=1, slo=slo) as sched:
+        sched.warm([("km", 2)])
+        responses = [
+            sched.execute(QueryRequest(query="Q1", params={"pb_selectivity": 0.71}, explain=True)),
+            sched.execute(QueryRequest(query="Q1", params={"pb_selectivity": 0.71})),
+        ]
+    assert [r.status for r in responses] == [STATUS_OK, STATUS_OK]
+    assert responses[0].explain is not None and responses[1].explain is None
+    wides = {event["request_id"]: event for event in _wide_events(caplog)}
+    for response, (status, total_s) in zip(responses, slo.events):
+        assert status == response.status
+        assert total_s == response.total_ms / 1e3
+        assert wides[response.request_id]["total_ms"] == round(response.total_ms, 3)
+    count, total = _histogram_totals(sched)[STATUS_OK]
+    assert count == 2
+    assert total == pytest.approx(sum(r.total_ms for r in responses) / 1e3, rel=1e-9)
+
+
+def test_every_terminal_status_is_accounted_once(context, caplog):
+    """ok, degraded, error and rejected requests each bump the status
+    counter, the latency histogram, the SLO tracker and the wide log
+    exactly once — rejections included."""
+    caplog.set_level(logging.INFO, logger=request_logger().name)
+    sched = QueryScheduler(context, workers=2, max_queue=8)
+    sched.warm([("km", 2)])
+    statuses = [
+        sched.execute(QueryRequest(query="Q1")).status,
+        sched.execute(QueryRequest(aggregate="max")).status,
+        sched.execute(QueryRequest(query="Q1", deadline_ms=0.01, mc_samples=4)).status,
+        sched.execute(QueryRequest(query="Q1", scheme="bipartite", k=3)).status,
+    ]
+    sched.close()  # joins the workers: every post-delivery accounting ran
+    statuses.append(sched.execute(QueryRequest(query="Q1")).status)
+    assert statuses == [STATUS_OK, STATUS_OK, STATUS_DEGRADED, "error", STATUS_REJECTED]
+    view = sched.status()
+    assert view["by_status"] == {
+        STATUS_OK: 2, STATUS_DEGRADED: 1, "error": 1, STATUS_REJECTED: 1
+    }
+    assert view["submitted"] == 5 and view["completed"] == 4
+    assert view["rejected_full"] == 1 and view["deadline_misses"] == 1
+    histogram = _histogram_totals(sched)
+    assert {status: count for status, (count, _) in histogram.items()} == view["by_status"]
+    requests_total = sum(
+        float(value)
+        for value in re.findall(
+            r"^repro_service_requests_total\{[^}]*\} (\S+)$", sched.metrics.render(), re.M
+        )
+    )
+    assert requests_total == 5
+    assert sched.slo.total == 5
+    assert len(_wide_events(caplog)) == 5
