@@ -185,9 +185,11 @@ def _explain(args: argparse.Namespace) -> int:
                 # two-constraint conflict on an otherwise-real encoding.
                 encoded = context.encoding(args.scheme, args.k).encoded
                 plan = QUERY_BUILDERS[args.query](encoded, config.params)
-                objective = evaluate_licm(plan, encoded.relations)
-                reached = prune_fixpoint(encoded.model.constraints, objective.coeffs)
-                target = encoded.model.pool.get(min(reached.variables))
+                with encoded.model.scoped():
+                    objective = evaluate_licm(plan, encoded.relations)
+                    reached = prune_fixpoint(encoded.model.constraints, objective.coeffs)
+                    lowest = min(reached.variables)
+                target = encoded.model.pool.get(lowest)
                 encoded.model.add(linear_sum([target]) >= 1)
                 encoded.model.add(linear_sum([target]) <= 0)
             response = scheduler.execute(

@@ -44,12 +44,12 @@ def sum_objective(
     if dedup:
         relation = licm_dedup(relation)
     position = relation.position(attribute)
-    total = LinearExpr({}, 0)
+    terms = []
     for row in relation.rows:
         value = row.values[position]
         if not isinstance(value, int):
             raise QueryError(
                 f"SUM({attribute}) requires integer values, found {value!r}"
             )
-        total = total + value * (row.ext if not row.certain else LinearExpr({}, 1))
-    return total
+        terms.append(value if row.certain else value * row.ext)
+    return linear_sum(terms)

@@ -152,12 +152,6 @@ def group_count_bounds(
     return out
 
 
-def _optimize_with(model, objective, extra_constraints, sense, options, session=None):
-    """Solve one direction with additional (query-local) constraints."""
-    session = _session_for(model, options, "lineage", session)
-    return session.optimize(objective, sense, list(extra_constraints))
-
-
 def avg_bounds(
     relation: LICMRelation,
     attribute: str,
@@ -216,13 +210,10 @@ def avg_bounds(
         current = ratio_of(solution)
         for _ in range(max_iterations):
             p, q = current.numerator, current.denominator
-            objective = LinearExpr({}, 0)
-            for row, value in zip(deduped.rows, values):
-                coef = q * value - p
-                if row.certain:
-                    objective = objective + coef
-                else:
-                    objective = objective + coef * row.ext
+            objective = linear_sum(
+                q * value - p if row.certain else (q * value - p) * row.ext
+                for row, value in zip(deduped.rows, values)
+            )
             solution, dense = session.optimize(
                 objective, "max" if sense == "max" else "min", nonempty
             )
@@ -241,12 +232,6 @@ def avg_bounds(
     upper = dinkelbach("max")
     lower = dinkelbach("min")
     return AggregateBounds(lower=lower, upper=upper, exact=True)
-
-
-def _feasible_with(model, extra_constraints, options, session=None) -> bool:
-    """Is there a valid world satisfying the extra constraints too?"""
-    session = _session_for(model, options, "lineage", session)
-    return session.feasible(extra_constraints)
 
 
 def minmax_bounds(

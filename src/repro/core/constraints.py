@@ -9,7 +9,8 @@ solver read from it.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, KeysView, Mapping, Tuple
+from contextlib import contextmanager
+from typing import Iterable, Iterator, KeysView, Mapping, Optional, Tuple
 
 from repro.core.linexpr import LinearExpr
 from repro.errors import ConstraintError
@@ -136,17 +137,18 @@ class ConstraintStore:
         self._constraints: list[LinearConstraint] = []
         # var index -> list of constraint positions mentioning it
         self._by_var: dict[int, list[int]] = {}
-        # id(constraint) -> its position (the last one, if appended twice)
+        # id(constraint) -> its position (the last one, if appended twice;
+        # re-appending inside a scope keeps the earlier one)
         self._position_of: dict[int, int] = {}
-        # Monotone mutation counter; the engine's solve cache watches it
-        # to invalidate entries when the store changes.  The store is
-        # append-only, so it equals len(self) — kept explicit so the
-        # invalidation contract survives future non-append mutations.
+        # Counts appends outside :meth:`scoped` (those inside are rolled
+        # back); the engine's caches watch it to invalidate their entries.
         self._generation = 0
+        self._scope_length: Optional[int] = None  # store length at scope entry
 
     @property
     def generation(self) -> int:
-        """Counter bumped by every mutation (cache-invalidation signal)."""
+        """Counter bumped by every append outside a scope (the
+        cache-invalidation signal)."""
         return self._generation
 
     def add(self, constraint: LinearConstraint) -> None:
@@ -158,14 +160,41 @@ class ConstraintStore:
             )
         position = len(self._constraints)
         self._constraints.append(constraint)
-        self._generation += 1
-        self._position_of[id(constraint)] = position
+        if self._scope_length is None:
+            self._generation += 1
+            self._position_of[id(constraint)] = position
+        else:
+            self._position_of.setdefault(id(constraint), position)
         for index in constraint.variables:
             self._by_var.setdefault(index, []).append(position)
 
     def extend(self, constraints: Iterable[LinearConstraint]) -> None:
         for constraint in constraints:
             self.add(constraint)
+
+    @contextmanager
+    def scoped(self) -> Iterator[None]:
+        """Roll back every append made inside the block when it exits,
+        normally or by exception: the constraint list and both indexes
+        return to their state at entry, and ``generation`` never moves.
+        Scopes do not nest."""
+        if self._scope_length is not None:
+            raise ConstraintError("constraint store scopes do not nest")
+        self._scope_length = length = len(self._constraints)
+        try:
+            yield
+        finally:
+            while len(self._constraints) > length:
+                constraint = self._constraints.pop()
+                position = len(self._constraints)
+                for index in constraint.variables:
+                    positions = self._by_var[index]
+                    positions.pop()  # the newest position is this one
+                    if not positions:
+                        del self._by_var[index]
+                if self._position_of[id(constraint)] == position:
+                    del self._position_of[id(constraint)]
+            self._scope_length = None
 
     def constraints_on(self, var_index: int) -> list[LinearConstraint]:
         """All constraints mentioning the given variable index."""

@@ -10,7 +10,8 @@ representation, query answering and lineage.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.constraints import ConstraintStore, LinearConstraint
 from repro.core.relation import LICMRelation
@@ -94,6 +95,30 @@ class LICMModel:
     def is_lineage_constraint(self, constraint) -> bool:
         """Was this constraint registered as operator lineage?"""
         return id(constraint) in self._lineage_constraint_ids
+
+    # -- query scopes ------------------------------------------------------
+    @contextmanager
+    def scoped(self) -> Iterator["LICMModel"]:
+        """One query's lineage, rolled back on exit (normal or by exception).
+
+        The pool, the constraint store and the lineage registry return to
+        their state at entry; in-scope appends never move
+        ``constraints.generation``, so it counts base changes only.  What
+        is built inside must not be used after: its indices are reused.
+        Scopes do not nest (:class:`~repro.errors.ConstraintError`)."""
+        variables, registered = len(self.pool), len(self.lineage_parents)
+        anon_counter = self._anon_counter
+        with self.constraints.scoped():
+            try:
+                yield self
+            finally:
+                self.pool.truncate(variables)
+                self._anon_counter = anon_counter
+                # Operators register fresh variables: the newest entries.
+                while len(self.lineage_parents) > registered:
+                    index, _ = self.lineage_parents.popitem()
+                    for constraint in self.lineage_constraints.pop(index):
+                        self._lineage_constraint_ids.discard(id(constraint))
 
     # -- statistics --------------------------------------------------------
     @property

@@ -50,11 +50,7 @@ class LinearExpr:
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: Operand) -> "LinearExpr":
-        other = self._coerce(other)
-        coeffs = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            coeffs[i] = coeffs.get(i, 0) + c
-        return LinearExpr(coeffs, self.constant + other.constant, self._merge_pool(other))
+        return linear_sum((self, other))
 
     __radd__ = __add__
 
@@ -116,9 +112,19 @@ def linear_sum(operands) -> LinearExpr:
 
     Accepts the mixed ``Ext`` column of an LICM relation directly, which is
     how aggregate objectives are formed (certain tuples contribute their
-    constant 1, maybe-tuples contribute their variable).
+    constant 1, maybe-tuples contribute their variable).  Linear time: one
+    dict accumulates every term, in order of first appearance.
     """
     total = LinearExpr({}, 0)
+    coeffs = total.coeffs
     for op in operands:
-        total = total + op
+        expr = LinearExpr._coerce(op)
+        total.pool_id = total._merge_pool(expr)
+        total.constant += expr.constant
+        for index, coef in expr.coeffs.items():
+            coef += coeffs.get(index, 0)
+            if coef:
+                coeffs[index] = coef
+            else:
+                del coeffs[index]
     return total

@@ -119,6 +119,10 @@ class VariablePool:
         """Return the variable with the given dense index."""
         return self._vars[index]
 
+    def truncate(self, length: int) -> None:
+        """Drop every variable created after the first ``length``."""
+        del self._vars[length:]
+
     def __len__(self) -> int:
         return len(self._vars)
 

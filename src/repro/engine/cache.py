@@ -8,8 +8,9 @@ translated back through that query's own :class:`~repro.engine.canonical.Canonic
 The cache is self-validating: the fingerprint is computed from the
 *pruned* problem on every lookup, so any store mutation that actually
 changes a problem changes its fingerprint and misses naturally.  The
-session layer additionally clears the cache outright when non-lineage
-constraints are added (see ``SolveSession._ensure_fresh``).
+session layer additionally clears the cache outright when the base store
+changes; a query's own lineage, evaluated inside ``LICMModel.scoped()``
+and rolled back after, never does (see ``SolveSession._ensure_fresh``).
 
 Eviction is GreedyDual (Young 1994; Cao & Irani, "Cost-Aware WWW Proxy
 Caching", 1997): each entry carries the cost of recomputing it, and a

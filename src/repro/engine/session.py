@@ -6,17 +6,17 @@ bound in the repo needs, and layers on top of it:
 
 * a canonical fingerprint of each pruned problem
   (:mod:`repro.engine.canonical`), so structurally repeated queries are
-  recognised even though each evaluation allocates fresh lineage
+  recognised even though each evaluation allocates its own lineage
   variables;
-* a memo of prepared problems keyed by the objective's content, so a
-  structurally repeated request skips prune, normalize, canonicalize and
-  decompose entirely (see :meth:`SolveSession.prepare`);
+* a memo of prepared problems under a key the caller names (the service
+  scheduler's plan identity), so a repeated request skips plan
+  evaluation and prepare entirely (see :meth:`SolveSession.prepare`);
 * a bounded cost-aware solve cache (:mod:`repro.engine.cache`) keyed by
   ``(fingerprint, sense)`` — the L1 tier, GreedyDual-evicted by each
-  entry's recompute seconds — invalidated when non-lineage
-  constraints are added to the model's store (lineage-only appends —
-  i.e. answering more queries — keep the cache warm, which is what makes
-  a Figure-5 k-sweep amortize its solves);
+  entry's recompute seconds — invalidated when the model's base store
+  changes.  Queries evaluated inside
+  :meth:`~repro.core.database.LICMModel.scoped` never change it, so a
+  Figure-5 k-sweep amortizes its solves;
 * whole exact answers kept in that same L1 under ``("answer", key)``
   (:meth:`SolveSession.kept_answer` / :meth:`SolveSession.keep_answer`),
   so a repeated exact answer is one read — same lifetime, same eviction;
@@ -30,10 +30,6 @@ bound in the repo needs, and layers on top of it:
 * counters and phase timings on the process metrics registry
   (:func:`repro.obs.export.count` / :func:`~repro.obs.export.phase`),
   in place of hand-rolled ``perf_counter`` bookkeeping.
-
-``repro.core.bounds.objective_bounds`` and ``repro.queries.answer_licm``
-remain as thin facades constructing a throwaway session, so existing
-callers and their signatures are untouched.
 """
 
 from __future__ import annotations
@@ -114,16 +110,17 @@ class PreparedProblem:
     component, so its cache keys are the whole problem's fingerprint.
 
     The session memoizes prepared problems and shares their parts between
-    callers, so nothing downstream may mutate one.  A memo hit returns the
-    first preparation with only ``prep_time`` refreshed: its
-    ``prune_stats`` — in particular ``variables_before`` and
-    ``constraints_before`` — describe the store as of that first prepare.
-
-    The one exception is ``verdicts``: the estimator tier verdicts
+    callers, so nothing downstream may mutate one.  The one exception is
+    ``verdicts``: the estimator tier verdicts
     :class:`~repro.estimator.tiered.TieredAnswerer` computed for this
     problem's components, keyed by answerer and component fingerprint.
     A memo hit shares the dict, so the verdicts live exactly as long as
     the memo entry.  Nothing but the answerer reads it.
+
+    A prepared problem is self-contained: it outlives the lineage scope
+    that evaluated its query.  A memo hit returns the first preparation
+    with only ``prep_time`` refreshed; its ``prune_stats`` ``*_before``
+    count the base model plus that query's own lineage.
     """
 
     problem: object
@@ -226,7 +223,6 @@ class SolveSession:
         self.fabric = fabric
         self._closed = False
         self._seen_generation = model.constraints.generation
-        self._seen_length = len(model.constraints)
 
     # -- lifecycle ---------------------------------------------------------
     def __enter__(self) -> "SolveSession":
@@ -257,17 +253,13 @@ class SolveSession:
 
     # -- cache freshness ---------------------------------------------------
     def _ensure_fresh(self) -> None:
-        """Invalidate the caches if non-lineage constraints were added.
+        """Invalidate the caches if the model's base store changed.
 
-        The store is append-only, so its generation counter equals its
-        length.  Appends that are all registered operator lineage cannot
-        change any previously fingerprinted pruned problem (lineage
-        constraints are deterministic and sibling lineage is never part
-        of another query's pruned BIP), so the cache stays warm across
-        repeated query evaluations.  The same argument keeps the
-        prepared-problem memo warm under lineage pruning (see
-        :meth:`prepare`).  Any other append — a user correlation, a manual
-        ``model.add`` — clears the cache and the memo.
+        The store generation counts appends made outside a
+        :meth:`~repro.core.database.LICMModel.scoped` block: a user
+        correlation, a manual ``model.add``, and also lineage evaluated
+        without a scope (conservatively).  Any such append clears the L1
+        (kept answers included) and the prepared memo.
         """
         if self._closed:
             raise EngineError(
@@ -275,20 +267,10 @@ class SolveSession:
                 "(close() was called; its fabric is shut down) — "
                 "create a new session to keep solving"
             )
-        store = self.model.constraints
-        generation = store.generation
+        generation = self.model.constraints.generation
         if generation == self._seen_generation:
             return
-        appended = generation - self._seen_generation
-        new_length = len(store)
-        lineage_only = new_length - self._seen_length == appended and all(
-            self.model.is_lineage_constraint(store[pos])
-            for pos in range(self._seen_length, new_length)
-        )
         self._seen_generation = generation
-        self._seen_length = new_length
-        if lineage_only:
-            return
         self.cache.clear()
         self._prepared.clear()
         count("cache_invalidations")
@@ -316,20 +298,22 @@ class SolveSession:
                     self.model.constraints, seeds, self.prune_method, model=self.model
                 )
                 constraints = pruned.constraints + extra
+                variables = pruned.variables
                 prune_stats = dict(pruned.stats)
             else:
                 constraints = list(self.model.constraints) + extra
-                seen = set(objective.coeffs)
+                variables = set(objective.coeffs)
                 for constraint in constraints:
-                    seen.update(constraint.variables)
+                    variables.update(constraint.variables)
                 prune_stats = {
-                    "variables_before": len(seen),
+                    "variables_before": len(variables),
                     "constraints_before": len(constraints),
-                    "variables_after": len(seen),
+                    "variables_after": len(variables),
                     "constraints_after": len(constraints),
                 }
         with phase("normalize"):
-            names = {var.index: var.name for var in self.model.pool}
+            pool = self.model.pool
+            names = {i: pool.get(i).name for i in variables if i < len(pool)}
             problem, dense = from_licm(objective, constraints, names)
             canonical = canonicalize(objective, constraints)
         span.set("fingerprint", canonical.fingerprint)
@@ -736,14 +720,14 @@ class SolveSession:
     def kept_answer(self, key: Hashable) -> Optional[KeptAnswer]:
         """The exact answer :meth:`keep_answer` kept under ``key``, or ``None``.
 
-        Runs the freshness check first, so a non-lineage append drops every
-        kept answer before it can be read; counts ``answer_hits`` or
+        Runs the freshness check first, so a base append drops every kept
+        answer before it can be read; counts ``answer_hits`` or
         ``answer_misses``.  ``key`` must determine the answer given the
-        store's non-lineage constraints: the tiered answerer keys a
-        COUNT/SUM answer by its pruned problem's fingerprint (identical
-        problems, identical optima), the service scheduler a MIN/MAX
-        answer by its plan identity (lineage appends only define fresh
-        variables, so they never change which worlds a probe admits).
+        base model: the tiered answerer keys a COUNT/SUM answer by its
+        pruned problem's fingerprint (identical problems, identical
+        optima), the service scheduler a MIN/MAX answer by its plan
+        identity (each evaluation writes its own lineage over the same
+        base, inside a scope).
         """
         self._ensure_fresh()
         kept = self.cache.get(("answer", key))
@@ -772,11 +756,27 @@ class SolveSession:
         )
         self.cache.put(("answer", key), answer, cost=max(cost, floor))
 
+    def memoized(self, key: Hashable) -> Optional[PreparedProblem]:
+        """The problem :meth:`prepare` memoized under ``key`` (with a fresh
+        ``prep_time``), or ``None``.  Runs the freshness check first; a hit
+        opens the ``engine.prepare`` span with ``memo=True`` and counts
+        ``prepare_memo_hits``."""
+        self._ensure_fresh()
+        prep = Stopwatch()
+        memoized = self._prepared.get(key)
+        if memoized is not None:
+            with current_tracer().span("engine.prepare", memo=True) as span:
+                span.set("fingerprint", memoized.fingerprint)
+            count("prepare_memo_hits")
+            memoized = replace(memoized, prep_time=prep.stop())
+        return memoized
+
     def prepare(
         self,
         objective: LinearExpr,
         extra_constraints: Sequence[LinearConstraint] = (),
         do_prune: bool = True,
+        key: Optional[Hashable] = None,
     ) -> PreparedProblem:
         """Run the prune/normalize/canonicalize phases without solving.
 
@@ -785,32 +785,18 @@ class SolveSession:
         can recognise a structurally identical problem *before* paying for
         the BIP solves, then finish via :meth:`solve_prepared`.
 
-        Results are memoized by the objective's content (its terms and
-        constant), the extra constraints and ``do_prune``.  Under
-        ``prune_method="lineage"`` with pruning on, a memoized problem
-        stays valid across lineage-only appends: sibling lineage never
-        enters another query's pruned problem.  Every other mode can pull
-        later appends into the problem, so its key also carries the store
-        generation.  A hit still opens the ``engine.prepare`` span (with
-        ``memo=True``) and counts ``prepare_memo_hits``.
+        With a ``key`` the result is memoized under it, and a problem
+        memoized there is returned instead (:meth:`memoized`).  The key
+        must determine the problem given the base model: the service
+        scheduler passes the plan identity and evaluates each plan inside
+        :meth:`~repro.core.database.LICMModel.scoped`.  Without a key
+        nothing is memoized — objective indices are reused across scopes.
         """
-        self._ensure_fresh()
+        memoized = self.memoized(key)  # nothing is ever stored under None
+        if memoized is not None:
+            return memoized
         prep = Stopwatch()
         extra = tuple(extra_constraints)
-        key = (
-            tuple(sorted(objective.coeffs.items())),
-            objective.constant,
-            extra,
-            do_prune,
-        )
-        if not (do_prune and self.prune_method == "lineage"):
-            key += (self.model.constraints.generation,)
-        memoized = self._prepared.get(key)
-        if memoized is not None:
-            with current_tracer().span("engine.prepare", memo=True) as span:
-                span.set("fingerprint", memoized.fingerprint)
-            count("prepare_memo_hits")
-            return replace(memoized, prep_time=prep.stop())
         with current_tracer().span("engine.prepare") as span:
             whole, prune_stats, constraints, names = self._prepare(
                 objective, extra, do_prune, span
@@ -824,7 +810,8 @@ class SolveSession:
             prune_stats=prune_stats,
             prep_time=prep.stop(),
         )
-        self._prepared.put(key, prepared, cost=prepared.prep_time)
+        if key is not None:
+            self._prepared.put(key, prepared, cost=prepared.prep_time)
         return prepared
 
     def solve_prepared(

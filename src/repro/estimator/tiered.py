@@ -20,7 +20,7 @@ a solve proved exact is kept whole in the session's L1 under
 ``("answer", fingerprint)`` — bounds, backend, no witnesses — and a
 repeated ``tight`` answer on the same fingerprint is that one read
 (:meth:`~repro.engine.session.SolveSession.kept_answer`).  It lives as
-long as any L1 entry: ``cache.clear()``, a non-lineage append or
+long as any L1 entry: ``cache.clear()``, a base append or
 GreedyDual eviction drops it, and ``cache_size=0`` keeps nothing.
 Non-exact (deadline-cut or node-limited) answers are never kept.
 A component's verdict is

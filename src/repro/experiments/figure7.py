@@ -38,20 +38,17 @@ def run_figure7(
 ) -> List[Figure7Row]:
     context = context or ExperimentContext()
     rows: List[Figure7Row] = []
+    record = context.encoding(scheme, k)
+    model = record.encoded.model
+    vars_model, cons_model = model.num_variables, model.num_constraints
     for query in queries:
-        # A fresh encoding per query so "after querying" counts only this
-        # query's lineage (the cache would accumulate across queries).
-        context._encodings.pop((scheme, k), None)
-        record = context.encoding(scheme, k)
-        model = record.encoded.model
-        vars_model, cons_model = model.num_variables, model.num_constraints
-
-        plan = context.plan(query, record.encoded)
-        objective = evaluate_licm(plan, record.encoded.relations)
-        assert isinstance(objective, LinearExpr)
-        vars_query, cons_query = model.num_variables, model.num_constraints
-
-        pruned = prune(model.constraints, objective.coeffs.keys())
+        # One scope per query, so "after querying" counts only its lineage.
+        with model.scoped():
+            plan = context.plan(query, record.encoded)
+            objective = evaluate_licm(plan, record.encoded.relations)
+            assert isinstance(objective, LinearExpr)
+            vars_query, cons_query = model.num_variables, model.num_constraints
+            pruned = prune(model.constraints, objective.coeffs.keys())
         seen = set(objective.coeffs)
         for constraint in pruned.constraints:
             seen.update(constraint.variables)
@@ -66,7 +63,6 @@ def run_figure7(
                 cons_pruned=len(pruned.constraints),
             )
         )
-    context._encodings.pop((scheme, k), None)
     return rows
 
 

@@ -230,9 +230,13 @@ class ExperimentContext:
         )
 
     def licm_answer(self, query: str, scheme: str, k: int):
+        """Answer one query in a lineage scope, so the shared session's L1
+        stays warm across a sweep."""
         record = self.encoding(scheme, k)
         plan = self.plan(query, record.encoded)
-        answer = answer_licm(record.encoded, plan, session=self.session(scheme, k))
+        session = self.session(scheme, k)
+        with record.encoded.model.scoped():
+            answer = answer_licm(record.encoded, plan, session=session)
         logger.info("%s/%s k=%d LICM %r", query, scheme, k, answer)
         return answer
 

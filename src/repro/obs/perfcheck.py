@@ -179,19 +179,22 @@ def default_scenarios(quick: bool = False) -> List[Scenario]:
     def run_solve_cold(state) -> None:
         encoded, plan = state
         session = SolveSession(encoded.model, cache_size=0)
-        answer_licm(encoded, plan, session=session)
+        with encoded.model.scoped():
+            answer_licm(encoded, plan, session=session)
 
     def setup_solve_warm():
         context = shared_context()
         encoded = context.encoding("km", 2).encoded
         plan = context.plan("Q1", encoded)
         session = context.session("km", 2)
-        answer_licm(encoded, plan, session=session)  # populate the cache
+        with encoded.model.scoped():
+            answer_licm(encoded, plan, session=session)  # populate the cache
         return (encoded, plan, session)
 
     def run_solve_warm(state) -> None:
         encoded, plan, session = state
-        answer_licm(encoded, plan, session=session)
+        with encoded.model.scoped():
+            answer_licm(encoded, plan, session=session)
 
     def setup_licm_eval():
         context = shared_context()
@@ -201,7 +204,8 @@ def default_scenarios(quick: bool = False) -> List[Scenario]:
 
     def run_licm_eval(state) -> None:
         encoded, plan = state
-        evaluate_licm(plan, encoded.relations)
+        with encoded.model.scoped():
+            evaluate_licm(plan, encoded.relations)
 
     scenarios = [
         Scenario("encode_km", setup_encode, run_encode),
@@ -213,6 +217,28 @@ def default_scenarios(quick: bool = False) -> List[Scenario]:
         # Drop the slowest scenario; the cold solve dominates quick runs.
         scenarios = [s for s in scenarios if s.name != "solve_cold_q1"]
     return scenarios
+
+
+def _q1_workload(scheme: str, tx: int, items: int, seed: int) -> Callable[[], tuple]:
+    """A loader of ``(encoded, objective)``: Q1 evaluated on a fresh
+    ``scheme`` encoding, built on the first call (in a scenario's setup,
+    outside the timed region) and shared after."""
+    shared: list = []
+
+    def workload() -> tuple:
+        if not shared:
+            from repro.experiments.config import ExperimentConfig
+            from repro.experiments.runner import ExperimentContext
+            from repro.queries.licm_eval import evaluate_licm
+
+            context = ExperimentContext(
+                ExperimentConfig(num_transactions=tx, num_items=items, mc_samples=8, seed=seed)
+            )
+            encoded = context.encoding(scheme, 2).encoded
+            shared.append((encoded, evaluate_licm(context.plan("Q1", encoded), encoded.relations)))
+        return shared[0]
+
+    return workload
 
 
 def decompose_scenarios(quick: bool = False) -> List[Scenario]:
@@ -230,36 +256,18 @@ def decompose_scenarios(quick: bool = False) -> List[Scenario]:
     """
     from repro.core.constraints import LinearConstraint
     from repro.engine.session import SolveSession
-    from repro.experiments.config import ExperimentConfig
-    from repro.experiments.runner import ExperimentContext
-    from repro.queries.licm_eval import evaluate_licm
     from repro.solver.interface import solve
 
-    tx = 300 if quick else 600
-    items = 64 if quick else 128
-
-    shared: Dict[str, object] = {}
-
-    def workload():
-        if "w" not in shared:
-            config = ExperimentConfig(
-                num_transactions=tx, num_items=items, mc_samples=8, seed=3
-            )
-            context = ExperimentContext(config)
-            encoded = context.encoding("k-anonymity", 2).encoded
-            plan = context.plan("Q1", encoded)
-            objective = evaluate_licm(plan, encoded.relations)
-            shared["w"] = (encoded, objective, sorted(objective.coeffs))
-        return shared["w"]
+    workload = _q1_workload("k-anonymity", 300 if quick else 600, 64 if quick else 128, 3)
 
     def setup():
-        encoded, objective, variables = workload()
+        encoded, objective = workload()
         session = SolveSession(encoded.model)
         session.bounds(objective)  # fill the cache outside the timed region
         return {
             "session": session,
             "objective": objective,
-            "variables": variables,
+            "variables": sorted(objective.coeffs),
             "rep": 0,
         }
 
@@ -305,25 +313,8 @@ def fabric_scenarios(quick: bool = False) -> List[Scenario]:
     from repro.engine.fabric import make_fabric
     from repro.engine.l2cache import L2SolveCache
     from repro.engine.session import SolveSession
-    from repro.experiments.config import ExperimentConfig
-    from repro.experiments.runner import ExperimentContext
-    from repro.queries.licm_eval import evaluate_licm
 
-    tx = 200 if quick else 400
-    items = 48 if quick else 96
-
-    shared: Dict[str, object] = {}
-
-    def workload():
-        if "w" not in shared:
-            config = ExperimentConfig(
-                num_transactions=tx, num_items=items, mc_samples=8, seed=11
-            )
-            context = ExperimentContext(config)
-            encoded = context.encoding("km", 2).encoded
-            plan = context.plan("Q1", encoded)
-            shared["w"] = (encoded, evaluate_licm(plan, encoded.relations))
-        return shared["w"]
+    workload = _q1_workload("km", 200 if quick else 400, 48 if quick else 96, 11)
 
     def make_setup(kind: str, workers: int):
         def setup():
@@ -381,26 +372,9 @@ def kernels_scenarios(quick: bool = False) -> List[Scenario]:
     import random
 
     from repro.engine.session import SolveSession
-    from repro.experiments.config import ExperimentConfig
-    from repro.experiments.runner import ExperimentContext
-    from repro.queries.licm_eval import evaluate_licm
     from repro.solver.result import SolverOptions
 
-    tx = 300 if quick else 600
-    items = 64 if quick else 128
-
-    shared: Dict[str, object] = {}
-
-    def workload():
-        if "w" not in shared:
-            config = ExperimentConfig(
-                num_transactions=tx, num_items=items, mc_samples=8, seed=3
-            )
-            context = ExperimentContext(config)
-            encoded = context.encoding("k-anonymity", 2).encoded
-            plan = context.plan("Q1", encoded)
-            shared["w"] = (encoded, evaluate_licm(plan, encoded.relations))
-        return shared["w"]
+    workload = _q1_workload("k-anonymity", 300 if quick else 600, 64 if quick else 128, 3)
 
     def setup_cold_solve():
         encoded, objective = workload()
@@ -464,25 +438,8 @@ def tiers_scenarios(quick: bool = False) -> List[Scenario]:
     """
     from repro.engine.session import SolveSession
     from repro.estimator import TieredAnswerer
-    from repro.experiments.config import ExperimentConfig
-    from repro.experiments.runner import ExperimentContext
-    from repro.queries.licm_eval import evaluate_licm
 
-    tx = 300 if quick else 600
-    items = 64 if quick else 128
-
-    shared: Dict[str, object] = {}
-
-    def workload():
-        if "w" not in shared:
-            config = ExperimentConfig(
-                num_transactions=tx, num_items=items, mc_samples=8, seed=3
-            )
-            context = ExperimentContext(config)
-            encoded = context.encoding("km", 2).encoded
-            plan = context.plan("Q1", encoded)
-            shared["w"] = (encoded, evaluate_licm(plan, encoded.relations))
-        return shared["w"]
+    workload = _q1_workload("km", 300 if quick else 600, 64 if quick else 128, 3)
 
     def make_setup(precision: str):
         def setup():

@@ -9,16 +9,18 @@ and a worker pool drains it.  Each worker:
    the request's whole scheduler → engine → solver span tree is
    distinguishable in the shared JSONL stream;
 2. evaluates the LICM plan and *prepares* the BIP under the encoding's
-   model lock (plan evaluation appends lineage to the shared model, so it
-   must be serialized per model; the expensive solves happen outside);
+   model lock, in one :meth:`~repro.core.database.LICMModel.scoped`
+   block that rolls the lineage back once the self-contained prepared
+   problem exists (the solves run outside).  The session memoizes it
+   under the plan identity, so a repeated plan skips both;
 3. **dedups in-flight work** on the plan identity (scheme, k, kind,
-   query or aggregate, params — the key that also memoizes evaluated
-   objectives): concurrent requests for one plan coalesce *before* plan
-   evaluation, at any precision.  The leader evaluates, prepares and
-   publishes its prepared problem on the flight, then answers on its own
-   worker; only followers **park**: they attach a completion callback to
-   the leader's flight and release their worker slot instead of blocking
-   on an event, so a burst of identical requests cannot starve the pool.
+   query or aggregate, params): concurrent requests for one plan
+   coalesce *before* plan evaluation, at any precision.  The leader
+   evaluates, prepares and publishes its prepared problem on the flight,
+   then answers on its own worker; only followers **park**: they attach
+   a completion callback to the leader's flight and release their worker
+   slot instead of blocking on an event, so a burst of identical
+   requests cannot starve the pool.
    On resume a follower answers the leader's prepared problem at its own
    precision, reading the solve cache and the estimator verdicts the
    leader left behind — identical concurrent problems cost one engine
@@ -342,19 +344,12 @@ class QueryScheduler:
         self._queue: "queue.Queue" = queue.Queue()
         self._depth_lock = threading.Lock()
         self._external_queued = 0
-        # Both keyed by the plan identity (scheme, k, kind, name, params):
-        # one in-flight answer per plan, one evaluated objective per plan.
+        # Keyed by the plan identity (scheme, k, kind, name, params): one
+        # in-flight answer per plan.
         self._inflight: Dict[tuple, _Flight] = {}
         self._inflight_lock = threading.Lock()
         self._model_locks: Dict[Tuple[str, int], threading.Lock] = {}
         self._locks_lock = threading.Lock()
-        # Evaluated LICM objectives.  Lineage evaluation is deterministic for a
-        # fixed encoding and append-only on the shared model, so reusing
-        # the LinearExpr across requests is safe (the decompose benchmark
-        # reuses one objective across many prepares the same way) and
-        # skips the dominant shared cost of an estimator-tier answer.
-        # Guarded by the per-encoding model lock.
-        self._objectives: Dict[tuple, object] = {}
         self._warmed: set = set()
         self._closed = False
         self._close_lock = threading.Lock()
@@ -1000,7 +995,8 @@ class QueryScheduler:
     @staticmethod
     def _plan_key(request: QueryRequest) -> tuple:
         """The plan identity (scheme, k, kind, query or aggregate, params):
-        keys in-flight dedup, evaluated objectives and kept MIN/MAX answers."""
+        keys in-flight dedup, memoized prepared problems and kept MIN/MAX
+        answers."""
         return (request.scheme, request.k) + request.dedup_key()[:2] + (
             tuple(sorted(request.params.items())),
         )
@@ -1023,17 +1019,14 @@ class QueryScheduler:
             return None
 
         try:
-            # Plan evaluation appends lineage to the shared model:
-            # serialize it per encoding.  The solves run outside the lock.
-            with model_lock:
-                objective = self._objectives.get(plan_key)
-                if objective is None:
+            prepared = session.memoized(plan_key)
+            if prepared is None:
+                # Plan evaluation writes lineage to the shared model: one
+                # scope per encoding at a time.  The solves run outside.
+                with model_lock, encoded.model.scoped():
                     with phase("l_query"):
                         objective = evaluate_licm(plan, encoded.relations)
-                    if len(self._objectives) >= 256:  # bounded; eviction is rare
-                        self._objectives.clear()
-                    self._objectives[plan_key] = objective
-                prepared = session.prepare(objective)
+                    prepared = session.prepare(objective, key=plan_key)
             flight.prepared = prepared
             root.set("fingerprint", prepared.fingerprint)
             response = self._answer_prepared(
@@ -1105,10 +1098,11 @@ class QueryScheduler:
         (:meth:`_plan_key`), so a repeated MIN/MAX request is one read —
         no plan evaluation, no probe.  Otherwise the probes interleave
         plan-relative model reads with solves, so the whole answer runs
-        under the model lock; the deadline still applies through the
-        per-probe solver options.  An answer with an undecided probe is
-        not exact: it degrades once the deadline has passed, and it is
-        never kept — nor is any answer finished after the deadline.
+        under the model lock in one lineage scope; the deadline still
+        applies through the per-probe solver options.  An answer with an
+        undecided probe is not exact: it degrades once the deadline has
+        passed, and it is never kept — nor is any answer finished after the
+        deadline.
         """
         from repro.queries import answer_licm
 
@@ -1122,7 +1116,7 @@ class QueryScheduler:
                 exact=True, cache_hits=2, tier=TIER_EXACT, gap=0.0,
             )
         options = self._deadline_options(session, pending)
-        with model_lock:
+        with model_lock, encoded.model.scoped():
             clock = Stopwatch()
             answer = answer_licm(encoded, plan, session=session, options=options)
             seconds = clock.stop()

@@ -1,13 +1,13 @@
 """The prepared-problem memo inside ``SolveSession.prepare``.
 
-A structurally repeated ``prepare`` must skip prune/normalize/canonicalize/
-decompose and hand back a problem identical to a fresh preparation —
-never a stale one:
+A ``prepare`` under a key the caller names is memoized under that key.  A
+repeat must skip prune/normalize/canonicalize/decompose and hand back a
+problem identical to a fresh preparation — never a stale one:
 
-* under lineage pruning the memo survives lineage-only appends (answering
-  other queries) and is cleared by any other append;
-* under ``fixpoint``/``single_pass`` pruning and ``do_prune=False`` every
-  append can change the problem, so no memoized problem outlives one;
+* without a key nothing is memoized;
+* scoped evaluations (``LICMModel.scoped`` rolls their lineage back) keep
+  the memo; a base append — and, conservatively, lineage evaluated
+  without a scope — clears it, whatever the pruning mode;
 * ``cache_size=0`` disables it;
 * nothing downstream (exact solves, the tier cascade) mutates a memoized
   problem beyond its estimator verdict store, and the service serves the
@@ -52,16 +52,13 @@ def memo_hits() -> int:
     return counter_totals().get("prepare_memo_hits", 0)
 
 
-def preparation(prepared, with_before=True):
+def preparation(prepared):
     """Every field of a PreparedProblem except its wall time."""
-    stats = dict(prepared.prune_stats)
-    if not with_before:
-        stats = {k: v for k, v in stats.items() if not k.endswith("_before")}
     return (
         prepared.problem,
         prepared.dense,
         prepared.canonical,
-        stats,
+        prepared.prune_stats,
         prepared.components,
     )
 
@@ -86,9 +83,9 @@ def test_repeated_prepare_skips_prune_and_keeps_bounds(prune_calls):
     objective = count_where(trans, "!=", "Shampoo")
     hits = memo_hits()
 
-    first = session.prepare(objective)
+    first = session.prepare(objective, key="q")
     cold = session.solve_prepared(first)
-    second = session.prepare(objective)
+    second = session.prepare(objective, key="q")
     warm = session.solve_prepared(second)
 
     assert len(prune_calls) == 1
@@ -100,18 +97,22 @@ def test_repeated_prepare_skips_prune_and_keeps_bounds(prune_calls):
     assert warm.upper_witness == cold.upper_witness
 
 
-def test_memo_key_is_content_not_identity(prune_calls):
-    """An equal objective built anew (same variables) hits the memo."""
+def test_memo_key_is_the_callers_key(prune_calls):
+    """Only a named key memoizes, and the key alone decides a hit: equal
+    objective content never aliases (indices are reused across scopes)."""
     model, trans, (b1, b2, b3) = fig2c_model()
     session = SolveSession(model)
     hits = memo_hits()
     session.prepare(b1 + b2 + b3)
-    session.prepare(b3 + b2 + b1)
-    assert len(prune_calls) == 1
-    session.prepare(b1 + b2 + b3 + 1)  # the constant is part of the key
-    session.prepare(b1 + b2 + b3, do_prune=False)  # and so is do_prune
-    session.prepare(b1 + b2 + b3, extra_constraints=[(b1 + 0) >= 1])
-    assert memo_hits() - hits == 1
+    session.prepare(b1 + b2 + b3)
+    assert len(prune_calls) == 2
+    assert memo_hits() == hits
+    first = preparation(session.prepare(b1 + b2 + b3, key="plan"))
+    assert preparation(session.prepare(b1 + b2 + 1, key="plan")) == first
+    assert preparation(session.memoized("plan")) == first
+    assert session.memoized("other") is None
+    assert len(prune_calls) == 3
+    assert memo_hits() - hits == 2
 
     lonely = model.new_var()  # in no constraint: pruning drops everything
     fixpoint = SolveSession(model, prune_method="fixpoint")
@@ -121,41 +122,39 @@ def test_memo_key_is_content_not_identity(prune_calls):
     assert whole.prune_stats["constraints_after"] == 1
 
 
-def test_lineage_only_appends_keep_the_memo(prune_calls):
+def test_scoped_evaluations_keep_the_memo(prune_calls):
     model, trans, _ = fig2c_model()
     session = SolveSession(model)
-    objective = count_where(trans, "!=", "Shampoo")
-    first = session.prepare(objective)
-    before = len(model.constraints)
+    base = model.stats()
+    with model.scoped():
+        first = session.prepare(count_tids_where(trans, "!=", "Shampoo"), key="q")
+        with_lineage = len(model.constraints)
+    with model.scoped():
+        session.bounds(count_tids_where(trans, "<", "Shampoo"))  # another query
+    assert model.stats() == base
 
-    other = count_tids_where(trans, "<", "Shampoo")  # a sibling query's lineage
-    session.bounds(other)
-    assert len(model.constraints) > before
-    calls = len(prune_calls)
-
-    again = session.prepare(objective)
-    assert len(prune_calls) == calls  # served from the memo
+    again = session.memoized("q")
     assert preparation(again) == preparation(first)
-    # ... and it is exactly what a fresh, memo-less session prepares now,
-    # apart from the documented *_before counts of the first prepare.
-    fresh = SolveSession(model, cache_size=0).prepare(objective)
-    assert preparation(again, with_before=False) == preparation(
-        fresh, with_before=False
-    )
-    assert again.prune_stats["constraints_before"] == before
-    assert fresh.prune_stats["constraints_before"] == len(model.constraints)
+    # ... and it is exactly what a fresh, memo-less session prepares in a
+    # new scope: the *_before counts are the base plus this query's lineage.
+    with model.scoped():
+        fresh = SolveSession(model, cache_size=0).prepare(
+            count_tids_where(trans, "!=", "Shampoo")
+        )
+    assert preparation(again) == preparation(fresh)
+    assert again.prune_stats["constraints_before"] == with_lineage > base["constraints"]
 
 
 def test_non_lineage_append_clears_the_memo(prune_calls):
     model, trans, (b1, b2, _b3) = fig2c_model()
     session = SolveSession(model)
     objective = count_where(trans, "!=", "Shampoo")
-    session.prepare(objective)
-    session.prepare(objective)
+    session.prepare(objective, key="q")
+    session.prepare(objective, key="q")
     assert len(prune_calls) == 1
 
     model.add((b1 + b2) <= 1)  # a user constraint
-    after = session.prepare(objective)
+    after = session.prepare(objective, key="q")
     assert len(prune_calls) == 2
     assert after.prune_stats["constraints_after"] == 2  # both base constraints
     bounds = session.solve_prepared(after)
@@ -172,7 +171,7 @@ def test_store_dependent_preparations_are_never_stale(prune_method, do_prune):
     objective = count_where(trans, "!=", "Shampoo")
 
     def check():
-        got = session.prepare(objective, do_prune=do_prune)
+        got = session.prepare(objective, do_prune=do_prune, key="q")
         fresh = SolveSession(model, prune_method=prune_method, cache_size=0)
         want = fresh.prepare(objective, do_prune=do_prune)
         assert preparation(got) == preparation(want)
@@ -184,7 +183,7 @@ def test_store_dependent_preparations_are_never_stale(prune_method, do_prune):
     hits = memo_hits()
     assert hits - start == 1
 
-    count_tids_where(trans, "<", "Shampoo")  # lineage that mentions b1
+    count_tids_where(trans, "<", "Shampoo")  # unscoped lineage mentioning b1
     grown = check()
     assert grown.fingerprint != first.fingerprint  # the append mattered
     model.add((b1 + b2) <= 1)
@@ -195,13 +194,26 @@ def test_store_dependent_preparations_are_never_stale(prune_method, do_prune):
     assert memo_hits() == hits
 
 
+@pytest.mark.parametrize("do_prune", [True, False])
+def test_problem_names_are_the_pool_names(do_prune):
+    """Names are looked up for the problem's own variables only, and are
+    exactly the pool's names in dense order."""
+    model, trans, _ = fig2c_model()
+    with model.scoped():
+        prepared = SolveSession(model).prepare(
+            count_tids_where(trans, "!=", "Shampoo"), do_prune=do_prune
+        )
+        order = sorted(prepared.dense, key=prepared.dense.get)
+        assert prepared.problem.names == [model.pool.get(i).name for i in order]
+
+
 def test_zero_cache_size_disables_the_memo(prune_calls):
     model, trans, _ = fig2c_model()
     session = SolveSession(model, cache_size=0)
     objective = count_where(trans, "!=", "Shampoo")
     hits = memo_hits()
-    session.prepare(objective)
-    session.prepare(objective)
+    session.prepare(objective, key="q")
+    session.prepare(objective, key="q")
     assert len(prune_calls) == 2
     assert memo_hits() == hits
     assert len(session._prepared) == 0
@@ -211,7 +223,7 @@ def test_memo_is_lru_bounded_by_cache_size():
     model, _, variables = fig2c_model()
     session = SolveSession(model, cache_size=32)  # room for 2 problems
     for var in variables:
-        session.prepare(var + 0)
+        session.prepare(var + 0, key=var.index)
     assert len(session._prepared) == 2
     assert session._prepared.stats["evictions"] == 1
     assert SolveSession(model, cache_size=1)._prepared.maxsize == 1
@@ -234,7 +246,7 @@ def test_solves_and_tiers_leave_a_memoized_problem_unchanged(workload):
     encoded, objective = workload
     hits = memo_hits()
     with SolveSession(encoded.model) as session:
-        prepared = session.prepare(objective)
+        prepared = session.prepare(objective, key="q")
         assert prepared.decomposed  # the per-component paths are exercised
         snapshot = copy.deepcopy(prepared)
 
@@ -244,7 +256,7 @@ def test_solves_and_tiers_leave_a_memoized_problem_unchanged(workload):
         # tolerance -1 escalates every component through solve_units
         TieredAnswerer(tolerance=-1.0).answer(session, prepared, PRECISION_BALANCED)
         session.cache.clear()  # re-solve from scratch on the memoized problem
-        again = session.prepare(objective)
+        again = session.prepare(objective, key="q")
         resolved = session.solve_prepared(again)
 
     assert memo_hits() - hits == 1
@@ -271,12 +283,13 @@ def test_served_tight_answers_match_a_memo_less_session():
                     QueryRequest(query=query, precision=PRECISION_TIGHT)
                 )
                 assert response.status == STATUS_OK, response.error
-                objective = evaluate_licm(
-                    context.plan(query, encoded), encoded.relations
-                )
-                reference = SolveSession(
-                    encoded.model, options=context.solver_options(), cache_size=0
-                ).bounds(objective)
+                with encoded.model.scoped():
+                    objective = evaluate_licm(
+                        context.plan(query, encoded), encoded.relations
+                    )
+                    reference = SolveSession(
+                        encoded.model, options=context.solver_options(), cache_size=0
+                    ).bounds(objective)
                 assert (response.lower, response.upper) == (
                     reference.lower,
                     reference.upper,

@@ -226,13 +226,13 @@ def _repeated_block_model():
 def test_verdicts_are_kept_per_prepared_problem_and_answerer():
     model, v, objective = _repeated_block_model()
     with SolveSession(model) as session:
-        prepared = session.prepare(objective)
+        prepared = session.prepare(objective, key="q")
         fingerprints = [c.canonical.fingerprint for c in prepared.components]
         assert len(set(fingerprints)) < len(fingerprints)  # a repeated block
         answerer, structural = counting_answerer()
 
         answers = [
-            answerer.answer(session, session.prepare(objective), precision)
+            answerer.answer(session, session.prepare(objective, key="q"), precision)
             for precision in (PRECISION_FAST, PRECISION_FAST, PRECISION_BALANCED)
         ]
         # One cascade (min + max) per distinct fingerprint, across all
@@ -258,10 +258,10 @@ def test_verdicts_are_kept_per_prepared_problem_and_answerer():
         assert escalated.exact
         assert structural.calls == {fp: 2 for fp in fingerprints}
 
-        # A non-lineage append clears the prepared memo: the rebuilt
-        # problem (same fingerprints) runs the cascade again.
+        # A base append clears the prepared memo: the rebuilt problem
+        # (same fingerprints) runs the cascade again.
         model.add((v[9] + v[10]) <= 1)
-        rebuilt = session.prepare(objective)
+        rebuilt = session.prepare(objective, key="q")
         assert rebuilt is not prepared and not rebuilt.verdicts
         assert [c.canonical.fingerprint for c in rebuilt.components] == fingerprints
         answerer.answer(session, rebuilt, PRECISION_FAST)

@@ -116,7 +116,7 @@ def test_cascade_interval_contains_exact_even_when_short_circuiting(
 
 def _answer_or_infeasible(answerer, session, objective, precision):
     try:
-        answer = answerer.answer(session, session.prepare(objective), precision)
+        answer = answerer.answer(session, session.prepare(objective, key="q"), precision)
     except InfeasibleError:
         return "infeasible"
     return (answer.lower, answer.upper, answer.tier, answer.gap, answer.escalations)
@@ -145,5 +145,5 @@ def test_answering_twice_reuses_an_identical_verdict(problem, precision, toleran
     with SolveSession(model, options=SolverOptions(backend="bb")) as session:
         first = _answer_or_infeasible(answerer, session, objective, precision)
         again = _answer_or_infeasible(answerer, session, objective, precision)
-        assert session.prepare(objective).verdicts  # the second one reused
+        assert session.prepare(objective, key="q").verdicts  # the second one reused
     assert again == first

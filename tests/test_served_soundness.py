@@ -13,6 +13,11 @@ component, so the fabric's units are the MIN/MAX feasibility probes.
 With ``backend="scipy"`` (inline fabric) the root pass steps aside and
 every component is a HiGHS solve, so the answers also go through the
 SciPy backend's target-fixing probe and its fall-through solve.
+
+Each request evaluates its plan inside one lineage scope of the shared
+model.  Distinct plans served interleaved through one scheduler, then a
+base ``model.add``, then the same plans again must still equal the
+enumeration — of the changed model after the append.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import brute_force_adhoc, counter_totals, delta, tiny_config
+from repro.core.linexpr import linear_sum
 from repro.experiments.runner import ExperimentContext
 from repro.service.api import STATUS_OK, QueryRequest
 from repro.service.scheduler import QueryScheduler
@@ -78,3 +84,36 @@ def _check_served_answers(truth, precision, **config):
                         assert response.lower <= low <= high <= response.upper, where
     finally:
         ctx.close()
+
+
+def test_interleaved_plans_and_a_base_append_match_enumeration(truth):
+    ctx = ExperimentContext(tiny_config(solve_workers=2))
+    try:
+        encoded = ctx.encoding(SCHEME, 2).encoded
+        model = encoded.model
+        with QueryScheduler(ctx, workers=2) as sched:
+            sched.warm([(SCHEME, 2)])
+            interleaved = ("count", "min", "sum", "max", "sum", "count", "max", "min")
+            _check_tight(sched, interleaved, truth)
+
+            # Pin the first maybe-tuple of TRANSITEM absent: a base change.
+            row = encoded.relations["TRANSITEM"].maybe_rows[0]
+            model.add(linear_sum([row.ext]) <= 0)
+            changed = {}
+            for aggregate in AGGREGATES:
+                with model.scoped():
+                    changed[aggregate] = brute_force_adhoc(encoded, aggregate)
+            assert changed != truth  # the append reaches some answer
+            _check_tight(sched, interleaved, changed)
+    finally:
+        ctx.close()
+
+
+def _check_tight(sched, aggregates, expected):
+    for aggregate in aggregates:
+        response = sched.execute(
+            QueryRequest(aggregate=aggregate, scheme=SCHEME, precision="tight")
+        )
+        assert response.status == STATUS_OK, (aggregate, response.error)
+        assert response.exact, aggregate
+        assert (response.lower, response.upper) == expected[aggregate], aggregate
