@@ -15,7 +15,7 @@ public facade — each builds (or accepts) a session and delegates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.core.aggregates import count_objective, sum_objective
@@ -234,6 +234,28 @@ def avg_bounds(
     return AggregateBounds(lower=lower, upper=upper, exact=True)
 
 
+def prepare_minmax(session, relation: LICMRelation, attribute: str, agg: str, key=None):
+    """Prepare a MIN/MAX relation's lineage once, for :func:`minmax_bounds`.
+
+    No probe looks at or before the extreme certain value, so it is the
+    one certain entry of the result's ``tuples`` (see ``PreparedProblem``)
+    and the pruning seeds are the uncertain tuples beyond it.  ``key``
+    memoizes as in :meth:`~repro.engine.session.SolveSession.prepare`.
+    """
+    position = relation.position(attribute)
+    pick = max if agg == "max" else min
+    certain = [row.values[position] for row in relation.rows if row.certain]
+    clip = pick(certain) if certain else None
+    beyond = [
+        row for row in relation.maybe_rows
+        if clip is None or pick(row.values[position], clip) != clip
+    ]
+    tuples = ((clip, None),) if certain else ()
+    tuples += tuple((row.values[position], row.ext.index) for row in beyond)
+    objective = linear_sum(row.ext for row in beyond)
+    return session.prepare(objective, key=key, tuples=tuples)
+
+
 def minmax_bounds(
     relation: LICMRelation,
     attribute: str,
@@ -243,108 +265,86 @@ def minmax_bounds(
 ) -> AggregateBounds:
     """Bounds on ``MIN(attr)``/``MAX(attr)`` by case-based feasibility probes.
 
-    The paper handles MIN/MAX "using case based reasoning"; concretely, for
-    MAX the upper bound is the largest value whose tuple can exist in some
-    world, and the lower bound is the largest value ``v`` such that *some*
-    world contains no tuple with value ``> v`` — each test is one
-    feasibility BIP over the tuples above/below a candidate value.
-    MIN is symmetric.  Worlds where the relation is empty make MIN/MAX
-    undefined; such worlds are ignored (SQL semantics would yield NULL).
-    All probes share one solve session, so repeated cut structures hit the
-    session's cache.
+    The paper handles MIN/MAX "using case based reasoning".  Rank the
+    distinct values so that the extreme comes last (ascending for MAX).
+    The *outer* bound (MAX's upper) is the last rank at or beyond which a
+    tuple can exist; the *inner* one is the first rank such that a world
+    has every tuple beyond it absent and one at or before it present.
+    Empty worlds leave MIN/MAX undefined and are ignored.
 
-    When ``session`` is given, ``options`` (if also given) overrides its
-    solver options per probe — the service layer passes a deadline-clamped
-    copy so MIN/MAX requests honour their budget too.  A probe stopped
-    by a limit before it found a world is undecided: it is answered as
-    feasible, so the interval still contains the exact one, and the
-    result reports ``exact=False``.  ``stats['solve_time']`` sums the
-    probes' solver wall time.
+    Both predicates are monotone in the rank, so each bound is a
+    bisection: at most ``2*ceil(log2 |values|)`` probes (one for a single
+    value).  A probe adds the rows ``sum(x_beyond) <= 0`` and/or
+    ``sum(x_cover) >= 1`` to the problem :func:`prepare_minmax` prepared
+    once — ``relation`` may be that problem — and solves it through
+    ``repro.engine.fabric.portfolio_solve``, looked up per call.
+
+    ``options`` overrides the session's (the service passes a deadline
+    copy).  A probe stopped by a limit before it found a world is
+    answered feasible, which moves the bisection outward: the interval
+    still contains the exact one, and ``exact`` is False.  ``stats`` has
+    the probes' ``solve_time`` and their count.
     """
+    from repro.engine import fabric
+    from repro.solver.model import BIPConstraint
+
     if agg not in ("min", "max"):
         raise QueryError(f"agg must be 'min' or 'max', got {agg!r}")
-    model = relation.model
-    if session is None:
-        session = _session_for(model, options, "lineage", None)
-        probe_options = None
-    else:
-        probe_options = options
-    position = relation.position(attribute)
-    rows = relation.rows
-    if not rows:
-        return AggregateBounds(lower=None, upper=None, exact=True)
-    values = sorted({row.values[position] for row in rows})
-    solve_time = 0.0
-    decided = True
+    prepared = relation
+    if isinstance(relation, LICMRelation):
+        session = _session_for(relation.model, options, "lineage", session)
+        prepared = prepare_minmax(session, relation, attribute, agg)
+    options = options or (session.options if session is not None else SolverOptions())
+    values = sorted({value for value, _ in prepared.tuples}, reverse=agg == "min")
+    columns = {value: set() for value in values}  # uncertain tuples' columns
+    for value, index in prepared.tuples:
+        if index is not None:
+            columns[value].add(prepared.dense[index])
+    certain = 0 if any(index is None for _, index in prepared.tuples) else -1
+    problem, stats, decided = prepared.problem, {"solve_time": 0.0, "probes": 0}, True
 
-    def feasible(extra) -> bool:
-        """One feasibility probe (as ``session.feasible``), timed.
+    def row(ranks, op: str) -> BIPConstraint:
+        """``sum(x) <= 0`` or ``>= 1`` over the tuples at ``ranks``."""
+        terms = sorted({column for r in ranks for column in columns[values[r]]})
+        return BIPConstraint(tuple((1, column) for column in terms), op, int(op == ">="))
 
-        Optimal, or stopped at a limit holding an incumbent world: proven
-        feasible.  Infeasible: proven.  Stopped with no incumbent: not
-        decided — answered feasible, which widens the interval outward
-        (every scan below stops at its first feasible cut, which is then
-        at or beyond the exact endpoint), and the result loses ``exact``.
-        """
-        nonlocal solve_time, decided
-        solution, _ = session.optimize(
-            LinearExpr({}, 0), "max", extra, options=probe_options
+    def feasible(rows) -> bool:
+        """Optimal, or stopped holding a world: feasible.  Infeasible:
+        proven.  Stopped with no world: undecided, answered feasible."""
+        nonlocal decided
+        probe = replace(
+            problem, constraints=problem.constraints + rows, objective={},
+            objective_constant=0,
         )
-        solve_time += solution.solve_time
+        solution = fabric.portfolio_solve(probe, "max", options)
+        stats["solve_time"] += solution.solve_time
+        stats["probes"] += 1
         if solution.status == "infeasible":
             return False
-        if solution.status != "optimal" and solution.x is None:
-            decided = False
+        decided = decided and (solution.status == "optimal" or solution.x is not None)
         return True
 
-    def exists_bound(candidates, pick):
-        """Extreme value over tuples that can individually exist."""
-        for value in pick(candidates):
-            group = [r for r in rows if r.values[position] == value]
-            if any(r.certain for r in group):
-                return value
-            for row in group:
-                force = [(row.ext + 0) >= 1]
-                if feasible(force):
-                    return value
-        return None
-
-    def absent_bound(candidates, side):
-        """Extreme achievable when all tuples beyond a cut can be absent.
-
-        For MAX's lower bound: smallest v in values such that some world
-        has all tuples with value > v absent AND some tuple <= v present...
-        handled by scanning cuts from the extreme inward.
-        """
-        for value in pick_order:
-            if side == "upper_cut":  # for MAX lower bound
-                above = [r for r in rows if r.values[position] > value]
-                here_or_below = [r for r in rows if r.values[position] <= value]
-            else:  # for MIN upper bound
-                above = [r for r in rows if r.values[position] < value]
-                here_or_below = [r for r in rows if r.values[position] >= value]
-            if any(r.certain for r in above):
-                continue
-            extra = [(r.ext + 0) <= 0 for r in above]
-            # At least one surviving tuple must exist for the aggregate to
-            # be defined; certain tuples guarantee it.
-            if not any(r.certain for r in here_or_below):
-                extra.append(linear_sum([r.ext for r in here_or_below]) >= 1)
-            if feasible(extra):
-                return value
-        return None
-
-    if agg == "max":
-        upper = exists_bound(values, lambda vs: reversed(vs))
-        pick_order = values  # smallest cut first
-        lower = absent_bound(values, "upper_cut")
-    else:
-        lower = exists_bound(values, lambda vs: iter(vs))
-        pick_order = list(reversed(values))  # largest first
-        upper = absent_bound(values, "lower_cut")
-    return AggregateBounds(
-        lower=lower,
-        upper=upper,
-        exact=decided,
-        stats={"solve_time": solve_time},
-    )
+    # Outer: a certain tuple settles it up to its rank; -1: none can exist.
+    low, high = certain, len(values) - 1
+    while low < high:
+        mid = (low + high) // 2 + 1
+        if feasible([row(range(mid, high + 1), ">=")]):
+            low = mid
+        else:
+            high = mid - 1
+    outer = low
+    if outer < 0:
+        return AggregateBounds(lower=None, upper=None, exact=decided, stats=stats)
+    # Inner: nothing beyond ``outer`` can exist, so ``outer`` qualifies.
+    low, high = max(certain, 0), outer
+    while low < high:
+        mid = (low + high) // 2
+        rows = [row(range(mid + 1, outer + 1), "<=")]
+        if certain < 0:
+            rows.append(row(range(mid + 1), ">="))
+        if feasible(rows):
+            high = mid
+        else:
+            low = mid + 1
+    bounds = sorted((values[low], values[outer]))
+    return AggregateBounds(lower=bounds[0], upper=bounds[1], exact=decided, stats=stats)

@@ -38,7 +38,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.constraints import LinearConstraint
 from repro.core.linexpr import LinearExpr
@@ -121,6 +121,13 @@ class PreparedProblem:
     that evaluated its query.  A memo hit returns the first preparation
     with only ``prep_time`` refreshed; its ``prune_stats`` ``*_before``
     count the base model plus that query's own lineage.
+
+    ``tuples`` is empty but for a MIN/MAX problem
+    (:func:`repro.core.bounds.prepare_minmax`): one ``(value, index)``
+    pair per result tuple, ``index`` the model variable of its existence
+    (a key of ``dense``) or ``None`` for a certain tuple.  Such a problem's
+    objective only seeds the pruning: it is not the aggregate.  It is one
+    component, since the probes' rows couple its blocks.
     """
 
     problem: object
@@ -129,6 +136,7 @@ class PreparedProblem:
     components: Tuple[PreparedComponent, ...]
     prune_stats: dict = field(default_factory=dict)
     prep_time: float = 0.0
+    tuples: tuple = ()
     verdicts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -777,6 +785,7 @@ class SolveSession:
         extra_constraints: Sequence[LinearConstraint] = (),
         do_prune: bool = True,
         key: Optional[Hashable] = None,
+        tuples: tuple = (),
     ) -> PreparedProblem:
         """Run the prune/normalize/canonicalize phases without solving.
 
@@ -791,6 +800,8 @@ class SolveSession:
         scheduler passes the plan identity and evaluates each plan inside
         :meth:`~repro.core.database.LICMModel.scoped`.  Without a key
         nothing is memoized — objective indices are reused across scopes.
+        ``tuples`` is carried onto the result unchanged
+        (:attr:`PreparedProblem.tuples`).
         """
         memoized = self.memoized(key)  # nothing is ever stored under None
         if memoized is not None:
@@ -801,7 +812,10 @@ class SolveSession:
             whole, prune_stats, constraints, names = self._prepare(
                 objective, extra, do_prune, span
             )
-            components = self._decompose(whole, objective, constraints, names)
+            components = (
+                (whole,) if tuples
+                else self._decompose(whole, objective, constraints, names)
+            )
         prepared = PreparedProblem(
             problem=whole.problem,
             dense=whole.dense,
@@ -809,6 +823,7 @@ class SolveSession:
             components=components,
             prune_stats=prune_stats,
             prep_time=prep.stop(),
+            tuples=tuples,
         )
         if key is not None:
             self._prepared.put(key, prepared, cost=prepared.prep_time)
@@ -947,7 +962,7 @@ class SolveSession:
 
         Returns ``(solution, dense)`` where ``dense`` maps model variable
         indices to positions in ``solution.x`` — the contract the AVG
-        (Dinkelbach) and MIN/MAX (feasibility-probe) paths rely on.
+        (Dinkelbach) path relies on.
         ``solution.solve_time`` is the solver's wall time (0 on a cache
         hit).
         """
@@ -973,17 +988,6 @@ class SolveSession:
             backend=entry.backend,
         )
         return solution, dense
-
-    def feasible(
-        self,
-        extra_constraints: Iterable[LinearConstraint],
-        options: Optional[SolverOptions] = None,
-    ) -> bool:
-        """Is there a valid world satisfying the extra constraints too?"""
-        solution, _ = self.optimize(
-            LinearExpr({}, 0), "max", list(extra_constraints), options=options
-        )
-        return solution.status != "infeasible"
 
     def map(self, fn, items):
         """Run ``fn`` over ``items``, on the fabric's workers when possible.

@@ -62,7 +62,9 @@ class ExperimentConfig:
             pa_selectivity=min(1.0, 100 / self.num_transactions),
             pb_selectivity=0.25,
             pc_selectivity=0.25,
-            q3_selectivity=min(1.0, 60 / self.num_transactions),
+            # Q3's Pa and Pb are adjacent location ranges: at most half
+            # the domain each (below 120 transactions).
+            q3_selectivity=min(0.5, 60 / self.num_transactions),
         )
 
     @property

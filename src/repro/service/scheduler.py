@@ -11,39 +11,39 @@ and a worker pool drains it.  Each worker:
 2. evaluates the LICM plan and *prepares* the BIP under the encoding's
    model lock, in one :meth:`~repro.core.database.LICMModel.scoped`
    block that rolls the lineage back once the self-contained prepared
-   problem exists (the solves run outside).  The session memoizes it
-   under the plan identity, so a repeated plan skips both;
+   problem exists; every solve and MIN/MAX probe runs outside.  The
+   session memoizes it under the plan identity, so a repeated plan skips
+   both;
 3. **dedups in-flight work** on the plan identity (scheme, k, kind,
    query or aggregate, params): concurrent requests for one plan
    coalesce *before* plan evaluation, at any precision.  The leader
    evaluates, prepares and publishes its prepared problem on the flight,
    then answers on its own worker; only followers **park**: they attach
    a completion callback to the leader's flight and release their worker
-   slot instead of blocking on an event, so a burst of identical
-   requests cannot starve the pool.
-   On resume a follower answers the leader's prepared problem at its own
-   precision, reading the solve cache and the estimator verdicts the
-   leader left behind — identical concurrent problems cost one engine
-   solve.  A deadline-monitor thread fires the degrade path for any
-   parked request whose budget runs out first;
-4. answers at the request's **precision** through one call,
-   :meth:`~repro.estimator.TieredAnswerer.answer`: ``tight`` solves every
-   component exactly; ``fast``/``balanced`` consult the tiered estimator
-   ladder (:mod:`repro.estimator`) per decomposed component and escalate
-   only disagreeing components to the exact solver — estimator verdicts
-   are kept on the prepared problem (reused by later answers over it)
-   and never enter the shared solve caches.  **Exact answers are kept
-   whole** in the session L1: a ``tight`` COUNT/SUM answer under its
-   fingerprint, a MIN/MAX answer under its plan identity, so a repeated
-   exact answer is one read (wide event ``cache_tier="answer"``);
+   slot, so a burst of identical requests cannot starve the pool.  On
+   resume a follower answers the leader's prepared problem at its own
+   precision, reading the caches, kept answers and estimator verdicts
+   the leader left behind — identical concurrent problems cost one
+   engine solve.  A deadline-monitor thread fires the degrade path for
+   any parked request whose budget runs out first;
+4. answers at the request's **precision**: a COUNT/SUM problem through
+   :meth:`~repro.estimator.TieredAnswerer.answer` — ``tight`` solves
+   every component exactly; ``fast``/``balanced`` consult the estimator
+   ladder (:mod:`repro.estimator`) per component and escalate only
+   disagreeing components to the exact solver, keeping their verdicts on
+   the prepared problem — and a MIN/MAX problem by the feasibility
+   probes of :func:`~repro.core.bounds.minmax_bounds`.  **Exact answers
+   are kept whole** in the session L1: a ``tight`` COUNT/SUM answer
+   under its fingerprint, a MIN/MAX answer under its plan identity, so a
+   repeated exact answer is one read (wide event ``cache_tier="answer"``);
 5. enforces the request **deadline** with a deadline-clamped
    ``time_limit`` plus the solver's absolute ``deadline_at`` (picklable —
    it crosses into forked solve workers, unlike a closure); a solve cut
    short by its budget **degrades** down the ladder — a fast estimator
    interval (provably containing the exact range) whenever the request,
-   or the leader it follows, holds a prepared problem, the Monte Carlo
-   estimator (observed range ⊆ exact range) only without one — instead
-   of hanging, and a request with neither rung available answers
+   or the leader it follows, holds a prepared COUNT/SUM problem, else the
+   Monte Carlo estimator (observed range ⊆ exact range) — instead of
+   hanging, and a request with neither rung available answers
    ``timeout``.
 
 Every request therefore reaches a terminal status — ``ok``, ``degraded``,
@@ -62,6 +62,7 @@ import threading
 import time
 from typing import Dict, Iterable, Optional, Tuple
 
+from repro.core import bounds
 from repro.engine.cache import KeptAnswer
 from repro.errors import InfeasibleError, ServiceError, ValidationError
 from repro.estimator import (
@@ -92,6 +93,12 @@ from repro.service.api import (
 from repro.solver.result import SolverOptions
 
 logger = logging.getLogger(__name__)
+
+_MINMAX = (MinAttr, MaxAttr)
+
+
+def _agg(plan) -> str:
+    return "min" if isinstance(plan, MinAttr) else "max"
 
 
 class _Flight:
@@ -838,12 +845,19 @@ class QueryScheduler:
         return _adhoc_plan(encoded, request.aggregate)
 
     def _serve(self, pending: _Pending) -> Optional[QueryResponse]:
-        """One serve attempt.  ``None`` means the request parked on a
-        leader's flight; a continuation owns its completion."""
+        """One serve attempt, the one path for every plan.  ``None`` means
+        the request parked on a leader's flight; a continuation owns its
+        completion.
+
+        A MIN/MAX request first reads an answer kept under its plan
+        identity.  Concurrent requests for one plan — any precision —
+        coalesce **before** plan evaluation: followers park and answer the
+        prepared problem the leader publishes on its flight.  The model
+        lock covers evaluation and prepare only.
+        """
         request = pending.request
         pending.queue_ms = (time.monotonic() - pending.enqueued) * 1e3
-        tracer = current_tracer()
-        with tracer.span(
+        with current_tracer().span(
             "service.request",
             trace_id=new_trace_id(),
             request_id=request.request_id,
@@ -851,26 +865,52 @@ class QueryScheduler:
             query=request.query or request.aggregate,
             scheme=request.scheme,
             k=request.k,
-        ) as root:
-            pending.trace_id = root.trace_id or None
+        ) as root, tagged(root.trace_id or None):
             # Attribute this worker's profiler samples to the request's
-            # trace id for the duration of the request (no-op when no
-            # sampling profiler is running — a single dict write).
-            with tagged(pending.trace_id):
-                encoded, session, model_lock = self._resolve(request)
-                plan = self._build_plan(request, encoded)
-
-                if self._expired(pending):
-                    root.set("outcome", "deadline_before_start")
-                    return self._degrade(pending, encoded, plan, 0.0, cause="queue wait")
-
-                if isinstance(plan, (MinAttr, MaxAttr)):
-                    return self._serve_minmax(
-                        pending, encoded, session, model_lock, plan, root
-                    )
-                return self._serve_linear(
-                    pending, encoded, session, model_lock, plan, root
+            # trace id (no-op when no sampling profiler is running).
+            pending.trace_id = root.trace_id or None
+            encoded, session, model_lock = self._resolve(request)
+            plan = self._build_plan(request, encoded)
+            if self._expired(pending):
+                root.set("outcome", "deadline_before_start")
+                return self._degrade(pending, encoded, plan, 0.0, cause="queue wait")
+            plan_key = self._plan_key(request)
+            minmax = isinstance(plan, _MINMAX)
+            kept = self._kept_minmax(pending, session, plan_key) if minmax else None
+            if kept is not None:
+                root.set("outcome", STATUS_OK)
+                return kept
+            flight, leader = self._join_flight(plan_key)
+            if not leader:
+                self._park(root, pending, flight, encoded, session, plan)
+                return None
+            try:
+                prepared = session.memoized(plan_key)
+                if prepared is None:
+                    # Evaluation writes lineage to the shared model: one
+                    # scope per encoding at a time.
+                    with model_lock, encoded.model.scoped():
+                        with phase("l_query"):
+                            target = evaluate_licm(
+                                plan.child if minmax else plan, encoded.relations
+                            )
+                        prepared = (
+                            bounds.prepare_minmax(
+                                session, target, plan.attribute, _agg(plan), key=plan_key
+                            )
+                            if minmax else session.prepare(target, key=plan_key)
+                        )
+                flight.prepared = prepared
+                root.set("fingerprint", prepared.fingerprint)
+                response = self._answer_prepared(
+                    pending, session, prepared, plan, encoded, dedup=False
                 )
+            finally:
+                self._finish_flight(flight)
+            if response.status == STATUS_OK:
+                root.set("outcome", STATUS_OK)
+                root.set("tier", response.tier)
+            return response
 
     def _join_flight(self, key: tuple) -> Tuple[_Flight, bool]:
         """Register (leader) or join (follower) the in-flight unit ``key``."""
@@ -944,17 +984,14 @@ class QueryScheduler:
     ) -> None:
         """Follow the leader's ``flight`` without holding this worker slot.
 
-        Records a dedup hit and attaches the resume continuation, which is
-        enqueued as an internal task when the leader finishes (at once, if
-        it already has).  On resume the follower answers the leader's
-        published prepared problem at its own precision through
-        :meth:`_answer_prepared` — the solve cache and the kept estimator
-        verdicts make that a read — and serves itself afresh only when the
-        leader failed before preparing.  If the follower's budget runs out
-        first, the deadline monitor enqueues the degrade path instead, over
-        the prepared problem whenever the leader has published one; the
-        first to claim the pending wins.  Every answer over the leader's
-        flight — resumed or degraded — reports ``dedup=True``.
+        Records a dedup hit and attaches the resume continuation, enqueued
+        when the leader finishes (at once, if it has).  On resume the
+        follower answers the leader's prepared problem through
+        :meth:`_answer_prepared` — the caches, kept answers and verdicts
+        make that a read — or serves itself afresh if the leader failed
+        before preparing.  If its budget runs out first, the deadline
+        monitor enqueues the degrade path instead; the first to claim the
+        pending wins.  Every answer over the flight reports ``dedup=True``.
         """
         self._dedup_hits.inc()
         root.set("dedup", True)
@@ -1001,51 +1038,13 @@ class QueryScheduler:
             tuple(sorted(request.params.items())),
         )
 
-    def _serve_linear(
-        self, pending, encoded, session, model_lock, plan, root
-    ) -> Optional[QueryResponse]:
-        """COUNT/SUM plans: one BIP objective, deduped on the plan.
-
-        Concurrent requests for the same plan — any precision — coalesce
-        **before** plan evaluation, so followers skip the (per-model
-        serialized) evaluation and prepare entirely: they park (returning
-        ``None`` here) rather than hold a worker slot, and answer the
-        prepared problem the leader publishes on its flight.
-        """
-        plan_key = self._plan_key(pending.request)
-        flight, leader = self._join_flight(plan_key)
-        if not leader:
-            self._park(root, pending, flight, encoded, session, plan)
-            return None
-
-        try:
-            prepared = session.memoized(plan_key)
-            if prepared is None:
-                # Plan evaluation writes lineage to the shared model: one
-                # scope per encoding at a time.  The solves run outside.
-                with model_lock, encoded.model.scoped():
-                    with phase("l_query"):
-                        objective = evaluate_licm(plan, encoded.relations)
-                    prepared = session.prepare(objective, key=plan_key)
-            flight.prepared = prepared
-            root.set("fingerprint", prepared.fingerprint)
-            response = self._answer_prepared(
-                pending, session, prepared, plan, encoded, dedup=False
-            )
-        finally:
-            self._finish_flight(flight)
-
-        if response.status == STATUS_OK:
-            root.set("outcome", STATUS_OK)
-            root.set("tier", response.tier)
-        return response
-
     def _answer_prepared(
         self, pending, session, prepared, plan, encoded, dedup: bool
     ) -> QueryResponse:
-        """The one COUNT/SUM answer path, for leaders and followers.
+        """The one answer path, for leaders and followers.
 
-        Answers ``prepared`` at the request's precision through
+        A MIN/MAX plan goes to :meth:`_answer_minmax`.  Otherwise answers
+        ``prepared`` at the request's precision through
         :meth:`~repro.estimator.TieredAnswerer.answer` — ``tight`` solves
         every component exactly through the session's fabric and caches.
         Estimator verdicts are kept on ``prepared`` (reused by later
@@ -1054,6 +1053,8 @@ class QueryScheduler:
         IIS under ``explain``); a tight answer cut short by the deadline
         degrades.
         """
+        if isinstance(plan, _MINMAX):
+            return self._answer_minmax(pending, session, prepared, plan, encoded, dedup)
         request = pending.request
         fingerprint = prepared.fingerprint
         if request.explain:
@@ -1089,61 +1090,55 @@ class QueryScheduler:
         pending.kept = answer.kept
         return self._answer_response(pending, answer, fingerprint, dedup)
 
-    def _serve_minmax(
-        self, pending, encoded, session, model_lock, plan, root
-    ) -> QueryResponse:
-        """MIN/MAX plans: case-based feasibility probes (no BIP dedup).
-
-        An exact answer is kept in the session L1 under the plan identity
-        (:meth:`_plan_key`), so a repeated MIN/MAX request is one read —
-        no plan evaluation, no probe.  Otherwise the probes interleave
-        plan-relative model reads with solves, so the whole answer runs
-        under the model lock in one lineage scope; the deadline still
-        applies through the per-probe solver options.  An answer with an
-        undecided probe is not exact: it degrades once the deadline has
-        passed, and it is never kept — nor is any answer finished after the
-        deadline.
-        """
-        from repro.queries import answer_licm
-
-        plan_key = self._plan_key(pending.request)
+    def _kept_minmax(
+        self, pending, session, plan_key, dedup: bool = False
+    ) -> Optional[QueryResponse]:
+        """The MIN/MAX answer kept under the plan identity, as a response
+        (``None`` when none is kept)."""
         kept = session.kept_answer(plan_key)
-        if kept is not None:
-            pending.kept = True
-            root.set("outcome", STATUS_OK)
-            return self._response(
-                pending, STATUS_OK, lower=kept.lower, upper=kept.upper,
-                exact=True, cache_hits=2, tier=TIER_EXACT, gap=0.0,
-            )
-        options = self._deadline_options(session, pending)
-        with model_lock, encoded.model.scoped():
-            clock = Stopwatch()
-            answer = answer_licm(encoded, plan, session=session, options=options)
-            seconds = clock.stop()
-        bounds = answer.bounds
-        if self._expired(pending) and not bounds.exact:
-            return self._degrade(
-                pending, encoded, plan, answer.solve_time * 1e3,
-                cause="MIN/MAX probes exceeded deadline",
-            )
-        if bounds.exact and not self._expired(pending):
-            # Priced by the whole answer's wall: plan evaluation and every
-            # probe's prepare and solve.
-            session.keep_answer(
-                plan_key, KeptAnswer(bounds.lower, bounds.upper), cost=seconds
-            )
-        root.set("outcome", STATUS_OK)
-        # MIN/MAX probes have no linear BIP objective to estimate over:
-        # they are always answered by the probes, whatever the precision.
+        if kept is None:
+            return None
+        pending.kept = True
         return self._response(
-            pending,
-            STATUS_OK,
-            lower=bounds.lower,
-            upper=bounds.upper,
-            exact=bounds.exact,
-            tier=TIER_EXACT,
-            gap=0.0,
-            solve_ms=answer.solve_time * 1e3,
+            pending, STATUS_OK, lower=kept.lower, upper=kept.upper, exact=True,
+            dedup=dedup, cache_hits=2, tier=TIER_EXACT, gap=0.0,
+        )
+
+    def _answer_minmax(
+        self, pending, session, prepared, plan, encoded, dedup: bool
+    ) -> QueryResponse:
+        """MIN/MAX: :func:`repro.core.bounds.minmax_bounds`'s probes on the
+        prepared problem, under the request's deadline, at any precision.
+
+        A follower first reads the answer its leader kept.  An exact answer
+        finished in time is kept under the plan identity, priced by its
+        prepare and probes; an inexact one degrades past the deadline.
+        """
+        plan_key = self._plan_key(pending.request)
+        kept = self._kept_minmax(pending, session, plan_key, dedup=True) if dedup else None
+        if kept is not None:  # a follower reads the answer its leader kept
+            return kept
+        clock = Stopwatch()
+        result = bounds.minmax_bounds(
+            prepared, plan.attribute, _agg(plan),
+            options=self._deadline_options(session, pending), session=session,
+        )
+        seconds = clock.stop()
+        solve_ms = result.stats["solve_time"] * 1e3
+        if self._expired(pending) and not result.exact:
+            return self._degrade(
+                pending, encoded, plan, solve_ms,
+                cause="MIN/MAX probes exceeded deadline", dedup=dedup,
+            )
+        if result.exact and not self._expired(pending):
+            session.keep_answer(
+                plan_key, KeptAnswer(result.lower, result.upper),
+                cost=prepared.prep_time + seconds,
+            )
+        return self._response(
+            pending, STATUS_OK, lower=result.lower, upper=result.upper,
+            exact=result.exact, dedup=dedup, tier=TIER_EXACT, gap=0.0,
+            solve_ms=solve_ms,
         )
 
     def _degrade(
@@ -1160,18 +1155,19 @@ class QueryScheduler:
         """Deadline exceeded: step down the ladder — estimator tiers,
         then the MC estimator, then ``timeout``.
 
-        When the request already has a prepared problem in hand, a
-        ``fast`` pass over the estimator tiers yields a *provably
-        containing* interval in microseconds — strictly better degraded
-        semantics than Monte Carlo (whose observed range is contained in
-        the exact range instead).  Both fallbacks run slightly past the
-        deadline on purpose (a slightly-late approximate answer beats
-        none).  ``exact`` is always False here, and ``tier`` records
-        which rung actually served the answer; every rung reports
+        With a COUNT/SUM problem prepared, a ``fast`` pass over the
+        estimator tiers yields a *provably containing* interval in
+        microseconds — better than Monte Carlo, whose observed range is
+        contained in the exact one.  A MIN/MAX problem's objective is not
+        the aggregate, so it never takes that rung.  Both fallbacks run
+        slightly past the deadline on purpose.  ``exact`` is always False
+        here, ``tier`` names the rung that served, and every rung reports
         ``dedup``.
         """
         self._deadline_misses.inc()
         request = pending.request
+        if isinstance(plan, _MINMAX):
+            prepared = None
         fingerprint = prepared.fingerprint if prepared is not None else None
         tracer = current_tracer()
         if session is not None and prepared is not None:

@@ -66,27 +66,19 @@ def solve_bip_scipy(
             backend="scipy",
         )
 
-    rows, cols, data, lower, upper = [], [], [], [], []
-    for constraint in problem.constraints:
-        row_idx = len(lower)
-        for coef, idx in constraint.terms:
-            rows.append(row_idx)
-            cols.append(idx)
-            data.append(float(coef))
-        if constraint.op == "<=":
-            lower.append(-np.inf)
-            upper.append(float(constraint.rhs))
-        elif constraint.op == ">=":
-            lower.append(float(constraint.rhs))
-            upper.append(np.inf)
-        else:
-            lower.append(float(constraint.rhs))
-            upper.append(float(constraint.rhs))
-
     kwargs = {}
-    if lower:
-        matrix = csr_matrix((data, (rows, cols)), shape=(len(lower), n))
-        kwargs["constraints"] = LinearConstraint(matrix, lower, upper)
+    constraints = problem.constraints
+    if constraints:
+        terms = np.array([t for c in constraints for t in c.terms], dtype=float).reshape(-1, 2)
+        rows = np.repeat(np.arange(len(constraints)), [len(c.terms) for c in constraints])
+        rhs = np.array([c.rhs for c in constraints], dtype=float)
+        ops = np.array([c.op for c in constraints])
+        matrix = csr_matrix(
+            (terms[:, 0], (rows, terms[:, 1].astype(int))), shape=(len(constraints), n)
+        )
+        kwargs["constraints"] = LinearConstraint(
+            matrix, np.where(ops == "<=", -np.inf, rhs), np.where(ops == ">=", np.inf, rhs)
+        )
 
     time_limit = options.time_limit
     if any(problem.objective.values()):
@@ -124,7 +116,7 @@ def solve_bip_scipy(
         objective = None
         x = None
         if result.x is not None:
-            x = [int(round(v)) for v in result.x]
+            x = np.rint(result.x).astype(int).tolist()
             objective = problem.objective_value(x)
         bound = None
         if result.mip_dual_bound is not None:
@@ -140,7 +132,7 @@ def solve_bip_scipy(
     if not result.success:
         raise SolverError(f"scipy.milp failed: {result.message}")
 
-    x = [int(round(v)) for v in result.x]
+    x = np.rint(result.x).astype(int).tolist()
     objective = problem.objective_value(x)
     return Solution(
         status="optimal",
@@ -191,7 +183,7 @@ def _target_probe(
     )
     solution = None
     if result.status == 0 and result.x is not None:
-        x = [int(round(v)) for v in result.x]
+        x = np.rint(result.x).astype(int).tolist()
         if problem.is_feasible(x) and problem.objective_value(x) == trivial:
             solution = Solution(
                 status="optimal",

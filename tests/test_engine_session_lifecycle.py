@@ -47,13 +47,11 @@ def test_prepared_problem_cannot_be_solved_after_close():
         session.solve_prepared(prepared)
 
 
-def test_feasible_and_optimize_also_guarded():
+def test_optimize_also_guarded():
     session, objective = _session()
     session.close()
     with pytest.raises(EngineError, match="closed"):
         session.optimize(objective, "max")
-    with pytest.raises(EngineError, match="closed"):
-        session.feasible([objective >= 1])
 
 
 def test_context_manager_closes():

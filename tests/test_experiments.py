@@ -24,6 +24,26 @@ def test_config_scales_selectivity():
     assert "500tx" in config.label
 
 
+@pytest.mark.parametrize("num_transactions", [60, 119])
+def test_q3_fits_the_location_range_on_small_datasets(num_transactions):
+    """Q3's Pa and Pb are adjacent location ranges, so below 120
+    transactions each is clamped to half the domain; Q3 builds and
+    answers."""
+    config = ExperimentConfig(
+        num_transactions=num_transactions, num_items=24, k_values=(2,), seed=7
+    )
+    assert config.params.q3_selectivity == 0.5
+    context = ExperimentContext(config)
+    try:
+        context.plan("Q3", context.encoding("km", 2).encoded)
+        answer = context.licm_answer("Q3", "km", 2)
+        assert answer.lower <= answer.upper
+    finally:
+        context.close()
+    assert ExperimentConfig(num_transactions=120).params.q3_selectivity == 0.5
+    assert ExperimentConfig(num_transactions=600).params.q3_selectivity == 0.1
+
+
 def test_encoding_cache(context):
     first = context.encoding("km", 2)
     second = context.encoding("km", 2)

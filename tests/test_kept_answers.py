@@ -212,14 +212,13 @@ def test_undecided_probes_report_inexact_and_still_contain_brute_force(
     encoded = tiny.encoding("k-anonymity", 2).encoded
     plan = _adhoc_plan(encoded, aggregate)
     statuses = []
-    real = SolveSession.optimize
 
-    def spy(self, *args, **kwargs):
-        solution, dense = real(self, *args, **kwargs)
+    def spy(problem, sense, options):
+        solution = REAL_SOLVE(problem, sense, options)
         statuses.append((solution.status, solution.x is not None))
-        return solution, dense
+        return solution
 
-    monkeypatch.setattr(SolveSession, "optimize", spy)
+    monkeypatch.setattr(fabric_module, "portfolio_solve", spy)
     relation = evaluate_licm(plan.child, encoded.relations)
     starved = SolverOptions(node_limit=0, backend="bb", seed_incumbent=False)
     bounds = minmax_bounds(relation, plan.attribute, aggregate, options=starved)
