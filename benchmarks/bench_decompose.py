@@ -14,16 +14,17 @@ constraints actually changed miss the cache; everything else is a hit.
 
 Protocol (both arms share one encoding and identical perturbations):
 
-* the decomposed arm answers through ``SolveSession.solve_prepared``; the
-  monolithic arm solves the prepared problem's whole BIP through the
+* the decomposed arm prepares through ``SolveSession.prepare`` and answers
+  through ``SolveSession.solve_prepared``; the monolithic arm builds the
+  whole pruned BIP (``prune`` + ``from_licm``) and solves it through the
   solver facade (``repro.solver.interface.solve``), both senses, with no
   cache — the reference the engine's recombination must match;
 * cold solve once to fill the cache;
 * ``REPS`` perturbed re-queries, each adding a trivially-true cardinality
   constraint on a *different* variable (a fresh fingerprint every rep, so
   the LRU can never have seen the exact query before);
-* ``prepare`` (prune/canonicalize — identical work in both arms) and
-  ``solve_prepared`` (where the cache acts) are timed separately; the
+* the prepare phase (prune + normalize) and the solve phase (where the
+  cache acts) are timed separately; the
   headline speedup compares median warm *solve* phases, with end-to-end
   medians reported alongside.
 
@@ -40,9 +41,11 @@ import statistics
 import time
 
 from repro.core.constraints import LinearConstraint
+from repro.core.pruning import prune
 from repro.engine.session import SolveSession
 from repro.queries.licm_eval import evaluate_licm
 from repro.solver.interface import solve
+from repro.solver.model import from_licm
 
 REPS = 9
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_decompose.json")
@@ -57,17 +60,27 @@ def _engine(session, prepared):
     return (answer.lower, answer.upper), stats["components"], hits
 
 
-def _whole_bip(session, prepared):
+def _whole_prepare(session, objective, extra_constraints=()):
+    """The whole pruned BIP, pruned as the session prunes it."""
+    extra = list(extra_constraints)
+    seeds = set(objective.coeffs) | {i for c in extra for i in c.variables}
+    model = session.model
+    pruned = prune(model.constraints, seeds, session.prune_method, model=model)
+    problem, _ = from_licm(objective, pruned.constraints + extra)
+    return problem
+
+
+def _whole_bip(session, problem):
     """The whole BIP through the solver facade: one problem, no cache."""
-    low, high = (solve(prepared.problem, sense) for sense in ("min", "max"))
+    low, high = (solve(problem, sense) for sense in ("min", "max"))
     return (low.objective, high.objective), 1, 0
 
 
-def _run_arm(encoded, objective, perturb_vars, solve_prepared):
+def _run_arm(encoded, objective, perturb_vars, prepare, solve_prepared):
     """Cold solve + REPS perturbed re-queries on one fresh session."""
     session = SolveSession(encoded.model)
     t0 = time.perf_counter()
-    prepared = session.prepare(objective)
+    prepared = prepare(session, objective)
     cold_prepare = time.perf_counter() - t0
     t0 = time.perf_counter()
     cold_bounds, components, _ = solve_prepared(session, prepared)
@@ -77,7 +90,7 @@ def _run_arm(encoded, objective, perturb_vars, solve_prepared):
     for var in perturb_vars:
         extra = [LinearConstraint([(1, var)], "<=", 1)]  # trivially true
         t0 = time.perf_counter()
-        prepared = session.prepare(objective, extra_constraints=extra)
+        prepared = prepare(session, objective, extra_constraints=extra)
         prep_samples.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         answer, parts, hit = solve_prepared(session, prepared)
@@ -118,8 +131,8 @@ def test_decomposed_warm_requery_vs_monolithic(benchmark, context):
     perturb_vars = sorted(objective.coeffs)[:REPS]
     assert len(perturb_vars) == REPS
 
-    deco = _run_arm(encoded, objective, perturb_vars, _engine)
-    mono = _run_arm(encoded, objective, perturb_vars, _whole_bip)
+    deco = _run_arm(encoded, objective, perturb_vars, SolveSession.prepare, _engine)
+    mono = _run_arm(encoded, objective, perturb_vars, _whole_prepare, _whole_bip)
 
     # Both arms agree on every answer (the decomposition oracle, at scale).
     assert deco["cold_bounds"] == mono["cold_bounds"]

@@ -296,12 +296,13 @@ def minmax_bounds(
         prepared = prepare_minmax(session, relation, attribute, agg)
     options = options or (session.options if session is not None else SolverOptions())
     values = sorted({value for value, _ in prepared.tuples}, reverse=agg == "min")
+    (part,) = prepared.components
     columns = {value: set() for value in values}  # uncertain tuples' columns
     for value, index in prepared.tuples:
         if index is not None:
-            columns[value].add(prepared.dense[index])
+            columns[value].add(part.dense[index])
     certain = 0 if any(index is None for _, index in prepared.tuples) else -1
-    problem, stats, decided = prepared.problem, {"solve_time": 0.0, "probes": 0}, True
+    problem, stats, decided = part.problem, {"solve_time": 0.0, "probes": 0}, True
 
     def row(ranks, op: str) -> BIPConstraint:
         """``sum(x) <= 0`` or ``>= 1`` over the tuples at ``ranks``."""

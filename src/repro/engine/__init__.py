@@ -1,9 +1,10 @@
 """The shared solve-engine layer.
 
 One :class:`SolveSession` per LICM model owns the
-``prune -> canonicalize -> solve(min)+solve(max) -> witness`` pipeline
-with fingerprint-keyed solve caching and optional parallel min/max.  ``core.bounds`` and ``queries.answer`` are thin
-facades over this package.
+``prune -> split -> canonicalize -> solve(min)+solve(max) -> witness``
+pipeline with fingerprint-keyed solve caching and optional parallel
+min/max.  ``core.bounds`` and ``queries.answer`` are thin facades over
+this package.
 """
 
 from repro.engine.cache import CachedSolve, SolveCache

@@ -67,6 +67,22 @@ CREATE TABLE IF NOT EXISTS health_probe (
 """
 
 
+def _entry(status, objective, x_text, bound, nodes, backend) -> CachedSolve:
+    """One ``solves`` row as a :class:`CachedSolve`; a malformed row raises
+    ``ValueError`` or ``TypeError``."""
+    x_canonical: Optional[Tuple[int, ...]] = None
+    if x_text is not None:
+        x_canonical = tuple(int(v) for v in json.loads(x_text))
+    return CachedSolve(
+        status=status,
+        objective=objective,
+        x_canonical=x_canonical,
+        bound=bound,
+        nodes=int(nodes),
+        backend=backend,
+    )
+
+
 class L2SolveCache:
     """A shared ``(fingerprint, sense) -> CachedSolve`` map on disk.
 
@@ -152,26 +168,15 @@ class L2SolveCache:
                 "FROM solves WHERE fingerprint = ? AND sense = ?",
                 (fingerprint, sense),
             ).fetchone()
-        except sqlite3.Error:
-            row = None  # a busy/corrupt L2 degrades to a miss, never an error
-        if row is None:
-            with self._stats_lock:
-                self.misses += 1
-            return None
-        status, objective, x_text, bound, nodes, backend = row
-        x_canonical: Optional[Tuple[int, ...]] = None
-        if x_text is not None:
-            x_canonical = tuple(int(v) for v in json.loads(x_text))
+            entry = None if row is None else _entry(*row)
+        except (sqlite3.Error, TypeError, ValueError):
+            entry = None  # a busy/corrupt L2 degrades to a miss, never an error
         with self._stats_lock:
-            self.hits += 1
-        return CachedSolve(
-            status=status,
-            objective=objective,
-            x_canonical=x_canonical,
-            bound=bound,
-            nodes=int(nodes),
-            backend=backend,
-        )
+            if entry is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        return entry
 
     def put(self, fingerprint: str, sense: str, entry: CachedSolve,
             authoritative: bool = True) -> bool:

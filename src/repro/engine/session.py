@@ -1,11 +1,11 @@
 """The shared solve engine: one session per model, reused across queries.
 
-A :class:`SolveSession` owns the full ``model -> prune -> BIP normal form
--> solve(min) + solve(max) -> witness`` pipeline that every aggregate
-bound in the repo needs, and layers on top of it:
+A :class:`SolveSession` owns the full ``model -> prune -> split -> BIP
+normal form per block -> solve(min) + solve(max) -> witness`` pipeline
+that every aggregate bound in the repo needs, and layers on top of it:
 
-* a canonical fingerprint of each pruned problem
-  (:mod:`repro.engine.canonical`), so structurally repeated queries are
+* a canonical fingerprint of each independent block of a pruned problem
+  (:mod:`repro.engine.canonical`), so structurally repeated blocks are
   recognised even though each evaluation allocates its own lineage
   variables;
 * a memo of prepared problems under a key the caller names (the service
@@ -34,6 +34,7 @@ bound in the repo needs, and layers on top of it:
 
 from __future__ import annotations
 
+import hashlib
 import os
 import threading
 import time
@@ -68,8 +69,8 @@ _COMPONENT_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 #: L1 entries per memoized prepared problem.  An L1 entry is one solution
 #: vector; a prepared problem of the benchmark fixture (600 transactions)
-#: holds megabytes of dense and canonical forms, and answering it fills two
-#: L1 entries per component anyway.  The default ``cache_size=128`` keeps
+#: holds megabytes of per-block dense and canonical forms, and answering it
+#: fills two L1 entries per component anyway.  The default ``cache_size=128`` keeps
 #: 8 prepared problems per session.
 _L1_ENTRIES_PER_PREPARED = 16
 
@@ -81,11 +82,11 @@ class PreparedComponent:
     ``problem`` is the block's own dense BIP, ``dense`` maps *model*
     variable indices to its solution positions, and ``canonical`` carries
     the block's own fingerprint — the per-component cache key.  A problem
-    that does not split has one component: the whole problem's own
-    ``(problem, dense, canonical)``.  Everything here is plain data, so a
-    component crosses a process boundary intact.  ``kernel`` is the
-    block's :class:`~repro.solver.kernels.CompiledProblem`, built by the
-    first root pass that needs it and shared by both senses.
+    that does not split has one component: the whole problem, objective
+    constant included.  Everything here is plain data, so a component
+    crosses a process boundary intact.  ``kernel`` is the block's
+    :class:`~repro.solver.kernels.CompiledProblem`, built by the first
+    root pass that needs it and shared by both senses.
     """
 
     problem: object
@@ -96,18 +97,19 @@ class PreparedComponent:
 
 @dataclass
 class PreparedProblem:
-    """A pruned, densified, canonicalized problem — ready to solve.
+    """A pruned problem split into normalized components — ready to solve.
 
-    Produced by :meth:`SolveSession.prepare`; its ``fingerprint`` is the
-    dedup key the service scheduler coalesces identical in-flight requests
-    on, *before* any solver work happens.  Hand it back to
+    Produced by :meth:`SolveSession.prepare`; hand it back to
     :meth:`SolveSession.solve_prepared` for the bounds.
 
     ``components`` holds the connected components of the constraint
     graph — one or more: each solves and caches independently, and
     :meth:`SolveSession.solve_prepared` adds up the per-component
-    optima.  A problem that does not split is its own single
-    component, so its cache keys are the whole problem's fingerprint.
+    optima plus ``objective_offset``: the objective constant when the
+    problem splits (sub-objectives carry none), 0 when its one component
+    is the whole problem.  ``fingerprint`` names the problem (trace spans,
+    responses): its one component's fingerprint, or a digest of the
+    sorted component fingerprints and the offset.
 
     The session memoizes prepared problems and shares their parts between
     callers, so nothing downstream may mutate one.  The one exception is
@@ -125,34 +127,32 @@ class PreparedProblem:
     ``tuples`` is empty but for a MIN/MAX problem
     (:func:`repro.core.bounds.prepare_minmax`): one ``(value, index)``
     pair per result tuple, ``index`` the model variable of its existence
-    (a key of ``dense``) or ``None`` for a certain tuple.  Such a problem's
-    objective only seeds the pruning: it is not the aggregate.  It is one
-    component, since the probes' rows couple its blocks.
+    (a key of the one component's ``dense``) or ``None`` for a certain
+    tuple.  Such a problem's objective only seeds the pruning: it is not
+    the aggregate.  It is one component, since the probes' rows couple
+    its blocks.
     """
 
-    problem: object
-    dense: dict
-    canonical: CanonicalBIP
     components: Tuple[PreparedComponent, ...]
+    fingerprint: str
+    objective_offset: float = 0
     prune_stats: dict = field(default_factory=dict)
     prep_time: float = 0.0
     tuples: tuple = ()
     verdicts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
-    def fingerprint(self) -> str:
-        return self.canonical.fingerprint
-
-    @property
     def decomposed(self) -> bool:
         return len(self.components) > 1
 
-    @property
-    def objective_offset(self):
-        """What recombination adds to the summed component optima: the
-        objective constant when the problem splits (sub-objectives carry
-        none), nothing when its one component is the whole problem."""
-        return self.problem.objective_constant if self.decomposed else 0
+
+def _fingerprint(components: Sequence[PreparedComponent], offset) -> str:
+    """The whole problem's name: its one component's fingerprint, else a
+    digest of the sorted component fingerprints and the offset."""
+    if len(components) == 1:
+        return components[0].canonical.fingerprint
+    key = (tuple(sorted(part.canonical.fingerprint for part in components)), offset)
+    return hashlib.blake2b(repr(key).encode("utf-8"), digest_size=16).hexdigest()
 
 
 def _root_span_record(result: UnitResult, component: int, start_unix: float) -> dict:
@@ -290,12 +290,21 @@ class SolveSession:
         extra_constraints: Sequence[LinearConstraint],
         do_prune: bool,
         span,
-    ):
-        """Prune + densify + canonicalize one objective under the caller's
-        ``engine.prepare`` span.  Returns ``(whole, prune_stats,
-        constraints, names)``: the whole problem as one
-        :class:`PreparedComponent`, and the pruned LICM constraints and
-        variable names it was built from."""
+        split: bool = True,
+    ) -> Tuple[Tuple[PreparedComponent, ...], dict]:
+        """Prune, split and normalize one objective under the caller's
+        ``engine.prepare`` span.  Returns ``(components, prune_stats)``.
+
+        With ``split``, union-find over the LICM constraint scopes plus
+        the objective's support (objective-only variables form the
+        trailing *free* block — solved in closed form) cuts the pruned
+        problem into connected components.  Each is normalized and
+        fingerprinted on its own, once, so the solve cache hits per block:
+        a repeat query touching one changed anonymization group re-solves
+        only that block.  A problem that does not separate (one block, or
+        a degenerate empty-scope constraint) is normalized once, whole,
+        objective constant included, as its one component.
+        """
         with phase("prune"):
             extra = list(extra_constraints)
             if do_prune:
@@ -319,69 +328,36 @@ class SolveSession:
                     "variables_after": len(variables),
                     "constraints_after": len(constraints),
                 }
+        for key, value in prune_stats.items():
+            span.set(key, value)
+        parts = [(objective, constraints)]
+        scopes = [constraint.variables for constraint in constraints]
+        if split and all(scopes):
+            with current_tracer().span("engine.decompose") as decompose:
+                blocks = split_blocks(scopes, variables=objective.coeffs)
+                decompose.set("components", max(len(blocks), 1))
+                self._observe_components(max(len(blocks), 1))
+            if len(blocks) > 1:
+                count("decomposed_prepares")
+                coeffs = objective.coeffs
+                parts = [
+                    (
+                        LinearExpr(
+                            {i: coeffs[i] for i in block.variables if i in coeffs}, 0
+                        ),
+                        [constraints[cid] for cid in block.constraint_ids],
+                    )
+                    for block in blocks
+                ]
         with phase("normalize"):
             pool = self.model.pool
             names = {i: pool.get(i).name for i in variables if i < len(pool)}
-            problem, dense = from_licm(objective, constraints, names)
-            canonical = canonicalize(objective, constraints)
-        span.set("fingerprint", canonical.fingerprint)
-        for key, value in prune_stats.items():
-            span.set(key, value)
-        whole = PreparedComponent(problem=problem, dense=dense, canonical=canonical)
-        return whole, prune_stats, constraints, names
-
-    def _decompose(
-        self,
-        whole: PreparedComponent,
-        objective: LinearExpr,
-        constraints: Sequence[LinearConstraint],
-        names: dict,
-    ) -> Tuple[PreparedComponent, ...]:
-        """Split the pruned problem into connected components.
-
-        Union-find over the LICM constraint scopes plus the objective's
-        support (objective-only variables form the trailing *free* block —
-        solved in closed form).  Each component is normalized and
-        fingerprinted independently, so the solve cache hits per block: a
-        repeat query touching one changed anonymization group re-solves
-        only that block.  A problem that does not separate (one block, or
-        a degenerate empty-scope constraint) is ``(whole,)``: the whole
-        problem's own objects, objective constant included, so its cache
-        keys are the whole problem's fingerprint.
-        """
-        scopes = [constraint.variables for constraint in constraints]
-        if any(not scope for scope in scopes):
-            return (whole,)
-        with current_tracer().span("engine.decompose") as span:
-            blocks = split_blocks(scopes, variables=objective.coeffs)
-            span.set("components", max(len(blocks), 1))
-            self._observe_components(max(len(blocks), 1))
-            if len(blocks) <= 1:
-                return (whole,)
             components = []
-            for block in blocks:
-                sub_objective = LinearExpr(
-                    {
-                        index: objective.coeffs[index]
-                        for index in block.variables
-                        if index in objective.coeffs
-                    },
-                    0,
-                )
-                sub_constraints = [constraints[cid] for cid in block.constraint_ids]
-                sub_problem, sub_dense = from_licm(
-                    sub_objective, sub_constraints, names
-                )
-                components.append(
-                    PreparedComponent(
-                        problem=sub_problem,
-                        dense=sub_dense,
-                        canonical=canonicalize(sub_objective, sub_constraints),
-                    )
-                )
-            span.set("largest_vars", max(c.problem.num_vars for c in components))
-            count("decomposed_prepares")
-        return tuple(components)
+            for sub_objective, sub_constraints in parts:
+                problem, dense = from_licm(sub_objective, sub_constraints, names)
+                canonical = canonicalize(sub_objective, sub_constraints)
+                components.append(PreparedComponent(problem, dense, canonical))
+        return tuple(components), prune_stats
 
     def _observe_components(self, components: int) -> None:
         """The always-on components-per-solve distribution (+ exemplar)."""
@@ -731,9 +707,7 @@ class SolveSession:
         Runs the freshness check first, so a base append drops every kept
         answer before it can be read; counts ``answer_hits`` or
         ``answer_misses``.  ``key`` must determine the answer given the
-        base model: the tiered answerer keys a COUNT/SUM answer by its
-        pruned problem's fingerprint (identical problems, identical
-        optima), the service scheduler a MIN/MAX answer by its plan
+        base model: the service scheduler keys every answer by its plan
         identity (each evaluation writes its own lineage over the same
         base, inside a scope).
         """
@@ -787,12 +761,11 @@ class SolveSession:
         key: Optional[Hashable] = None,
         tuples: tuple = (),
     ) -> PreparedProblem:
-        """Run the prune/normalize/canonicalize phases without solving.
+        """Run the prune/split/normalize phases without solving.
 
-        The returned :class:`PreparedProblem` carries the canonical
-        fingerprint, so callers (the service scheduler's in-flight dedup)
-        can recognise a structurally identical problem *before* paying for
-        the BIP solves, then finish via :meth:`solve_prepared`.
+        Each component of the returned :class:`PreparedProblem` is
+        normalized and canonicalized once; finish via
+        :meth:`solve_prepared` (or the tiered answerer).
 
         With a ``key`` the result is memoized under it, and a problem
         memoized there is returned instead (:meth:`memoized`).  The key
@@ -801,26 +774,23 @@ class SolveSession:
         :meth:`~repro.core.database.LICMModel.scoped`.  Without a key
         nothing is memoized — objective indices are reused across scopes.
         ``tuples`` is carried onto the result unchanged
-        (:attr:`PreparedProblem.tuples`).
+        (:attr:`PreparedProblem.tuples`); such a problem is not split.
         """
         memoized = self.memoized(key)  # nothing is ever stored under None
         if memoized is not None:
             return memoized
         prep = Stopwatch()
-        extra = tuple(extra_constraints)
         with current_tracer().span("engine.prepare") as span:
-            whole, prune_stats, constraints, names = self._prepare(
-                objective, extra, do_prune, span
+            components, prune_stats = self._prepare(
+                objective, tuple(extra_constraints), do_prune, span, split=not tuples
             )
-            components = (
-                (whole,) if tuples
-                else self._decompose(whole, objective, constraints, names)
-            )
+            offset = objective.constant if len(components) > 1 else 0
+            fingerprint = _fingerprint(components, offset)
+            span.set("fingerprint", fingerprint)
         prepared = PreparedProblem(
-            problem=whole.problem,
-            dense=whole.dense,
-            canonical=whole.canonical,
             components=components,
+            fingerprint=fingerprint,
+            objective_offset=offset,
             prune_stats=prune_stats,
             prep_time=prep.stop(),
             tuples=tuples,
@@ -917,8 +887,10 @@ class SolveSession:
             upper_bound_proven=high["bound"],
             stats={
                 **prepared.prune_stats,
-                "problem_variables": prepared.problem.num_vars,
-                "problem_constraints": prepared.problem.num_constraints,
+                "problem_variables": sum(c.problem.num_vars for c in components),
+                "problem_constraints": sum(
+                    c.problem.num_constraints for c in components
+                ),
                 "prep_time": prepared.prep_time,
                 "solve_time": low["seconds"] + high["seconds"],
                 "nodes": low["nodes"] + high["nodes"],
@@ -927,7 +899,7 @@ class SolveSession:
                 "component_cache_hits": low["hits"] + high["hits"],
                 "l2_hits": low["l2_hits"] + high["l2_hits"],
                 "components": len(components),
-                "fingerprint": prepared.canonical.fingerprint,
+                "fingerprint": prepared.fingerprint,
             },
         )
 
@@ -968,9 +940,10 @@ class SolveSession:
         """
         self._ensure_fresh()
         with current_tracer().span("engine.prepare") as span:
-            whole, _, _, _ = self._prepare(
-                objective, extra_constraints, do_prune=True, span=span
+            (whole,), _ = self._prepare(
+                objective, extra_constraints, do_prune=True, span=span, split=False
             )
+            span.set("fingerprint", whole.canonical.fingerprint)
         ((entry, _, seconds, _),) = self._solve_tasks([(whole, sense, None)], options)
         dense = whole.dense
         x = None

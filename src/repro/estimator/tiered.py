@@ -15,15 +15,9 @@ fabric and both cache tiers — any component that
 
 Escalated solves are ordinary authoritative solve units: they hit and
 populate the L1/L2 caches exactly like the exact path.  Estimated bounds,
-by contrast, **never** touch the shared caches.  A ``tight`` answer that
-a solve proved exact is kept whole in the session's L1 under
-``("answer", fingerprint)`` — bounds, backend, no witnesses — and a
-repeated ``tight`` answer on the same fingerprint is that one read
-(:meth:`~repro.engine.session.SolveSession.kept_answer`).  It lives as
-long as any L1 entry: ``cache.clear()``, a base append or
-GreedyDual eviction drops it, and ``cache_size=0`` keeps nothing.
-Non-exact (deadline-cut or node-limited) answers are never kept.
-A component's verdict is
+by contrast, **never** touch the shared caches.  The answerer keeps no
+whole answers: the service scheduler keeps exact ones under the plan
+identity (see :mod:`repro.service.scheduler`).  A component's verdict is
 a pure function of its BIP, the estimator ladder and ``tolerance``, so
 the answerer keeps it on the prepared problem
 (:attr:`~repro.engine.session.PreparedProblem.verdicts`), keyed by its
@@ -41,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.cache import KeptAnswer
 from repro.errors import InfeasibleError
 from repro.estimator.base import (
     COST_ORDER,
@@ -117,8 +110,6 @@ class TieredAnswer:
     component_tiers: List[dict] = field(default_factory=list)
     #: components whose cascade verdict was reused, not computed here
     reused_components: int = 0
-    #: a ``tight`` answer read from the session's kept whole answers
-    kept: bool = False
 
     @property
     def seconds(self) -> float:
@@ -213,8 +204,8 @@ class TieredAnswerer:
         ``fast``/``balanced`` first look up each component's verdict in
         ``prepared.verdicts`` under this answerer's identity and run the
         cascade only on a miss (so identical fingerprints inside one
-        request also cascade once); ``tight`` never reads the verdicts —
-        it reads the kept whole answer instead (:meth:`_answer_tight`).
+        request also cascade once); ``tight`` never reads the verdicts: it
+        solves every component through the session's caches.
         """
         components = prepared.components
         constant = prepared.objective_offset
@@ -342,43 +333,16 @@ class TieredAnswerer:
         )
 
     def _answer_tight(self, session, prepared, options) -> TieredAnswer:
-        """Every component exactly, or one read of the kept whole answer.
-
-        The whole problem's answer is kept in the session L1 under its
-        fingerprint once a solve proved it exact; a repeated answer reads
-        it back (``kept=True``, no solve, both directions reported as
-        cache hits).  A deadline-cut or node-limited answer is not exact
-        and never kept.
-        """
+        """Every component exactly, through the session's fabric and
+        caches.  A deadline-cut or node-limited answer is not exact."""
         components = prepared.components
-        kept = session.kept_answer(prepared.fingerprint)
-        if kept is not None:
-            lower, upper, exact = kept.lower, kept.upper, True
-            stats = {
-                "nodes": 0,
-                "cache_hits": 2,
-                "l2_hits": 0,
-                "backend": kept.backend,
-                "components": len(components),
-                "fingerprint": prepared.fingerprint,
-                "solve_time": 0.0,
-            }
-        else:
-            bounds = session.solve_prepared(prepared, options=options)
-            lower, upper, exact = bounds.lower, bounds.upper, bounds.exact
-            stats = dict(bounds.stats)
-            if exact:
-                session.keep_answer(
-                    prepared.fingerprint,
-                    KeptAnswer(lower, upper, stats.get("backend")),
-                    cost=stats.get("solve_time", 0.0),
-                    replaces=components,
-                )
+        bounds = session.solve_prepared(prepared, options=options)
+        stats = dict(bounds.stats)
         count = len(components)
         return TieredAnswer(
-            lower=lower,
-            upper=upper,
-            exact=exact,
+            lower=bounds.lower,
+            upper=bounds.upper,
+            exact=bounds.exact,
             precision=PRECISION_TIGHT,
             tier=TIER_EXACT,
             components=count,
@@ -394,11 +358,10 @@ class TieredAnswerer:
                     "fingerprint": component.canonical.fingerprint,
                     "tier": TIER_EXACT,
                     "escalated": False,
-                    "exact": exact,
+                    "exact": bounds.exact,
                 }
                 for index, component in enumerate(components)
             ],
-            kept=kept is not None,
         )
 
 

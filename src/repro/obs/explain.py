@@ -85,8 +85,8 @@ def decomposition_map(prepared) -> dict:
     return {
         "decomposed": prepared.decomposed,
         "components": len(blocks),
-        "total_vars": prepared.problem.num_vars,
-        "total_constraints": prepared.problem.num_constraints,
+        "total_vars": sum(block["vars"] for block in blocks),
+        "total_constraints": sum(block["constraints"] for block in blocks),
         "blocks": blocks,
     }
 

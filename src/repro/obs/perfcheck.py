@@ -247,16 +247,18 @@ def decompose_scenarios(quick: bool = False) -> List[Scenario]:
     ~one block per group (see docs/solver.md).
 
     Each rep re-queries with a trivially-true cardinality constraint on a
-    fresh variable, so the whole-problem fingerprint always misses: the
-    decomposed arm re-solves only the touched component (warm per-component
-    cache), the monolithic arm prepares the same problem and solves the
-    whole BIP through the solver facade, both senses, with no cache.
+    different variable: the decomposed arm re-solves only the touched
+    component (warm per-component cache), the monolithic arm prunes the
+    same problem, builds its whole BIP (``prune`` + ``from_licm``) and
+    solves it through the solver facade, both senses, with no cache.
     Gating both keeps the decomposition win from regressing against the
     whole-BIP reference.
     """
     from repro.core.constraints import LinearConstraint
+    from repro.core.pruning import prune
     from repro.engine.session import SolveSession
     from repro.solver.interface import solve
+    from repro.solver.model import from_licm
 
     workload = _q1_workload("k-anonymity", 300 if quick else 600, 64 if quick else 128, 3)
 
@@ -284,11 +286,13 @@ def decompose_scenarios(quick: bool = False) -> List[Scenario]:
         )
 
     def run_whole_bip(state) -> None:
-        prepared = state["session"].prepare(
-            state["objective"], extra_constraints=perturbation(state)
-        )
+        session, objective, extra = state["session"], state["objective"], perturbation(state)
+        seeds = set(objective.coeffs) | {i for c in extra for i in c.variables}
+        model = session.model
+        pruned = prune(model.constraints, seeds, session.prune_method, model=model)
+        problem, _ = from_licm(objective, pruned.constraints + extra)
         for sense in ("min", "max"):
-            solve(prepared.problem, sense)
+            solve(problem, sense)
 
     return [
         Scenario("requery_decomposed", setup, run_requery),

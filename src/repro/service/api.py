@@ -68,6 +68,30 @@ def _new_request_id() -> str:
     return uuid.uuid4().hex[:12]
 
 
+def _param_problems(params: dict) -> list:
+    """What is wrong with ``params`` as :class:`QueryParams` overrides: an
+    unknown key, a value not of its field's type (an int passes for a
+    float), a non-finite number, or a selectivity outside (0, 1]."""
+    from repro.queries.workload import QueryParams
+
+    fields = {f.name: f for f in dataclasses.fields(QueryParams)}
+    problems = []
+    for key in sorted(params):
+        value = params[key]
+        if key not in fields:
+            problems.append(f"unknown params key {key!r}")
+            continue
+        kind = type(fields[key].default)
+        allowed = (int, float) if kind is float else (kind,)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            problems.append(f"params {key!r} must be {kind.__name__}, got {value!r}")
+        elif isinstance(value, float) and not math.isfinite(value):
+            problems.append(f"params {key!r} must be finite, got {value!r}")
+        elif key.endswith("_selectivity") and not 0 < value <= 1:
+            problems.append(f"params {key!r} must be in (0, 1], got {value!r}")
+    return problems
+
+
 @dataclass
 class QueryRequest:
     """One aggregate-bound question, as posted to ``/v1/query``.
@@ -90,7 +114,7 @@ class QueryRequest:
     mc_samples: int = 8
     params: dict = field(default_factory=dict)
     #: attach a structured :mod:`~repro.obs.explain` payload to the
-    #: response.  Excluded from :meth:`dedup_key` and never cached —
+    #: response.  Excluded from :meth:`plan_key` and never cached —
     #: explanations describe this execution, not the answer.
     explain: bool = False
     request_id: str = field(default_factory=_new_request_id)
@@ -139,12 +163,10 @@ class QueryRequest:
             problems.append(f"mc_samples must be in [1, 1000], got {self.mc_samples!r}")
         if not isinstance(self.params, dict):
             problems.append(f"params must be an object, got {type(self.params).__name__}")
+        elif self.params and self.aggregate is not None:
+            problems.append("params apply to canned queries only, not to 'aggregate'")
         else:
-            from repro.queries.workload import QueryParams
-
-            known = {f.name for f in dataclasses.fields(QueryParams)}
-            for key in sorted(set(self.params) - known):
-                problems.append(f"unknown params key {key!r}")
+            problems.extend(_param_problems(self.params))
         if not isinstance(self.explain, bool):
             problems.append(f"explain must be a boolean, got {self.explain!r}")
         if not isinstance(self.request_id, str) or not self.request_id:
@@ -182,24 +204,22 @@ class QueryRequest:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    def dedup_key(self) -> tuple:
-        """Request identity: the plan (kind, query or aggregate, scheme,
-        k, params) plus ``precision``.
+    def plan_key(self) -> tuple:
+        """The plan identity: (scheme, k, kind, query or aggregate, params).
 
-        The scheduler coalesces in-flight requests on the plan alone
-        (``precision`` excluded): one leader prepares, and each follower
-        answers the published prepared problem at its own precision.
-
-        ``explain`` is deliberately excluded: an explain request must
-        coalesce with (and reuse the cache entries of) its plain twin —
-        explanations never perturb answers or cache state.
+        The scheduler keys in-flight dedup, the session's memoized
+        prepared problems and kept exact answers on it.  ``precision`` is
+        excluded: one leader prepares, and each follower answers the
+        published prepared problem at its own precision.  ``explain`` and
+        ``request_id`` are excluded too: an explain request coalesces with
+        (and reuses the cache entries of) its plain twin — explanations
+        never perturb answers or cache state.
         """
         return (
-            self.kind,
-            self.query or self.aggregate,
             self.scheme,
             self.k,
-            self.precision,
+            self.kind,
+            self.query or self.aggregate,
             tuple(sorted(self.params.items())),
         )
 

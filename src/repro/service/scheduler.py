@@ -33,9 +33,9 @@ and a worker pool drains it.  Each worker:
    disagreeing components to the exact solver, keeping their verdicts on
    the prepared problem — and a MIN/MAX problem by the feasibility
    probes of :func:`~repro.core.bounds.minmax_bounds`.  **Exact answers
-   are kept whole** in the session L1: a ``tight`` COUNT/SUM answer
-   under its fingerprint, a MIN/MAX answer under its plan identity, so a
-   repeated exact answer is one read (wide event ``cache_tier="answer"``);
+   are kept whole** in the session L1 under the plan identity — ``tight``
+   COUNT/SUM and MIN/MAX at any precision — so a repeated exact answer is
+   one read (wide event ``cache_tier="answer"``);
 5. enforces the request **deadline** with a deadline-clamped
    ``time_limit`` plus the solver's absolute ``deadline_at`` (picklable —
    it crosses into forked solve workers, unlike a closure); a solve cut
@@ -729,15 +729,23 @@ class QueryScheduler:
         )
 
     def _diagnose_infeasibility(self, prepared, budget_s: float = 2.0) -> Optional[dict]:
-        """A time-budgeted IIS over the prepared BIP, rendered with the
-        problem's variable names (EXPLAIN's infeasibility block)."""
+        """A time-budgeted IIS of the first infeasible component, rendered
+        with the problem's variable names (EXPLAIN's infeasibility block).
+        No constraint crosses components, so it is an IIS of the whole."""
         from repro.solver.diagnostics import diagnose_infeasibility
 
+        until = time.monotonic() + budget_s
         try:
-            return diagnose_infeasibility(prepared.problem, budget_s)
+            for part in prepared.components:
+                remaining = until - time.monotonic()
+                if remaining <= 0:
+                    break
+                found = diagnose_infeasibility(part.problem, remaining)
+                if found is not None:
+                    return found
         except Exception:  # noqa: BLE001 — diagnosis must not break serving
             logger.exception("IIS diagnosis failed")
-            return None
+        return None
 
     def _record_slow(
         self, pending: _Pending, response: QueryResponse, explanation, spans: list
@@ -849,11 +857,10 @@ class QueryScheduler:
         the request parked on a leader's flight; a continuation owns its
         completion.
 
-        A MIN/MAX request first reads an answer kept under its plan
-        identity.  Concurrent requests for one plan — any precision —
-        coalesce **before** plan evaluation: followers park and answer the
-        prepared problem the leader publishes on its flight.  The model
-        lock covers evaluation and prepare only.
+        Concurrent requests for one plan — any precision — coalesce
+        **before** plan evaluation: followers park and answer the prepared
+        problem the leader publishes on its flight.  The model lock covers
+        evaluation and prepare only.
         """
         request = pending.request
         pending.queue_ms = (time.monotonic() - pending.enqueued) * 1e3
@@ -874,12 +881,8 @@ class QueryScheduler:
             if self._expired(pending):
                 root.set("outcome", "deadline_before_start")
                 return self._degrade(pending, encoded, plan, 0.0, cause="queue wait")
-            plan_key = self._plan_key(request)
+            plan_key = request.plan_key()
             minmax = isinstance(plan, _MINMAX)
-            kept = self._kept_minmax(pending, session, plan_key) if minmax else None
-            if kept is not None:
-                root.set("outcome", STATUS_OK)
-                return kept
             flight, leader = self._join_flight(plan_key)
             if not leader:
                 self._park(root, pending, flight, encoded, session, plan)
@@ -1029,38 +1032,67 @@ class QueryScheduler:
         else:
             self._enqueue_internal(task)
 
-    @staticmethod
-    def _plan_key(request: QueryRequest) -> tuple:
-        """The plan identity (scheme, k, kind, query or aggregate, params):
-        keys in-flight dedup, memoized prepared problems and kept MIN/MAX
-        answers."""
-        return (request.scheme, request.k) + request.dedup_key()[:2] + (
-            tuple(sorted(request.params.items())),
-        )
-
     def _answer_prepared(
         self, pending, session, prepared, plan, encoded, dedup: bool
     ) -> QueryResponse:
         """The one answer path, for leaders and followers.
 
-        A MIN/MAX plan goes to :meth:`_answer_minmax`.  Otherwise answers
-        ``prepared`` at the request's precision through
+        A ``tight`` COUNT/SUM or any MIN/MAX request first reads the
+        exact answer kept under its plan identity.  Otherwise a MIN/MAX
+        plan goes to :meth:`_answer_minmax`, and a COUNT/SUM plan is
+        answered at the request's precision through
         :meth:`~repro.estimator.TieredAnswerer.answer` — ``tight`` solves
         every component exactly through the session's fabric and caches.
         Estimator verdicts are kept on ``prepared`` (reused by later
         ``fast``/``balanced`` answers and the deadline fallback), never in
         the shared caches.  An infeasible model answers ``error`` (with an
         IIS under ``explain``); a tight answer cut short by the deadline
-        degrades.
+        degrades.  An exact answer that finished in time is kept under the
+        plan identity: COUNT/SUM priced by its solves and at least the
+        component entries it replaces, MIN/MAX by its prepare and probes.
         """
-        if isinstance(plan, _MINMAX):
-            return self._answer_minmax(pending, session, prepared, plan, encoded, dedup)
         request = pending.request
         fingerprint = prepared.fingerprint
+        minmax = isinstance(plan, _MINMAX)
+        keeps = minmax or self._effective_precision(request) == PRECISION_TIGHT
+        plan_key = request.plan_key()
         if request.explain:
             from repro.obs.explain import decomposition_map
 
             pending.explain_ctx["decomposition"] = decomposition_map(prepared)
+        kept = session.kept_answer(plan_key) if keeps else None
+        if kept is not None:
+            pending.kept = True
+            count = len(prepared.components)
+            if request.explain:
+                pending.explain_ctx["component_tiers"] = [
+                    {"component": index, "tier": TIER_EXACT, "exact": True}
+                    for index in range(count)
+                ]
+            return self._response(
+                pending, STATUS_OK, lower=kept.lower, upper=kept.upper, exact=True,
+                fingerprint=fingerprint, dedup=dedup, cache_hits=2, components=count,
+                backend=kept.backend, tier=TIER_EXACT, exact_components=count, gap=0.0,
+            )
+        clock = Stopwatch()
+        if minmax:
+            response = self._answer_minmax(pending, session, prepared, plan, encoded, dedup)
+        else:
+            response = self._answer_tiered(pending, session, prepared, plan, encoded, dedup)
+        if keeps and response.exact and not self._expired(pending):
+            session.keep_answer(
+                plan_key, KeptAnswer(response.lower, response.upper, response.backend),
+                cost=prepared.prep_time + clock.stop() if minmax else response.solve_ms / 1e3,
+                replaces=prepared.components,
+            )
+        return response
+
+    def _answer_tiered(
+        self, pending, session, prepared, plan, encoded, dedup: bool
+    ) -> QueryResponse:
+        """COUNT/SUM at the request's precision (see :meth:`_answer_prepared`)."""
+        request = pending.request
+        fingerprint = prepared.fingerprint
         try:
             answer = self.answerer.answer(
                 session, prepared, self._effective_precision(request),
@@ -1087,53 +1119,23 @@ class QueryScheduler:
             )
         if request.explain:
             pending.explain_ctx["component_tiers"] = answer.component_tiers
-        pending.kept = answer.kept
         return self._answer_response(pending, answer, fingerprint, dedup)
-
-    def _kept_minmax(
-        self, pending, session, plan_key, dedup: bool = False
-    ) -> Optional[QueryResponse]:
-        """The MIN/MAX answer kept under the plan identity, as a response
-        (``None`` when none is kept)."""
-        kept = session.kept_answer(plan_key)
-        if kept is None:
-            return None
-        pending.kept = True
-        return self._response(
-            pending, STATUS_OK, lower=kept.lower, upper=kept.upper, exact=True,
-            dedup=dedup, cache_hits=2, tier=TIER_EXACT, gap=0.0,
-        )
 
     def _answer_minmax(
         self, pending, session, prepared, plan, encoded, dedup: bool
     ) -> QueryResponse:
         """MIN/MAX: :func:`repro.core.bounds.minmax_bounds`'s probes on the
-        prepared problem, under the request's deadline, at any precision.
-
-        A follower first reads the answer its leader kept.  An exact answer
-        finished in time is kept under the plan identity, priced by its
-        prepare and probes; an inexact one degrades past the deadline.
-        """
-        plan_key = self._plan_key(pending.request)
-        kept = self._kept_minmax(pending, session, plan_key, dedup=True) if dedup else None
-        if kept is not None:  # a follower reads the answer its leader kept
-            return kept
-        clock = Stopwatch()
+        prepared problem, under the request's deadline, at any precision;
+        an inexact answer degrades past the deadline."""
         result = bounds.minmax_bounds(
             prepared, plan.attribute, _agg(plan),
             options=self._deadline_options(session, pending), session=session,
         )
-        seconds = clock.stop()
         solve_ms = result.stats["solve_time"] * 1e3
         if self._expired(pending) and not result.exact:
             return self._degrade(
                 pending, encoded, plan, solve_ms,
                 cause="MIN/MAX probes exceeded deadline", dedup=dedup,
-            )
-        if result.exact and not self._expired(pending):
-            session.keep_answer(
-                plan_key, KeptAnswer(result.lower, result.upper),
-                cost=prepared.prep_time + seconds,
             )
         return self._response(
             pending, STATUS_OK, lower=result.lower, upper=result.upper,

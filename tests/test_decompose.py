@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 from repro.core.constraints import LinearConstraint
 from repro.core.database import LICMModel
 from repro.core.linexpr import LinearExpr
+from repro.core.pruning import prune
+import repro.engine.session as session_module
 from repro.engine.session import SolveSession
 from repro.errors import InfeasibleError
 from repro.solver.decompose import closed_form, split_blocks
 from repro.solver.interface import solve
-from repro.solver.model import BIPConstraint, BIPProblem
+from repro.solver.model import BIPConstraint, BIPProblem, from_licm
 from repro.solver.result import SolverOptions
 from tests.helpers import all_valid_assignments, brute_force_objective_range
 
@@ -69,6 +71,17 @@ def test_closed_form_free_block():
 # -- engine decomposition: SolveSession.prepare / solve_prepared -----------
 
 
+def _whole_bip(model, objective, do_prune=True):
+    """The whole BIP, pruned as the session prunes it: the reference the
+    recombined components must match.  Returns ``(problem, dense)``."""
+    constraints = list(model.constraints)
+    if do_prune:
+        seeds = set(objective.coeffs)
+        constraints = prune(model.constraints, seeds, "lineage", model=model).constraints
+    names = {i: model.pool.get(i).name for i in range(len(model.pool))}
+    return from_licm(objective, constraints, names)
+
+
 def _two_block_model():
     """Two constrained blocks, one free variable and objective constant 7."""
     model = LICMModel()
@@ -96,6 +109,42 @@ def test_decompose_two_blocks_plus_free():
     assert prepared.objective_offset == 7
 
 
+def _count_normalizations(monkeypatch) -> list:
+    """Record the objective of every ``from_licm``/``canonicalize`` call
+    the session makes, as ``(function, objective)`` pairs."""
+    calls = []
+    for name in ("from_licm", "canonicalize"):
+        real = getattr(session_module, name)
+
+        def counted(objective, constraints, *args, _name=name, _real=real):
+            calls.append((_name, objective))
+            return _real(objective, constraints, *args)
+
+        monkeypatch.setattr(session_module, name, counted)
+    return calls
+
+
+def test_prepare_normalizes_each_block_once_and_never_the_whole(monkeypatch):
+    model, _, objective = _two_block_model()
+    calls = _count_normalizations(monkeypatch)
+    with SolveSession(model) as session:
+        prepared = session.prepare(objective)
+    assert len(prepared.components) == 3
+    for name in ("from_licm", "canonicalize"):
+        objectives = [seen for called, seen in calls if called == name]
+        assert len(objectives) == len(prepared.components)
+        assert all(seen is not objective for seen in objectives)
+    # A problem that does not split is normalized once, as its component.
+    coupled = LICMModel()
+    v = coupled.new_vars(3)
+    coupled.add((v[0] + v[1] + v[2]) <= 2)
+    whole = LinearExpr({var.index: 1 for var in v}, 0)
+    calls.clear()
+    with SolveSession(coupled) as session:
+        (component,) = session.prepare(whole).components
+    assert calls == [("from_licm", whole), ("canonicalize", whole)]
+
+
 def test_decompose_coupled_is_single_component():
     model = LICMModel()
     v = model.new_vars(4)
@@ -104,10 +153,11 @@ def test_decompose_coupled_is_single_component():
     with SolveSession(model) as session:
         prepared = session.prepare(objective)
     (component,) = prepared.components
-    # The one component is the whole problem's own objects, constant included.
-    assert component.problem is prepared.problem
-    assert component.dense is prepared.dense
-    assert component.canonical is prepared.canonical
+    # The one component is the whole problem, constant included.
+    whole, dense = _whole_bip(model, objective)
+    assert component.problem == whole and component.dense == dense
+    assert component.problem.objective_constant == 3
+    assert component.canonical.fingerprint == prepared.fingerprint
     assert prepared.objective_offset == 0
 
 
@@ -122,7 +172,8 @@ def test_decompose_empty_scope_keeps_one_component():
     with SolveSession(model, options=BB) as session:
         prepared = session.prepare(objective, do_prune=False)
         assert len(prepared.components) == 1
-        assert prepared.components[0].problem is prepared.problem
+        whole, _ = _whole_bip(model, objective, do_prune=False)
+        assert prepared.components[0].problem == whole
         answer = session.solve_prepared(prepared)
     assert (answer.lower, answer.upper) == brute_force_objective_range(model, objective)
 
@@ -137,7 +188,8 @@ def test_session_matches_whole_bip_and_adds_constant_once():
     oracle = brute_force_objective_range(model, objective)
     assert (answer.lower, answer.upper) == oracle
     # The whole BIP through the solver facade carries the constant itself.
-    whole = tuple(solve(prepared.problem, sense, BB).objective for sense in SENSES)
+    problem, _ = _whole_bip(model, objective)
+    whole = tuple(solve(problem, sense, BB).objective for sense in SENSES)
     assert whole == oracle
     assert objective.value(answer.lower_witness) == answer.lower
     assert objective.value(answer.upper_witness) == answer.upper
@@ -256,11 +308,12 @@ def test_decomposed_equals_brute_force(case):
     model, objective = case
     prepared = _check_against_oracle(model, objective)
     # The components partition the problem's variables and constraints.
+    whole, dense = _whole_bip(model, objective, do_prune=False)
     seen = sorted(idx for c in prepared.components for idx in c.dense)
-    assert seen == sorted(prepared.dense)
+    assert seen == sorted(dense)
     assert (
         sum(c.problem.num_constraints for c in prepared.components)
-        == prepared.problem.num_constraints
+        == whole.num_constraints
     )
 
 
@@ -371,8 +424,9 @@ def test_session_non_separating_problem_is_one_component():
     assert component.canonical.fingerprint == prepared.fingerprint
     # The whole-BIP solver facade is the reference: same bounds, the
     # objective constant counted once.
-    assert answer.lower == solve(prepared.problem, "min").objective
-    assert answer.upper == solve(prepared.problem, "max").objective
+    whole, _ = _whole_bip(model, objective)
+    assert answer.lower == solve(whole, "min").objective
+    assert answer.upper == solve(whole, "max").objective
 
 
 def test_session_parallel_component_dispatch():

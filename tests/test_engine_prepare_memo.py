@@ -55,9 +55,8 @@ def memo_hits() -> int:
 def preparation(prepared):
     """Every field of a PreparedProblem except its wall time."""
     return (
-        prepared.problem,
-        prepared.dense,
-        prepared.canonical,
+        prepared.fingerprint,
+        prepared.objective_offset,
         prepared.prune_stats,
         prepared.components,
     )
@@ -203,8 +202,9 @@ def test_problem_names_are_the_pool_names(do_prune):
         prepared = SolveSession(model).prepare(
             count_tids_where(trans, "!=", "Shampoo"), do_prune=do_prune
         )
-        order = sorted(prepared.dense, key=prepared.dense.get)
-        assert prepared.problem.names == [model.pool.get(i).name for i in order]
+        for part in prepared.components:
+            order = sorted(part.dense, key=part.dense.get)
+            assert part.problem.names == [model.pool.get(i).name for i in order]
 
 
 def test_zero_cache_size_disables_the_memo(prune_calls):

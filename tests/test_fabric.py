@@ -141,9 +141,9 @@ def test_prepared_problem_and_options_pickle_round_trip():
     model, objective = _objective()
     session = SolveSession(model)
     prepared = session.prepare(objective)
+    (part,) = prepared.components
     thawed = pickle.loads(pickle.dumps(prepared))
     assert thawed.fingerprint == prepared.fingerprint
-    assert thawed.dense == prepared.dense
     assert len(thawed.components) == len(prepared.components)
     for original, copy in zip(prepared.components, thawed.components):
         assert copy.canonical.fingerprint == original.canonical.fingerprint
@@ -161,11 +161,11 @@ def test_prepared_problem_and_options_pickle_round_trip():
     assert thawed_options.backend == "bb"
 
     unit = SolveUnit(
-        problem=prepared.problem,
+        problem=part.problem,
         sense="max",
-        fingerprint=prepared.fingerprint,
-        var_order=tuple(prepared.canonical.var_order),
-        dense=prepared.dense,
+        fingerprint=part.canonical.fingerprint,
+        var_order=tuple(part.canonical.var_order),
+        dense=part.dense,
         options=dataclasses.replace(options, cancel=None),
     )
     thawed_unit = pickle.loads(pickle.dumps(unit))
@@ -177,13 +177,14 @@ def test_stop_check_closure_is_stripped_at_the_process_boundary():
     model, objective = _objective()
     session = SolveSession(model)
     prepared = session.prepare(objective)
+    (part,) = prepared.components
     options = SolverOptions(backend="bb", stop_check=lambda: False)
     unit = SolveUnit(
-        problem=prepared.problem,
+        problem=part.problem,
         sense="min",
-        fingerprint=prepared.fingerprint,
-        var_order=tuple(prepared.canonical.var_order),
-        dense=prepared.dense,
+        fingerprint=part.canonical.fingerprint,
+        var_order=tuple(part.canonical.var_order),
+        dense=part.dense,
         options=options,
     )
     with pytest.raises(Exception):  # closures cannot cross the boundary …
@@ -200,15 +201,16 @@ def test_cancellation_reaches_a_forked_worker_mid_search():
     model, objective = _objective()
     session = SolveSession(model)
     prepared = session.prepare(objective)
+    (part,) = prepared.components
     with ProcessFabric(workers=1) as fabric:
         token = fabric.new_token()
         token.set()  # the first should_stop() poll inside B&B sees this
         unit = SolveUnit(
-            problem=prepared.problem,
+            problem=part.problem,
             sense="max",
-            fingerprint=prepared.fingerprint,
-            var_order=tuple(prepared.canonical.var_order),
-            dense=prepared.dense,
+            fingerprint=part.canonical.fingerprint,
+            var_order=tuple(part.canonical.var_order),
+            dense=part.dense,
             options=SolverOptions(backend="bb", cancel=token),
         )
         result = fabric.submit_unit(unit).result(timeout=60.0)
@@ -220,13 +222,14 @@ def test_expired_deadline_truncates_inside_a_forked_worker():
     model, objective = _objective()
     session = SolveSession(model)
     prepared = session.prepare(objective)
+    (part,) = prepared.components
     with ProcessFabric(workers=1) as fabric:
         unit = SolveUnit(
-            problem=prepared.problem,
+            problem=part.problem,
             sense="max",
-            fingerprint=prepared.fingerprint,
-            var_order=tuple(prepared.canonical.var_order),
-            dense=prepared.dense,
+            fingerprint=part.canonical.fingerprint,
+            var_order=tuple(part.canonical.var_order),
+            dense=part.dense,
             options=SolverOptions(
                 backend="bb", deadline_at=time.monotonic() - 1.0
             ),

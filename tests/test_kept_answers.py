@@ -1,9 +1,9 @@
 """Kept exact answers: a repeated ``tight`` COUNT/SUM or MIN/MAX answer is
 one read of the session L1.
 
-A ``tight`` COUNT/SUM answer a solve proved exact is kept under
-``("answer", fingerprint)``; an exact MIN/MAX answer under
-``("answer", plan identity)``.  These tests pin the soundness contract:
+The scheduler keeps every exact answer that finished in time under
+``("answer", plan identity)`` (:meth:`QueryRequest.plan_key`), and reads
+it back on its one answer path.  These tests pin the soundness contract:
 a kept answer equals a cleared-cache solve, nothing inexact is kept, a
 non-lineage append drops every kept answer, ``cache_size=0`` keeps
 nothing, dedup followers read the leader's answer, and a kept answer is
@@ -27,8 +27,6 @@ import pytest
 import repro.engine.fabric as fabric_module
 from helpers import brute_force_adhoc, counter_totals, delta, tiny_config
 from repro.core.bounds import minmax_bounds
-from repro.engine.session import SolveSession
-from repro.estimator import PRECISION_TIGHT, TieredAnswerer
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentContext
 from repro.obs.logs import REQUEST_LOGGER
@@ -126,40 +124,54 @@ def test_kept_answers_equal_cleared_cache_solves_on_the_dashboard_stream():
 
 
 # -- 2. nothing inexact is kept ----------------------------------------------
-def _q1(context, scheme="km", **params):
-    encoded = context.encoding(scheme, 2).encoded
-    plan = QUERY_BUILDERS["Q1"](
-        encoded, dataclasses.replace(context.config.params, **params)
+def _tight_q1(pb_selectivity, **fields):
+    return QueryRequest(
+        query="Q1", params={"pb_selectivity": pb_selectivity}, precision="tight",
+        **fields,
     )
-    return context.session(scheme, 2).prepare(evaluate_licm(plan, encoded.relations))
 
 
-def test_deadline_cut_tight_answer_is_never_kept(context):
+def test_deadline_cut_tight_answer_is_never_kept(context, scheduler, monkeypatch):
+    """A tight answer the deadline cut short degrades and keeps nothing;
+    the next full-budget answer is solved and kept, the one after it is
+    the read."""
     session = context.session("km", 2)
     session.cache.clear()
-    prepared = _q1(context, pb_selectivity=0.61)
-    expired = dataclasses.replace(session.options, deadline_at=time.monotonic() - 1.0)
-    answerer = TieredAnswerer()
-    cut = answerer.answer(session, prepared, PRECISION_TIGHT, options=expired)
-    assert not cut.exact and not cut.kept
-    assert not _kept(session, prepared.fingerprint)
-    solved = answerer.answer(session, prepared, PRECISION_TIGHT)
-    assert solved.exact and not solved.kept
-    read = answerer.answer(session, prepared, PRECISION_TIGHT)
-    assert read.kept
-    assert (read.lower, read.upper, read.exact) == (solved.lower, solved.upper, True)
+    # No root pass: every block is a unit, and the first one outlives the
+    # budget, so every later unit starts past the deadline.
+    unseeded = dataclasses.replace(session.options, seed_incumbent=False)
+    monkeypatch.setattr(session, "options", unseeded)
+    stalled = []
+
+    def stall_once(problem, sense, options):
+        if not stalled:
+            stalled.append(sense)
+            time.sleep(0.3)
+        return REAL_SOLVE(problem, sense, options)
+
+    monkeypatch.setattr(fabric_module, "portfolio_solve", stall_once)
+    cut = scheduler.execute(_tight_q1(0.61, deadline_ms=100.0), timeout=60.0)
+    assert cut.status == STATUS_DEGRADED and not cut.exact
+    assert not _kept(session, _tight_q1(0.61).plan_key())
+    monkeypatch.undo()
+    solved = scheduler.submit(_tight_q1(0.61))
+    assert solved.wait(timeout=60.0).exact and not solved.kept
+    read = scheduler.submit(_tight_q1(0.61))
+    assert read.wait(timeout=60.0).exact and read.kept
+    assert (read.response.lower, read.response.upper) == (
+        solved.response.lower, solved.response.upper,
+    )
 
 
-def test_node_limited_tight_answer_is_never_kept(context):
+def test_node_limited_tight_answer_is_never_kept(context, scheduler, monkeypatch):
     session = context.session("km", 2)
     session.cache.clear()
-    prepared = _q1(context, pb_selectivity=0.62)
-    starved = dataclasses.replace(
-        session.options, node_limit=0, seed_incumbent=False
-    )
-    answer = TieredAnswerer().answer(session, prepared, PRECISION_TIGHT, options=starved)
-    assert not answer.exact
-    assert not _kept(session, prepared.fingerprint)
+    starved = dataclasses.replace(session.options, node_limit=0, seed_incumbent=False)
+    monkeypatch.setattr(session, "options", starved)
+    # A deadline makes the solves non-authoritative: no limit entry in L1.
+    answer = scheduler.execute(_tight_q1(0.62, deadline_ms=60_000.0), timeout=60.0)
+    assert answer.status == STATUS_OK and not answer.exact
+    assert not _kept(session, _tight_q1(0.62).plan_key())
 
 
 def _stall_solvers(monkeypatch, delay_s) -> threading.Event:
@@ -195,11 +207,11 @@ def test_deadline_cut_minmax_answer_degrades_and_is_never_kept(
     degraded = scheduler.execute(request, timeout=60.0)
     assert degraded.status == STATUS_DEGRADED, degraded.error
     assert not degraded.exact
-    assert not _kept(session, QueryScheduler._plan_key(request))
+    assert not _kept(session, request.plan_key())
     monkeypatch.undo()
     exact = scheduler.execute(QueryRequest(aggregate="max"), timeout=60.0)
     assert exact.status == STATUS_OK and exact.exact
-    assert _kept(session, QueryScheduler._plan_key(request))
+    assert _kept(session, request.plan_key())
     # Monte Carlo observes sampled worlds: inside the exact range.
     assert exact.lower <= degraded.lower <= degraded.upper <= exact.upper
 
@@ -260,9 +272,8 @@ def test_non_lineage_add_drops_kept_answers_and_the_next_answer_is_brute_force(
     with QueryScheduler(tiny, workers=1) as sched:
         sched.warm([("k-anonymity", 2)])
         first = [sched.execute(count), sched.execute(peak)]
-        fingerprint = first[0].fingerprint
-        assert _kept(session, fingerprint)
-        assert _kept(session, QueryScheduler._plan_key(peak))
+        assert _kept(session, count.plan_key())
+        assert _kept(session, peak.plan_key())
         assert [(r.lower, r.upper) for r in first] == [
             brute_force_adhoc(encoded, "count"),
             brute_force_adhoc(encoded, "max"),
@@ -274,8 +285,8 @@ def test_non_lineage_add_drops_kept_answers_and_the_next_answer_is_brute_force(
         position = relation.position(plan.attribute)
         priciest = max(relation.maybe_rows, key=lambda row: row.values[position])
         model.add((priciest.ext + 0) <= 0)
-        assert session.kept_answer(fingerprint) is None
-        assert session.kept_answer(QueryScheduler._plan_key(peak)) is None
+        assert session.kept_answer(count.plan_key()) is None
+        assert session.kept_answer(peak.plan_key()) is None
 
         before = _answer_counters()
         again = [sched.execute(count), sched.execute(peak)]
@@ -330,22 +341,26 @@ def test_dedup_follower_reads_the_leaders_kept_answer(context, scheduler, monkey
 
 # -- 6. a kept answer outlives its own component entries ------------------------
 def test_kept_answer_outlives_the_component_entries_it_replaces(context):
-    """Answer a problem whose component entries are all L1 hits: the
+    """Serve a problem whose component entries are all L1 hits: the
     request's own solve seconds are 0, yet the kept answer is priced at
     the entries' summed cost, so flooding the L1 evicts every one of
     those entries before the answer."""
-    encoded = context.encoding("km", 2).encoded
-    plan = QUERY_BUILDERS["Q1"](
-        encoded, dataclasses.replace(context.config.params, pb_selectivity=0.64)
+    request = _tight_q1(0.64)
+    params = dataclasses.replace(context.config.params, pb_selectivity=0.64)
+
+    def prepare(session, encoded):
+        plan = QUERY_BUILDERS["Q1"](encoded, params)
+        with encoded.model.scoped():
+            return session.prepare(evaluate_licm(plan, encoded.relations))
+
+    probe = prepare(context.session("km", 2), context.encoding("km", 2).encoded)
+    entries = 2 * len(probe.components)
+    ctx = ExperimentContext(
+        dataclasses.replace(context.config, solve_cache_size=entries + 1)
     )
-    objective = evaluate_licm(plan, encoded.relations)
-    with SolveSession(encoded.model, options=context.solver_options()) as probe:
-        entries = 2 * len(probe.prepare(objective).components)
-    session = SolveSession(
-        encoded.model, options=context.solver_options(), cache_size=entries + 1
-    )
-    with session:
-        prepared = session.prepare(objective)
+    try:
+        session = ctx.session("km", 2)
+        prepared = prepare(session, ctx.encoding("km", 2).encoded)
         session.solve_prepared(prepared)  # every component entry resident
         keys = [
             (part.canonical.fingerprint, sense)
@@ -353,17 +368,22 @@ def test_kept_answer_outlives_the_component_entries_it_replaces(context):
             for sense in ("min", "max")
         ]
         assert all(key in session.cache for key in keys)
-        answer = TieredAnswerer().answer(session, prepared, PRECISION_TIGHT)
-        assert answer.exact and answer.stats["solve_time"] == 0.0
-        assert _kept(session, prepared.fingerprint)
+        with QueryScheduler(ctx, workers=1) as sched:
+            sched.warm([("km", 2)])
+            answer = sched.execute(request)
+        assert answer.exact and answer.solve_ms == 0.0
+        kept = ("answer", request.plan_key())
+        assert kept in session.cache
         heaviest = max(session.cache.cost(key) for key in keys)
-        assert session.cache.cost(("answer", prepared.fingerprint)) >= heaviest
+        assert session.cache.cost(kept) >= heaviest
         flood = 0
         while any(key in session.cache for key in keys):
             session.cache.put(("flood", flood), None, cost=heaviest)
             flood += 1
-            assert _kept(session, prepared.fingerprint), flood
-        assert session.kept_answer(prepared.fingerprint) is not None
+            assert kept in session.cache, flood
+        assert session.kept_answer(request.plan_key()) is not None
+    finally:
+        ctx.close()
 
 
 # -- provenance of a read -------------------------------------------------------

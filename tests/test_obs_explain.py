@@ -316,10 +316,25 @@ def test_infeasible_database_yields_named_constraint_iis(context):
     assert target.name in rendered
 
 
-def test_explain_excluded_from_dedup_key():
+def test_iis_is_read_off_the_infeasible_component(context):
+    """No constraint crosses components, so the IIS of the one infeasible
+    block is an IIS of the whole problem, wherever that block sits."""
+    model = LICMModel()
+    a, b, c = model.new_vars(3)
+    model.add((a + b) >= 1)  # a feasible first block
+    model.add(linear_sum([c]) >= 1)
+    model.add(linear_sum([c]) <= 0)
+    prepared = SolveSession(model).prepare(a + b + c)
+    assert len(prepared.components) == 2
+    with _scheduler(context, SpanBuffer()) as sched:
+        conflict = sched._diagnose_infeasibility(prepared)
+    assert conflict["iis"] == [f"1*{c.name} >= 1", f"1*{c.name} <= 0"]
+
+
+def test_explain_excluded_from_plan_key():
     plain = QueryRequest(query="Q1")
     explained = QueryRequest(query="Q1", explain=True)
-    assert plain.dedup_key() == explained.dedup_key()
+    assert plain.plan_key() == explained.plan_key()
     # ... but round-trips on the wire when set.
     assert QueryRequest.from_json(explained.to_json()).explain is True
     assert "explain" not in plain.to_dict()

@@ -192,12 +192,13 @@ def test_process_fabric_repatriate_off_is_the_old_coarse_record():
     model, objective = _objective()
     session = SolveSession(model, options=SolverOptions(backend="bb"))
     prepared = session.prepare(objective)
+    (part,) = prepared.components
     unit = SolveUnit(
-        problem=prepared.problem,
+        problem=part.problem,
         sense="max",
-        fingerprint=prepared.fingerprint,
-        var_order=tuple(prepared.canonical.var_order),
-        dense=prepared.dense,
+        fingerprint=part.canonical.fingerprint,
+        var_order=tuple(part.canonical.var_order),
+        dense=part.dense,
         options=SolverOptions(backend="bb"),
     )
     with ProcessFabric(workers=1, repatriate=False) as fabric:

@@ -182,7 +182,7 @@ def test_same_plan_prepares_identically_before_and_after_others(context):
     with QueryScheduler(context, workers=1) as scheduler:
         scheduler.warm([(SCHEME, 2)])
         query, params = PARAMS[1]
-        key = scheduler._plan_key(_request(query, params))
+        key = _request(query, params).plan_key()
         first = scheduler.execute(_request(query, params))
         prepared = session.memoized(key)
         for other, other_params in PARAMS[2:]:
@@ -194,10 +194,10 @@ def test_same_plan_prepares_identically_before_and_after_others(context):
     assert again.fingerprint == first.fingerprint is not None
     assert (again.lower, again.upper, again.exact) == (first.lower, first.upper, first.exact)
     assert (
-        reprepared.problem, reprepared.dense, reprepared.canonical,
+        reprepared.fingerprint, reprepared.objective_offset,
         reprepared.prune_stats, reprepared.components,
     ) == (
-        prepared.problem, prepared.dense, prepared.canonical,
+        prepared.fingerprint, prepared.objective_offset,
         prepared.prune_stats, prepared.components,
     )
 

@@ -14,6 +14,9 @@ With ``backend="scipy"`` (inline fabric) the root pass steps aside and
 every component is a HiGHS solve, so the answers also go through the
 SciPy backend's target-fixing probe and its fall-through solve.
 
+A stored L2 row whose solution vector is not JSON must read as a miss:
+the request re-solves and still equals the enumeration.
+
 Each request evaluates its plan inside one lineage scope of the shared
 model.  Distinct plans served interleaved through one scheduler, then a
 base ``model.add``, then the same plans again must still equal the
@@ -21,6 +24,8 @@ enumeration — of the changed model after the append.
 """
 
 from __future__ import annotations
+
+import sqlite3
 
 import pytest
 
@@ -117,3 +122,24 @@ def _check_tight(sched, aggregates, expected):
         assert response.status == STATUS_OK, (aggregate, response.error)
         assert response.exact, aggregate
         assert (response.lower, response.upper) == expected[aggregate], aggregate
+
+
+def test_a_corrupt_l2_row_is_a_miss_and_the_answer_stays_exact(truth, tmp_path):
+    path = str(tmp_path / "l2.sqlite")
+    ctx = ExperimentContext(tiny_config(l2_cache_path=path))
+    try:
+        with QueryScheduler(ctx, workers=1) as sched:
+            sched.warm([(SCHEME, 2)])
+            _check_tight(sched, ["count"], truth)
+            conn = sqlite3.connect(path)
+            with conn:
+                corrupted = conn.execute(
+                    "UPDATE solves SET x_canonical = '[1, oops' WHERE rowid = "
+                    "(SELECT MIN(rowid) FROM solves WHERE x_canonical IS NOT NULL)"
+                ).rowcount
+            conn.close()
+            assert corrupted == 1
+            ctx.session(SCHEME, 2).cache.clear()  # the next answer reads L2
+            _check_tight(sched, ["count"], truth)
+    finally:
+        ctx.close()

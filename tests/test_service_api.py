@@ -24,7 +24,7 @@ def test_valid_canned_query_roundtrips():
 
 
 def test_valid_adhoc_aggregate_roundtrips():
-    request = QueryRequest(aggregate="sum", params={"pb_selectivity": 0.3})
+    request = QueryRequest(aggregate="sum")
     again = QueryRequest.from_dict(json.loads(request.to_json()))
     assert again == request
     assert again.kind == "aggregate"
@@ -51,6 +51,40 @@ def test_validation_reports_every_problem_at_once():
 def test_unknown_params_key_rejected():
     with pytest.raises(ValidationError, match="unknown params key 'selectivty'"):
         QueryRequest(query="Q1", params={"selectivty": 0.1}).validate()
+
+
+#: (params, aggregate?, what the ValidationError names) — every params
+#: value the workload builders cannot take, refused at admission.
+BAD_PARAMS = [
+    ({"pa_selectivity": [1]}, False, "must be float"),
+    ({"pa_selectivity": "abc"}, False, "must be float"),
+    ({"x_items": 2.5}, False, "must be int"),
+    ({"x_items": True}, False, "must be int"),
+    ({"pb_selectivity": float("nan")}, False, "must be finite"),
+    ({"q3_selectivity": float("inf")}, False, "must be finite"),
+    ({"pb_selectivity": 0}, False, "(0, 1]"),
+    ({"pa_selectivity": 1.5}, False, "(0, 1]"),
+    ({"pb_selectivity": 0.3}, True, "canned queries only"),
+]
+
+
+@pytest.mark.parametrize("params,adhoc,problem", BAD_PARAMS)
+def test_bad_params_values_rejected(params, adhoc, problem):
+    fields = {"aggregate": "count"} if adhoc else {"query": "Q1"}
+    with pytest.raises(ValidationError) as excinfo:
+        QueryRequest.from_dict({**fields, "params": params})
+    assert any(problem in text for text in excinfo.value.problems)
+
+
+def test_params_of_their_fields_type_are_accepted():
+    request = QueryRequest(
+        query="Q2", params={"pa_selectivity": 1, "pb_selectivity": 0.25, "x_items": 3}
+    ).validate()
+    # An int selectivity names the same plan as its float.
+    assert request.plan_key() == QueryRequest(
+        query="Q2", params={"pa_selectivity": 1.0, "pb_selectivity": 0.25, "x_items": 3}
+    ).plan_key()
+    assert QueryRequest(aggregate="count", params={}).validate()
 
 
 def test_unknown_top_level_field_rejected():
@@ -104,23 +138,16 @@ def test_valid_precisions_roundtrip_and_default_is_server_side():
     assert "precision" not in QueryRequest(query="Q1").validate().to_dict()
 
 
-def test_precision_participates_in_dedup_key():
-    fast = QueryRequest(query="Q1", precision="fast")
-    tight = QueryRequest(query="Q1", precision="tight")
-    assert fast.dedup_key() != tight.dedup_key()
-    assert fast.dedup_key() == QueryRequest(query="Q1", precision="fast").dedup_key()
-
-
 def test_validation_error_is_a_service_error():
     assert issubclass(ValidationError, ServiceError)
 
 
-def test_request_ids_are_unique_and_dedup_key_ignores_them():
+def test_request_ids_are_unique_and_plan_key_ignores_them():
     a = QueryRequest(query="Q2", params={"x_items": 3})
     b = QueryRequest(query="Q2", params={"x_items": 3})
     assert a.request_id != b.request_id
-    assert a.dedup_key() == b.dedup_key()
-    assert a.dedup_key() != QueryRequest(query="Q2").dedup_key()
+    assert a.plan_key() == b.plan_key()
+    assert a.plan_key() != QueryRequest(query="Q2").plan_key()
 
 
 # -- QueryResponse ----------------------------------------------------------

@@ -318,12 +318,6 @@ def test_fast_then_tight_same_fingerprint_returns_exact(context, scheduler):
     assert fast.lower <= tight.lower <= tight.upper <= fast.upper
 
 
-def test_precision_levels_do_not_dedup_across_each_other(scheduler):
-    fast = QueryRequest(query="Q1", precision="fast")
-    tight = QueryRequest(query="Q1", precision="tight")
-    assert fast.dedup_key() != tight.dedup_key()
-
-
 def test_estimator_metrics_families_present_after_fast_request(scheduler):
     scheduler.execute(QueryRequest(query="Q1", precision="fast"))
     exposition = scheduler.metrics.render()
@@ -397,12 +391,12 @@ def _solo_leader_calls(context, scheduler, monkeypatch, request):
 
 
 def test_default_and_tight_precision_share_one_bip_solve(context, scheduler, monkeypatch):
-    """``precision=None`` and ``tight`` have different dedup keys but the
-    same fingerprint: they coalesce on the BIP flight, not the request."""
+    """``precision=None`` and ``tight`` differ as requests but share one
+    plan key: they coalesce on the plan's flight."""
     params = {"pb_selectivity": 0.52}
     default = QueryRequest(query="Q1", params=params)
     tight = QueryRequest(query="Q1", params=params, precision="tight")
-    assert default.dedup_key() != tight.dedup_key()
+    assert default.plan_key() == tight.plan_key()
     solo = _solo_leader_calls(context, scheduler, monkeypatch, default)
     calls, _ = _slowed_counting_solve(context, monkeypatch, 0.25)
     pending = [scheduler.submit(default), scheduler.submit(tight)]

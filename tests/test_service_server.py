@@ -129,6 +129,29 @@ def test_non_finite_deadline_is_http_400(running_server):
     assert "deadline_ms must be finite" in json.loads(excinfo.value.read())["error"]
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        b'{"query": "Q1", "params": {"pa_selectivity": [1]}}',
+        b'{"query": "Q1", "params": {"pa_selectivity": "abc"}}',
+        b'{"query": "Q1", "params": {"pb_selectivity": NaN}}',
+        b'{"query": "Q1", "params": {"pb_selectivity": 2}}',
+        b'{"aggregate": "count", "params": {"pb_selectivity": 0.3}}',
+    ],
+)
+def test_bad_params_are_http_400_without_a_traceback(running_server, body, caplog):
+    url, _, _ = running_server
+    request = urllib.request.Request(
+        url + "/v1/query", data=body, method="POST",
+        headers={"Content-Type": "application/json"},
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=30)
+    assert excinfo.value.code == 400
+    assert "params" in json.loads(excinfo.value.read())["error"]
+    assert not [record for record in caplog.records if record.exc_info]
+
+
 def test_unknown_precision_is_http_400_not_500(running_server):
     url, _, _ = running_server
     request = urllib.request.Request(
