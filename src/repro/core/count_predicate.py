@@ -37,9 +37,9 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Sequence
 
+from repro.core.constraints import LinearConstraint
 from repro.core.database import LICMModel
-from repro.core.linexpr import linear_sum
-from repro.core.operators import and_ext, licm_dedup
+from repro.core.operators import and_ext, licm_dedup, same_pool
 from repro.core.relation import Ext, LICMRelation
 from repro.core.variables import BoolVar
 from repro.errors import QueryError
@@ -71,10 +71,13 @@ def _le_ext(model: LICMModel, variables: list[BoolVar], n: int, d: int) -> Ext |
     if n > d:
         return None
     b = model.new_var()
-    total = linear_sum(variables)
+    same_pool(b, variables)
+    k, total = b.index, [(1, var.index) for var in variables]  # B = Σ bi
     constraints = [
-        model.add((d - n + 1) * b + total >= d - n + 1),
-        model.add((m - d + n) * b + total <= m),
+        # d - n + 1 <= (d - n + 1) b + B
+        model.add(LinearConstraint([(d - n + 1, k), *total], ">=", d - n + 1)),
+        # m >= (m - d + n) b + B
+        model.add(LinearConstraint([(m - d + n, k), *total], "<=", m)),
     ]
     model.register_lineage(b, variables, constraints)
     return b
@@ -88,10 +91,13 @@ def _ge_ext(model: LICMModel, variables: list[BoolVar], n: int, d: int) -> Ext |
     if m + n < d:
         return None
     b = model.new_var()
-    total = linear_sum(variables)
+    same_pool(b, variables)
+    k, minus_total = b.index, [(-1, var.index) for var in variables]  # -B = -Σ bi
     constraints = [
-        model.add((d - n) * b - total <= 0),
-        model.add((m - d + n + 1) * b - total >= -(d - n - 1)),
+        # (d - n) b <= B
+        model.add(LinearConstraint([(d - n, k), *minus_total], "<=", 0)),
+        # d - n - 1 + (m - d + n + 1) b >= B
+        model.add(LinearConstraint([(m - d + n + 1, k), *minus_total], ">=", -(d - n - 1))),
     ]
     model.register_lineage(b, variables, constraints)
     return b

@@ -14,6 +14,11 @@ The existence-combination logic is factored into two tiny kernels:
 * :func:`or_ext` — disjunction of many Ext values (projection / duplicate
   elimination; Algorithm 1, including Example 7's single-variable reuse
   optimization).
+
+Lineage rows are written directly as :class:`LinearConstraint` terms over
+variable indices, in the normal form expression arithmetic would produce
+(the paper's form is in a comment beside each row); ``LinearExpr``
+arithmetic is for encoders, objectives and hand-written constraints.
 """
 
 from __future__ import annotations
@@ -21,12 +26,23 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Sequence
 
+from repro.core.constraints import LinearConstraint
 from repro.core.database import LICMModel
-from repro.core.linexpr import linear_sum
 from repro.core.relation import Ext, LICMRelation, is_certain
 from repro.core.variables import BoolVar
-from repro.errors import QueryError, SchemaError
+from repro.errors import ConstraintError, QueryError, SchemaError
 from repro.relational.predicates import Predicate
+
+
+def same_pool(b: BoolVar, parents: Sequence[BoolVar]) -> None:
+    """Raise :class:`ConstraintError` unless every parent is a variable of
+    ``b``'s model — the check expression arithmetic makes when two
+    models' variables meet in one constraint."""
+    for var in parents:
+        if var.pool_id != b.pool_id:
+            raise ConstraintError(
+                "cannot mix variables from different models in one expression"
+            )
 
 
 def and_ext(model: LICMModel, left: Ext, right: Ext) -> Ext:
@@ -44,10 +60,12 @@ def and_ext(model: LICMModel, left: Ext, right: Ext) -> Ext:
     if left == right:
         return left
     b = model.new_var()
+    same_pool(b, (left, right))
+    k, i, j = b.index, left.index, right.index
     constraints = [
-        model.add(b - left <= 0),
-        model.add(b - right <= 0),
-        model.add(b - left - right >= -1),
+        model.add(LinearConstraint(((1, k), (-1, i)), "<=", 0)),  # b <= bi
+        model.add(LinearConstraint(((1, k), (-1, j)), "<=", 0)),  # b <= bj
+        model.add(LinearConstraint(((1, k), (-1, i), (-1, j)), ">=", -1)),  # b >= bi + bj - 1
     ]
     model.register_lineage(b, [left, right], constraints)
     return b
@@ -74,8 +92,14 @@ def or_ext(model: LICMModel, exts: Sequence[Ext]) -> Ext:
     if len(variables) == 1:
         return variables[0]
     b = model.new_var()
-    constraints = [model.add(b - var >= 0) for var in variables]
-    constraints.append(model.add(b - linear_sum(variables) <= 0))
+    same_pool(b, variables)
+    k = b.index
+    constraints = [  # b >= bj for each j
+        model.add(LinearConstraint(((1, k), (-1, var.index)), ">=", 0)) for var in variables
+    ]
+    terms = [(1, k)]
+    terms.extend((-1, var.index) for var in variables)
+    constraints.append(model.add(LinearConstraint(terms, "<=", 0)))  # b <= Σ bj
     model.register_lineage(b, variables, constraints)
     return b
 
@@ -135,20 +159,21 @@ def licm_intersect(left: LICMRelation, right: LICMRelation) -> LICMRelation:
     right_by_values: dict[tuple, list[Ext]] = defaultdict(list)
     for row in right.rows:
         right_by_values[row.values].append(row.ext)
-    out = model.derived(left.attributes, f"({left.name} ∩ {right.name})")
-    emitted: set[tuple] = set()
+    # Left copies per value-tuple, in order of first appearance.
+    left_by_values: dict[tuple, list[Ext]] = defaultdict(list)
     for row in left.rows:
-        matches = right_by_values.get(row.values)
-        if not matches or row.values in emitted:
+        left_by_values[row.values].append(row.ext)
+    out = model.derived(left.attributes, f"({left.name} ∩ {right.name})")
+    for values, left_copies in left_by_values.items():
+        matches = right_by_values.get(values)
+        if not matches:
             continue
-        emitted.add(row.values)
         # A value-tuple may occur several times on either side; it is in the
         # intersection when it exists on the left AND on the right, where
         # each side's existence is the OR of its copies.
-        left_copies = [r.ext for r in left.rows if r.values == row.values]
         left_ext = left_copies[0] if len(left_copies) == 1 else or_ext(model, left_copies)
         right_ext = matches[0] if len(matches) == 1 else or_ext(model, matches)
-        out.insert(row.values, and_ext(model, left_ext, right_ext))
+        out.insert(values, and_ext(model, left_ext, right_ext))
     return out
 
 
@@ -202,15 +227,19 @@ def licm_difference(left: LICMRelation, right: LICMRelation) -> LICMRelation:
         if is_certain(row.ext):
             # exists iff right tuple absent: b = 1 - br
             b = model.new_var()
-            constraints = [model.add((b + right_ext).eq(1))]
+            same_pool(b, (right_ext,))
+            k, r = b.index, right_ext.index
+            constraints = [model.add(LinearConstraint(((1, k), (1, r)), "==", 1))]  # b = 1 - br
             model.register_lineage(b, [right_ext], constraints)
             out.insert(row.values, b)
             continue
         b = model.new_var()
+        same_pool(b, (row.ext, right_ext))
+        k, q, r = b.index, row.ext.index, right_ext.index
         constraints = [
-            model.add(b - row.ext <= 0),
-            model.add(b + right_ext <= 1),
-            model.add(b - row.ext + right_ext >= 0),
+            model.add(LinearConstraint(((1, k), (-1, q)), "<=", 0)),  # b <= bl
+            model.add(LinearConstraint(((1, k), (1, r)), "<=", 1)),  # b <= 1 - br
+            model.add(LinearConstraint(((1, k), (-1, q), (1, r)), ">=", 0)),  # b >= bl - br
         ]
         model.register_lineage(b, [row.ext, right_ext], constraints)
         out.insert(row.values, b)
@@ -253,7 +282,8 @@ def licm_join(left: LICMRelation, right: LICMRelation) -> LICMRelation:
     The paper defines join as product + selection + projection; this direct
     implementation produces the identical relation and constraints while
     only materializing matching pairs (the efficient operator the paper
-    alludes to).
+    alludes to).  The left rows probe ``right.index`` — for a base
+    relation, the index its earlier joins on the same attributes built.
     """
     model = left.model
     model.check_owns(left)
@@ -267,9 +297,7 @@ def licm_join(left: LICMRelation, right: LICMRelation) -> LICMRelation:
         i for i, a in enumerate(right.attributes) if a not in set(shared)
     ]
     out_attrs = tuple(left.attributes) + tuple(right.attributes[i] for i in right_rest)
-    buckets: dict[tuple, list] = defaultdict(list)
-    for rrow in right.rows:
-        buckets[tuple(rrow.values[p] for p in right_pos)].append(rrow)
+    buckets = right.index(right_pos)
     out = model.derived(out_attrs, f"({left.name} ⋈ {right.name})")
     for lrow in left.rows:
         key = tuple(lrow.values[p] for p in left_pos)

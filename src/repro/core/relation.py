@@ -7,6 +7,7 @@ certain) or a binary variable (the tuple is a *maybe-tuple*).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Callable, Iterator, Sequence, Tuple, Union
 
 from repro.core.variables import BoolVar
@@ -64,6 +65,7 @@ class LICMRelation:
         self.model = model
         self.rows: list[LICMTuple] = []
         self._positions = {attr: i for i, attr in enumerate(self.attributes)}
+        self._indexes: dict[Tuple[int, ...], dict[Tuple, list[LICMTuple]]] = {}
 
     # -- construction ------------------------------------------------------
     def insert(self, values: Sequence, ext: Ext = 1) -> LICMTuple:
@@ -77,6 +79,9 @@ class LICMRelation:
             raise SchemaError("Ext must be the constant 1 or a BoolVar")
         row = LICMTuple(values, ext)
         self.rows.append(row)
+        # A new dict, not clear(): a build racing this insert stores its
+        # (possibly stale) index into the dropped one.
+        self._indexes = {}
         return row
 
     def insert_maybe(self, values: Sequence) -> LICMTuple:
@@ -109,6 +114,27 @@ class LICMRelation:
     @property
     def certain_rows(self) -> list[LICMTuple]:
         return [row for row in self.rows if row.certain]
+
+    def index(self, positions: Sequence[int]) -> dict[Tuple, list[LICMTuple]]:
+        """Rows bucketed by their values at ``positions``, in row order.
+
+        Built on first use and cached per ``positions`` until the next
+        :meth:`insert`, so a base relation joined again and again is
+        bucketed once.  The result is shared: read it, never mutate it.
+        Not locked: the service evaluates an encoding's plans under its
+        model lock, and anywhere else the worst race is a duplicate build
+        (an insert during a build leaves the build in a dropped cache).
+        """
+        key = tuple(positions)
+        indexes = self._indexes
+        buckets = indexes.get(key)
+        if buckets is None:
+            buckets = defaultdict(list)
+            for row in self.rows:
+                buckets[tuple([row.values[p] for p in key])].append(row)
+            buckets.default_factory = None  # a miss is a KeyError, not a new bucket
+            indexes[key] = buckets
+        return buckets
 
     def getter(self, attributes: Sequence[str]) -> Callable[[LICMTuple], Tuple]:
         """Fast key extractor over a subset of attributes."""

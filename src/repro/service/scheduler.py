@@ -64,7 +64,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core import bounds
 from repro.engine.cache import KeptAnswer
-from repro.errors import InfeasibleError, ServiceError, ValidationError
+from repro.errors import InfeasibleError, QueryError, ServiceError, ValidationError
 from repro.estimator import (
     PRECISION_FAST,
     PRECISION_TIGHT,
@@ -847,9 +847,16 @@ class QueryScheduler:
         return encoded, session, self._model_lock(request.scheme, request.k)
 
     def _build_plan(self, request: QueryRequest, encoded):
+        """The request's plan.  Params the builders reject (a predicate
+        range running past its domain) are the request's fault, so a
+        :class:`QueryError` becomes a :class:`ValidationError`: the
+        request answers ``error`` with the message and logs no traceback."""
         if request.query is not None:
             params = dataclasses.replace(self.context.config.params, **request.params)
-            return QUERY_BUILDERS[request.query](encoded, params)
+            try:
+                return QUERY_BUILDERS[request.query](encoded, params)
+            except QueryError as exc:
+                raise ValidationError(f"params: {exc}") from exc
         return _adhoc_plan(encoded, request.aggregate)
 
     def _serve(self, pending: _Pending) -> Optional[QueryResponse]:

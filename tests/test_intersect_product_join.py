@@ -2,6 +2,8 @@
 and join, including the Figure 3 walk-through."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.database import LICMModel
 from repro.core.operators import (
@@ -145,3 +147,190 @@ def test_join_only_materializes_matches():
     result = licm_join(r1, r2)
     assert len(result) == 0
     assert model.num_variables == before
+
+
+# -- grouped intersection and the cached join index --------------------------
+def _intersect_by_rescan(left, right):
+    """Algorithm 2 as first written: every emitted value-tuple rescans the
+    whole left input for its copies (quadratic in the left size)."""
+    from collections import defaultdict
+
+    from repro.core.operators import or_ext
+
+    model = left.model
+    right_by_values = defaultdict(list)
+    for row in right.rows:
+        right_by_values[row.values].append(row.ext)
+    out = model.derived(left.attributes)
+    emitted = set()
+    for row in left.rows:
+        matches = right_by_values.get(row.values)
+        if not matches or row.values in emitted:
+            continue
+        emitted.add(row.values)
+        left_copies = [r.ext for r in left.rows if r.values == row.values]
+        left_ext = left_copies[0] if len(left_copies) == 1 else or_ext(model, left_copies)
+        right_ext = matches[0] if len(matches) == 1 else or_ext(model, matches)
+        out.insert(row.values, and_ext(model, left_ext, right_ext))
+    return out
+
+
+def _join_by_nested_loop(left, right):
+    """⋈ as product + selection: every pair, in left-major order."""
+    shared = [a for a in left.attributes if a in right.attributes]
+    rest = [i for i, a in enumerate(right.attributes) if a not in shared]
+    lkey, rkey = left.getter(shared), right.getter(shared)
+    out = left.model.derived(
+        tuple(left.attributes) + tuple(right.attributes[i] for i in rest)
+    )
+    for lrow in left.rows:
+        for rrow in right.rows:
+            if lkey(lrow) == rkey(rrow):
+                values = lrow.values + tuple(rrow.values[i] for i in rest)
+                out.insert(values, and_ext(left.model, lrow.ext, rrow.ext))
+    return out
+
+
+def _two_sides(spec, schemas):
+    """One model holding a relation per schema, rows as drawn in ``spec``
+    (each row: values, and -1 for certain or a variable number)."""
+    model = LICMModel()
+    model.new_vars(4)
+    relations = []
+    for name, attributes, rows in zip("LR", schemas, spec):
+        relation = model.relation(name, attributes)
+        for values, ext in rows:
+            relation.insert(values, 1 if ext < 0 else model.pool.get(ext))
+        relations.append(relation)
+    return model, relations
+
+
+def _dump(model, relation):
+    rows = [(row.values, getattr(row.ext, "index", row.ext)) for row in relation.rows]
+    return rows, [(c.terms, c.op, c.rhs) for c in model.constraints], dict(
+        model.lineage_parents
+    )
+
+
+def _side(width):
+    value = st.tuples(*[st.integers(0, 2)] * width)
+    return st.lists(st.tuples(value, st.integers(-1, 3)), max_size=8)
+
+
+@given(st.tuples(_side(2), _side(2)))
+@settings(max_examples=150, deadline=None)
+def test_grouped_intersection_equals_the_rescan(spec):
+    schemas = (["A", "B"], ["A", "B"])
+    model, (left, right) = _two_sides(spec, schemas)
+    ref_model, (ref_left, ref_right) = _two_sides(spec, schemas)
+    assert _dump(model, licm_intersect(left, right)) == _dump(
+        ref_model, _intersect_by_rescan(ref_left, ref_right)
+    )
+
+
+@given(st.tuples(_side(2), _side(2)))
+@settings(max_examples=150, deadline=None)
+def test_join_equals_the_nested_loop(spec):
+    schemas = (["A", "B"], ["B", "C"])
+    model, (left, right) = _two_sides(spec, schemas)
+    ref_model, (ref_left, ref_right) = _two_sides(spec, schemas)
+    assert _dump(model, licm_join(left, right)) == _dump(
+        ref_model, _join_by_nested_loop(ref_left, ref_right)
+    )
+    # A second join on the same attributes probes the index the first built.
+    index = right.index((0,))
+    licm_join(left, right)
+    assert right.index((0,)) is index
+
+
+def test_insert_drops_the_index_and_the_next_join_sees_the_new_row():
+    model = LICMModel()
+    left = model.relation("L", ["K", "X"])
+    right = model.relation("R", ["K", "Y"])
+    left.insert(("k1", "x"))
+    right.insert_maybe(("k1", "y1"))
+    first = right.index((0,))
+    assert [row.values for row in licm_join(left, right).rows] == [("k1", "x", "y1")]
+    assert right.index((0,)) is first
+    right.insert(("k1", "y2"))
+    joined = licm_join(left, right)
+    assert [row.values for row in joined.rows] == [("k1", "x", "y1"), ("k1", "x", "y2")]
+    assert right.index((0,)) is not first
+    with pytest.raises(KeyError):
+        right.index((0,))[("absent",)]  # a miss never grows the index
+
+
+def test_scoped_evaluations_reuse_one_base_index_and_leave_the_model_flat():
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.runner import ExperimentContext
+    from repro.queries.licm_eval import evaluate_licm
+
+    context = ExperimentContext(
+        ExperimentConfig(num_transactions=60, num_items=24, k_values=(2,), seed=7)
+    )
+    try:
+        encoded = context.encoding("km", 2).encoded
+        model, transitem = encoded.model, encoded.relations["TRANSITEM"]
+        plan = context.plan("Q1", encoded)
+        before = model.stats()
+        with model.scoped():
+            first = evaluate_licm(plan, encoded.relations)
+        indexes = dict(transitem._indexes)
+        assert indexes  # Q1 joins the selected transactions with TRANSITEM
+        with model.scoped():
+            second = evaluate_licm(plan, encoded.relations)
+        assert model.stats() == before
+        assert transitem._indexes.keys() == indexes.keys()
+        assert all(transitem._indexes[key] is index for key, index in indexes.items())
+        assert first.coeffs == second.coeffs and first.constant == second.constant
+    finally:
+        context.close()
+
+
+def test_index_built_while_rows_are_inserted_is_never_stale():
+    """Readers building the index race one writer's inserts.  After each
+    insert the writer's own lookup must see every row so far: a reader's
+    build that missed the insert only ever lands in the cache the insert
+    dropped, never in the one that replaced it."""
+    import sys
+    import threading
+    import time
+
+    class SlowRows(list):
+        """Rows whose iteration ends by yielding the interpreter lock, so a
+        build finishing its scan and then storing its index is interleaved
+        with the writer's inserts."""
+
+        def __iter__(self):
+            yield from super().__iter__()
+            time.sleep(0)
+
+    model = LICMModel()
+    relation = model.relation("R", ["K", "V"])
+    relation.rows = SlowRows()
+    done = threading.Event()
+    stale = []
+
+    def read():
+        while not done.is_set():
+            relation.index((0,))
+
+    readers = [threading.Thread(target=read) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in readers:
+            thread.start()
+        for value in range(600):
+            relation.insert((value % 7, value))
+            seen = sum(len(rows) for rows in relation.index((0,)).values())
+            if seen != value + 1:
+                stale.append((value + 1, seen))
+    finally:
+        done.set()
+        for thread in readers:
+            thread.join(timeout=10.0)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in readers)
+    assert not stale
+    assert [row.values[1] for row in relation.index((0,))[(3,)]] == list(range(3, 600, 7))

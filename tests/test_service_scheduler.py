@@ -125,6 +125,26 @@ def test_unwarmed_encoding_is_refused(scheduler):
     assert "not loaded" in response.error
 
 
+#: params that pass admission but that the plan builders reject
+PLAN_PARAM_ERRORS = [
+    ("Q2", {"price_range": 0}, "exceeds the price range 0"),
+    ("Q2", {"location_range": 0}, "exceeds the location range 0"),
+    # Pb starts where Pa ends (600), and 600 + 600 runs past 1000.
+    ("Q3", {"q3_selectivity": 0.6}, "exceeds the location range 1000"),
+]
+
+
+@pytest.mark.parametrize("query, params, message", PLAN_PARAM_ERRORS)
+def test_plan_building_errors_answer_error_without_a_traceback(
+    scheduler, caplog, query, params, message
+):
+    caplog.set_level(logging.ERROR, logger=scheduler_module.logger.name)
+    response = scheduler.execute(QueryRequest(query=query, params=params))
+    assert response.status == "error"
+    assert message in response.error
+    assert not [record for record in caplog.records if record.exc_info]
+
+
 def test_admission_queue_full_rejects(context, monkeypatch):
     release = threading.Event()
     _patch_solvers(monkeypatch, lambda entry: release.wait(timeout=10.0))

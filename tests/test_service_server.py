@@ -152,6 +152,38 @@ def test_bad_params_are_http_400_without_a_traceback(running_server, body, caplo
     assert not [record for record in caplog.records if record.exc_info]
 
 
+@pytest.fixture(scope="module")
+def error_server():
+    """A server of its own: ``error`` answers spend the availability
+    budget that ``running_server``'s SLO test expects untouched."""
+    url, _, stop = _start()
+    yield url
+    stop()
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (b'{"query": "Q2", "params": {"price_range": 0}}', "exceeds the price range 0"),
+        (b'{"query": "Q2", "params": {"location_range": 0}}', "exceeds the location range 0"),
+        (b'{"query": "Q3", "params": {"q3_selectivity": 0.6}}', "exceeds the location range"),
+    ],
+)
+def test_params_the_plan_rejects_are_http_400_without_a_traceback(
+    error_server, body, message, caplog
+):
+    url = error_server
+    request = urllib.request.Request(
+        url + "/v1/query", data=body, method="POST",
+        headers={"Content-Type": "application/json"},
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=30)
+    assert excinfo.value.code == 400
+    assert message in json.loads(excinfo.value.read())["error"]
+    assert not [record for record in caplog.records if record.exc_info]
+
+
 def test_unknown_precision_is_http_400_not_500(running_server):
     url, _, _ = running_server
     request = urllib.request.Request(
