@@ -152,6 +152,27 @@ def group_count_bounds(
     return out
 
 
+def _probe(problem, options, stats, rows=(), objective=None, constant=0, sense="max"):
+    """Solve a prepared ``problem`` with ``rows`` added and its objective
+    replaced by ``objective`` + ``constant`` (none: a feasibility probe).
+
+    The AVG and MIN/MAX probes' one solve path: straight through
+    ``repro.engine.fabric.portfolio_solve``, looked up per call, with no
+    cache (each probe is a new problem).  Counts the probe and its solve
+    time into ``stats``.
+    """
+    from repro.engine import fabric
+
+    probe = replace(
+        problem, constraints=problem.constraints + list(rows),
+        objective=objective or {}, objective_constant=constant,
+    )
+    solution = fabric.portfolio_solve(probe, sense, options)
+    stats["solve_time"] += solution.solve_time
+    stats["probes"] += 1
+    return solution
+
+
 def avg_bounds(
     relation: LICMRelation,
     attribute: str,
@@ -168,6 +189,12 @@ def avg_bounds(
     ratio converges in finitely many exact (rational) steps because the
     optimum is a ratio of bounded integers.  Bounds are returned as
     ``fractions.Fraction`` values in ``lower``/``upper``.
+
+    The deduplicated relation's lineage is prepared once, as one component
+    whose ``tuples`` are every row's ``(value, index)`` and whose
+    constraints include the non-empty row; each Dinkelbach step probes that
+    problem with its objective replaced.  ``stats`` has the probes'
+    ``solve_time`` and their count.
 
     Worlds where the relation is empty leave AVG undefined and are skipped
     (SQL semantics); if no non-empty world exists the bounds are ``None``.
@@ -187,51 +214,58 @@ def avg_bounds(
     if not deduped.rows:
         return AggregateBounds(lower=None, upper=None, exact=True)
 
-    nonempty = [linear_sum(deduped.ext_column()) >= 1]
+    tuples = tuple(
+        (value, None if row.certain else row.ext.index)
+        for row, value in zip(deduped.rows, values)
+    )
+    prepared = session.prepare(
+        linear_sum(row.ext for row in deduped.maybe_rows),
+        [linear_sum(deduped.ext_column()) >= 1],
+        tuples=tuples,
+    )
+    (part,) = prepared.components
+    # (value, column) per row; column None for a certain row.
+    columns = [(v, None if i is None else part.dense[i]) for v, i in tuples]
+    problem, stats = part.problem, {"solve_time": 0.0, "probes": 0}
+
+    def ratio_of(x) -> Fraction:
+        present = [v for v, column in columns if column is None or x[column] == 1]
+        return Fraction(sum(present), len(present))
+
+    # Start from any feasible non-empty world's ratio.
+    start = _probe(problem, session.options, stats)
+    if start.status == "infeasible":
+        return AggregateBounds(lower=None, upper=None, exact=True, stats=stats)
 
     def dinkelbach(sense: str):
-        # Start from any feasible non-empty world's ratio.
-        probe = LinearExpr({}, 0)
-        solution, dense = session.optimize(probe, "max", nonempty)
-        if solution.status == "infeasible":
-            return None
-        inverse = {d: m for m, d in dense.items()}
-
-        def ratio_of(solution):
-            assignment = {inverse[i]: v for i, v in enumerate(solution.x)}
-            total, count = 0, 0
-            for row, value in zip(deduped.rows, values):
-                present = row.certain or assignment.get(row.ext.index, 0) == 1
-                if present:
-                    total += value
-                    count += 1
-            return Fraction(total, count)
-
-        current = ratio_of(solution)
+        current = ratio_of(start.x)
         for _ in range(max_iterations):
             p, q = current.numerator, current.denominator
-            objective = linear_sum(
-                q * value - p if row.certain else (q * value - p) * row.ext
-                for row, value in zip(deduped.rows, values)
-            )
-            solution, dense = session.optimize(
-                objective, "max" if sense == "max" else "min", nonempty
+            objective, constant = {}, 0
+            for value, column in columns:
+                if column is None:
+                    constant += q * value - p
+                else:
+                    objective[column] = objective.get(column, 0) + q * value - p
+            solution = _probe(
+                problem, session.options, stats,
+                objective={c: coef for c, coef in objective.items() if coef},
+                constant=constant, sense=sense,
             )
             if solution.status != "optimal":
                 raise SolverError(
                     "AVG bounds need exact subproblem optima; the solver hit "
                     f"a limit (status {solution.status!r}) — raise the limits"
                 )
-            inverse = {d: m for m, d in dense.items()}
             gap = solution.objective
             if (sense == "max" and gap <= 0) or (sense == "min" and gap >= 0):
                 return current
-            current = ratio_of(solution)
+            current = ratio_of(solution.x)
         raise SolverError("Dinkelbach iteration did not converge")
 
     upper = dinkelbach("max")
     lower = dinkelbach("min")
-    return AggregateBounds(lower=lower, upper=upper, exact=True)
+    return AggregateBounds(lower=lower, upper=upper, exact=True, stats=stats)
 
 
 def prepare_minmax(session, relation: LICMRelation, attribute: str, agg: str, key=None):
@@ -277,7 +311,7 @@ def minmax_bounds(
     value).  A probe adds the rows ``sum(x_beyond) <= 0`` and/or
     ``sum(x_cover) >= 1`` to the problem :func:`prepare_minmax` prepared
     once — ``relation`` may be that problem — and solves it through
-    ``repro.engine.fabric.portfolio_solve``, looked up per call.
+    ``repro.engine.fabric.portfolio_solve``, looked up per call (``_probe``).
 
     ``options`` overrides the session's (the service passes a deadline
     copy).  A probe stopped by a limit before it found a world is
@@ -285,7 +319,6 @@ def minmax_bounds(
     still contains the exact one, and ``exact`` is False.  ``stats`` has
     the probes' ``solve_time`` and their count.
     """
-    from repro.engine import fabric
     from repro.solver.model import BIPConstraint
 
     if agg not in ("min", "max"):
@@ -313,13 +346,7 @@ def minmax_bounds(
         """Optimal, or stopped holding a world: feasible.  Infeasible:
         proven.  Stopped with no world: undecided, answered feasible."""
         nonlocal decided
-        probe = replace(
-            problem, constraints=problem.constraints + rows, objective={},
-            objective_constant=0,
-        )
-        solution = fabric.portfolio_solve(probe, "max", options)
-        stats["solve_time"] += solution.solve_time
-        stats["probes"] += 1
+        solution = _probe(problem, options, stats, rows)
         if solution.status == "infeasible":
             return False
         decided = decided and (solution.status == "optimal" or solution.x is not None)

@@ -9,6 +9,7 @@ solver read from it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Iterable, Iterator, KeysView, Mapping, Optional, Tuple
 
@@ -184,15 +185,17 @@ class ConstraintStore:
         try:
             yield
         finally:
-            while len(self._constraints) > length:
-                constraint = self._constraints.pop()
-                position = len(self._constraints)
-                for index in constraint.variables:
-                    positions = self._by_var[index]
-                    positions.pop()  # the newest position is this one
-                    if not positions:
-                        del self._by_var[index]
-                if self._position_of[id(constraint)] == position:
+            appended = self._constraints[length:]
+            del self._constraints[length:]
+            touched = {index for constraint in appended for _, index in constraint.terms}
+            for index in touched:
+                positions = self._by_var[index]
+                # Positions are ascending: the scope's are a suffix.
+                del positions[bisect_left(positions, length):]
+                if not positions:
+                    del self._by_var[index]
+            for constraint in appended:
+                if self._position_of.get(id(constraint), -1) >= length:
                     del self._position_of[id(constraint)]
             self._scope_length = None
 

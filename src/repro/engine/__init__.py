@@ -1,14 +1,16 @@
 """The shared solve-engine layer.
 
 One :class:`SolveSession` per LICM model owns the
-``prune -> split -> canonicalize -> solve(min)+solve(max) -> witness``
-pipeline with fingerprint-keyed solve caching and optional parallel
-min/max.  ``core.bounds`` and ``queries.answer`` are thin facades over
-this package.
+``prune -> split -> from_licm + canonicalize -> solve(min)+solve(max) ->
+witness`` pipeline with fingerprint-keyed solve caching and optional
+parallel min/max.  Each block is built once, in the canonical column
+order (:func:`repro.solver.model.from_licm`), and fingerprinted as built
+(:func:`canonicalize`).  ``core.bounds`` and ``queries.answer`` are thin
+facades over this package.
 """
 
 from repro.engine.cache import CachedSolve, SolveCache
-from repro.engine.canonical import CanonicalBIP, canonicalize
+from repro.engine.canonical import canonicalize
 from repro.engine.fabric import (
     ExecutorFabric,
     InlineFabric,
@@ -23,7 +25,6 @@ from repro.engine.session import PreparedComponent, PreparedProblem, SolveSessio
 
 __all__ = [
     "CachedSolve",
-    "CanonicalBIP",
     "canonicalize",
     "ExecutorFabric",
     "InlineFabric",

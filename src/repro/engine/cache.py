@@ -1,9 +1,9 @@
 """Bounded cost-aware cache of BIP solve outcomes.
 
-Entries are keyed by ``(canonical fingerprint, sense)`` and store the
-solution *in canonical variable order*, so a hit coming from a
-structurally identical but differently-indexed repeat query can be
-translated back through that query's own :class:`~repro.engine.canonical.CanonicalBIP`.
+Entries are keyed by ``(fingerprint, sense)`` and store the solution
+in the block's canonical column order (:func:`repro.solver.model.from_licm`),
+so a hit coming from a structurally identical but differently-indexed
+repeat query reads as a witness through that query's own ``dense`` map.
 
 The cache is self-validating: the fingerprint is computed from the
 *pruned* problem on every lookup, so any store mutation that actually
@@ -38,7 +38,7 @@ from repro.obs.export import count
 
 @dataclass(frozen=True)
 class CachedSolve:
-    """One optimization outcome, stored in canonical variable order."""
+    """One optimization outcome, stored in canonical column order."""
 
     status: str
     objective: Optional[int]

@@ -1,80 +1,39 @@
-"""Canonical BIP normal form and stable fingerprinting.
+"""Stable fingerprints of prepared BIP blocks.
 
 Two aggregate queries issued against one shared LICM model allocate
 *different* lineage variable indices even when they are structurally the
 same query (each evaluation appends fresh variables to the pool).  To let
-the solve cache recognise the repeat, the pruned problem is renamed into a
-deterministic normal form that is independent of absolute model indices:
+the solve cache recognise the repeat, a block's fingerprint is taken over
+the dense :class:`~repro.solver.model.BIPProblem` the solver runs, whose
+column order :func:`~repro.solver.model.from_licm` fixes independently of
+absolute model indices: by first appearance, objective first.  That one
+order is the canonical one — solution vectors, L1/L2 entries and
+fingerprints all live in it, and nothing translates between orders.
 
-* variables are renumbered ``0..n-1`` by first appearance, scanning the
-  objective's terms in ascending model-index order and then each pruned
-  constraint's (already index-sorted) terms in store order;
-* each constraint becomes a ``(terms, op, rhs)`` tuple over canonical
-  indices, and the constraint *list* is sorted lexicographically so store
-  order does not leak into the form;
-* the fingerprint is a BLAKE2b digest of the resulting tuple.
+The fingerprint is a BLAKE2b digest of the problem's objective terms
+(sorted), its objective constant, and its ``(terms, op, rhs)`` constraint
+tuples sorted lexicographically, so store order does not leak into it.
 
-The normal form is deterministic, not a graph-isomorphism certificate:
+The column order is deterministic, not a graph-isomorphism certificate:
 two problems that are isomorphic under an index permutation that does not
 preserve relative creation order may fingerprint differently.  That is a
 safe failure (a cache miss, never a wrong hit) — equality of fingerprints
-implies equality of the canonical problems, which is what cache
-correctness needs.
+implies equality of the problems up to constraint order, which is what
+cache correctness needs: a vector cached for one is a witness of the other.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Sequence, Tuple
 
-from repro.core.constraints import LinearConstraint
-from repro.core.linexpr import LinearExpr
+from repro.solver.model import BIPProblem
 
 
-@dataclass(frozen=True)
-class CanonicalBIP:
-    """The renamed problem: fingerprint + the renaming used to produce it.
-
-    ``var_order[c]`` is the *model* variable index assigned canonical
-    index ``c`` — the bridge for translating cached canonical solution
-    vectors back into possible-world assignments of the current query.
-    """
-
-    fingerprint: str
-    var_order: Tuple[int, ...]
-    key: tuple
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.var_order)
-
-    def witness(self, x_canonical: Sequence[int]) -> dict[int, int]:
-        """Translate a canonical solution vector to a model assignment."""
-        return {self.var_order[c]: int(v) for c, v in enumerate(x_canonical)}
-
-
-def canonicalize(
-    objective: LinearExpr, constraints: Sequence[LinearConstraint]
-) -> CanonicalBIP:
-    """Rename a pruned (objective, constraints) pair into normal form."""
-    rename: dict[int, int] = {}
-    for index in sorted(objective.coeffs):
-        rename.setdefault(index, len(rename))
-    for constraint in constraints:
-        for index in constraint.variables:
-            rename.setdefault(index, len(rename))
-
-    canonical_objective = tuple(
-        sorted((rename[index], coef) for index, coef in objective.coeffs.items())
+def canonicalize(problem: BIPProblem) -> str:
+    """The fingerprint of a block built by :func:`~repro.solver.model.from_licm`."""
+    key = (
+        tuple(sorted(problem.objective.items())),
+        problem.objective_constant,
+        tuple(sorted((c.terms, c.op, c.rhs) for c in problem.constraints)),
     )
-    canonical_constraints = tuple(
-        sorted(
-            (tuple((coef, rename[index]) for coef, index in c.terms), c.op, c.rhs)
-            for c in constraints
-        )
-    )
-    key = (canonical_objective, objective.constant, canonical_constraints)
-    digest = hashlib.blake2b(repr(key).encode("utf-8"), digest_size=16).hexdigest()
-    var_order = tuple(sorted(rename, key=rename.__getitem__))
-    return CanonicalBIP(fingerprint=digest, var_order=var_order, key=key)
+    return hashlib.blake2b(repr(key).encode("utf-8"), digest_size=16).hexdigest()

@@ -2,8 +2,8 @@
 
 PR 5 made the ``(component, sense)`` pair the engine's unit of work;
 this module makes it the unit of *dispatch*.  A :class:`SolveUnit` is a
-fully picklable description of one solve — the dense BIP, its canonical
-fingerprint and variable order, deadline-carrying options, and the L2
+fully picklable description of one solve — the dense BIP in canonical
+column order, its fingerprint, deadline-carrying options, and the L2
 cache path — and :func:`run_unit` is the one execution path every
 fabric runs it through:
 
@@ -80,11 +80,10 @@ portfolio_solve = solve
 class SolveUnit:
     """One picklable ``(problem, sense)`` solve, ready for any fabric.
 
-    ``var_order`` + ``dense`` let the worker translate its solution into
-    canonical variable order itself, so the wire format matches the
-    cache format.  ``authoritative`` marks a full-budget solve (no
-    per-request deadline override) — the L2 admission guard is stricter
-    for non-authoritative outcomes.
+    ``problem`` is a prepared block in canonical column order, so the
+    solver's vector is already the cache format.  ``authoritative`` marks
+    a full-budget solve (no per-request deadline override) — the L2
+    admission guard is stricter for non-authoritative outcomes.
 
     ``trace_id``/``sample_every`` seed the worker's recording tracer so
     repatriated spans and metric exemplars carry the *requesting*
@@ -95,8 +94,6 @@ class SolveUnit:
     problem: object
     sense: str
     fingerprint: str
-    var_order: Tuple[int, ...]
-    dense: dict
     options: SolverOptions
     authoritative: bool = True
     component: Optional[int] = None
@@ -198,17 +195,12 @@ def _execute(unit: SolveUnit) -> UnitResult:
         # One exact solve on the backend the options name; 'auto' picks
         # the B&B for small blocks and HiGHS for large ones.
         solution = portfolio_solve(unit.problem, unit.sense, unit.options)
-    x_canonical = None
-    if solution.x is not None:
-        x_canonical = tuple(
-            int(solution.x[unit.dense[model_idx]]) for model_idx in unit.var_order
-        )
     result = UnitResult(
         fingerprint=unit.fingerprint,
         sense=unit.sense,
         status=solution.status,
         objective=solution.objective,
-        x_canonical=x_canonical,
+        x_canonical=None if solution.x is None else tuple(solution.x),
         bound=solution.bound,
         nodes=solution.nodes,
         backend=solution.backend,

@@ -1,13 +1,13 @@
 """The shared solve engine: one session per model, reused across queries.
 
-A :class:`SolveSession` owns the full ``model -> prune -> split -> BIP
-normal form per block -> solve(min) + solve(max) -> witness`` pipeline
-that every aggregate bound in the repo needs, and layers on top of it:
+A :class:`SolveSession` owns the full ``model -> prune -> split -> one
+BIP per block -> solve(min) + solve(max) -> witness`` pipeline that
+every aggregate bound in the repo needs, and layers on top of it:
 
-* a canonical fingerprint of each independent block of a pruned problem
-  (:mod:`repro.engine.canonical`), so structurally repeated blocks are
-  recognised even though each evaluation allocates its own lineage
-  variables;
+* a fingerprint of each independent block of a pruned problem, built
+  once in its canonical column order (:mod:`repro.engine.canonical`), so
+  structurally repeated blocks are recognised even though each
+  evaluation allocates its own lineage variables;
 * a memo of prepared problems under a key the caller names (the service
   scheduler's plan identity), so a repeated request skips plan
   evaluation and prepare entirely (see :meth:`SolveSession.prepare`);
@@ -45,7 +45,7 @@ from repro.core.constraints import LinearConstraint
 from repro.core.linexpr import LinearExpr
 from repro.core.pruning import prune
 from repro.engine.cache import CachedSolve, KeptAnswer, LRUCache, SolveCache
-from repro.engine.canonical import CanonicalBIP, canonicalize
+from repro.engine.canonical import canonicalize
 from repro.engine.fabric import (
     ExecutorFabric,
     InlineFabric,
@@ -69,8 +69,8 @@ _COMPONENT_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 #: L1 entries per memoized prepared problem.  An L1 entry is one solution
 #: vector; a prepared problem of the benchmark fixture (600 transactions)
-#: holds megabytes of per-block dense and canonical forms, and answering it
-#: fills two L1 entries per component anyway.  The default ``cache_size=128`` keeps
+#: holds megabytes of per-block dense forms, and answering it fills two
+#: L1 entries per component anyway.  The default ``cache_size=128`` keeps
 #: 8 prepared problems per session.
 _L1_ENTRIES_PER_PREPARED = 16
 
@@ -79,19 +79,22 @@ _L1_ENTRIES_PER_PREPARED = 16
 class PreparedComponent:
     """One independent block of a prepared problem.
 
-    ``problem`` is the block's own dense BIP, ``dense`` maps *model*
-    variable indices to its solution positions, and ``canonical`` carries
-    the block's own fingerprint — the per-component cache key.  A problem
-    that does not split has one component: the whole problem, objective
-    constant included.  Everything here is plain data, so a component
-    crosses a process boundary intact.  ``kernel`` is the block's
+    ``problem`` is the block's own dense BIP, in the canonical column
+    order :func:`~repro.solver.model.from_licm` fixes; ``dense`` maps
+    *model* variable indices to its columns, and ``fingerprint`` names the
+    problem (:func:`~repro.engine.canonical.canonicalize`) — the
+    per-component cache key.  A solution vector, cached or fresh, is
+    indexed by those columns.  A problem that does not split has one
+    component: the whole problem, objective constant included.
+    Everything here is plain data, so a component crosses a process
+    boundary intact.  ``kernel`` is the block's
     :class:`~repro.solver.kernels.CompiledProblem`, built by the first
     root pass that needs it and shared by both senses.
     """
 
     problem: object
     dense: dict
-    canonical: CanonicalBIP
+    fingerprint: str
     kernel: Optional[object] = field(default=None, repr=False, compare=False)
 
 
@@ -124,10 +127,11 @@ class PreparedProblem:
     with only ``prep_time`` refreshed; its ``prune_stats`` ``*_before``
     count the base model plus that query's own lineage.
 
-    ``tuples`` is empty but for a MIN/MAX problem
-    (:func:`repro.core.bounds.prepare_minmax`): one ``(value, index)``
-    pair per result tuple, ``index`` the model variable of its existence
-    (a key of the one component's ``dense``) or ``None`` for a certain
+    ``tuples`` is empty but for a MIN/MAX or AVG problem
+    (:func:`repro.core.bounds.prepare_minmax`,
+    :func:`~repro.core.bounds.avg_bounds`): one ``(value, index)`` pair
+    per result tuple, ``index`` the model variable of its existence (a
+    key of the one component's ``dense``) or ``None`` for a certain
     tuple.  Such a problem's objective only seeds the pruning: it is not
     the aggregate.  It is one component, since the probes' rows couple
     its blocks.
@@ -150,8 +154,8 @@ def _fingerprint(components: Sequence[PreparedComponent], offset) -> str:
     """The whole problem's name: its one component's fingerprint, else a
     digest of the sorted component fingerprints and the offset."""
     if len(components) == 1:
-        return components[0].canonical.fingerprint
-    key = (tuple(sorted(part.canonical.fingerprint for part in components)), offset)
+        return components[0].fingerprint
+    key = (tuple(sorted(part.fingerprint for part in components)), offset)
     return hashlib.blake2b(repr(key).encode("utf-8"), digest_size=16).hexdigest()
 
 
@@ -355,8 +359,9 @@ class SolveSession:
             components = []
             for sub_objective, sub_constraints in parts:
                 problem, dense = from_licm(sub_objective, sub_constraints, names)
-                canonical = canonicalize(sub_objective, sub_constraints)
-                components.append(PreparedComponent(problem, dense, canonical))
+                components.append(
+                    PreparedComponent(problem, dense, canonicalize(problem))
+                )
         return tuple(components), prune_stats
 
     def _observe_components(self, components: int) -> None:
@@ -374,14 +379,10 @@ class SolveSession:
 
     # -- unit dispatch -----------------------------------------------------
     def _l1_probe(
-        self,
-        canonical: CanonicalBIP,
-        sense: str,
-        component: Optional[int],
-        parent_span,
+        self, fingerprint: str, sense: str, component: int, parent_span
     ) -> Optional[CachedSolve]:
         """One L1 lookup, with its counters.  ``None`` means miss."""
-        entry = self.cache.get((canonical.fingerprint, sense))
+        entry = self.cache.get((fingerprint, sense))
         if entry is None:
             count("cache_misses")
             return None
@@ -389,8 +390,7 @@ class SolveSession:
         tracer = current_tracer()
         if tracer.enabled:
             with tracer.span(f"engine.solve.{sense}", parent=parent_span) as span:
-                if component is not None:
-                    span.set("component", component)
+                span.set("component", component)
                 span.set("cached", True).set("status", entry.status)
                 span.set("objective", entry.objective).set("nodes", entry.nodes)
                 span.set("backend", entry.backend)
@@ -400,7 +400,7 @@ class SolveSession:
         self,
         part: PreparedComponent,
         sense: str,
-        component: Optional[int],
+        component: int,
         options: Optional[SolverOptions],
         parent_span=None,
     ) -> SolveUnit:
@@ -410,9 +410,7 @@ class SolveSession:
         return SolveUnit(
             problem=part.problem,
             sense=sense,
-            fingerprint=part.canonical.fingerprint,
-            var_order=tuple(part.canonical.var_order),
-            dense=part.dense,
+            fingerprint=part.fingerprint,
             options=options or self.options,
             # A solve under per-call options (a request deadline) is not
             # authoritative for the fingerprint — see the cache guards.
@@ -428,7 +426,7 @@ class SolveSession:
     def _collect(
         self,
         result: UnitResult,
-        canonical: CanonicalBIP,
+        fingerprint: str,
         sense: str,
         options: Optional[SolverOptions],
         parent_span,
@@ -453,7 +451,7 @@ class SolveSession:
         if options is None or entry.status == "optimal":
             # Costed by what recomputing it would take: the solve wall, the
             # root pass's per-block share, or the L2 read on an L2 hit.
-            self.cache.put((canonical.fingerprint, sense), entry, cost=result.solve_time)
+            self.cache.put((fingerprint, sense), entry, cost=result.solve_time)
         registry = global_registry()
         # The solve ran (and was timed) on the fabric; credit its wall time.
         registry.counter("phase_seconds_total").inc(
@@ -494,15 +492,14 @@ class SolveSession:
 
     def _root_pass(
         self,
-        tasks: Sequence[Tuple[PreparedComponent, str, Optional[int]]],
+        tasks: Sequence[Tuple[PreparedComponent, str, int]],
         options: Optional[SolverOptions],
     ) -> Dict[Tuple[str, str], UnitResult]:
         """Close every root-closable L1 miss of ``tasks`` in one kernel pass.
 
         Takes the distinct ``(fingerprint, sense)`` pairs of prepared
         components that are not in L1 and that the solver facade would
-        route to the branch-and-bound (:meth:`optimize` probes, which
-        carry no component index, keep their unit), stacks them into one
+        route to the branch-and-bound, stacks them into one
         :class:`~repro.solver.kernels.RootBatch` and
         keeps the blocks the root kernels close: propagation proved them
         infeasible, or a validated greedy point reaches the kernel bound.
@@ -524,8 +521,8 @@ class SolveSession:
             return {}
         todo: Dict[Tuple[str, str], Tuple[object, int]] = {}
         for part, sense, component in tasks:
-            key = (part.canonical.fingerprint, sense)
-            if component is None or key in todo or key in self.cache:
+            key = (part.fingerprint, sense)
+            if key in todo or key in self.cache:
                 continue
             if _resolve_backend(effective.backend, part.problem) == "bb":
                 todo[key] = (part, component)
@@ -599,15 +596,12 @@ class SolveSession:
             presolved = options.use_presolve and (not outcome.feasible or outcome.fixed)
             nodes = 0 if presolved else 1
             backend = "bb"
-        x_canonical = None
-        if x is not None:
-            x_canonical = tuple(int(x[part.dense[index]]) for index in part.canonical.var_order)
         return UnitResult(
-            fingerprint=part.canonical.fingerprint,
+            fingerprint=part.fingerprint,
             sense=sense,
             status=status,
             objective=objective,
-            x_canonical=x_canonical,
+            x_canonical=None if x is None else tuple(x),
             bound=None if objective is None else float(objective),
             nodes=nodes,
             backend=backend,
@@ -617,11 +611,10 @@ class SolveSession:
 
     def _solve_tasks(
         self,
-        tasks: Sequence[Tuple[PreparedComponent, str, Optional[int]]],
+        tasks: Sequence[Tuple[PreparedComponent, str, int]],
         options: Optional[SolverOptions],
     ) -> List[Tuple[CachedSolve, bool, float, bool]]:
-        """Run ``(component, sense, index)`` tasks; ``index`` is ``None``
-        only for an :meth:`optimize` probe.
+        """Run ``(component, sense, index)`` tasks.
 
         The one dispatch path for every fabric.  First the root pass
         (:meth:`_root_pass`) closes what the kernels can close for the
@@ -642,16 +635,16 @@ class SolveSession:
 
         def collect(i: int, result: UnitResult) -> None:
             part, sense, _ = tasks[i]
-            outcomes[i] = self._collect(result, part.canonical, sense, options, parent_span)
+            outcomes[i] = self._collect(result, part.fingerprint, sense, options, parent_span)
 
         def start(i: int):
             """Probe, claim or submit task ``i``; a future when submitted."""
             part, sense, component = tasks[i]
-            hit = self._l1_probe(part.canonical, sense, component, parent_span)
+            hit = self._l1_probe(part.fingerprint, sense, component, parent_span)
             if hit is not None:
                 outcomes[i] = (hit, True, 0.0, False)
                 return None
-            claim = claims.get((part.canonical.fingerprint, sense))
+            claim = claims.get((part.fingerprint, sense))
             if claim is not None:
                 collect(i, claim)
                 return None
@@ -662,7 +655,7 @@ class SolveSession:
         in_flight = set()
         waiting = []
         for i, (part, sense, _) in enumerate(tasks):
-            key = (part.canonical.fingerprint, sense)
+            key = (part.fingerprint, sense)
             if key in in_flight:
                 waiting.append(i)
                 continue
@@ -732,7 +725,7 @@ class SolveSession:
         evict than any one of them.
         """
         floor = sum(
-            self.cache.cost((part.canonical.fingerprint, sense))
+            self.cache.cost((part.fingerprint, sense))
             for part in replaces
             for sense in _SENSES
         )
@@ -763,8 +756,8 @@ class SolveSession:
     ) -> PreparedProblem:
         """Run the prune/split/normalize phases without solving.
 
-        Each component of the returned :class:`PreparedProblem` is
-        normalized and canonicalized once; finish via
+        Each component of the returned :class:`PreparedProblem` is built
+        (``from_licm``) and fingerprinted (``canonicalize``) once; finish via
         :meth:`solve_prepared` (or the tiered answerer).
 
         With a ``key`` the result is memoized under it, and a problem
@@ -854,7 +847,10 @@ class SolveSession:
             if all(entry.x_canonical is not None for entry in entries):
                 witness = {}
                 for component, entry in zip(components, entries):
-                    witness.update(component.canonical.witness(entry.x_canonical))
+                    x = entry.x_canonical
+                    witness.update(
+                        {index: x[column] for index, column in component.dense.items()}
+                    )
             return {
                 "entries": entries,
                 "objective": objective,
@@ -922,45 +918,6 @@ class SolveSession:
         return self.solve_prepared(
             self.prepare(objective, extra_constraints, do_prune), options=options
         )
-
-    def optimize(
-        self,
-        objective: LinearExpr,
-        sense: str,
-        extra_constraints: Sequence[LinearConstraint] = (),
-        options: Optional[SolverOptions] = None,
-    ) -> Tuple[Solution, dict]:
-        """One direction with query-local side constraints.
-
-        Returns ``(solution, dense)`` where ``dense`` maps model variable
-        indices to positions in ``solution.x`` — the contract the AVG
-        (Dinkelbach) path relies on.
-        ``solution.solve_time`` is the solver's wall time (0 on a cache
-        hit).
-        """
-        self._ensure_fresh()
-        with current_tracer().span("engine.prepare") as span:
-            (whole,), _ = self._prepare(
-                objective, extra_constraints, do_prune=True, span=span, split=False
-            )
-            span.set("fingerprint", whole.canonical.fingerprint)
-        ((entry, _, seconds, _),) = self._solve_tasks([(whole, sense, None)], options)
-        dense = whole.dense
-        x = None
-        if entry.x_canonical is not None:
-            x = [0] * whole.problem.num_vars
-            for c, value in enumerate(entry.x_canonical):
-                x[dense[whole.canonical.var_order[c]]] = int(value)
-        solution = Solution(
-            status=entry.status,
-            objective=entry.objective,
-            x=x,
-            bound=entry.bound,
-            nodes=entry.nodes,
-            solve_time=seconds,
-            backend=entry.backend,
-        )
-        return solution, dense
 
     def map(self, fn, items):
         """Run ``fn`` over ``items``, on the fabric's workers when possible.

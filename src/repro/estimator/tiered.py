@@ -217,7 +217,7 @@ class TieredAnswerer:
         reused: List[bool] = []
         escalate: List[int] = []
         for index, component in enumerate(components):
-            key = (self._identity, component.canonical.fingerprint)
+            key = (self._identity, component.fingerprint)
             verdict = stored.get(key)
             reused.append(verdict is not None)
             if verdict is None:
@@ -273,7 +273,7 @@ class TieredAnswerer:
                 tier_seconds[name] = tier_seconds.get(name, 0.0) + seconds
             provenance = {
                 "component": index,
-                "fingerprint": component.canonical.fingerprint,
+                "fingerprint": component.fingerprint,
                 "tier": verdict.tier,
                 "agreed": verdict.agreed,
                 "infeasible": verdict.infeasible,
@@ -355,7 +355,7 @@ class TieredAnswerer:
             component_tiers=[
                 {
                     "component": index,
-                    "fingerprint": component.canonical.fingerprint,
+                    "fingerprint": component.fingerprint,
                     "tier": TIER_EXACT,
                     "escalated": False,
                     "exact": bounds.exact,

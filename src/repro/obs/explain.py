@@ -78,7 +78,7 @@ def decomposition_map(prepared) -> dict:
             "vars": component.problem.num_vars,
             "constraints": component.problem.num_constraints,
             "shape": _constraint_shape(component.problem),
-            "fingerprint": component.canonical.fingerprint,
+            "fingerprint": component.fingerprint,
         }
         for index, component in enumerate(prepared.components)
     ]

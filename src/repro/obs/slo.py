@@ -4,7 +4,9 @@ The service promises two objectives, in classic SRE terms:
 
 * **availability** — the fraction of requests answering with a good
   status (``ok`` and ``degraded`` both count: a degraded answer is a
-  kept promise, the deadline contract working as designed);
+  kept promise, the deadline contract working as designed).  The
+  scheduler records no event for an invalid request, whose ``error``
+  is the client's fault;
 * **latency** — the fraction of *good* requests finishing within the
   latency target.
 

@@ -171,6 +171,7 @@ class _Pending:
         "queue_ms",
         "trace_id",
         "kept",
+        "invalid",
     )
 
     def __init__(self, request: QueryRequest, deadline_at: Optional[float]):
@@ -188,6 +189,9 @@ class _Pending:
         #: The response is a read of an exact answer kept in the session
         #: L1 (wide event ``cache_tier="answer"``, EXPLAIN ``source``).
         self.kept = False
+        #: The request itself was invalid (a :class:`ValidationError`):
+        #: it answers ``error`` but spends no availability budget.
+        self.invalid = False
         #: EXPLAIN raw material captured while it is in scope (the
         #: decomposition map, tier provenance, IIS) — assembled into the
         #: response's ``explain`` block at completion.
@@ -591,6 +595,7 @@ class QueryScheduler:
         try:
             response = (serve or self._serve)(pending)
         except ValidationError as exc:
+            pending.invalid = True
             response = self._response(pending, STATUS_ERROR, error=str(exc))
         except Exception as exc:  # noqa: BLE001 — terminal status, always
             logger.exception("request %s failed", pending.request.request_id)
@@ -608,9 +613,11 @@ class QueryScheduler:
         wide event, the latency histogram and the SLO event all carry.
         After it (the caller is already unblocked, and a failure here must
         never turn a served request into an error): the request counters
-        and histograms, the SLO event, the wide log line and slow-query
-        capture.  The explanation is built at most once; a slow request
-        without ``explain`` builds it for its ring entry.  Explanations
+        and histograms, the SLO event (none for an invalid request: the
+        client's fault is not the service's unavailability), the wide log
+        line and slow-query capture.  The explanation is built at most
+        once; a slow request without ``explain`` builds it for its ring
+        entry.  Explanations
         are attached per-response, never published onto flights or caches.
         """
         if not pending.claim():
@@ -645,7 +652,8 @@ class QueryScheduler:
                         "precision": self._effective_precision(request),
                     }
                 )
-            self.slo.record(status, total_s)
+            if not pending.invalid:
+                self.slo.record(status, total_s)
             wide_event(request_logger(), self._wide_payload(pending, response))
             if (
                 self.slow_log is not None

@@ -4,7 +4,8 @@ The solver stack works on a :class:`BIPProblem`: dense variable indices
 ``0..n-1``, a list of integer linear constraints, and an integer linear
 objective.  :func:`from_licm` converts a pruned LICM result (objective
 expression + constraint store) into this form, remapping sparse model
-variable indices to dense problem indices.
+variable indices to dense problem indices in the engine's one canonical
+column order.
 """
 
 from __future__ import annotations
@@ -91,13 +92,22 @@ def from_licm(
 
     Returns the problem and the mapping ``model_var_index -> dense_index``
     used to translate solver solutions back into possible-world assignments.
+
+    Columns are numbered by first appearance: the objective's variables in
+    ascending model index, then each constraint's (index-sorted) variables
+    in the order the constraints are given.  Two problems that differ only
+    by a renaming of model indices preserving that order build equal
+    problems, so the engine fingerprints, caches and solves every block in
+    this one index space (:mod:`repro.engine.canonical`).
     """
     constraints = list(constraints)
-    model_vars: list[int] = sorted(
-        set(objective.coeffs)
-        | {idx for c in constraints for idx in c.variables}
-    )
-    dense = {model_idx: i for i, model_idx in enumerate(model_vars)}
+    dense: dict[int, int] = {}
+    for idx in sorted(objective.coeffs):
+        dense[idx] = len(dense)
+    for c in constraints:
+        for _, idx in c.terms:
+            if idx not in dense:
+                dense[idx] = len(dense)
     bip_constraints = [
         BIPConstraint(
             tuple((coef, dense[idx]) for coef, idx in c.terms), c.op, c.rhs
@@ -106,10 +116,10 @@ def from_licm(
     ]
     names = [
         variable_names[idx] if variable_names and idx in variable_names else f"b[{idx}]"
-        for idx in model_vars
+        for idx in dense
     ]
     problem = BIPProblem(
-        num_vars=len(model_vars),
+        num_vars=len(dense),
         constraints=bip_constraints,
         objective={dense[idx]: coef for idx, coef in objective.coeffs.items()},
         objective_constant=objective.constant,

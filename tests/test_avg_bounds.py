@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core import correlations
 from repro.core.bounds import avg_bounds
 from repro.core.database import LICMModel
-from repro.core.worlds import instantiate
+from repro.core.linexpr import linear_sum
+from repro.core.worlds import enumerate_assignments, instantiate, instantiate_world
 from repro.errors import QueryError
 from helpers import all_valid_assignments, fig2c_model
 
@@ -104,3 +107,40 @@ def test_avg_random_correlated_cross_check():
         bounds = avg_bounds(rel, "V")
         expected = _brute_force_avg_range(model, rel, "V")
         assert (bounds.lower, bounds.upper) == expected, trial
+
+
+_ROW = st.tuples(st.integers(0, 2), st.integers(-3, 6), st.one_of(st.none(), st.integers(0, 4)))
+_CARDINALITY = st.tuples(
+    st.sets(st.integers(0, 4), min_size=1, max_size=4),
+    st.sampled_from(("<=", ">=", "==")),
+    st.integers(0, 3),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.lists(_ROW, min_size=1, max_size=7),
+    constraints=st.lists(_CARDINALITY, max_size=3),
+)
+def test_avg_matches_world_enumeration(rows, constraints):
+    """Random enumerable relations R(K, V): certain rows (``None``), maybe
+    rows sharing variables, duplicate tuples, and worlds — possibly all of
+    them — where the relation is empty."""
+    model = LICMModel()
+    variables = model.new_vars(5)
+    relation = model.relation("R", ["K", "V"])
+    for key, value, var in rows:
+        relation.insert((key, value), ext=1 if var is None else variables[var])
+    for scope, op, rhs in constraints:
+        expr = linear_sum(variables[i] for i in scope)
+        model.add({"<=": expr.__le__, ">=": expr.__ge__, "==": expr.eq}[op](rhs))
+    assignments = list(enumerate_assignments(model.constraints, range(len(model.pool))))
+    assume(assignments)  # pruning ignores an inconsistency the relation never touches
+    ratios = set()
+    for assignment in assignments:
+        world = instantiate_world(relation, assignment)
+        if world:
+            ratios.add(Fraction(sum(v for _, v in world), len(world)))
+    expected = (min(ratios), max(ratios)) if ratios else (None, None)
+    bounds = avg_bounds(relation, "V")
+    assert (bounds.lower, bounds.upper) == expected

@@ -1,6 +1,8 @@
 """Unit tests for LinearConstraint normalization and ConstraintStore."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.constraints import ConstraintStore, LinearConstraint
 from repro.core.variables import VariablePool
@@ -107,3 +109,43 @@ def test_store_preserves_order(pool):
     assert store[0] == first
     assert store[1] == second
     assert list(store) == [first, second]
+
+
+def _state(store):
+    return (
+        [id(c) for c in store._constraints],
+        store._by_var,
+        store._position_of,
+        store.generation,
+    )
+
+
+_ROWS = st.lists(
+    st.tuples(st.lists(st.integers(0, 7), min_size=1, max_size=4), st.integers(-1, 2)),
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(before=_ROWS, inside=_ROWS, at=st.integers(0, 12))
+def test_scope_rolls_back_to_the_entry_state(before, inside, at):
+    """After a scope of random appends the store equals a copy taken at
+    entry, including a constraint object appended before the scope and
+    again inside it, and one appended twice inside it."""
+    pool = VariablePool()
+    variables = [pool.new() for _ in range(8)]
+
+    def row(indices, rhs):
+        return LinearConstraint([(1, variables[i].index) for i in indices], "<=", rhs)
+
+    store = ConstraintStore()
+    shared = row([2, 5], 1)
+    store.extend([row(*spec) for spec in before] + [shared])
+    entry = store.copy()
+    appends = [row(*spec) for spec in inside]
+    appends.insert(min(at, len(appends)), shared)
+    twice = row([0, 1], 1)
+    with store.scoped():
+        for constraint in appends + [twice, twice]:
+            store.add(constraint)
+    assert _state(store) == _state(entry)

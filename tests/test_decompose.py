@@ -110,15 +110,16 @@ def test_decompose_two_blocks_plus_free():
 
 
 def _count_normalizations(monkeypatch) -> list:
-    """Record the objective of every ``from_licm``/``canonicalize`` call
-    the session makes, as ``(function, objective)`` pairs."""
+    """Record the first argument of every ``from_licm``/``canonicalize``
+    call the session makes — the objective it builds, the problem it
+    fingerprints — as ``(function, argument)`` pairs."""
     calls = []
     for name in ("from_licm", "canonicalize"):
         real = getattr(session_module, name)
 
-        def counted(objective, constraints, *args, _name=name, _real=real):
-            calls.append((_name, objective))
-            return _real(objective, constraints, *args)
+        def counted(first, *args, _name=name, _real=real):
+            calls.append((_name, first))
+            return _real(first, *args)
 
         monkeypatch.setattr(session_module, name, counted)
     return calls
@@ -130,10 +131,11 @@ def test_prepare_normalizes_each_block_once_and_never_the_whole(monkeypatch):
     with SolveSession(model) as session:
         prepared = session.prepare(objective)
     assert len(prepared.components) == 3
-    for name in ("from_licm", "canonicalize"):
-        objectives = [seen for called, seen in calls if called == name]
-        assert len(objectives) == len(prepared.components)
-        assert all(seen is not objective for seen in objectives)
+    objectives = [seen for called, seen in calls if called == "from_licm"]
+    assert len(objectives) == len(prepared.components)
+    assert all(seen is not objective for seen in objectives)
+    problems = [seen for called, seen in calls if called == "canonicalize"]
+    assert problems == [part.problem for part in prepared.components]
     # A problem that does not split is normalized once, as its component.
     coupled = LICMModel()
     v = coupled.new_vars(3)
@@ -142,7 +144,7 @@ def test_prepare_normalizes_each_block_once_and_never_the_whole(monkeypatch):
     calls.clear()
     with SolveSession(coupled) as session:
         (component,) = session.prepare(whole).components
-    assert calls == [("from_licm", whole), ("canonicalize", whole)]
+    assert calls == [("from_licm", whole), ("canonicalize", component.problem)]
 
 
 def test_decompose_coupled_is_single_component():
@@ -157,7 +159,7 @@ def test_decompose_coupled_is_single_component():
     whole, dense = _whole_bip(model, objective)
     assert component.problem == whole and component.dense == dense
     assert component.problem.objective_constant == 3
-    assert component.canonical.fingerprint == prepared.fingerprint
+    assert component.fingerprint == prepared.fingerprint
     assert prepared.objective_offset == 0
 
 
@@ -328,7 +330,7 @@ def test_coupling_constraint_collapses_to_one_component(case, data):
     model.add(LinearConstraint([(1, idx) for idx in variables], "<=", rhs))
     prepared = _check_against_oracle(model, objective)
     assert len(prepared.components) == 1
-    assert prepared.components[0].canonical.fingerprint == prepared.fingerprint
+    assert prepared.components[0].fingerprint == prepared.fingerprint
 
 
 # -- engine: per-component caching in SolveSession -------------------------
@@ -421,7 +423,7 @@ def test_session_non_separating_problem_is_one_component():
         answer = session.solve_prepared(prepared)
     assert answer.stats["components"] == 1
     (component,) = prepared.components
-    assert component.canonical.fingerprint == prepared.fingerprint
+    assert component.fingerprint == prepared.fingerprint
     # The whole-BIP solver facade is the reference: same bounds, the
     # objective constant counted once.
     whole, _ = _whole_bip(model, objective)

@@ -118,7 +118,7 @@ def test_claimed_blocks_carry_what_their_unit_returns(monkeypatch):
         assert prepared.components[-1].problem.constraints == []  # the free block
         for component in prepared.components:
             for sense in ("min", "max"):
-                claimed = session.cache.get((component.canonical.fingerprint, sense))
+                claimed = session.cache.get((component.fingerprint, sense))
                 unit = fabric_module.run_unit(session._unit(component, sense, 0, None))
                 assert (claimed.status, claimed.objective, claimed.nodes, claimed.backend) == (
                     unit.status,
@@ -142,7 +142,7 @@ def test_closed_blocks_reach_l1_and_l2_and_outlive_the_session(tmp_path, monkeyp
             assert all(constraint.satisfied_by(witness) for constraint in model.constraints)
         for component in prepared.components:
             for sense in ("min", "max"):
-                key = (component.canonical.fingerprint, sense)
+                key = (component.fingerprint, sense)
                 assert key in first.cache
                 assert fabric_module.l2_handle(path).get(*key) is not None
         warm = first.solve_prepared(prepared)

@@ -47,13 +47,6 @@ def test_prepared_problem_cannot_be_solved_after_close():
         session.solve_prepared(prepared)
 
 
-def test_optimize_also_guarded():
-    session, objective = _session()
-    session.close()
-    with pytest.raises(EngineError, match="closed"):
-        session.optimize(objective, "max")
-
-
 def test_context_manager_closes():
     model, trans, _ = fig2c_model()
     with SolveSession(model) as session:

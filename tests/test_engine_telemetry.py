@@ -17,6 +17,7 @@ from repro.engine.cache import CachedSolve, SolveCache
 from repro.engine.canonical import canonicalize
 from repro.obs.export import count, phase
 from repro.obs.tracer import Stopwatch
+from repro.solver.model import from_licm
 
 
 # -- Stopwatch / counters / phase timings -------------------------------------
@@ -75,8 +76,9 @@ def test_counters_thread_safe():
 # -- canonicalizer -----------------------------------------------------------
 
 
-def _constraints_of(model):
-    return list(model.constraints)
+def _fingerprint(objective, constraints):
+    problem, _ = from_licm(objective, constraints)
+    return canonicalize(problem)
 
 
 def test_fingerprint_stable_under_index_shift():
@@ -89,37 +91,38 @@ def test_fingerprint_stable_under_index_shift():
         a, b, c = model.new_vars(3)
         model.add(linear_sum([a, b, c]) >= 1)
         model.add((a + b) <= 1)
-        return canonicalize(a + b + c, _constraints_of(model))
+        return _fingerprint(a + b + c, list(model.constraints))
 
-    assert build(0).fingerprint == build(7).fingerprint
+    assert build(0) == build(7)
 
 
 def test_fingerprint_ignores_constraint_order():
     model = LICMModel()
     a, b = model.new_vars(2)
     c1, c2 = (a + b) >= 1, (a + 0) <= 1
-    fp_ab = canonicalize(a + b, [c1, c2]).fingerprint
-    fp_ba = canonicalize(a + b, [c2, c1]).fingerprint
-    assert fp_ab == fp_ba
+    assert _fingerprint(a + b, [c1, c2]) == _fingerprint(a + b, [c2, c1])
 
 
 def test_fingerprint_distinguishes_different_problems():
     model = LICMModel()
     a, b = model.new_vars(2)
-    base = canonicalize(a + b, [(a + b) >= 1])
-    assert base.fingerprint != canonicalize(a + b, [(a + b) >= 2]).fingerprint
-    assert base.fingerprint != canonicalize(a - b, [(a + b) >= 1]).fingerprint
-    assert base.fingerprint != canonicalize(a + b, [(a + b) <= 1]).fingerprint
+    base = _fingerprint(a + b, [(a + b) >= 1])
+    assert base != _fingerprint(a + b, [(a + b) >= 2])
+    assert base != _fingerprint(a - b, [(a + b) >= 1])
+    assert base != _fingerprint(a + b, [(a + b) <= 1])
 
 
-def test_witness_translation_roundtrip():
+def test_columns_follow_first_appearance():
+    """Objective variables ascending, then each constraint's in order —
+    the one column order the vector, the caches and the fingerprint share."""
     model = LICMModel()
     model.new_vars(4)
-    a, b = model.new_vars(2)
-    canonical = canonicalize(a + b, [(a + b) >= 1])
-    assert canonical.num_vars == 2
-    witness = canonical.witness((1, 0))
-    assert witness == {a.index: 1, b.index: 0}
+    a, b, c, d = model.new_vars(4)
+    problem, dense = from_licm(d + b, [(a + c) >= 1, (c + d) <= 1])
+    assert list(dense.items()) == [
+        (b.index, 0), (d.index, 1), (a.index, 2), (c.index, 3)
+    ]
+    assert problem.objective == {0: 1, 1: 1}
 
 
 # -- solve cache -------------------------------------------------------------

@@ -201,7 +201,7 @@ class CountingTier:
         self.calls = Counter()
 
     def estimate(self, prepared_component, sense):
-        self.calls[prepared_component.canonical.fingerprint] += 1
+        self.calls[prepared_component.fingerprint] += 1
         return self.inner.estimate(prepared_component, sense)
 
 
@@ -227,7 +227,7 @@ def test_verdicts_are_kept_per_prepared_problem_and_answerer():
     model, v, objective = _repeated_block_model()
     with SolveSession(model) as session:
         prepared = session.prepare(objective, key="q")
-        fingerprints = [c.canonical.fingerprint for c in prepared.components]
+        fingerprints = [c.fingerprint for c in prepared.components]
         assert len(set(fingerprints)) < len(fingerprints)  # a repeated block
         answerer, structural = counting_answerer()
 
@@ -263,7 +263,7 @@ def test_verdicts_are_kept_per_prepared_problem_and_answerer():
         model.add((v[9] + v[10]) <= 1)
         rebuilt = session.prepare(objective, key="q")
         assert rebuilt is not prepared and not rebuilt.verdicts
-        assert [c.canonical.fingerprint for c in rebuilt.components] == fingerprints
+        assert [c.fingerprint for c in rebuilt.components] == fingerprints
         answerer.answer(session, rebuilt, PRECISION_FAST)
         assert structural.calls == {fp: 4 for fp in fingerprints}
 
@@ -365,7 +365,7 @@ def test_two_threads_answering_one_prepared_problem_agree(workload, session):
         second.lower, second.upper, second.tier, second.gap, second.escalations
     )
     assert len(prepared.verdicts) == len({
-        c.canonical.fingerprint for c in prepared.components
+        c.fingerprint for c in prepared.components
     })
     again = answerer.answer(session, prepared, PRECISION_FAST)
     assert (again.lower, again.upper) == (first.lower, first.upper)

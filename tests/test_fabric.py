@@ -146,7 +146,7 @@ def test_prepared_problem_and_options_pickle_round_trip():
     assert thawed.fingerprint == prepared.fingerprint
     assert len(thawed.components) == len(prepared.components)
     for original, copy in zip(prepared.components, thawed.components):
-        assert copy.canonical.fingerprint == original.canonical.fingerprint
+        assert copy.fingerprint == original.fingerprint
         assert copy.dense == original.dense
 
     options = SolverOptions(
@@ -163,9 +163,7 @@ def test_prepared_problem_and_options_pickle_round_trip():
     unit = SolveUnit(
         problem=part.problem,
         sense="max",
-        fingerprint=part.canonical.fingerprint,
-        var_order=tuple(part.canonical.var_order),
-        dense=part.dense,
+        fingerprint=part.fingerprint,
         options=dataclasses.replace(options, cancel=None),
     )
     thawed_unit = pickle.loads(pickle.dumps(unit))
@@ -182,9 +180,7 @@ def test_stop_check_closure_is_stripped_at_the_process_boundary():
     unit = SolveUnit(
         problem=part.problem,
         sense="min",
-        fingerprint=part.canonical.fingerprint,
-        var_order=tuple(part.canonical.var_order),
-        dense=part.dense,
+        fingerprint=part.fingerprint,
         options=options,
     )
     with pytest.raises(Exception):  # closures cannot cross the boundary …
@@ -208,9 +204,7 @@ def test_cancellation_reaches_a_forked_worker_mid_search():
         unit = SolveUnit(
             problem=part.problem,
             sense="max",
-            fingerprint=part.canonical.fingerprint,
-            var_order=tuple(part.canonical.var_order),
-            dense=part.dense,
+            fingerprint=part.fingerprint,
             options=SolverOptions(backend="bb", cancel=token),
         )
         result = fabric.submit_unit(unit).result(timeout=60.0)
@@ -227,9 +221,7 @@ def test_expired_deadline_truncates_inside_a_forked_worker():
         unit = SolveUnit(
             problem=part.problem,
             sense="max",
-            fingerprint=part.canonical.fingerprint,
-            var_order=tuple(part.canonical.var_order),
-            dense=part.dense,
+            fingerprint=part.fingerprint,
             options=SolverOptions(
                 backend="bb", deadline_at=time.monotonic() - 1.0
             ),

@@ -363,7 +363,7 @@ def test_kept_answer_outlives_the_component_entries_it_replaces(context):
         prepared = prepare(session, ctx.encoding("km", 2).encoded)
         session.solve_prepared(prepared)  # every component entry resident
         keys = [
-            (part.canonical.fingerprint, sense)
+            (part.fingerprint, sense)
             for part in prepared.components
             for sense in ("min", "max")
         ]

@@ -24,6 +24,7 @@ from repro.core.database import LICMModel
 from repro.core.linexpr import LinearExpr, linear_sum
 from repro.core.operators import or_ext
 from repro.engine.session import SolveSession
+from repro.errors import InfeasibleError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentContext
 from repro.queries.licm_eval import evaluate_licm
@@ -57,8 +58,11 @@ def linear_scan(relation, agg):
     values = sorted({row.values[0] for row in rows}, reverse=agg == "min")
 
     def feasible(extra) -> bool:
-        solution, _ = session.optimize(LinearExpr({}, 0), "max", extra)
-        return solution.status != "infeasible"
+        try:
+            session.bounds(LinearExpr({}, 0), extra_constraints=extra)
+        except InfeasibleError:
+            return False
+        return True
 
     def at(ranks):
         return [row for row in rows if values.index(row.values[0]) in ranks]

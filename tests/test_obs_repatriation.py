@@ -196,9 +196,7 @@ def test_process_fabric_repatriate_off_is_the_old_coarse_record():
     unit = SolveUnit(
         problem=part.problem,
         sense="max",
-        fingerprint=part.canonical.fingerprint,
-        var_order=tuple(part.canonical.var_order),
-        dense=part.dense,
+        fingerprint=part.fingerprint,
         options=SolverOptions(backend="bb"),
     )
     with ProcessFabric(workers=1, repatriate=False) as fabric:

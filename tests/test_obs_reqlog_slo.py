@@ -271,3 +271,37 @@ def test_scheduler_rejection_feeds_slo_and_logs(capture_requests):
     snap = scheduler.slo.snapshot()
     assert snap["total_requests"] == 1
     assert snap["windows"][0]["availability"] == 0.0  # rejected = budget spent
+
+
+def test_invalid_requests_answer_error_but_spend_no_availability(
+    capture_requests, monkeypatch
+):
+    """A plan the builder rejects is the client's fault: ``error`` on the
+    wire, in ``service_requests_total`` and in the wide event, but no SLO
+    event.  An internal failure still spends the budget."""
+    config = ExperimentConfig(
+        num_transactions=40, num_items=16, k_values=(2,), mc_samples=2, seed=7
+    )
+    context = ExperimentContext(config)
+    try:
+        with QueryScheduler(context, workers=1, max_queue=8) as scheduler:
+            scheduler.warm([("km", 2)])
+            bad = QueryRequest(query="Q2", params={"price_range": 0})
+            responses = [scheduler.execute(bad) for _ in range(3)]
+            assert [r.status for r in responses] == ["error"] * 3
+            assert scheduler.slo.total == 0
+            assert not scheduler.slo.breached()
+            assert 'service_requests_total{status="error"} 3' in scheduler.metrics.render()
+
+            def broken(*args, **kwargs):
+                raise RuntimeError("internal failure")
+
+            monkeypatch.setattr(scheduler, "_build_plan", broken)
+            internal = scheduler.execute(QueryRequest(query="Q1"))
+            assert internal.status == "error" and "internal failure" in internal.error
+            assert scheduler.slo.total == 1
+            assert scheduler.slo.snapshot()["windows"][0]["availability"] == 0.0
+    finally:
+        context.close()
+    wides = [r.wide for r in capture_requests if getattr(r, "wide", None)]
+    assert [w["status"] for w in wides] == ["error"] * 4

@@ -70,7 +70,7 @@ def stalled_probes(context, monkeypatch):
 
 def _solo_probes(context, scheduler, stalled_probes, request):
     """The probes ``request`` costs on its own (kept answers cleared)."""
-    _, release, probes = stalled_probes
+    entered, release, probes = stalled_probes
     release.set()
     assert scheduler.execute(request, timeout=60.0).status == STATUS_OK
     solo = len(probes)
@@ -78,6 +78,7 @@ def _solo_probes(context, scheduler, stalled_probes, request):
     context.session("km", 2).cache.clear()
     del probes[:]
     release.clear()
+    entered.clear()  # the next wait is for the next request's first probe
     return solo
 
 
