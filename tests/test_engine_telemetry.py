@@ -13,6 +13,7 @@ from helpers import counter_totals, delta, phase_totals
 from repro.core.constraints import ConstraintStore
 from repro.core.database import LICMModel
 from repro.core.linexpr import linear_sum
+from repro.engine import SolveSession
 from repro.engine.cache import CachedSolve, SolveCache
 from repro.engine.canonical import canonicalize
 from repro.obs.export import count, phase
@@ -123,6 +124,31 @@ def test_columns_follow_first_appearance():
         (b.index, 0), (d.index, 1), (a.index, 2), (c.index, 3)
     ]
     assert problem.objective == {0: 1, 1: 1}
+
+
+def test_witness_translation_roundtrip():
+    """A vector in column space reads back as a model assignment through
+    the block's dense map, and a session reports that assignment."""
+    model = LICMModel()
+    model.new_vars(4)
+    a, b = model.new_vars(2)
+    problem, dense = from_licm(a + b, [(a + b) >= 1])
+    assert problem.num_vars == 2
+    x = (1, 0)
+    witness = {index: x[column] for index, column in dense.items()}
+    assert witness == {a.index: 1, b.index: 0}
+    assert (a + b).value(witness) == problem.objective_value(x)
+
+    model.add(linear_sum([a, b]) >= 1)
+    with SolveSession(model) as session:
+        answer = session.bounds(a + b)
+    for bound, assignment in (
+        (answer.lower, answer.lower_witness),
+        (answer.upper, answer.upper_witness),
+    ):
+        assert set(assignment) == {a.index, b.index}
+        assert (a + b).value(assignment) == bound
+    assert (answer.lower, answer.upper) == (1, 2)
 
 
 # -- solve cache -------------------------------------------------------------
