@@ -12,7 +12,7 @@ with::
 
 from __future__ import annotations
 
-from repro.engine import SolveSession
+from repro.engine import InlineFabric, ProcessFabric, SolveSession
 from repro.obs.export import global_registry
 from repro.obs.tracer import Stopwatch
 from repro.queries import answer_licm
@@ -75,22 +75,21 @@ def test_serial_vs_parallel_minmax(benchmark, context):
     encoded = context.encoding("km", 2).encoded
     plan = context.plan("Q1", encoded)
 
-    def sweep(max_workers: int):
-        with SolveSession(
-            encoded.model, cache_size=0, max_workers=max_workers
-        ) as session:
+    def sweep(fabric):
+        with SolveSession(encoded.model, cache_size=0, fabric=fabric) as session:
             clock = Stopwatch()
             answer = answer_licm(encoded, plan, session=session)
             return answer, clock.stop()
 
-    serial_answer, serial_time = sweep(1)
-    parallel_answer, parallel_time = sweep(2)
+    with ProcessFabric(workers=2) as process:
+        serial_answer, serial_time = sweep(InlineFabric())
+        parallel_answer, parallel_time = sweep(process)
 
-    assert (serial_answer.lower, serial_answer.upper) == (
-        parallel_answer.lower,
-        parallel_answer.upper,
-    )
-    benchmark.extra_info["serial_s"] = round(serial_time, 4)
-    benchmark.extra_info["parallel_s"] = round(parallel_time, 4)
+        assert (serial_answer.lower, serial_answer.upper) == (
+            parallel_answer.lower,
+            parallel_answer.upper,
+        )
+        benchmark.extra_info["serial_s"] = round(serial_time, 4)
+        benchmark.extra_info["parallel_s"] = round(parallel_time, 4)
 
-    benchmark.pedantic(lambda: sweep(2), rounds=2, iterations=1)
+        benchmark.pedantic(lambda: sweep(process), rounds=2, iterations=1)

@@ -341,17 +341,19 @@ def _cold_solve_phase(url: str, clients: int, keys: int, base: float) -> dict:
 
 
 def run_worker_sweep(
-    fabrics: tuple = ("thread", "process"),
+    fabrics: tuple = ("process",),
     workers_list: tuple = (1, 2, 4, 8),
     keys: int = 12,
     clients: int = 4,
 ) -> dict:
     """The rps-vs-workers curve: one server boot per (fabric, workers).
 
-    Cold-key solves only — the quantity that scales with solve workers.
-    On a single-core runner the process fabric pays fork+IPC overhead
-    with no parallel speedup, so its curve is flat-to-worse there; the
-    committed numbers record the machine they came from.
+    Cold-key solves only — the quantity that scales with solve workers,
+    and only the process fabric has workers to scale (inline runs one
+    unit at a time).  On a single-core runner the process fabric pays
+    fork+IPC overhead with no parallel speedup, so its curve is
+    flat-to-worse there; the committed numbers record the machine they
+    came from (``cpu_count``).
     """
     import tempfile
 
@@ -434,8 +436,8 @@ def run_benchmark(
 ) -> dict:
     """Spawn (or reuse) a server, run the load, write + check the results.
 
-    ``sweep=True`` additionally boots one server per (fabric, workers)
-    combination and appends the cold-solve rps-vs-workers curves.
+    ``sweep=True`` additionally boots one process-fabric server per
+    solve-worker count and appends the cold-solve rps-vs-workers curve.
     """
     import tempfile
 
@@ -486,8 +488,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--sweep",
         action="store_true",
-        help="also sweep solve-worker counts (1/2/4/8) for the thread and "
-        "process fabrics (one server boot each) and record rps curves",
+        help="also sweep solve-worker counts (1/2/4/8) for the process "
+        "fabric (one server boot each) and record the rps curve",
     )
     args = parser.parse_args(argv)
     results = run_benchmark(

@@ -396,14 +396,17 @@ def build_parser() -> argparse.ArgumentParser:
     server.add_argument("--seed", type=int, default=3)
     server.add_argument("--backend", default="auto", help="solver backend")
     server.add_argument(
-        "--solve-workers", type=int, default=1, help="solve workers per fabric"
+        "--solve-workers",
+        type=int,
+        default=1,
+        help="worker processes of the process fabric",
     )
     server.add_argument(
         "--fabric",
-        choices=("thread", "process", "inline"),
-        default="thread",
-        help="executor fabric for solve units (process = forked workers, "
-        "sidesteps the GIL; pair with --solve-workers)",
+        choices=("inline", "process"),
+        default="inline",
+        help="executor fabric for solve units (process = forked workers "
+        "on real cores; pair with --solve-workers)",
     )
     server.add_argument(
         "--l2-cache",

@@ -16,7 +16,6 @@ from repro.engine.fabric import (
     InlineFabric,
     ProcessFabric,
     SolveUnit,
-    ThreadFabric,
     UnitResult,
     make_fabric,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "SolveCache",
     "SolveSession",
     "SolveUnit",
-    "ThreadFabric",
     "UnitResult",
     "make_fabric",
 ]

@@ -1,4 +1,4 @@
-"""The executor fabric: one solve-unit path over inline/thread/process.
+"""The executor fabric: one solve-unit path, run inline or in worker processes.
 
 PR 5 made the ``(component, sense)`` pair the engine's unit of work;
 this module makes it the unit of *dispatch*.  A :class:`SolveUnit` is a
@@ -9,12 +9,10 @@ fabric runs it through:
 
     L2 probe -> closed form (free blocks) -> backend solve -> L2 write
 
-Three interchangeable fabrics schedule units:
+Two interchangeable fabrics schedule units:
 
 * :class:`InlineFabric` — runs the unit on the calling thread (the
   serial engine path, zero scheduling overhead);
-* :class:`ThreadFabric` — a ``ThreadPoolExecutor``; cheap fan-out, but
-  pure-Python solves stay GIL-bound;
 * :class:`ProcessFabric` — a ``ProcessPoolExecutor`` of forked workers;
   solves run on real cores.  Options are stripped of their unpicklable
   ``stop_check`` closure (the picklable ``deadline_at`` float and
@@ -24,9 +22,13 @@ Three interchangeable fabrics schedule units:
   record for :meth:`~repro.obs.tracer.Tracer.ingest` to re-parent into
   the request trace.
 
-The point of the abstraction: thread and process execution are
+There is no thread-pool fabric: on every Q1-Q3 plan of the service
+benchmark a two-thread pool measured no faster than inline, one request
+at a time or four at once, the HiGHS-backed Q3 solves included.
+
+The point of the abstraction: inline and process execution are
 *configurations* of one code path, not two forks.  ``SolveSession``
-talks only to the fabric interface; swapping ``--fabric thread`` for
+talks only to the fabric interface; swapping ``--fabric inline`` for
 ``--fabric process`` changes scheduling, never semantics.
 
 Worker-side telemetry is *repatriated*, not lost: each worker runs the
@@ -47,7 +49,7 @@ import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -64,13 +66,12 @@ __all__ = [
     "InlineFabric",
     "ProcessFabric",
     "SolveUnit",
-    "ThreadFabric",
     "UnitResult",
     "make_fabric",
     "run_unit",
 ]
 
-FABRIC_KINDS = ("inline", "thread", "process")
+FABRIC_KINDS = ("inline", "process")
 
 # The unit-solve seam, kept by name: traced_serve.py wraps it, tests monkeypatch it.
 portfolio_solve = solve
@@ -215,11 +216,11 @@ def _execute(unit: SolveUnit) -> UnitResult:
     return result
 
 
-def run_unit(unit: SolveUnit, parent_span=None) -> UnitResult:
+def run_unit(unit: SolveUnit) -> UnitResult:
     """Execute one unit under a span (live tracer) or a span record.
 
-    In-process fabrics open a real ``engine.solve.{sense}`` span,
-    parented to the submitting caller's span.  In a forked worker the
+    The inline fabric opens a real ``engine.solve.{sense}`` span under
+    the submitting caller's current span.  In a forked worker the
     unit runs under a bounded :class:`~repro.obs.tracer.RecordingTracer`
     instead: the ``engine.solve.*`` span *and* everything the solver
     opens beneath it (``solver.solve``, ``bb.search`` node sampling)
@@ -251,7 +252,7 @@ def run_unit(unit: SolveUnit, parent_span=None) -> UnitResult:
 
     tracer = current_tracer()
     if tracer.enabled:
-        with tracer.span(f"engine.solve.{unit.sense}", parent=parent_span) as span:
+        with tracer.span(f"engine.solve.{unit.sense}") as span:
             result = _execute(unit)
             if unit.component is not None:
                 span.set("component", unit.component)
@@ -290,95 +291,31 @@ def run_unit(unit: SolveUnit, parent_span=None) -> UnitResult:
 
 
 # -- the fabrics --------------------------------------------------------------
-_FABRIC_IDS = itertools.count(1)
-
-#: cancel-event slots per fabric: slot 0 is the fabric-wide abort signal,
-#: the rest are handed out round-robin by :meth:`ExecutorFabric.new_token`
-_TOKEN_SLOTS = 33
-
-
 class ExecutorFabric:
     """The interface ``SolveSession`` schedules solve units through.
 
     Subclasses implement :meth:`submit_unit` (returning a
-    ``concurrent.futures.Future`` of :class:`UnitResult`), :meth:`map`
-    (generic order-preserving fan-out for non-unit work like MC
-    sampling) and :meth:`close`.  Every fabric owns one cancellation
-    scope: :meth:`abort` stops all in-flight units cooperatively, and
-    :meth:`new_token` mints a per-caller token for targeted
-    cancellation.
+    ``concurrent.futures.Future`` of :class:`UnitResult`) and may extend
+    :meth:`close`.
     """
 
     kind = "base"
 
-    #: process fabrics create their cancel scope in ``__init__`` — the
-    #: event registry must exist before the pool forks; in-process
-    #: fabrics defer it, so short-lived facade sessions (which are often
-    #: never ``close()``d) don't accrete scopes in the global registry.
-    eager_scope = False
-
-    def __init__(self, workers: int = 1, event_factory=threading.Event):
+    def __init__(self, workers: int = 1):
         self.workers = max(1, int(workers))
-        self._event_factory = event_factory
-        self._scope_name = f"repro-fabric-{os.getpid()}-{next(_FABRIC_IDS)}"
-        self._scope_ready = False
-        self._token_slots = itertools.count(1)
         self._closed = False
-        if self.eager_scope:
-            self._ensure_scope()
 
-    # -- cancellation ------------------------------------------------------
-    def _ensure_scope(self) -> str:
-        if not self._scope_ready:
-            create_scope(self._scope_name, _TOKEN_SLOTS, factory=self._event_factory)
-            self._scope_ready = True
-        return self._scope_name
-
-    @property
-    def abort_token(self) -> CancelToken:
-        return CancelToken(self._ensure_scope(), 0)
-
-    def new_token(self) -> CancelToken:
-        """A fresh token for one caller-managed cancellation."""
-        return CancelToken(
-            self._ensure_scope(), 1 + next(self._token_slots) % (_TOKEN_SLOTS - 1)
-        )
-
-    def abort(self) -> None:
-        """Cooperatively stop every in-flight and queued unit."""
-        self.abort_token.set()
-
-    def _armed_options(self, options: SolverOptions) -> SolverOptions:
-        """Attach the fabric abort token when the caller set no token."""
-        if options.cancel is not None:
-            return options
-        return dataclasses.replace(options, cancel=self.abort_token)
-
-    # -- scheduling --------------------------------------------------------
-    def submit_unit(self, unit: SolveUnit, parent_span=None) -> Future:
-        raise NotImplementedError
-
-    def map(self, fn, items) -> list:
+    def submit_unit(self, unit: SolveUnit) -> Future:
         raise NotImplementedError
 
     def ping(self, timeout: float = 5.0) -> bool:
-        """Liveness probe (deep health).  In-process fabrics share our
+        """Liveness probe (deep health).  The inline fabric shares our
         fate, so reaching this code *is* the proof of life; the process
         fabric round-trips a no-op through a worker."""
         return not self._closed
 
     def close(self) -> None:
-        if self._scope_ready:
-            drop_scope(self._scope_name)
-            self._scope_ready = False
         self._closed = True
-
-    def __del__(self):  # pragma: no cover - GC safety net for unclosed fabrics
-        try:
-            if self._scope_ready:
-                drop_scope(self._scope_name)
-        except Exception:
-            pass
 
     def describe(self) -> dict:
         return {"kind": self.kind, "workers": self.workers}
@@ -394,63 +331,24 @@ class ExecutorFabric:
 
 
 class InlineFabric(ExecutorFabric):
-    """Run units on the calling thread (the strictly-serial engine)."""
+    """Run units on the calling thread (the strictly-serial engine).
+
+    Nothing can race an inline unit to cancel it, so no cancel token is
+    attached; deadlines and caller-set tokens still apply.
+    """
 
     kind = "inline"
 
     def __init__(self):
         super().__init__(workers=1)
 
-    def _armed_options(self, options: SolverOptions) -> SolverOptions:
-        # Inline units run on the submitting thread itself; nothing can
-        # race them to set an abort event, so no token is attached (and
-        # no cancel scope is ever created for a purely-inline session).
-        return options
-
-    def submit_unit(self, unit: SolveUnit, parent_span=None) -> Future:
+    def submit_unit(self, unit: SolveUnit) -> Future:
         future: Future = Future()
         try:
-            future.set_result(run_unit(unit, parent_span))
+            future.set_result(run_unit(unit))
         except BaseException as exc:  # noqa: BLE001 — future carries it
             future.set_exception(exc)
         return future
-
-    def map(self, fn, items) -> list:
-        return [fn(item) for item in items]
-
-
-class ThreadFabric(ExecutorFabric):
-    """Schedule units on a thread pool."""
-
-    kind = "thread"
-
-    def __init__(self, workers: int = 2):
-        super().__init__(workers=workers)
-        self._pool: Optional[Executor] = None
-        self._pool_lock = threading.Lock()
-
-    def _ensure(self) -> Executor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="repro-solve"
-                )
-            return self._pool
-
-    def submit_unit(self, unit: SolveUnit, parent_span=None) -> Future:
-        unit = dataclasses.replace(unit, options=self._armed_options(unit.options))
-        return self._ensure().submit(run_unit, unit, parent_span)
-
-    def map(self, fn, items) -> list:
-        return list(self._ensure().map(fn, items))
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-        self._pool = None
-        super().close()
 
 
 #: set only by :func:`_worker_init` — how :func:`run_unit` knows it is in
@@ -478,22 +376,27 @@ def _worker_init() -> None:
     _IN_WORKER = True
 
 
+_FABRIC_IDS = itertools.count(1)
+
+#: cancel-event slots per process fabric: slot 0 is the fabric-wide abort
+#: signal, the rest are handed out round-robin by
+#: :meth:`ProcessFabric.new_token`
+_TOKEN_SLOTS = 33
+
+
 class ProcessFabric(ExecutorFabric):
     """Schedule units on forked worker processes.
 
-    The cancellation scope is created with the fork context's events
-    *before* the pool exists, so workers inherit the registry and the
-    picklable tokens resolve inside them.  ``stop_check`` closures are
-    stripped at submit (they cannot cross the boundary); absolute
-    deadlines and cancel tokens survive.
-
-    Generic :meth:`map` work (MC fan-out closures) is *not* shipped to
-    workers — closures over live model state neither pickle nor belong
-    there — it runs inline; only solve units cross the boundary.
+    The fabric owns one cancellation scope, created with the fork
+    context's events *before* the pool exists, so workers inherit the
+    registry and the picklable tokens resolve inside them: :meth:`abort`
+    stops every in-flight unit cooperatively, and :meth:`new_token`
+    mints a per-caller token for targeted cancellation.  ``stop_check``
+    closures are stripped at submit (they cannot cross the boundary);
+    absolute deadlines and cancel tokens survive.
     """
 
     kind = "process"
-    eager_scope = True
 
     def __init__(
         self,
@@ -501,12 +404,31 @@ class ProcessFabric(ExecutorFabric):
         start_method: str = "fork",
         repatriate: bool = True,
     ):
+        super().__init__(workers=workers)
         self._ctx = multiprocessing.get_context(start_method)
-        super().__init__(workers=workers, event_factory=self._ctx.Event)
         self.repatriate = repatriate
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
+        self._scope_name = f"repro-fabric-{os.getpid()}-{next(_FABRIC_IDS)}"
+        self._token_slots = itertools.count(1)
+        create_scope(self._scope_name, _TOKEN_SLOTS, factory=self._ctx.Event)
 
+    # -- cancellation ------------------------------------------------------
+    @property
+    def abort_token(self) -> CancelToken:
+        return CancelToken(self._scope_name, 0)
+
+    def new_token(self) -> CancelToken:
+        """A fresh token for one caller-managed cancellation."""
+        return CancelToken(
+            self._scope_name, 1 + next(self._token_slots) % (_TOKEN_SLOTS - 1)
+        )
+
+    def abort(self) -> None:
+        """Cooperatively stop every in-flight and queued unit."""
+        self.abort_token.set()
+
+    # -- scheduling --------------------------------------------------------
     def _ensure(self) -> ProcessPoolExecutor:
         with self._pool_lock:
             if self._pool is None:
@@ -517,21 +439,21 @@ class ProcessFabric(ExecutorFabric):
                 )
             return self._pool
 
-    def submit_unit(self, unit: SolveUnit, parent_span=None) -> Future:
-        options = self._armed_options(unit.options)
-        if options.stop_check is not None:
-            options = dataclasses.replace(options, stop_check=None)
+    def submit_unit(self, unit: SolveUnit) -> Future:
+        # The fabric abort token rides along unless the caller set one;
+        # the stop_check closure cannot cross the boundary.
+        options = dataclasses.replace(
+            unit.options,
+            cancel=unit.options.cancel or self.abort_token,
+            stop_check=None,
+        )
         unit = dataclasses.replace(
             unit,
             options=options,
             repatriate=self.repatriate and unit.repatriate,
         )
-        # parent_span is deliberately not shipped: the worker records a
-        # span dict and the parent re-parents it on ingest.
+        # The worker records span dicts; the parent re-parents them on ingest.
         return self._ensure().submit(run_unit, unit)
-
-    def map(self, fn, items) -> list:
-        return [fn(item) for item in items]
 
     def ping(self, timeout: float = 5.0) -> bool:
         if self._closed:
@@ -550,20 +472,22 @@ class ProcessFabric(ExecutorFabric):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
         self._pool = None
+        drop_scope(self._scope_name)
         super().close()
+
+    def __del__(self):  # pragma: no cover - GC safety net for unclosed fabrics
+        try:
+            drop_scope(self._scope_name)  # idempotent after close()
+        except Exception:
+            pass
 
 
 def make_fabric(kind: str, workers: int = 1, **kwargs) -> ExecutorFabric:
-    """Build a fabric from CLI-ish configuration.
-
-    ``thread`` with one worker degenerates to :class:`InlineFabric` —
-    a 1-thread pool buys scheduling overhead and nothing else, and it
-    keeps the historical ``max_workers=1 == serial`` behavior.
-    """
+    """Build a fabric from CLI-ish configuration (``workers`` and
+    ``kwargs`` configure the process pool; inline runs one unit at a
+    time)."""
     if kind == "inline":
         return InlineFabric()
-    if kind == "thread":
-        return ThreadFabric(workers, **kwargs) if workers > 1 else InlineFabric()
     if kind == "process":
         return ProcessFabric(workers, **kwargs)
     raise ValueError(f"unknown fabric kind {kind!r}; expected one of {FABRIC_KINDS}")

@@ -24,9 +24,9 @@ every aggregate bound in the repo needs, and layers on top of it:
   shared by every worker pointed at the same SQLite file — pass
   ``l2_path``;
 * dispatch of every ``(component, sense)`` solve unit through an
-  :class:`~repro.engine.fabric.ExecutorFabric` — inline (serial),
-  thread pool, or a pool of forked worker processes — one code path,
-  three scheduling configurations;
+  :class:`~repro.engine.fabric.ExecutorFabric` — inline (serial) or a
+  pool of forked worker processes — one code path, two scheduling
+  configurations;
 * counters and phase timings on the process metrics registry
   (:func:`repro.obs.export.count` / :func:`~repro.obs.export.phase`),
   in place of hand-rolled ``perf_counter`` bookkeeping.
@@ -50,7 +50,6 @@ from repro.engine.fabric import (
     ExecutorFabric,
     InlineFabric,
     SolveUnit,
-    ThreadFabric,
     UnitResult,
     l2_handle,
 )
@@ -202,12 +201,9 @@ class SolveSession:
         up).  ``0`` disables both.  Both evict GreedyDual by recompute
         cost: an L1 entry costs its solve wall (or L2 read), a kept answer
         at least the entries it replaces, a memo entry its ``prep_time``.
-    :param max_workers: ``> 1`` builds a thread fabric running the min and
-        max directions (and per-component fan-out) concurrently; ``1`` is
-        strictly serial.  Ignored when ``fabric`` is given.
     :param fabric: inject a shared :class:`ExecutorFabric` — the service
-        scheduler passes one process fabric to every session; the session
-        will not close it.
+        scheduler passes one fabric to every session; the session will
+        not close it.  ``None`` (default) runs every unit inline.
     :param l2_path: SQLite file for the cross-process L2 solve cache;
         ``None`` (default) disables the L2 tier.
     """
@@ -218,7 +214,6 @@ class SolveSession:
         options: Optional[SolverOptions] = None,
         prune_method: str = "lineage",
         cache_size: int = 128,
-        max_workers: int = 1,
         fabric: Optional[ExecutorFabric] = None,
         l2_path: Optional[str] = None,
     ):
@@ -227,12 +222,9 @@ class SolveSession:
         self.prune_method = prune_method
         self.cache = SolveCache(cache_size)
         self._prepared = LRUCache(-(-cache_size // _L1_ENTRIES_PER_PREPARED))
-        self.max_workers = max_workers
         self.l2_path = l2_path
         self._external_fabric = fabric is not None
-        if fabric is None:
-            fabric = ThreadFabric(max_workers) if max_workers > 1 else InlineFabric()
-        self.fabric = fabric
+        self.fabric = fabric if fabric is not None else InlineFabric()
         self._closed = False
         self._seen_generation = model.constraints.generation
 
@@ -622,7 +614,7 @@ class SolveSession:
         L1 probe, else the pass's result, else a unit on the fabric.  A
         serial (inline) fabric waits for each unit before the next probe,
         so a later task whose key an earlier one just stored hits L1.  A
-        parallel fabric submits every miss before collecting, with all
+        process fabric submits every miss before collecting, with all
         directions and components in flight at once; a task whose key is
         already in flight waits for it and then probes L1, so duplicate
         keys cost one solve and count as hits on every fabric.
@@ -649,7 +641,7 @@ class SolveSession:
                 collect(i, claim)
                 return None
             unit = self._unit(part, sense, component, options, parent_span)
-            return self.fabric.submit_unit(unit, parent_span)
+            return self.fabric.submit_unit(unit)
 
         pending = []
         in_flight = set()
@@ -918,16 +910,6 @@ class SolveSession:
         return self.solve_prepared(
             self.prepare(objective, extra_constraints, do_prune), options=options
         )
-
-    def map(self, fn, items):
-        """Run ``fn`` over ``items``, on the fabric's workers when possible.
-
-        Order-preserving; used for fan-out workloads (per-group bounds,
-        MC per-world evaluation) that want to share the session's
-        scheduling.  Process fabrics run this inline — arbitrary closures
-        do not cross the process boundary; only solve units do.
-        """
-        return self.fabric.map(fn, items)
 
     def __repr__(self) -> str:
         mode = (

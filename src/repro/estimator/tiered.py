@@ -249,13 +249,18 @@ class TieredAnswerer:
                             "the LICM constraints admit no possible world"
                         )
                 exact_values[index] = (low[0], high[0])
-                for entry, cached, seconds, l2 in (low, high):
+                for entry, _, seconds, l2 in (low, high):
                     stats["nodes"] += entry.nodes
-                    stats["cache_hits"] += int(cached)
                     stats["l2_hits"] += int(l2)
                     exact_seconds += seconds
                     if entry.backend and entry.backend != "closed-form":
                         stats["backend"] = entry.backend
+            # As on the exact path: a direction counts as cached only
+            # when every escalated component's entry for it was.
+            stats["cache_hits"] = sum(
+                all(cached for _, cached, _, _ in results[offset::2])
+                for offset in (0, 1)
+            )
 
         ladder = [estimator.name for estimator in self.estimators] + [TIER_EXACT]
         lower_total = 0.0

@@ -75,8 +75,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--k", help="comma list of anonymity parameters (figure 5)")
     parser.add_argument(
         "--fabric",
-        choices=("thread", "process", "inline"),
-        default="thread",
+        choices=("inline", "process"),
+        default="inline",
         help="executor fabric for solve units (process = forked workers)",
     )
     parser.add_argument(
@@ -84,7 +84,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         type=int,
         default=1,
         metavar="N",
-        help="solve workers per fabric (1 = serial)",
+        help="worker processes of the process fabric",
     )
     return parser.parse_args(argv)
 

@@ -35,19 +35,16 @@ class ExperimentConfig:
     seed: int = 7
     solver_backend: str = "auto"
     solver_time_limit: float = 600.0  # the paper's observed CPLEX budget
-    #: threads for the engine's min/max solves (1 = strictly serial)
+    #: worker processes of the ``process`` fabric (ignored by ``inline``)
     solve_workers: int = 1
-    #: executor fabric for solve units: ``thread`` (historical in-process
-    #: pool), ``process`` (forked workers that sidestep the GIL), or
-    #: ``inline`` (always serial, regardless of ``solve_workers``)
-    solve_fabric: str = "thread"
+    #: executor fabric for solve units: ``inline`` (serial, on the
+    #: calling thread) or ``process`` (forked workers on real cores)
+    solve_fabric: str = "inline"
     #: SQLite path for the cross-process L2 solve cache.  ``None`` leaves
-    #: L2 off for thread/inline fabrics and auto-provisions a temp file
+    #: L2 off for the inline fabric and auto-provisions a temp file
     #: for the process fabric (workers need a shared medium); the literal
     #: string ``"off"`` disables L2 unconditionally.
     l2_cache_path: str | None = None
-    #: threads for MC per-world query evaluation (1 = strictly serial)
-    mc_workers: int = 1
     #: LRU capacity of each encoding's solve cache (0 disables caching)
     solve_cache_size: int = 128
     params: QueryParams = field(default_factory=QueryParams)

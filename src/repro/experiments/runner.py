@@ -194,9 +194,15 @@ class ExperimentContext:
     def fabric_stats(self) -> dict:
         """Fabric + L2 configuration snapshot (for ``/v1/status`` and
         run manifests)."""
+        if self._fabric is not None:
+            kind, workers = self._fabric.kind, self._fabric.workers
+        else:
+            # what ``fabric`` will build: inline runs one unit at a time
+            kind = self.config.solve_fabric
+            workers = max(1, self.config.solve_workers) if kind == "process" else 1
         return {
-            "kind": self._fabric.kind if self._fabric else self.config.solve_fabric,
-            "workers": self.config.solve_workers,
+            "kind": kind,
+            "workers": workers,
             "started": self._fabric is not None,
             "fabric": self._fabric.describe() if self._fabric else None,
             "l2_cache_path": self._l2_path or self.config.l2_cache_path,
@@ -248,5 +254,4 @@ class ExperimentContext:
             plan,
             self.config.mc_samples,
             seed=self.config.seed,
-            max_workers=self.config.mc_workers,
         )

@@ -9,7 +9,6 @@ exact L_min / L_max.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List
 
@@ -57,17 +56,13 @@ def run_monte_carlo(
     plan: PlanNode,
     samples: int = 20,
     seed: int = 0,
-    max_workers: int = 1,
 ) -> MCResult:
     """Sample ``samples`` worlds (the paper uses 20) and evaluate the plan.
 
     The plan must end in a terminal aggregate (CountStar / SumAttr).
 
-    Sampling is always serial (the RNG stream defines the worlds, so the
-    result is identical for any ``max_workers``); the per-world query
-    evaluations fan out over a thread pool when ``max_workers > 1``.
-    ``sample_time``/``query_time`` are summed per-world CPU-ish costs, not
-    wall time — unchanged semantics from the serial implementation.
+    Sampling and evaluation are serial (the RNG stream defines the
+    worlds).  ``sample_time``/``query_time`` are summed per-world costs.
     """
     if samples < 1:
         raise SamplingError("need at least one sample")
@@ -85,31 +80,16 @@ def run_monte_carlo(
         if result.sample_time > 0:
             sample_span.set("worlds_per_s", samples / result.sample_time)
 
-    # Worker threads inherit this span explicitly so their per-world spans
-    # stay attached to the trace tree.
-    def evaluate_one_traced(db, parent):
-        with tracer.span("mc.world_eval", parent=parent):
-            per_world = Stopwatch()
-            value = evaluate(plan, db)
-            return value, per_world.stop()
-
-    with tracer.span("mc.evaluate", samples=samples, workers=max_workers) as eval_span:
+    with tracer.span("mc.evaluate", samples=samples) as eval_span:
         with phase("mc_evaluate"):
-            if max_workers > 1:
-                with ThreadPoolExecutor(
-                    max_workers=max_workers, thread_name_prefix="repro-mc"
-                ) as pool:
-                    outcomes = list(
-                        pool.map(lambda db: evaluate_one_traced(db, eval_span), worlds)
-                    )
-            else:
-                outcomes = [evaluate_one_traced(db, eval_span) for db in worlds]
-
-        for value, elapsed in outcomes:
-            result.query_time += elapsed
-            if not isinstance(value, int):
-                raise SamplingError("Monte Carlo evaluation requires an aggregate plan")
-            result.values.append(value)
+            for db in worlds:
+                with tracer.span("mc.world_eval"):
+                    per_world = Stopwatch()
+                    value = evaluate(plan, db)
+                    result.query_time += per_world.stop()
+                if not isinstance(value, int):
+                    raise SamplingError("Monte Carlo evaluation requires an aggregate plan")
+                result.values.append(value)
         if result.query_time > 0:
             eval_span.set("worlds_per_s", samples / result.query_time)
     return result

@@ -305,9 +305,9 @@ def fabric_scenarios(quick: bool = False) -> List[Scenario]:
     executor fabric, plus the L2 warm-get path.
 
     Cache is disabled (``cache_size=0``) so every rep pays the real
-    prepare + solve; the three solve scenarios differ *only* in the
+    prepare + solve; the two solve scenarios differ *only* in the
     fabric, so their relative medians measure pure dispatch overhead
-    (inline) vs thread scheduling vs fork+pickle+IPC.  The L2 scenario
+    (inline) vs fork+pickle+IPC.  The L2 scenario
     gates the SQLite read path a process-fabric worker takes before
     every solve.
     """
@@ -356,7 +356,6 @@ def fabric_scenarios(quick: bool = False) -> List[Scenario]:
 
     return [
         Scenario("solve_inline", make_setup("inline", 1), run_solve),
-        Scenario("solve_thread", make_setup("thread", 2), run_solve),
         Scenario("solve_process", make_setup("process", 2), run_solve),
         Scenario("l2_warm_get", setup_l2, run_l2_warm_get),
     ]
@@ -667,7 +666,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--fabric",
         action="store_true",
         help="gate the executor-fabric scenarios instead (cold solves "
-        "through inline/thread/process fabrics + L2 warm gets; mode 'fabric')",
+        "through the inline and process fabrics + L2 warm gets; mode 'fabric')",
     )
     parser.add_argument(
         "--tiers",

@@ -14,11 +14,8 @@ replacements cover the service's needs:
   to a ``multiprocessing.Event`` through the module-level registry
   below.  The events themselves cannot be pickled into pool task
   arguments ("should only be shared through inheritance"), so the
-  executor fabric creates its scope *before* the pool forks: children
+  process fabric creates its scope *before* the pool forks: children
   inherit the registry, and only the tiny token travels with each task.
-
-Thread and inline fabrics use the same registry with
-``threading.Event`` — one code path, two event factories.
 """
 
 from __future__ import annotations
@@ -34,8 +31,8 @@ _SCOPES_LOCK = threading.Lock()
 def create_scope(scope: str, size: int, factory: Callable = threading.Event) -> None:
     """Register ``size`` cancellation events under ``scope``.
 
-    ``factory`` builds each event — ``threading.Event`` for in-process
-    fabrics, a fork context's ``Event`` for the process fabric.  Must be
+    ``factory`` builds each event — a fork context's ``Event`` for the
+    process fabric, ``threading.Event`` by default.  Must be
     called **before** the worker pool forks so children inherit the
     events; calling it again for an existing scope is an error (the
     forked children would not see the replacement).

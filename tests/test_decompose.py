@@ -431,9 +431,9 @@ def test_session_non_separating_problem_is_one_component():
     assert answer.upper == solve(whole, "max").objective
 
 
-def test_session_parallel_component_dispatch():
+def test_session_parallel_component_dispatch(process_fabric):
     model, flat, objective = _three_group_model()
-    with SolveSession(model, max_workers=2) as session:
+    with SolveSession(model, fabric=process_fabric) as session:
         answer = session.bounds(objective)
         assert answer.stats["components"] == 3
         assert (answer.lower, answer.upper) == brute_force_objective_range(

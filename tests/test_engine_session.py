@@ -6,7 +6,7 @@ The engine-level guarantees (ISSUE 1 acceptance):
   cold solve would);
 * mutating the constraint store (non-lineage adds) invalidates the cache;
   lineage-only appends (answering more queries) keep it warm;
-* a parallel (``max_workers=2``) session and a serial one produce
+* a session on a two-worker process fabric and a serial one produce
   identical ``AggregateBounds`` on hypothesis-generated small models, and
   both agree with the brute-force world-enumeration oracle.
 """
@@ -226,13 +226,13 @@ def small_model(draw):
     return model, objective
 
 
-@given(small_model())
+@given(model_and_objective=small_model())
 @settings(max_examples=25, deadline=None)
-def test_parallel_serial_and_oracle_agree(model_and_objective):
+def test_parallel_serial_and_oracle_agree(process_fabric, model_and_objective):
     model, objective = model_and_objective
     assume(all_valid_assignments(model))  # overlapping ranges can conflict
-    serial = SolveSession(model, max_workers=1)
-    with SolveSession(model, max_workers=2) as parallel:
+    serial = SolveSession(model)
+    with SolveSession(model, fabric=process_fabric) as parallel:
         s = serial.bounds(objective)
         p = parallel.bounds(objective)
         warm = parallel.bounds(objective)
@@ -241,14 +241,6 @@ def test_parallel_serial_and_oracle_agree(model_and_objective):
     assert warm.stats["cache_hits"] == 2
     lo, hi = brute_force_objective_range(model, objective)
     assert (s.lower, s.upper) == (lo, hi)
-
-
-def test_map_fans_out_in_order():
-    model, _, _ = fig2c_model()
-    with SolveSession(model, max_workers=3) as session:
-        assert session.map(lambda x: x * x, range(6)) == [0, 1, 4, 9, 16, 25]
-    serial = SolveSession(model)
-    assert serial.map(lambda x: -x, [3, 1]) == [-3, -1]
 
 
 def test_infeasible_model_raises():

@@ -1,10 +1,10 @@
 """The executor fabric: process-boundary correctness and fabric parity.
 
-The tentpole guarantee of the fabric refactor: ``inline``, ``thread`` and
-``process`` are *configurations* of one solve-unit path, so every test
-here is parametrized over all three where the behavior must be identical
-— no fabric-specific forks.  The process-only physics (pickling,
-cross-fork cancellation, the shared SQLite L2) get targeted coverage.
+The guarantee of the fabric abstraction: ``inline`` and ``process`` are
+*configurations* of one solve-unit path, so every test here runs on both
+where the behavior must be identical — no fabric-specific forks.  The
+process-only physics (pickling, cross-fork cancellation, the shared
+SQLite L2) get targeted coverage.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.engine.fabric import (
     InlineFabric,
     ProcessFabric,
     SolveUnit,
-    ThreadFabric,
     make_fabric,
 )
 from repro.experiments.config import ExperimentConfig
@@ -39,7 +38,7 @@ from repro.service.scheduler import QueryScheduler
 from repro.solver.cancel import CancelToken
 from repro.solver.result import SolverOptions
 
-FABRICS = [("inline", 1), ("thread", 2), ("process", 2)]
+FABRICS = [("inline", 1), ("process", 2)]
 
 
 def _objective():
@@ -48,7 +47,7 @@ def _objective():
     return model, count_objective(relation)
 
 
-# -- fabric parity: one code path, three schedulings -------------------------
+# -- fabric parity: one code path, two schedulings ---------------------------
 @pytest.mark.parametrize("kind,workers", FABRICS)
 def test_every_fabric_agrees_with_serial(kind, workers, tmp_path):
     model, objective = _objective()
@@ -102,38 +101,54 @@ def _identical_blocks():
 
 
 @pytest.mark.parametrize("backend", ["auto", "scipy"])
-def test_duplicate_keys_solve_once_on_every_fabric(backend):
+def test_duplicate_keys_solve_once_on_every_fabric(backend, process_fabric):
     """Identical ``(fingerprint, sense)`` misses in one request cost one
     solve per sense and count as L1 hits, on every fabric — the serial
     path's accounting.  ``backend='scipy'`` keeps every block out of the
-    root pass, so the parallel fabrics' in-flight dedup is what runs."""
+    root pass, so the process fabric's in-flight dedup is what runs."""
     observed = {}
-    for kind, workers in FABRICS:
+    for fabric in (InlineFabric(), process_fabric):
         model, objective = _identical_blocks()
-        with make_fabric(kind, workers) as fabric:
-            with SolveSession(
-                model, options=SolverOptions(backend=backend), fabric=fabric
-            ) as session:
-                bounds = session.bounds(objective)
-                observed[kind] = (
-                    bounds.lower,
-                    bounds.upper,
-                    bounds.stats["component_cache_hits"],
-                    session.cache.stats,
-                )
+        with SolveSession(
+            model, options=SolverOptions(backend=backend), fabric=fabric
+        ) as session:
+            bounds = session.bounds(objective)
+            observed[fabric.kind] = (
+                bounds.lower,
+                bounds.upper,
+                bounds.stats["component_cache_hits"],
+                session.cache.stats,
+            )
     assert observed["inline"][:3] == (0, 6, 4)
     assert observed["inline"][3]["misses"] == 2  # one solve per sense
-    assert observed["thread"] == observed["inline"]
     assert observed["process"] == observed["inline"]
 
 
-def test_make_fabric_degenerates_single_thread_to_inline():
-    assert make_fabric("thread", 1).kind == "inline"
-    fabric = make_fabric("thread", 3)
-    assert isinstance(fabric, ThreadFabric) and fabric.workers == 3
+def test_make_fabric_builds_inline_or_process():
+    assert make_fabric("inline", 4).kind == "inline"
+    fabric = make_fabric("process", 3)
+    assert isinstance(fabric, ProcessFabric) and fabric.workers == 3
     fabric.close()
-    with pytest.raises(ValueError, match="unknown fabric"):
-        make_fabric("rocket")
+    for kind in ("thread", "rocket"):
+        with pytest.raises(ValueError, match="unknown fabric"):
+            make_fabric(kind)
+
+
+@pytest.mark.parametrize("kind", ["inline", "process"])
+def test_fabric_stats_report_the_workers_that_run(kind):
+    """``--solve-workers 4`` is reported as 4 only where a process pool
+    runs them; the inline fabric runs one unit at a time."""
+    config = ExperimentConfig(
+        num_transactions=40, num_items=16, solve_fabric=kind, solve_workers=4
+    )
+    context = ExperimentContext(config)
+    expected = 4 if kind == "process" else 1
+    try:
+        assert context.fabric_stats()["workers"] == expected  # before it is built
+        assert context.fabric.workers == expected
+        assert context.fabric_stats()["workers"] == expected
+    finally:
+        context.close()
 
 
 # -- the process boundary ----------------------------------------------------

@@ -431,3 +431,31 @@ def test_a_read_names_its_source_in_the_wide_event_and_explain(
         assert entry["cache"] == "answer" and entry["status"] == "optimal"
     if "query" in spec:  # COUNT/SUM: one entry per decomposed component
         assert len(payload["components"]) == payload["decomposition"]["components"]
+
+
+def test_a_partly_warm_escalation_is_not_an_l1_answer(context, wide_events):
+    """A ``balanced`` answer counts a direction as cached only when every
+    escalated component's entry for it was — the exact path's rule — so
+    one primed component among cold ones is a cold answer, not an L1 one,
+    in the wide event and in EXPLAIN."""
+    spec = {"aggregate": "count", "scheme": "bipartite", "precision": "balanced"}
+    with QueryScheduler(context, workers=2) as sched:
+        sched.warm([("bipartite", 2)])
+        session = context.session("bipartite", 2)
+        request = QueryRequest(**spec)
+        assert sched.execute(request).status == STATUS_OK
+        prepared = session.memoized(request.plan_key())
+        tiers = sched.answerer.answer(session, prepared, "balanced").component_tiers
+        escalated = [tier["component"] for tier in tiers if tier["escalated"]]
+        assert len({prepared.components[i].fingerprint for i in escalated}) > 1
+        session.cache.clear()
+        primed = escalated[0]
+        session.solve_units(
+            [(prepared.components[primed], sense, primed) for sense in ("min", "max")]
+        )
+        response = sched.execute(QueryRequest(explain=True, **spec))
+    assert response.status == STATUS_OK
+    assert response.cache_hits == 0
+    event = next(e for e in wide_events if e["request_id"] == response.request_id)
+    assert event["cache_tier"] == "cold"
+    assert response.explain["bounds"]["source"] == "cold"

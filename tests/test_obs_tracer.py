@@ -140,34 +140,6 @@ def test_concurrent_spans_stay_per_thread():
     assert len(ids) == len(set(ids))
 
 
-def test_parallel_minmax_session_traces_connected():
-    """The engine's parallel min/max emits solve spans from pool threads
-    that remain linked under the caller's trace."""
-    model = LICMModel()
-    vs = model.new_vars(10)
-    model.add(linear_sum(vs[:5]) <= 2)
-    model.add(linear_sum(vs[5:]) >= 1)
-
-    tracer = Tracer()
-    with activate(tracer):
-        with SolveSession(
-            model, options=SolverOptions(backend="bb"), max_workers=2
-        ) as session:
-            bounds = session.bounds(linear_sum(vs))
-    assert bounds.lower is not None and bounds.upper is not None
-    names = {s.name for s in tracer.spans}
-    assert {"engine.prepare", "engine.solve.min", "engine.solve.max"} <= names
-    # no dangling parent ids anywhere in the tree
-    ids = {s.span_id for s in tracer.spans}
-    assert all(s.parent_id is None or s.parent_id in ids for s in tracer.spans)
-    # every (component, sense) solve ran off the main thread but stayed in
-    # this trace (the two-block model decomposes into two components)
-    solve_spans = [s for s in tracer.spans if s.name.startswith("engine.solve.")]
-    assert bounds.stats["components"] == 2
-    assert len(solve_spans) == 2 * bounds.stats["components"]
-    assert {s.trace_id for s in solve_spans} == {tracer.trace_id}
-
-
 def test_bb_search_span_profiles_nodes():
     model = LICMModel()
     vs = model.new_vars(8)

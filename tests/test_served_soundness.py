@@ -52,7 +52,7 @@ def truth():
 
 
 @pytest.mark.parametrize("precision", ["tight", "balanced", "fast"])
-@pytest.mark.parametrize("fabric", ["inline", "thread", "process"])
+@pytest.mark.parametrize("fabric", ["inline", "process"])
 def test_served_answers_match_possible_world_enumeration(truth, fabric, precision):
     _check_served_answers(truth, precision, solver_backend="auto", solve_fabric=fabric)
 

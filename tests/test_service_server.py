@@ -289,7 +289,7 @@ def test_metrics_families_render_once_and_engine_series_move():
 def test_status_reports_fabric_and_l2(client):
     payload = client.status()
     fabric = payload["fabric"]
-    assert fabric["kind"] in ("inline", "thread", "process")
+    assert fabric["kind"] in ("inline", "process")
     assert "l2_cache_path" in fabric
 
 
@@ -375,7 +375,7 @@ def test_deep_health_passes_when_dependencies_are_up(client):
     assert payload["status"] == "ok"
     checks = payload["checks"]
     assert checks["slo"]["ok"] and checks["fabric"]["ok"]
-    assert checks["fabric"]["kind"] in ("inline", "thread", "process")
+    assert checks["fabric"]["kind"] in ("inline", "process")
 
 
 def test_deep_health_flips_503_on_error_budget_burn(running_server):
