@@ -10,9 +10,9 @@ its ``--ready-file``, then drives it through three phases:
 * **dedup**    — barrier-synchronized bursts of identical requests against a
   cold BIP fingerprint, until the scheduler reports at least one request
   coalesced onto an in-flight solve.
-* **deadline** — requests carrying a deadline that is already unmeetable;
-  they must answer ``degraded`` (Monte Carlo fallback) or ``timeout``
-  (fallback disabled) — never hang.
+* **deadline** — a cold request carrying a deadline that is already
+  unmeetable; it expires in the queue, before any problem is prepared,
+  so it must answer ``timeout`` — never hang.
 
 Results land in ``BENCH_service_throughput.json`` at the repo root.
 
@@ -36,7 +36,7 @@ import sys
 import threading
 import time
 
-from repro.service.api import STATUS_DEGRADED, STATUS_TIMEOUT, STATUSES, QueryRequest
+from repro.service.api import STATUS_TIMEOUT, STATUSES, QueryRequest
 from repro.service.client import ServiceClient
 
 CLIENTS = 8
@@ -210,22 +210,13 @@ def _dedup_phase(url: str, clients: int, max_rounds: int = 8):
 
 
 def _deadline_phase(url: str):
-    """Unmeetable deadlines: degraded with MC fallback, timeout without."""
+    """An unmeetable deadline on a cold key: ``timeout``."""
     client = ServiceClient(url, timeout=120.0)
-    degraded = client.query(
+    return client.query(
         query="Q2",
-        params={"pb_selectivity": 0.27},  # cold key: the solve cannot be a cache hit
+        params={"pb_selectivity": 0.27},  # cold key: the answer cannot be a cache hit
         deadline_ms=0.01,
-        mc_fallback=True,
-        mc_samples=4,
     )
-    timed_out = client.query(
-        query="Q2",
-        params={"pb_selectivity": 0.28},
-        deadline_ms=0.01,
-        mc_fallback=False,
-    )
-    return degraded, timed_out
 
 
 def run_load(url: str, clients: int = CLIENTS, duration_s: float = DURATION_S) -> dict:
@@ -242,7 +233,7 @@ def run_load(url: str, clients: int = CLIENTS, duration_s: float = DURATION_S) -
     mixed = _mixed_phase(url, clients, duration_s)
     mixed_wall_s = time.perf_counter() - t0
     dedup_rounds = _dedup_phase(url, clients)
-    degraded, timed_out = _deadline_phase(url)
+    timed_out = _deadline_phase(url)
     # The ad-hoc MIN/MAX path (case-probe sweeps), untimed.
     minmax = {
         aggregate: client.query(aggregate=aggregate).to_dict()
@@ -283,10 +274,7 @@ def run_load(url: str, clients: int = CLIENTS, duration_s: float = DURATION_S) -
         },
         "dedup_rounds": dedup_rounds,
         "minmax": minmax,
-        "deadline": {
-            "with_fallback": degraded.to_dict(),
-            "without_fallback": timed_out.to_dict(),
-        },
+        "deadline": timed_out.to_dict(),
         "scheduler": scheduler,
         "metrics_families": sorted(
             {
@@ -406,14 +394,11 @@ def check_acceptance(results: dict) -> None:
     # Identical in-flight requests coalesced onto a single solve.
     total_dedup = scheduler["dedup_hits"]
     assert total_dedup >= 1, results["dedup_rounds"]
-    # Deadline-exceeded requests terminate as degraded/timeout — never hang.
-    with_fb = results["deadline"]["with_fallback"]
-    without_fb = results["deadline"]["without_fallback"]
-    assert with_fb["status"] == STATUS_DEGRADED, with_fb
-    assert with_fb.get("mc_samples", 0) > 0, with_fb
-    assert without_fb["status"] in (STATUS_TIMEOUT, STATUS_DEGRADED), without_fb
-    # The MC fallback reports a real (observed) range.
-    assert with_fb["lower"] <= with_fb["upper"], with_fb
+    # A deadline-exceeded request terminates — never hangs — and with no
+    # prepared problem there is no containing interval to serve.
+    deadline = results["deadline"]
+    assert deadline["status"] == STATUS_TIMEOUT, deadline
+    assert "lower" not in deadline and "upper" not in deadline, deadline
     # The ad-hoc MIN/MAX probe path answers exactly when unconstrained.
     for aggregate, answer in results["minmax"].items():
         assert answer["status"] == "ok", (aggregate, answer)

@@ -29,7 +29,7 @@ The ``serve`` subcommand starts the long-lived aggregate-query service
 (see docs/service.md): it generates and encodes a fixture database, keeps
 one solve session per ``(scheme, k)`` resident, and answers
 ``POST /v1/query`` concurrently with deadlines, in-flight dedup and
-Monte Carlo degradation::
+degradation to containing intervals::
 
     python -m repro serve --port 8080 --schemes km --k 2
 

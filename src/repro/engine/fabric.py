@@ -220,12 +220,15 @@ def run_unit(unit: SolveUnit) -> UnitResult:
     """Execute one unit under a span (live tracer) or a span record.
 
     The inline fabric opens a real ``engine.solve.{sense}`` span under
-    the submitting caller's current span.  In a forked worker the
-    unit runs under a bounded :class:`~repro.obs.tracer.RecordingTracer`
-    instead: the ``engine.solve.*`` span *and* everything the solver
+    the submitting caller's current span (none under the null tracer).
+    In a forked worker the unit runs under a bounded
+    :class:`~repro.obs.tracer.RecordingTracer` instead: the
+    ``engine.solve.*`` span *and* everything the solver
     opens beneath it (``solver.solve``, ``bb.search`` node sampling)
     are serialized onto the result, together with the worker registry's
-    metrics delta, for the parent to ingest/merge.
+    metrics delta, for the parent to ingest/merge.  With
+    ``repatriate=False`` a worker ships only the coarse
+    ``engine.solve.*`` record.
     """
     from repro.obs.tracer import RecordingTracer, activate, current_tracer
 
@@ -262,6 +265,8 @@ def run_unit(unit: SolveUnit) -> UnitResult:
             if result.l2_hit:
                 span.set("l2_hit", True)
         return result
+    if not _IN_WORKER:
+        return _execute(unit)
     start_unix = time.time()
     t0 = time.perf_counter()
     result = _execute(unit)

@@ -370,9 +370,7 @@ class SolveSession:
         )
 
     # -- unit dispatch -----------------------------------------------------
-    def _l1_probe(
-        self, fingerprint: str, sense: str, component: int, parent_span
-    ) -> Optional[CachedSolve]:
+    def _l1_probe(self, fingerprint: str, sense: str, component: int) -> Optional[CachedSolve]:
         """One L1 lookup, with its counters.  ``None`` means miss."""
         entry = self.cache.get((fingerprint, sense))
         if entry is None:
@@ -381,7 +379,7 @@ class SolveSession:
         count("cache_hits")
         tracer = current_tracer()
         if tracer.enabled:
-            with tracer.span(f"engine.solve.{sense}", parent=parent_span) as span:
+            with tracer.span(f"engine.solve.{sense}") as span:
                 span.set("component", component)
                 span.set("cached", True).set("status", entry.status)
                 span.set("objective", entry.objective).set("nodes", entry.nodes)
@@ -394,11 +392,9 @@ class SolveSession:
         sense: str,
         component: int,
         options: Optional[SolverOptions],
-        parent_span=None,
     ) -> SolveUnit:
         tracer = current_tracer()
-        span = parent_span if parent_span is not None else tracer.current()
-        trace_id = getattr(span, "trace_id", "") if span is not None else ""
+        trace_id = getattr(tracer.current(), "trace_id", "")
         return SolveUnit(
             problem=part.problem,
             sense=sense,
@@ -421,7 +417,6 @@ class SolveSession:
         fingerprint: str,
         sense: str,
         options: Optional[SolverOptions],
-        parent_span,
     ) -> Tuple[CachedSolve, bool, float, bool]:
         """Fold one :class:`UnitResult` back into session state.
 
@@ -435,7 +430,7 @@ class SolveSession:
         if result.metrics_delta:
             global_registry().merge_delta(result.metrics_delta)
         if result.spans and tracer.enabled:
-            tracer.ingest(result.spans, parent=parent_span)
+            tracer.ingest(result.spans)
         entry = result.to_cached()
         # A solve truncated by per-call options (a request deadline) is not
         # authoritative for the fingerprint: only cache it when optimal, so
@@ -471,8 +466,7 @@ class SolveSession:
             # Always-on distribution of real solve walls (cache hits
             # excluded), exemplar-linked to the request trace so a slow
             # bucket names a specific span tree.
-            span = parent_span if parent_span is not None else tracer.current()
-            trace_id = getattr(span, "trace_id", "") if span is not None else ""
+            trace_id = getattr(tracer.current(), "trace_id", "")
             registry.histogram(
                 "engine_solve_seconds", "Wall seconds per engine BIP solve direction"
             ).observe(
@@ -619,7 +613,6 @@ class SolveSession:
         already in flight waits for it and then probes L1, so duplicate
         keys cost one solve and count as hits on every fabric.
         """
-        parent_span = current_tracer().current()
         claims = self._root_pass(tasks, options) if tasks else {}
         outcomes: List[Optional[Tuple[CachedSolve, bool, float, bool]]] = [None] * len(
             tasks
@@ -627,12 +620,12 @@ class SolveSession:
 
         def collect(i: int, result: UnitResult) -> None:
             part, sense, _ = tasks[i]
-            outcomes[i] = self._collect(result, part.fingerprint, sense, options, parent_span)
+            outcomes[i] = self._collect(result, part.fingerprint, sense, options)
 
         def start(i: int):
             """Probe, claim or submit task ``i``; a future when submitted."""
             part, sense, component = tasks[i]
-            hit = self._l1_probe(part.fingerprint, sense, component, parent_span)
+            hit = self._l1_probe(part.fingerprint, sense, component)
             if hit is not None:
                 outcomes[i] = (hit, True, 0.0, False)
                 return None
@@ -640,7 +633,7 @@ class SolveSession:
             if claim is not None:
                 collect(i, claim)
                 return None
-            unit = self._unit(part, sense, component, options, parent_span)
+            unit = self._unit(part, sense, component, options)
             return self.fabric.submit_unit(unit)
 
         pending = []

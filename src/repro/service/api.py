@@ -10,9 +10,10 @@ docs/estimators.md).  A response always carries a terminal ``status``:
 * ``ok``       — bounds within the deadline at the requested precision:
   exact LICM bounds for ``tight``, a provably containing estimator
   interval otherwise (``tier`` and the ``*_components`` fields say which);
-* ``degraded`` — the BIP solve exceeded its budget; the bounds are the
-  Monte Carlo observed range (contained in the exact range, never wider);
-* ``timeout``  — the deadline passed with no usable answer at all;
+* ``degraded`` — the deadline cut the answer short; the bounds still
+  contain the exact range (a fast estimator pass over a COUNT/SUM
+  problem, or what a MIN/MAX request's stopped probes proved);
+* ``timeout``  — the deadline passed with no containing interval at hand;
 * ``rejected`` — admission control refused the request (queue full);
 * ``error``    — the request was invalid or execution failed.
 
@@ -110,8 +111,6 @@ class QueryRequest:
     aggregate: Optional[str] = None
     precision: Optional[str] = None
     deadline_ms: Optional[float] = None
-    mc_fallback: bool = True
-    mc_samples: int = 8
     params: dict = field(default_factory=dict)
     #: attach a structured :mod:`~repro.obs.explain` payload to the
     #: response.  Excluded from :meth:`plan_key` and never cached —
@@ -155,12 +154,6 @@ class QueryRequest:
                 problems.append(
                     f"deadline_ms must be finite and > 0, got {self.deadline_ms!r}"
                 )
-        if (
-            not isinstance(self.mc_samples, int)
-            or isinstance(self.mc_samples, bool)
-            or not 1 <= self.mc_samples <= 1000
-        ):
-            problems.append(f"mc_samples must be in [1, 1000], got {self.mc_samples!r}")
         if not isinstance(self.params, dict):
             problems.append(f"params must be an object, got {type(self.params).__name__}")
         elif self.params and self.aggregate is not None:
@@ -246,9 +239,8 @@ class QueryResponse:
     components: int = 0
     backend: Optional[str] = None
     nodes: int = 0
-    mc_samples: int = 0  # > 0 only for degraded (MC fallback) answers
     #: answering-tier provenance: the deepest tier that contributed
-    #: (``structural``/``entropy``/``lp``/``exact``/``mc``), how many
+    #: (``structural``/``entropy``/``lp``/``exact``), how many
     #: decomposed components were answered exactly vs. by estimators, how
     #: many escalated past the estimator tiers, and the worst
     #: per-component tier disagreement at decision time (0.0 when exact).

@@ -38,13 +38,14 @@ and a worker pool drains it.  Each worker:
    one read (wide event ``cache_tier="answer"``);
 5. enforces the request **deadline** with a deadline-clamped
    ``time_limit`` plus the solver's absolute ``deadline_at`` (picklable —
-   it crosses into forked solve workers, unlike a closure); a solve cut
-   short by its budget **degrades** down the ladder — a fast estimator
-   interval (provably containing the exact range) whenever the request,
-   or the leader it follows, holds a prepared COUNT/SUM problem, else the
-   Monte Carlo estimator (observed range ⊆ exact range) — instead of
-   hanging, and a request with neither rung available answers
-   ``timeout``.
+   it crosses into forked solve workers, unlike a closure); an answer cut
+   short by its budget **degrades** instead of hanging, always to an
+   interval that contains the exact range: a fast estimator pass when
+   the request, or the leader it follows, holds a prepared COUNT/SUM
+   problem, or the interval a MIN/MAX leader's stopped probes still
+   prove.  Every other expiry — in the queue, before the leader
+   prepared, a parked MIN/MAX follower, a failed estimator pass —
+   answers ``timeout``.
 
 Every request therefore reaches a terminal status — ``ok``, ``degraded``,
 ``timeout``, ``rejected`` or ``error`` — the service's no-hang invariant.
@@ -71,7 +72,8 @@ from repro.estimator import (
     TIER_EXACT,
     TieredAnswerer,
 )
-from repro.mc import run_monte_carlo
+# Never called here, kept by name: traced_serve.py wraps it (its mc.fallback layer).
+from repro.mc import run_monte_carlo  # noqa: F401
 from repro.obs.export import ESTIMATOR_BUCKETS, MetricsRegistry, phase
 from repro.obs.logs import request_logger, wide_event
 from repro.obs.profiler import active_profiler, tagged
@@ -704,7 +706,6 @@ class QueryScheduler:
             "fabric": self.context.fabric_stats().get("kind"),
             "tier": response.tier,
             "escalations": response.escalations,
-            "mc_samples": response.mc_samples,
             "queue_ms": round(response.queue_ms, 3),
             "solve_ms": round(response.solve_ms, 3),
             "total_ms": round(response.total_ms, 3),
@@ -892,15 +893,15 @@ class QueryScheduler:
             # trace id (no-op when no sampling profiler is running).
             pending.trace_id = root.trace_id or None
             encoded, session, model_lock = self._resolve(request)
-            plan = self._build_plan(request, encoded)
             if self._expired(pending):
                 root.set("outcome", "deadline_before_start")
-                return self._degrade(pending, encoded, plan, 0.0, cause="queue wait")
+                return self._degrade(pending, "queue wait")
+            plan = self._build_plan(request, encoded)
             plan_key = request.plan_key()
             minmax = isinstance(plan, _MINMAX)
             flight, leader = self._join_flight(plan_key)
             if not leader:
-                self._park(root, pending, flight, encoded, session, plan)
+                self._park(root, pending, flight, session, plan)
                 return None
             try:
                 prepared = session.memoized(plan_key)
@@ -921,7 +922,7 @@ class QueryScheduler:
                 flight.prepared = prepared
                 root.set("fingerprint", prepared.fingerprint)
                 response = self._answer_prepared(
-                    pending, session, prepared, plan, encoded, dedup=False
+                    pending, session, prepared, plan, dedup=False
                 )
             finally:
                 self._finish_flight(flight)
@@ -997,9 +998,7 @@ class QueryScheduler:
         except Exception:  # noqa: BLE001 — observability must not break serving
             logger.exception("estimator tier accounting failed")
 
-    def _park(
-        self, root, pending: _Pending, flight: _Flight, encoded, session, plan
-    ) -> None:
+    def _park(self, root, pending: _Pending, flight: _Flight, session, plan) -> None:
         """Follow the leader's ``flight`` without holding this worker slot.
 
         Records a dedup hit and attaches the resume continuation, enqueued
@@ -1008,8 +1007,10 @@ class QueryScheduler:
         :meth:`_answer_prepared` — the caches, kept answers and verdicts
         make that a read — or serves itself afresh if the leader failed
         before preparing.  If its budget runs out first, the deadline
-        monitor enqueues the degrade path instead; the first to claim the
-        pending wins.  Every answer over the flight reports ``dedup=True``.
+        monitor enqueues the degrade path instead — over the published
+        problem if it is COUNT/SUM, else ``timeout``; the first to claim
+        the pending wins.  Every answer over the flight reports
+        ``dedup=True``.
         """
         self._dedup_hits.inc()
         root.set("dedup", True)
@@ -1024,7 +1025,7 @@ class QueryScheduler:
                 fingerprint=prepared.fingerprint,
             ):
                 return self._answer_prepared(
-                    pending, session, prepared, plan, encoded, dedup=True
+                    pending, session, prepared, plan, dedup=True
                 )
 
         def resume():
@@ -1035,9 +1036,10 @@ class QueryScheduler:
 
         def expire():
             if not pending.done:
+                prepared = None if isinstance(plan, _MINMAX) else flight.prepared
                 self._complete(pending, self._degrade(
-                    pending, encoded, plan, 0.0, "deduped request exceeded deadline",
-                    session=session, prepared=flight.prepared, dedup=True,
+                    pending, "deduped request exceeded deadline",
+                    session=session, prepared=prepared, dedup=True,
                 ))
 
         shutdown = functools.partial(self._reject, pending)
@@ -1047,9 +1049,7 @@ class QueryScheduler:
         else:
             self._enqueue_internal(task)
 
-    def _answer_prepared(
-        self, pending, session, prepared, plan, encoded, dedup: bool
-    ) -> QueryResponse:
+    def _answer_prepared(self, pending, session, prepared, plan, dedup: bool) -> QueryResponse:
         """The one answer path, for leaders and followers.
 
         A ``tight`` COUNT/SUM or any MIN/MAX request first reads the
@@ -1091,9 +1091,9 @@ class QueryScheduler:
             )
         clock = Stopwatch()
         if minmax:
-            response = self._answer_minmax(pending, session, prepared, plan, encoded, dedup)
+            response = self._answer_minmax(pending, session, prepared, plan, dedup)
         else:
-            response = self._answer_tiered(pending, session, prepared, plan, encoded, dedup)
+            response = self._answer_tiered(pending, session, prepared, dedup)
         if keeps and response.exact and not self._expired(pending):
             session.keep_answer(
                 plan_key, KeptAnswer(response.lower, response.upper, response.backend),
@@ -1102,9 +1102,7 @@ class QueryScheduler:
             )
         return response
 
-    def _answer_tiered(
-        self, pending, session, prepared, plan, encoded, dedup: bool
-    ) -> QueryResponse:
+    def _answer_tiered(self, pending, session, prepared, dedup: bool) -> QueryResponse:
         """COUNT/SUM at the request's precision (see :meth:`_answer_prepared`)."""
         request = pending.request
         fingerprint = prepared.fingerprint
@@ -1129,67 +1127,59 @@ class QueryScheduler:
                 else "BIP solve exceeded deadline"
             )
             return self._degrade(
-                pending, encoded, plan, answer.seconds * 1e3, cause,
-                session=session, prepared=prepared, dedup=dedup,
+                pending, cause, session=session, prepared=prepared, dedup=dedup,
+                solve_ms=answer.seconds * 1e3,
             )
         if request.explain:
             pending.explain_ctx["component_tiers"] = answer.component_tiers
         return self._answer_response(pending, answer, fingerprint, dedup)
 
-    def _answer_minmax(
-        self, pending, session, prepared, plan, encoded, dedup: bool
-    ) -> QueryResponse:
+    def _answer_minmax(self, pending, session, prepared, plan, dedup: bool) -> QueryResponse:
         """MIN/MAX: :func:`repro.core.bounds.minmax_bounds`'s probes on the
-        prepared problem, under the request's deadline, at any precision;
-        an inexact answer degrades past the deadline."""
+        prepared problem, under the request's deadline, at any precision.
+        An inexact answer past the deadline is ``degraded``: probes the
+        deadline stopped were answered feasible, so the interval still
+        contains the exact range."""
         result = bounds.minmax_bounds(
             prepared, plan.attribute, _agg(plan),
             options=self._deadline_options(session, pending), session=session,
         )
-        solve_ms = result.stats["solve_time"] * 1e3
+        status, cause = STATUS_OK, None
         if self._expired(pending) and not result.exact:
-            return self._degrade(
-                pending, encoded, plan, solve_ms,
-                cause="MIN/MAX probes exceeded deadline", dedup=dedup,
-            )
+            self._deadline_misses.inc()
+            status, cause = STATUS_DEGRADED, "MIN/MAX probes exceeded deadline"
         return self._response(
-            pending, STATUS_OK, lower=result.lower, upper=result.upper,
-            exact=result.exact, dedup=dedup, tier=TIER_EXACT, gap=0.0,
-            solve_ms=solve_ms,
+            pending, status, lower=result.lower, upper=result.upper,
+            exact=result.exact, error=cause, fingerprint=prepared.fingerprint,
+            dedup=dedup, tier=TIER_EXACT, gap=0.0,
+            solve_ms=result.stats["solve_time"] * 1e3,
         )
 
     def _degrade(
         self,
         pending: _Pending,
-        encoded,
-        plan,
-        solve_ms: float,
         cause: str,
         session=None,
         prepared=None,
         dedup: bool = False,
+        solve_ms: float = 0.0,
     ) -> QueryResponse:
-        """Deadline exceeded: step down the ladder — estimator tiers,
-        then the MC estimator, then ``timeout``.
+        """Deadline exceeded: the estimator rung, else ``timeout``.
 
-        With a COUNT/SUM problem prepared, a ``fast`` pass over the
+        With a prepared COUNT/SUM problem, a ``fast`` pass over the
         estimator tiers yields a *provably containing* interval in
-        microseconds — better than Monte Carlo, whose observed range is
-        contained in the exact one.  A MIN/MAX problem's objective is not
-        the aggregate, so it never takes that rung.  Both fallbacks run
-        slightly past the deadline on purpose.  ``exact`` is always False
-        here, ``tier`` names the rung that served, and every rung reports
-        ``dedup``.
+        microseconds; it runs slightly past the deadline on purpose.
+        Without one — the deadline passed in the queue or before the
+        leader prepared, or the problem is MIN/MAX, whose objective is not
+        the aggregate (callers pass none) — or when that pass fails, the
+        request answers ``timeout``.  ``exact`` is always False here, and
+        both outcomes report ``dedup``.
         """
         self._deadline_misses.inc()
-        request = pending.request
-        if isinstance(plan, _MINMAX):
-            prepared = None
         fingerprint = prepared.fingerprint if prepared is not None else None
-        tracer = current_tracer()
-        if session is not None and prepared is not None:
+        if prepared is not None:
             try:
-                with tracer.span("service.estimator_fallback", cause=cause):
+                with current_tracer().span("service.estimator_fallback", cause=cause):
                     answer = self.answerer.answer(
                         session, prepared, PRECISION_FAST,
                         options=self._deadline_options(session, pending),
@@ -1199,35 +1189,9 @@ class QueryScheduler:
                         pending, answer, fingerprint, dedup,
                         status=STATUS_DEGRADED, cause=cause,
                     )
-            except Exception as exc:  # noqa: BLE001 — next rung: MC
+            except Exception as exc:  # noqa: BLE001 — the last rung: timeout
                 logger.warning(
-                    "estimator fallback for %s failed: %r", request.request_id, exc
-                )
-        if request.mc_fallback:
-            try:
-                with tracer.span("service.mc_fallback", cause=cause):
-                    mc = run_monte_carlo(
-                        encoded,
-                        plan,
-                        samples=request.mc_samples,
-                        seed=self.context.config.seed,
-                    )
-                return self._response(
-                    pending,
-                    STATUS_DEGRADED,
-                    lower=mc.minimum,
-                    upper=mc.maximum,
-                    exact=False,
-                    error=cause,
-                    fingerprint=fingerprint,
-                    dedup=dedup,
-                    tier="mc",
-                    mc_samples=len(mc.values),
-                    solve_ms=solve_ms,
-                )
-            except Exception as exc:  # noqa: BLE001 — degrade to timeout
-                logger.warning(
-                    "MC fallback for %s failed: %r", request.request_id, exc
+                    "estimator fallback for %s failed: %r", pending.request.request_id, exc
                 )
         return self._response(
             pending, STATUS_TIMEOUT, error=cause, fingerprint=fingerprint,

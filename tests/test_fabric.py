@@ -200,6 +200,9 @@ def test_stop_check_closure_is_stripped_at_the_process_boundary():
     )
     with pytest.raises(Exception):  # closures cannot cross the boundary …
         pickle.dumps(unit)
+    inline = InlineFabric().submit_unit(unit).result()
+    assert inline.status == "optimal"
+    assert inline.spans == []  # in process under the null tracer: no span record
     with ProcessFabric(workers=1) as fabric:
         result = fabric.submit_unit(unit).result(timeout=60.0)
     # … so ProcessFabric strips them, and the solve still completes.

@@ -162,7 +162,8 @@ def _bb_nodes_count() -> int:
 def test_process_fabric_repatriates_spans_and_metrics():
     """The acceptance criterion: with ``--fabric process`` the parent's
     registry gains ``repro_bb_nodes_per_solve`` observations and the trace
-    contains worker ``solver.solve`` spans under ``engine.solve.*``."""
+    contains worker ``solver.solve`` spans under ``engine.solve.*``, each
+    under the request span the units were dispatched from."""
     model, objective = _objective()
     before = _bb_nodes_count()
     tracer = Tracer(sample_every=4)
@@ -170,7 +171,7 @@ def test_process_fabric_repatriates_spans_and_metrics():
     # in the parent, and no unit would reach a worker.
     options = SolverOptions(backend="bb", seed_incumbent=False)
     with ProcessFabric(workers=2) as fabric:
-        with activate(tracer):
+        with activate(tracer), tracer.span("service.request") as request:
             with SolveSession(model, options=options, fabric=fabric) as session:
                 bounds = session.bounds(objective)
     assert (bounds.lower, bounds.upper) == (1, 3) and bounds.exact
@@ -183,7 +184,9 @@ def test_process_fabric_repatriates_spans_and_metrics():
     assert solver_spans, [span.name for span in tracer.spans]
     for span in solver_spans:
         assert span.trace_id == tracer.trace_id  # re-parented, not foreign
-        assert by_id[span.parent_id].name.startswith("engine.solve.")
+        unit_span = by_id[span.parent_id]
+        assert unit_span.name.startswith("engine.solve.")
+        assert unit_span.parent_id == request.span_id
 
 
 def test_process_fabric_repatriate_off_is_the_old_coarse_record():

@@ -36,7 +36,7 @@ WIDE_KEYS = {
     "event", "request_id", "trace_id", "status", "outcome_reason", "dedup",
     "fingerprint", "kind", "query", "scheme", "k", "cache_tier", "components",
     "cache_hits", "l2_hits", "nodes", "backend", "fabric", "tier",
-    "escalations", "mc_samples", "queue_ms", "solve_ms", "total_ms",
+    "escalations", "queue_ms", "solve_ms", "total_ms",
 }
 
 

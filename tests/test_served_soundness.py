@@ -21,18 +21,28 @@ Each request evaluates its plan inside one lineage scope of the shared
 model.  Distinct plans served interleaved through one scheduler, then a
 base ``model.add``, then the same plans again must still equal the
 enumeration — of the changed model after the append.
+
+A ``degraded`` answer must contain the enumeration too: a ``tight``
+COUNT/SUM leader whose solve outlives its deadline, a MIN/MAX leader
+whose probes do, and a follower that expires while its leader solves.
+Monte Carlo, whose sampled range lies inside the exact one, must never
+serve; a deadline that passes in the queue answers ``timeout``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sqlite3
+import threading
 
 import pytest
 
+import repro.engine.fabric as fabric_module
+import repro.service.scheduler as scheduler_module
 from helpers import brute_force_adhoc, counter_totals, delta, tiny_config
 from repro.core.linexpr import linear_sum
 from repro.experiments.runner import ExperimentContext
-from repro.service.api import STATUS_OK, QueryRequest
+from repro.service.api import STATUS_DEGRADED, STATUS_OK, STATUS_TIMEOUT, QueryRequest
 from repro.service.scheduler import QueryScheduler
 
 AGGREGATES = ("count", "sum", "min", "max")
@@ -143,3 +153,92 @@ def test_a_corrupt_l2_row_is_a_miss_and_the_answer_stays_exact(truth, tmp_path):
             _check_tight(sched, ["count"], truth)
     finally:
         ctx.close()
+
+
+# -- degraded answers ----------------------------------------------------------
+REAL_SOLVE = fabric_module.portfolio_solve
+
+
+@pytest.fixture()
+def served(monkeypatch):
+    """An unseeded scheduler on the enumerable database with Monte Carlo
+    refused.  Without the root pass every block is a unit; one COUNT/SUM
+    block and every MIN/MAX probe reach ``portfolio_solve``."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a served answer ran Monte Carlo")
+
+    monkeypatch.setattr(scheduler_module, "run_monte_carlo", refuse)
+    ctx = ExperimentContext(tiny_config())
+    try:
+        with QueryScheduler(ctx, workers=2) as sched:
+            sched.warm([(SCHEME, 2)])
+            session = ctx.session(SCHEME, 2)
+            unseeded = dataclasses.replace(session.options, seed_incumbent=False)
+            monkeypatch.setattr(session, "options", unseeded)
+            yield sched
+    finally:
+        ctx.close()
+
+
+def _stall_first_solve(monkeypatch, hold_s: float):
+    """Hold the first ``portfolio_solve`` call for ``hold_s`` or until the
+    returned ``release`` is set; ``started`` is set when it starts.  Later
+    calls run at once."""
+    started, release = threading.Event(), threading.Event()
+
+    def solve(problem, sense, options):
+        if not started.is_set():
+            started.set()
+            release.wait(hold_s)
+        return REAL_SOLVE(problem, sense, options)
+
+    monkeypatch.setattr(fabric_module, "portfolio_solve", solve)
+    return started, release
+
+
+def _request(aggregate, **fields):
+    return QueryRequest(aggregate=aggregate, scheme=SCHEME, precision="tight", **fields)
+
+
+def _assert_contains(response, exact):
+    assert response.status == STATUS_DEGRADED, (response.status, response.error)
+    assert not response.exact and response.fingerprint is not None
+    low, high = exact
+    assert response.lower <= low <= high <= response.upper, (response, exact)
+
+
+@pytest.mark.parametrize("aggregate", AGGREGATES)
+def test_a_leader_cut_by_its_deadline_degrades_to_a_containing_interval(
+    truth, served, monkeypatch, aggregate
+):
+    """The first solve (a COUNT/SUM block, or a MIN/MAX probe) outlives
+    the budget, so every later one starts past the deadline."""
+    _stall_first_solve(monkeypatch, 0.3)
+    response = served.execute(_request(aggregate, deadline_ms=100.0), timeout=60.0)
+    _assert_contains(response, truth[aggregate])
+
+
+@pytest.mark.parametrize("aggregate", ["count", "sum"])
+def test_a_parked_follower_degrades_to_a_containing_interval(
+    truth, served, monkeypatch, aggregate
+):
+    """The leader has prepared and is solving; the follower's deadline
+    expires while parked, over the problem the leader published."""
+    started, release = _stall_first_solve(monkeypatch, 30.0)
+    leader = served.submit(_request(aggregate))
+    assert started.wait(30.0)
+    follower = served.submit(_request(aggregate, deadline_ms=100.0))
+    expired = follower.wait(timeout=60.0)
+    release.set()
+    assert expired is not None and expired.dedup
+    _assert_contains(expired, truth[aggregate])
+    exact = leader.wait(timeout=60.0)
+    assert exact.status == STATUS_OK and exact.exact
+    assert (exact.lower, exact.upper) == truth[aggregate]
+
+
+def test_a_deadline_that_passes_in_the_queue_times_out(served):
+    response = served.execute(_request("count", deadline_ms=0.01), timeout=60.0)
+    assert response.status == STATUS_TIMEOUT
+    assert (response.lower, response.upper, response.exact) == (None, None, False)

@@ -113,11 +113,13 @@ def test_non_finite_deadline_rejected(literal):
         QueryRequest.from_json('{"query": "Q1", "deadline_ms": %s}' % literal)
 
 
-def test_mc_samples_bounds():
-    with pytest.raises(ValidationError, match="mc_samples"):
-        QueryRequest(query="Q1", mc_samples=0).validate()
-    with pytest.raises(ValidationError, match="mc_samples"):
-        QueryRequest(query="Q1", mc_samples=10_000).validate()
+def test_removed_mc_fields_are_unknown():
+    # A degraded answer is never Monte Carlo, so there is nothing to tune.
+    with pytest.raises(ValidationError) as excinfo:
+        QueryRequest.from_dict({"query": "Q1", "mc_fallback": False, "mc_samples": 4})
+    assert excinfo.value.problems == [
+        "unknown field 'mc_fallback'", "unknown field 'mc_samples'"
+    ]
 
 
 def test_unknown_precision_rejected_alongside_other_problems():

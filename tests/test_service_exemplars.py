@@ -135,11 +135,18 @@ def test_deduped_follower_gets_its_own_exemplar(scheduler, monkeypatch):
 
 
 # -- degraded responses ------------------------------------------------------
-def test_degraded_response_observed_with_status_and_exemplar(scheduler):
-    response = scheduler.execute(
-        QueryRequest(query="Q1", deadline_ms=0.01, mc_samples=4)
-    )
-    assert response.status == STATUS_DEGRADED
+def test_degraded_response_observed_with_status_and_exemplar(
+    context, scheduler, monkeypatch
+):
+    def stalled(problem, sense, options):
+        if not problem.objective:  # a MIN/MAX probe
+            time.sleep(0.2)
+        return REAL_SOLVE(problem, sense, options)
+
+    context.session("km", 2).cache.clear()  # no kept MAX answer to read
+    monkeypatch.setattr(fabric_module, "portfolio_solve", stalled)
+    response = scheduler.execute(QueryRequest(aggregate="max", deadline_ms=100.0))
+    assert response.status == STATUS_DEGRADED, response.error
     assert response.trace_id
     text = scheduler.metrics.render(fmt="openmetrics")
     line = _bucket_line_with_exemplar(

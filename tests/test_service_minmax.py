@@ -5,9 +5,9 @@ evaluated and prepared under the encoding's model lock, and probes the
 prepared problem outside it.  These tests stall the probes (every one is
 a ``repro.engine.fabric.portfolio_solve`` call on a problem with no
 objective; on this database only km's ``max`` probes at all) to pin the
-lock scope, the dedup of identical requests and the degrade ladder of a
-parked follower, which must never take the estimator rung: a MIN/MAX
-problem's objective is not the aggregate.
+lock scope, the dedup of identical requests and the deadline of a
+parked follower, which must answer ``timeout``, never an estimator tier:
+a MIN/MAX problem's objective is not the aggregate.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 import repro.engine.fabric as fabric_module
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentContext
-from repro.service.api import STATUS_DEGRADED, STATUS_OK, STATUS_TIMEOUT, QueryRequest
+from repro.service.api import STATUS_OK, STATUS_TIMEOUT, QueryRequest
 from repro.service.scheduler import QueryScheduler
 
 REAL_SOLVE = fabric_module.portfolio_solve
@@ -113,36 +113,33 @@ def test_identical_minmax_requests_cost_one_leaders_probes(
     assert (first.dedup, second.dedup) == (False, True)
     assert second.tier == "exact" and follower.kept
     assert (second.lower, second.upper, second.exact) == (first.lower, first.upper, True)
+    assert first.fingerprint is not None
+    assert second.fingerprint == first.fingerprint  # probed and kept answers alike
     assert len(probes) == solo
     assert scheduler.status()["dedup_hits"] >= 1
 
 
-@pytest.mark.parametrize("mc_fallback", [True, False])
+@pytest.mark.parametrize("fast", [True, False])
 def test_parked_minmax_follower_never_degrades_to_an_estimator(
-    scheduler, stalled_probes, mc_fallback
+    scheduler, stalled_probes, fast
 ):
     """The leader has published its prepared problem and is probing; the
-    follower's deadline expires while parked.  It answers Monte Carlo or
-    ``timeout``, never an estimator tier over that problem."""
+    follower's deadline expires while parked.  It answers ``timeout``,
+    never an estimator tier over that problem — not even when it asks for
+    ``fast``, the precision the estimator tiers serve."""
     entered, release, _ = stalled_probes
     leader = scheduler.submit(QueryRequest(aggregate="max"))
     assert entered.wait(30.0)  # flight.prepared is set
     follower = scheduler.submit(
         QueryRequest(
             aggregate="max", deadline_ms=200.0,
-            mc_fallback=mc_fallback, mc_samples=4,
+            precision="fast" if fast else None,
         )
     )
     expired = follower.wait(timeout=60.0)
     release.set()
     assert expired is not None and expired.dedup
-    if mc_fallback:
-        assert expired.status == STATUS_DEGRADED and expired.tier == "mc"
-        assert expired.mc_samples == 4
-    else:
-        assert expired.status == STATUS_TIMEOUT and expired.tier is None
+    assert expired.status == STATUS_TIMEOUT and expired.tier is None
     assert not expired.exact and expired.fingerprint is None
     exact = leader.wait(timeout=60.0)
     assert exact.status == STATUS_OK and exact.exact
-    if mc_fallback:  # Monte Carlo observes worlds: inside the exact range
-        assert exact.lower <= expired.lower <= expired.upper <= exact.upper

@@ -238,23 +238,32 @@ def test_two_concurrent_identical_requests_cost_one_solve(
 
 
 # -- deadlines -------------------------------------------------------------
-def test_deadline_expired_in_queue_degrades_to_monte_carlo(scheduler):
-    response = scheduler.execute(
-        QueryRequest(query="Q1", deadline_ms=0.01, mc_samples=4)
-    )
-    assert response.status == STATUS_DEGRADED
-    assert response.mc_samples == 4
-    assert response.lower <= response.upper
-    assert not response.exact
-    assert response.error  # names the cause
+def test_deadline_expired_in_queue_times_out_without_monte_carlo(
+    scheduler, monkeypatch
+):
+    """A queue-wait expiry has no plan and no prepared problem: it counts
+    one deadline miss and answers ``timeout`` — it never samples worlds."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a served answer ran Monte Carlo")
+
+    monkeypatch.setattr(scheduler_module, "run_monte_carlo", refuse)
+    misses = scheduler.status()["deadline_misses"]
+    response = scheduler.execute(QueryRequest(query="Q1", deadline_ms=0.01))
+    assert response.status == STATUS_TIMEOUT and response.tier is None
+    assert response.lower is None and response.upper is None
+    assert not response.dedup and response.error  # names the cause
+    assert scheduler.status()["deadline_misses"] == misses + 1
 
 
 def test_deadline_without_fallback_times_out(scheduler):
-    response = scheduler.execute(
-        QueryRequest(query="Q1", deadline_ms=0.01, mc_fallback=False)
-    )
+    """Expired in the queue, before the plan is built: no prepared
+    problem to estimate over, so no containing interval either."""
+    response = scheduler.execute(QueryRequest(query="Q1", deadline_ms=0.01))
     assert response.status == STATUS_TIMEOUT
     assert response.lower is None and response.upper is None
+    assert not response.exact
+    assert response.error == "queue wait"
 
 
 def test_slow_solver_is_cancelled_and_degrades(context, scheduler, monkeypatch):
@@ -288,17 +297,14 @@ def test_slow_solver_is_cancelled_and_degrades(context, scheduler, monkeypatch):
     context.session("km", 2).cache.clear()  # every component really solves
     response = scheduler.execute(
         QueryRequest(
-            query="Q1", params={"pb_selectivity": 0.61},
-            deadline_ms=150.0, mc_samples=4,
+            query="Q1", params={"pb_selectivity": 0.61}, deadline_ms=150.0,
         )
     )
     assert stop_seen, "stop_check never fired"
     assert response.status == STATUS_DEGRADED
     # The prepared problem was in hand when the deadline fired, so the
-    # first degradation rung — the fast estimator tiers — serves a
-    # provably containing interval; Monte Carlo never runs.
+    # fast estimator tiers serve a provably containing interval.
     assert response.tier in ("structural", "entropy", "lp", "exact")
-    assert response.mc_samples == 0
     assert response.estimated_components > 0
     assert response.lower <= response.upper
 
@@ -461,15 +467,13 @@ def test_parked_bip_follower_deadline_degrades_to_estimator(
     assert started.wait(timeout=30.0)
     follower = scheduler.submit(
         QueryRequest(
-            query="Q1", params=params, precision=None,
-            deadline_ms=200.0, mc_fallback=False,
+            query="Q1", params=params, precision=None, deadline_ms=200.0,
         )
     )
     degraded = follower.wait(timeout=60.0)
     assert degraded is not None
     assert degraded.status == STATUS_DEGRADED, degraded.error
     assert degraded.tier in ("structural", "entropy", "lp", "exact")
-    assert degraded.mc_samples == 0
     assert not degraded.exact
     exact = leader.wait(timeout=60.0)
     assert exact.status == STATUS_OK and exact.exact
@@ -488,13 +492,13 @@ def test_parked_same_plan_follower_degrades_over_the_published_problem(
     leader = scheduler.submit(QueryRequest(query="Q1", params=params))
     assert started.wait(timeout=30.0)  # the leader has prepared and is solving
     follower = scheduler.submit(
-        QueryRequest(query="Q1", params=params, deadline_ms=200.0, mc_fallback=False)
+        QueryRequest(query="Q1", params=params, deadline_ms=200.0)
     )
     degraded = follower.wait(timeout=60.0)
     assert degraded is not None
     assert degraded.status == STATUS_DEGRADED, degraded.error
     assert degraded.tier in ("structural", "entropy", "lp", "exact")
-    assert degraded.mc_samples == 0 and not degraded.exact
+    assert not degraded.exact
     assert degraded.dedup
     exact = leader.wait(timeout=60.0)
     assert exact.status == STATUS_OK and exact.exact and not exact.dedup
@@ -521,28 +525,32 @@ def _stalled_evaluation(monkeypatch, delay_s, fail_first=False):
     return entered
 
 
-@pytest.mark.parametrize("mc_fallback", [True, False])
+@pytest.mark.parametrize("leader_prepared", [True, False])
 def test_parked_follower_reports_dedup_on_every_degrade_rung(
-    scheduler, monkeypatch, mc_fallback
+    context, scheduler, monkeypatch, leader_prepared
 ):
-    """A follower that expires before its leader has prepared falls to
-    Monte Carlo or ``timeout`` — still a follower's answer."""
-    entered = _stalled_evaluation(monkeypatch, 1.0)
-    params = {"pb_selectivity": 0.57 if mc_fallback else 0.58}
+    """A follower whose deadline expires while parked degrades over the
+    problem its leader published, or — the leader not yet prepared, so no
+    problem to estimate over — answers ``timeout``.  Either way it is
+    still a follower's answer."""
+    if leader_prepared:
+        _, entered = _slowed_counting_solve(context, monkeypatch, 1.0)
+    else:
+        entered = _stalled_evaluation(monkeypatch, 1.0)
+    params = {"pb_selectivity": 0.57 if leader_prepared else 0.58}
     leader = scheduler.submit(QueryRequest(query="Q1", params=params))
     assert entered.wait(timeout=30.0)
     follower = scheduler.submit(
-        QueryRequest(
-            query="Q1", params=params, deadline_ms=200.0,
-            mc_fallback=mc_fallback, mc_samples=4,
-        )
+        QueryRequest(query="Q1", params=params, deadline_ms=200.0)
     )
     expired = follower.wait(timeout=60.0)
     assert expired is not None
-    if mc_fallback:
-        assert expired.status == STATUS_DEGRADED and expired.tier == "mc"
+    if leader_prepared:
+        assert expired.status == STATUS_DEGRADED, expired.error
+        assert expired.tier in ("structural", "entropy", "lp", "exact")
+        assert expired.fingerprint is not None
     else:
-        assert expired.status == STATUS_TIMEOUT
+        assert expired.status == STATUS_TIMEOUT and expired.fingerprint is None
     assert expired.dedup
     assert scheduler._wide_payload(follower, expired)["dedup"] == "follower"
     assert leader.wait(timeout=60.0).status == STATUS_OK
@@ -678,7 +686,7 @@ def test_one_total_per_request(context, caplog):
 
 
 def test_every_terminal_status_is_accounted_once(context, caplog):
-    """ok, degraded, error and rejected requests each bump the status
+    """ok, timeout, error and rejected requests each bump the status
     counter, the latency histogram and the wide log exactly once —
     rejections included — and the SLO tracker once each but for the
     invalid request (an unloaded encoding: the client's fault)."""
@@ -688,15 +696,15 @@ def test_every_terminal_status_is_accounted_once(context, caplog):
     statuses = [
         sched.execute(QueryRequest(query="Q1")).status,
         sched.execute(QueryRequest(aggregate="max")).status,
-        sched.execute(QueryRequest(query="Q1", deadline_ms=0.01, mc_samples=4)).status,
+        sched.execute(QueryRequest(query="Q1", deadline_ms=0.01)).status,
         sched.execute(QueryRequest(query="Q1", scheme="bipartite", k=3)).status,
     ]
     sched.close()  # joins the workers: every post-delivery accounting ran
     statuses.append(sched.execute(QueryRequest(query="Q1")).status)
-    assert statuses == [STATUS_OK, STATUS_OK, STATUS_DEGRADED, "error", STATUS_REJECTED]
+    assert statuses == [STATUS_OK, STATUS_OK, STATUS_TIMEOUT, "error", STATUS_REJECTED]
     view = sched.status()
     assert view["by_status"] == {
-        STATUS_OK: 2, STATUS_DEGRADED: 1, "error": 1, STATUS_REJECTED: 1
+        STATUS_OK: 2, STATUS_TIMEOUT: 1, "error": 1, STATUS_REJECTED: 1
     }
     assert view["submitted"] == 5 and view["completed"] == 4
     assert view["rejected_full"] == 1 and view["deadline_misses"] == 1

@@ -5,15 +5,19 @@ from __future__ import annotations
 import json
 import re
 import socket
+import time
 import urllib.request
 
 import pytest
 
+import repro.engine.fabric as fabric_module
 from repro.experiments.config import ExperimentConfig
 from repro.obs import validate_trace
 from repro.service.api import STATUS_DEGRADED, STATUS_OK
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.server import _Handler, serve
+
+REAL_SOLVE = fabric_module.portfolio_solve
 
 
 def _start(trace_path=None):
@@ -93,11 +97,21 @@ def test_each_request_gets_its_own_trace_id(client):
     assert second.cache_hits > 0  # same BIP, shared solve cache
 
 
-def test_deadline_degrades_over_http(client):
-    response = client.query(query="Q1", deadline_ms=0.01, mc_samples=4)
-    assert response.status == STATUS_DEGRADED
+def test_deadline_degrades_over_http(running_server, client, monkeypatch):
+    """MIN/MAX probes stalled past the deadline: the interval they still
+    prove is a 200 ``degraded`` answer."""
+
+    def stalled(problem, sense, options):
+        if not problem.objective:  # a MIN/MAX probe
+            time.sleep(0.2)
+        return REAL_SOLVE(problem, sense, options)
+
+    running_server[2].context.session("km", 2).cache.clear()  # no kept answer
+    monkeypatch.setattr(fabric_module, "portfolio_solve", stalled)
+    response = client.query(aggregate="max", deadline_ms=100.0)
+    assert response.status == STATUS_DEGRADED, response.error
     assert response.http_status == 200
-    assert response.mc_samples == 4
+    assert not response.exact and response.lower <= response.upper
 
 
 def test_invalid_request_is_http_400(running_server):
