@@ -37,7 +37,7 @@ Performance observability (see docs/observability.md): ``serve --profile``
 attaches the sampling profiler (collapsed stacks on shutdown),
 ``serve --slow-threshold-ms`` captures over-budget requests to an on-disk
 ring, and ``python -m repro perfcheck`` gates against the committed
-``benchmarks/BENCH_perfcheck.json`` baselines.
+``benchmarks/BENCH_perfcheck.json`` baseline.
 """
 
 from __future__ import annotations

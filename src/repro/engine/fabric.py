@@ -412,11 +412,17 @@ class ProcessFabric(ExecutorFabric):
         super().__init__(workers=workers)
         self._ctx = multiprocessing.get_context(start_method)
         self.repatriate = repatriate
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_lock = threading.Lock()
         self._scope_name = f"repro-fabric-{os.getpid()}-{next(_FABRIC_IDS)}"
         self._token_slots = itertools.count(1)
         create_scope(self._scope_name, _TOKEN_SLOTS, factory=self._ctx.Event)
+        # Fork every worker now, while the caller is (as a server's boot
+        # is) the only thread: a child forked while serving threads hold
+        # locks can inherit one held forever.  A fork-context pool
+        # launches all its workers at its first submit (cpython #90622).
+        self._pool = ProcessPoolExecutor(
+            max_workers=self.workers, mp_context=self._ctx, initializer=_worker_init
+        )
+        self._pool.submit(os.getpid)
 
     # -- cancellation ------------------------------------------------------
     @property
@@ -434,16 +440,6 @@ class ProcessFabric(ExecutorFabric):
         self.abort_token.set()
 
     # -- scheduling --------------------------------------------------------
-    def _ensure(self) -> ProcessPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=self._ctx,
-                    initializer=_worker_init,
-                )
-            return self._pool
-
     def submit_unit(self, unit: SolveUnit) -> Future:
         # The fabric abort token rides along unless the caller set one;
         # the stop_check closure cannot cross the boundary.
@@ -458,14 +454,14 @@ class ProcessFabric(ExecutorFabric):
             repatriate=self.repatriate and unit.repatriate,
         )
         # The worker records span dicts; the parent re-parents them on ingest.
-        return self._ensure().submit(run_unit, unit)
+        return self._pool.submit(run_unit, unit)
 
     def ping(self, timeout: float = 5.0) -> bool:
         if self._closed:
             return False
         try:
             return isinstance(
-                self._ensure().submit(os.getpid).result(timeout=timeout), int
+                self._pool.submit(os.getpid).result(timeout=timeout), int
             )
         except Exception:  # noqa: BLE001 — any failure means "not healthy"
             return False
@@ -474,9 +470,7 @@ class ProcessFabric(ExecutorFabric):
         if self._closed:
             return
         self.abort()  # queued-but-unstarted units stop at their next poll
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-        self._pool = None
+        self._pool.shutdown(wait=True)
         drop_scope(self._scope_name)
         super().close()
 

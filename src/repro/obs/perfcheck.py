@@ -11,27 +11,33 @@ of raw precision:
   gets one untimed warmup rep first.
 * **Median + MAD** — the gate compares medians and sizes its tolerance by
   the median absolute deviation, both robust to the one-slow-rep outliers
-  that wreck mean/stddev gates.
-* **CPU calibration** — a fixed pure-Python spin is timed alongside the
-  scenarios; the baseline's spin time is stored, and at check time every
-  baseline median is rescaled by ``current_spin / baseline_spin``.  A
-  slower CI runner raises the bar instead of failing the build.
+  that wreck mean/stddev gates.  The MAD enters relative to its median:
+  a slowdown stretches the current MAD with the median, and an absolute
+  MAD slack would grow with the very regression it should catch.
+* **CPU calibration** — a fixed pure-Python spin runs once per rep,
+  inside the round-robin, and its median is stored with the baseline; at
+  check time every baseline median is rescaled by
+  ``current_spin / baseline_spin``.  A slower CI runner raises the bar
+  instead of failing the build.
 
 The decision rule per scenario::
 
-    limit  = baseline_median * speed_ratio * (1 + rel_tol)
-             + mad_multiplier * max(baseline_mad * speed_ratio, current_mad)
+    scaled = baseline_median * speed_ratio
+    limit  = scaled * (1 + REL_TOL + MAD_MULTIPLIER * max(
+                 baseline_mad / baseline_median, current_mad / current_median))
     regression  iff  current_median > limit
 
-Baselines live in ``benchmarks/BENCH_perfcheck.json`` (committed);
-refresh with ``python -m repro perfcheck --update`` after an intentional
-performance change.  ``--inject-slowdown 2.0`` busy-waits each rep to
-double its wall time — the self-test that the gate actually fires.
+One run measures every scenario of :func:`scenarios` against one flat
+baseline, ``benchmarks/BENCH_perfcheck.json`` (committed); refresh it
+with ``python -m repro perfcheck --update`` after an intentional
+performance change.  ``--inject-slowdown 3`` busy-waits each rep to
+triple its wall time — the self-test that the gate actually fires.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import statistics
@@ -44,17 +50,20 @@ __all__ = [
     "Scenario",
     "calibrate",
     "check",
-    "decompose_scenarios",
     "default_baseline_path",
-    "default_scenarios",
-    "fabric_scenarios",
-    "kernels_scenarios",
     "main",
     "measure",
-    "tiers_scenarios",
+    "scenarios",
 ]
 
 _BASELINE_NAME = "BENCH_perfcheck.json"
+
+#: Relative tolerance over the speed-scaled baseline median.
+REL_TOL = 0.35
+#: MAD multiplier added to the limit.
+MAD_MULTIPLIER = 4.0
+#: Timed reps per scenario.
+REPS = 15
 
 
 def default_baseline_path() -> Optional[str]:
@@ -87,8 +96,8 @@ def default_baseline_path() -> Optional[str]:
             return os.path.join(bench_dir, _BASELINE_NAME)
     return None
 
-#: Iterations of the calibration spin (~tens of ms of pure Python).
-_CALIBRATION_ITERS = 400_000
+#: Iterations of the calibration spin (~0.1 s of pure Python).
+_CALIBRATION_ITERS = 1_000_000
 
 
 @dataclass
@@ -110,7 +119,7 @@ def calibrate(iters: Optional[int] = None) -> float:
     acc = 0
     t0 = time.perf_counter()
     for i in range(iters):
-        acc += i ^ (acc >> 3)
+        acc = (acc + (i ^ (acc >> 3))) & 0xFFFFFFFF
     elapsed = time.perf_counter() - t0
     # acc is deliberately consumed so the loop cannot be optimized away.
     return elapsed + (acc & 0) * 1e-12
@@ -120,73 +129,93 @@ def _mad(samples: List[float], center: float) -> float:
     return statistics.median(abs(s - center) for s in samples)
 
 
+def _relative_mad(row: dict) -> float:
+    return row["mad_s"] / row["median_s"] if row["median_s"] > 0 else 0.0
+
+
 def _busy_wait(seconds: float) -> None:
     deadline = time.perf_counter() + seconds
     while time.perf_counter() < deadline:
         pass
 
 
-def default_scenarios(quick: bool = False) -> List[Scenario]:
-    """The gated workloads, each one layer of the stack.
+def scenarios() -> List[Scenario]:
+    """The gated workloads, one list, roughly in the order of the paper's
+    Figure 6 timing layers: L-model (``encode_km``), L-query
+    (``licm_eval_q1``), then L-solve through each engine path (warm cache,
+    decomposition, fabrics, kernels, precision tiers).
 
-    Imports are local so ``perfcheck --help`` stays instant and the module
-    is importable without the heavy engine modules.
+    Building the list encodes nothing — datasets are built in the
+    scenarios' setups, so the names can be listed for free — and every
+    Q1 workload is encoded once per run and shared by the scenarios that
+    use it.  Imports are local so ``perfcheck --help`` stays instant.
     """
-    from repro.engine.session import SolveSession
+    loaded: Dict[tuple, tuple] = {}
+
+    def q1(scheme: str, tx: int, items: int, seed: int) -> tuple:
+        """``(encoded, objective)``: Q1 evaluated on a fresh ``scheme``
+        encoding, built at the first setup that needs it."""
+        key = (scheme, tx, items, seed)
+        if key not in loaded:
+            from repro.experiments.config import ExperimentConfig
+            from repro.experiments.runner import ExperimentContext
+            from repro.queries.licm_eval import evaluate_licm
+
+            context = ExperimentContext(
+                ExperimentConfig(num_transactions=tx, num_items=items, mc_samples=8, seed=seed)
+            )
+            encoded = context.encoding(scheme, 2).encoded
+            loaded[key] = (encoded, evaluate_licm(context.plan("Q1", encoded), encoded.relations))
+        return loaded[key]
+
+    return (
+        _pipeline_scenarios()
+        + _decompose_scenarios(lambda: q1("k-anonymity", 300, 64, 3))
+        + _fabric_scenarios(lambda: q1("km", 200, 48, 11))
+        + _kernels_scenarios(lambda: q1("k-anonymity", 300, 64, 3))
+        + _tiers_scenarios(lambda: q1("km", 300, 64, 3))
+    )
+
+
+def _pipeline_scenarios() -> List[Scenario]:
+    """Encode, LICM evaluation and a warm-cache solve of Q1 on one km
+    context of its own (encoded outside the timed region; a context
+    shared with an unscoped Q1 evaluation would prune a larger problem)."""
+    from repro.anonymize import encode_generalized, km_anonymize
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import ExperimentContext
     from repro.queries import answer_licm
     from repro.queries.licm_eval import evaluate_licm
 
-    tx = 200 if quick else 400
-    items = 48 if quick else 96
+    shared: list = []
 
-    def make_context() -> ExperimentContext:
-        config = ExperimentConfig(
-            num_transactions=tx, num_items=items, mc_samples=8, seed=11
-        )
-        context = ExperimentContext(config)
-        context.encoding("km", 2)  # encode outside the timed region
-        return context
-
-    # One context shared by the solve scenarios (built in the first setup
-    # that needs it); the encode scenario always builds its own.
-    shared: Dict[str, ExperimentContext] = {}
-
-    def shared_context() -> ExperimentContext:
-        if "ctx" not in shared:
-            shared["ctx"] = make_context()
-        return shared["ctx"]
-
-    def setup_encode():
-        context = shared_context()
-        return context
+    def context() -> ExperimentContext:
+        if not shared:
+            built = ExperimentContext(
+                ExperimentConfig(num_transactions=200, num_items=48, mc_samples=8, seed=11)
+            )
+            built.encoding("km", 2)
+            shared.append(built)
+        return shared[0]
 
     def run_encode(context) -> None:
-        from repro.anonymize import encode_generalized, km_anonymize
-
         anonymized = km_anonymize(
             context.dataset, context.hierarchy, 2, context.config.km_m
         )
         encode_generalized(anonymized)
 
-    def setup_solve_cold():
-        context = shared_context()
-        encoded = context.encoding("km", 2).encoded
-        plan = context.plan("Q1", encoded)
-        return (encoded, plan)
+    def setup_q1():
+        encoded = context().encoding("km", 2).encoded
+        return (encoded, context().plan("Q1", encoded))
 
-    def run_solve_cold(state) -> None:
+    def run_licm_eval(state) -> None:
         encoded, plan = state
-        session = SolveSession(encoded.model, cache_size=0)
         with encoded.model.scoped():
-            answer_licm(encoded, plan, session=session)
+            evaluate_licm(plan, encoded.relations)
 
     def setup_solve_warm():
-        context = shared_context()
-        encoded = context.encoding("km", 2).encoded
-        plan = context.plan("Q1", encoded)
-        session = context.session("km", 2)
+        encoded, plan = setup_q1()
+        session = context().session("km", 2)
         with encoded.model.scoped():
             answer_licm(encoded, plan, session=session)  # populate the cache
         return (encoded, plan, session)
@@ -196,55 +225,17 @@ def default_scenarios(quick: bool = False) -> List[Scenario]:
         with encoded.model.scoped():
             answer_licm(encoded, plan, session=session)
 
-    def setup_licm_eval():
-        context = shared_context()
-        encoded = context.encoding("km", 2).encoded
-        plan = context.plan("Q1", encoded)
-        return (encoded, plan)
-
-    def run_licm_eval(state) -> None:
-        encoded, plan = state
-        with encoded.model.scoped():
-            evaluate_licm(plan, encoded.relations)
-
-    scenarios = [
-        Scenario("encode_km", setup_encode, run_encode),
-        Scenario("licm_eval_q1", setup_licm_eval, run_licm_eval),
-        Scenario("solve_cold_q1", setup_solve_cold, run_solve_cold),
+    return [
+        Scenario("encode_km", context, run_encode),
+        Scenario("licm_eval_q1", setup_q1, run_licm_eval),
         Scenario("solve_warm_q1", setup_solve_warm, run_solve_warm),
     ]
-    if quick:
-        # Drop the slowest scenario; the cold solve dominates quick runs.
-        scenarios = [s for s in scenarios if s.name != "solve_cold_q1"]
-    return scenarios
 
 
-def _q1_workload(scheme: str, tx: int, items: int, seed: int) -> Callable[[], tuple]:
-    """A loader of ``(encoded, objective)``: Q1 evaluated on a fresh
-    ``scheme`` encoding, built on the first call (in a scenario's setup,
-    outside the timed region) and shared after."""
-    shared: list = []
-
-    def workload() -> tuple:
-        if not shared:
-            from repro.experiments.config import ExperimentConfig
-            from repro.experiments.runner import ExperimentContext
-            from repro.queries.licm_eval import evaluate_licm
-
-            context = ExperimentContext(
-                ExperimentConfig(num_transactions=tx, num_items=items, mc_samples=8, seed=seed)
-            )
-            encoded = context.encoding(scheme, 2).encoded
-            shared.append((encoded, evaluate_licm(context.plan("Q1", encoded), encoded.relations)))
-        return shared[0]
-
-    return workload
-
-
-def decompose_scenarios(quick: bool = False) -> List[Scenario]:
-    """The ``decompose``-mode workloads: perturbed re-queries on the
-    k-anonymity encoding, whose group constraints make the BIP split into
-    ~one block per group (see docs/solver.md).
+def _decompose_scenarios(workload: Callable[[], tuple]) -> List[Scenario]:
+    """Perturbed re-queries on the k-anonymity encoding, whose group
+    constraints make the BIP split into ~one block per group (see
+    docs/solver.md).
 
     Each rep re-queries with a trivially-true cardinality constraint on a
     different variable: the decomposed arm re-solves only the touched
@@ -259,8 +250,6 @@ def decompose_scenarios(quick: bool = False) -> List[Scenario]:
     from repro.engine.session import SolveSession
     from repro.solver.interface import solve
     from repro.solver.model import from_licm
-
-    workload = _q1_workload("k-anonymity", 300 if quick else 600, 64 if quick else 128, 3)
 
     def setup():
         encoded, objective = workload()
@@ -300,9 +289,9 @@ def decompose_scenarios(quick: bool = False) -> List[Scenario]:
     ]
 
 
-def fabric_scenarios(quick: bool = False) -> List[Scenario]:
-    """The ``fabric``-mode workloads: one cold solve per rep through each
-    executor fabric, plus the L2 warm-get path.
+def _fabric_scenarios(workload: Callable[[], tuple]) -> List[Scenario]:
+    """One cold solve per rep through each executor fabric, plus the L2
+    warm-get path.
 
     Cache is disabled (``cache_size=0``) so every rep pays the real
     prepare + solve; the two solve scenarios differ *only* in the
@@ -317,8 +306,6 @@ def fabric_scenarios(quick: bool = False) -> List[Scenario]:
     from repro.engine.fabric import make_fabric
     from repro.engine.l2cache import L2SolveCache
     from repro.engine.session import SolveSession
-
-    workload = _q1_workload("km", 200 if quick else 400, 48 if quick else 96, 11)
 
     def make_setup(kind: str, workers: int):
         def setup():
@@ -361,13 +348,12 @@ def fabric_scenarios(quick: bool = False) -> List[Scenario]:
     ]
 
 
-def kernels_scenarios(quick: bool = False) -> List[Scenario]:
-    """The ``kernels``-mode workloads: the vectorized B&B inner loops
-    (see docs/performance.md).
+def _kernels_scenarios(workload: Callable[[], tuple]) -> List[Scenario]:
+    """The vectorized B&B inner loops (see docs/performance.md).
 
-    ``solve_kernels_auto`` is the tentpole path — a fully cold decomposed
-    k-anonymity solve with the numpy kernels and node-0 seeding, where
-    nearly every component closes at the root with zero LP calls.
+    ``solve_kernels_auto`` is a fully cold decomposed k-anonymity solve
+    with the numpy kernels and node-0 seeding, where nearly every
+    component closes at the root with zero LP calls.
     ``kernel_microbench`` times compile → propagate → greedy seed →
     surrogate bound on one synthetic BIP, isolating the kernel module
     from the engine around it.
@@ -376,8 +362,6 @@ def kernels_scenarios(quick: bool = False) -> List[Scenario]:
 
     from repro.engine.session import SolveSession
     from repro.solver.result import SolverOptions
-
-    workload = _q1_workload("k-anonymity", 300 if quick else 600, 64 if quick else 128, 3)
 
     def setup_cold_solve():
         encoded, objective = workload()
@@ -398,7 +382,7 @@ def kernels_scenarios(quick: bool = False) -> List[Scenario]:
         from repro.solver.model import BIPConstraint, BIPProblem
 
         rng = random.Random(7)
-        num_vars = 400 if quick else 900
+        num_vars = 400
         constraints = []
         for _ in range(num_vars // 2):
             arity = rng.randint(2, 6)
@@ -429,20 +413,17 @@ def kernels_scenarios(quick: bool = False) -> List[Scenario]:
     ]
 
 
-def tiers_scenarios(quick: bool = False) -> List[Scenario]:
-    """The ``tiers``-mode workloads: the same prepared k-anonymity Q1
-    problem answered at each precision level (see docs/estimators.md).
+def _tiers_scenarios(workload: Callable[[], tuple]) -> List[Scenario]:
+    """The same prepared km Q1 problem answered at each precision level
+    (see docs/estimators.md).
 
     The session cache is disabled, so the ``tight`` arm pays the full
     exact BIP solve every rep while the estimator arms pay only the tier
-    cascade — their relative medians *are* the fast-vs-tight win the
-    tiered answerer exists for, and gating all three keeps both the
-    estimator overhead and the exact path from regressing.
+    cascade; gating all three keeps both the estimator overhead and the
+    exact path from regressing.
     """
     from repro.engine.session import SolveSession
     from repro.estimator import TieredAnswerer
-
-    workload = _q1_workload("km", 300 if quick else 600, 64 if quick else 128, 3)
 
     def make_setup(precision: str):
         def setup():
@@ -475,35 +456,46 @@ def tiers_scenarios(quick: bool = False) -> List[Scenario]:
 
 def measure(
     scenarios: List[Scenario],
-    reps: int = 7,
+    reps: int = REPS,
     inject_slowdown: float = 1.0,
     progress: Optional[Callable[[str], None]] = None,
 ) -> dict:
-    """Run every scenario ``reps`` times, round-robin interleaved.
+    """Run every scenario ``reps`` times, round-robin interleaved, with
+    one calibration spin closing each round.
 
     Returns ``{"calibration_s": ..., "scenarios": {name: {"samples": [...],
-    "median_s": ..., "mad_s": ...}}}``.  ``inject_slowdown`` > 1 busy-waits
-    each rep out to ``factor ×`` its measured wall time (the gate's
-    self-test knob).
+    "median_s": ..., "mad_s": ...}}}``; ``calibration_s`` is the median
+    spin.  ``inject_slowdown`` > 1 busy-waits each scenario rep out to
+    ``factor ×`` its measured wall time (the gate's self-test knob).
     """
     say = progress or (lambda _msg: None)
     for scenario in scenarios:
         say(f"setup {scenario.name}")
         scenario.state = scenario.setup()
         scenario.run(scenario.state)  # warmup (untimed)
+    # Freeze the setup heap, so a collection inside one scenario's rep
+    # never scans every other scenario's data, and start each rep from an
+    # empty young generation, so its collections fall at the same points.
+    gc.collect()
+    gc.freeze()
     samples: Dict[str, List[float]] = {s.name: [] for s in scenarios}
-    for rep in range(reps):
-        for scenario in scenarios:
-            t0 = time.perf_counter()
-            scenario.run(scenario.state)
-            elapsed = time.perf_counter() - t0
-            if inject_slowdown > 1.0:
-                _busy_wait(elapsed * (inject_slowdown - 1.0))
-                elapsed *= inject_slowdown
-            samples[scenario.name].append(elapsed)
-        say(f"rep {rep + 1}/{reps} done")
-    calibration = statistics.median(calibrate() for _ in range(3))
-    out = {"calibration_s": calibration, "scenarios": {}}
+    spins: List[float] = []
+    try:
+        for rep in range(reps):
+            for scenario in scenarios:
+                gc.collect()
+                t0 = time.perf_counter()
+                scenario.run(scenario.state)
+                elapsed = time.perf_counter() - t0
+                if inject_slowdown > 1.0:
+                    _busy_wait(elapsed * (inject_slowdown - 1.0))
+                    elapsed *= inject_slowdown
+                samples[scenario.name].append(elapsed)
+            spins.append(calibrate())
+            say(f"rep {rep + 1}/{reps} done")
+    finally:
+        gc.unfreeze()
+    out = {"calibration_s": statistics.median(spins), "scenarios": {}}
     for name, values in samples.items():
         median = statistics.median(values)
         out["scenarios"][name] = {
@@ -517,8 +509,8 @@ def measure(
 def check(
     current: dict,
     baseline: dict,
-    rel_tol: float = 0.35,
-    mad_multiplier: float = 4.0,
+    rel_tol: float = REL_TOL,
+    mad_multiplier: float = MAD_MULTIPLIER,
 ) -> dict:
     """Compare a :func:`measure` result against a stored baseline.
 
@@ -550,8 +542,8 @@ def check(
         base = base_scenarios[name]
         cur = cur_scenarios[name]
         scaled_median = base["median_s"] * speed_ratio
-        mad_slack = mad_multiplier * max(base["mad_s"] * speed_ratio, cur["mad_s"])
-        limit = scaled_median * (1.0 + rel_tol) + mad_slack
+        noise = max(_relative_mad(base), _relative_mad(cur))
+        limit = scaled_median * (1.0 + rel_tol + mad_multiplier * noise)
         regressed = cur["median_s"] > limit
         report["scenarios"][name] = {
             "baseline_median_s": base["median_s"],
@@ -575,70 +567,24 @@ def _format_report(report: dict) -> str:
     for name, row in report["scenarios"].items():
         verdict = "REGRESSED" if row["regressed"] else "ok"
         lines.append(
-            f"  {name:<16} {row['current_median_s'] * 1e3:8.1f} ms "
+            f"  {name:<18} {row['current_median_s'] * 1e3:8.1f} ms "
             f"vs limit {row['limit_s'] * 1e3:8.1f} ms "
             f"(baseline {row['baseline_scaled_s'] * 1e3:.1f} ms scaled, "
             f"x{row['ratio']:.2f})  {verdict}"
         )
     for name in report["missing_from_baseline"]:
-        lines.append(f"  {name:<16} NEW — not in baseline (run --update to gate it)")
+        lines.append(f"  {name:<18} NEW — not in baseline (run --update to gate it)")
     for name in report["missing_from_current"]:
-        lines.append(f"  {name:<16} SKIPPED — in baseline but not measured")
+        lines.append(f"  {name:<18} SKIPPED — in baseline but not measured")
     lines.append("perfcheck: PASS" if report["ok"] else "perfcheck: FAIL")
-    return "\n".join(lines)
-
-
-def _format_baselines(
-    document: dict,
-    path: str,
-    rel_tol: float = 0.35,
-    mad_multiplier: float = 4.0,
-) -> str:
-    """One table over every committed baseline mode (``--report``).
-
-    The limit column is what :func:`check` would enforce on a machine
-    exactly as fast as the baseline one (``speed_ratio = 1``); a slower
-    runner scales it up at check time.
-    """
-    lines = [
-        f"perfcheck baselines: {path}",
-        f"(limits at speed_ratio=1, rel_tol={rel_tol:.0%}, "
-        f"mad_mult={mad_multiplier:g})",
-        "",
-        f"  {'mode':<10} {'metric':<20} {'reps':>4} "
-        f"{'baseline':>10} {'mad':>9} {'limit':>10}",
-    ]
-    modes = document.get("modes", {})
-    if not modes:
-        lines.append("  (no baselines committed yet — run --update)")
-        return "\n".join(lines)
-    for mode in sorted(modes):
-        entry = modes[mode]
-        reps = entry.get("reps", "?")
-        for name in sorted(entry.get("scenarios", {})):
-            row = entry["scenarios"][name]
-            median = row["median_s"]
-            mad = row["mad_s"]
-            limit = median * (1.0 + rel_tol) + mad_multiplier * mad
-            lines.append(
-                f"  {mode:<10} {name:<20} {reps:>4} "
-                f"{median * 1e3:>8.1f}ms {mad * 1e3:>7.2f}ms "
-                f"{limit * 1e3:>8.1f}ms"
-            )
-        cal = entry.get("calibration_s")
-        if cal is not None:
-            lines.append(
-                f"  {mode:<10} {'(cpu calibration)':<20} {'':>4} "
-                f"{cal * 1e3:>8.1f}ms"
-            )
     return "\n".join(lines)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro perfcheck",
-        description="noise-aware perf-regression gate (median + MAD, "
-        "CPU-calibrated against the committed baseline)",
+        description="noise-aware perf-regression gate: every scenario, one "
+        "run, median + MAD, CPU-calibrated against the committed baseline",
     )
     parser.add_argument(
         "--baseline",
@@ -652,46 +598,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="write the measured result as the new baseline and exit 0",
     )
     parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="smaller dataset, fewer reps, no cold-solve scenario (CI mode)",
-    )
-    parser.add_argument(
-        "--decompose",
-        action="store_true",
-        help="gate the block-separable decomposition scenarios instead "
-        "(perturbed re-queries, decomposed vs monolithic; mode 'decompose')",
-    )
-    parser.add_argument(
-        "--fabric",
-        action="store_true",
-        help="gate the executor-fabric scenarios instead (cold solves "
-        "through the inline and process fabrics + L2 warm gets; mode 'fabric')",
-    )
-    parser.add_argument(
-        "--tiers",
-        action="store_true",
-        help="gate the tiered-answerer scenarios instead (the same prepared "
-        "problem at precision fast/balanced/tight; mode 'tiers')",
-    )
-    parser.add_argument(
-        "--kernels",
-        action="store_true",
-        help="gate the vectorized-kernel scenarios instead (a cold decomposed "
-        "solve + a kernel microbench; mode 'kernels')",
-    )
-    parser.add_argument("--reps", type=int, default=None, help="timed reps per scenario")
-    parser.add_argument(
-        "--rel-tol",
-        type=float,
-        default=0.35,
-        help="relative tolerance over the scaled baseline median",
-    )
-    parser.add_argument(
-        "--mad-mult",
-        type=float,
-        default=4.0,
-        help="MAD multiplier added to the limit",
+        "--reps", type=int, default=REPS, help=f"timed reps per scenario (default {REPS})"
     )
     parser.add_argument(
         "--inject-slowdown",
@@ -703,20 +610,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--json", default=None, metavar="PATH", help="also write the report as JSON"
     )
-    parser.add_argument(
-        "--report",
-        action="store_true",
-        help="render every committed baseline (all modes) as one table "
-        "and exit — no measuring",
-    )
     args = parser.parse_args(argv)
-    mode_flags = (
-        ("--decompose " if args.decompose else "")
-        + ("--fabric " if args.fabric else "")
-        + ("--tiers " if args.tiers else "")
-        + ("--kernels " if args.kernels else "")
-        + ("--quick " if args.quick else "")
-    )
 
     # Resolve the baseline *before* spending minutes measuring, and
     # distinguish "not a repo checkout" from "baseline missing".
@@ -729,100 +623,37 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.report:
+    baseline: dict = {}
+    if not args.update:
         try:
             with open(baseline_path, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except OSError:
+                baseline = json.load(handle)
+        except (OSError, ValueError):
+            pass
+        if "scenarios" not in baseline:
             print(
-                f"perfcheck: no baseline at {baseline_path} — run --update first",
+                f"perfcheck: no baseline at {baseline_path} — run "
+                "`perfcheck --update` first",
                 file=sys.stderr,
             )
             return 2
-        print(
-            _format_baselines(
-                document,
-                baseline_path,
-                rel_tol=args.rel_tol,
-                mad_multiplier=args.mad_mult,
-            )
-        )
-        return 0
-    if not args.update and not os.path.isfile(baseline_path):
-        print(
-            f"perfcheck: no baseline at {baseline_path} — run "
-            f"`perfcheck {mode_flags}--update` first",
-            file=sys.stderr,
-        )
-        return 2
 
-    reps = args.reps if args.reps is not None else (5 if args.quick else 7)
-    if sum((args.decompose, args.fabric, args.tiers, args.kernels)) > 1:
-        print(
-            "perfcheck: --decompose, --fabric, --tiers and --kernels are exclusive",
-            file=sys.stderr,
-        )
-        return 2
-    if args.kernels:
-        scenarios = kernels_scenarios(quick=args.quick)
-        mode = "kernels"
-    elif args.tiers:
-        scenarios = tiers_scenarios(quick=args.quick)
-        mode = "tiers"
-    elif args.fabric:
-        scenarios = fabric_scenarios(quick=args.quick)
-        mode = "fabric"
-    elif args.decompose:
-        scenarios = decompose_scenarios(quick=args.quick)
-        mode = "decompose"
-    else:
-        scenarios = default_scenarios(quick=args.quick)
-        mode = "quick" if args.quick else "full"
     result = measure(
-        scenarios,
-        reps=reps,
+        scenarios(),
+        reps=args.reps,
         inject_slowdown=args.inject_slowdown,
         progress=lambda msg: print(f"perfcheck: {msg}", file=sys.stderr),
     )
-    result["reps"] = reps
+    result["reps"] = args.reps
 
     if args.update:
-        # The baseline file holds one entry per mode — updating the quick
-        # (CI) baseline never clobbers the full (local) one, and vice versa.
-        document = {}
-        try:
-            with open(baseline_path, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except (OSError, ValueError):
-            pass
-        document.setdefault("modes", {})[mode] = result
         with open(baseline_path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
+            json.dump(result, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        print(f"perfcheck: {mode} baseline written to {baseline_path}")
+        print(f"perfcheck: baseline written to {baseline_path}")
         return 0
 
-    try:
-        with open(baseline_path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError:
-        print(
-            f"perfcheck: no baseline at {baseline_path} — run with --update first",
-            file=sys.stderr,
-        )
-        return 2
-    baseline = document.get("modes", {}).get(mode)
-    if baseline is None:
-        print(
-            f"perfcheck: baseline {baseline_path} has no {mode!r} entry — "
-            f"run `perfcheck {mode_flags}--update` first",
-            file=sys.stderr,
-        )
-        return 2
-
-    report = check(
-        result, baseline, rel_tol=args.rel_tol, mad_multiplier=args.mad_mult
-    )
+    report = check(result, baseline, rel_tol=REL_TOL, mad_multiplier=MAD_MULTIPLIER)
     report["measured"] = result
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:

@@ -1148,11 +1148,13 @@ class QueryScheduler:
         if self._expired(pending) and not result.exact:
             self._deadline_misses.inc()
             status, cause = STATUS_DEGRADED, "MIN/MAX probes exceeded deadline"
+        # Only a proved answer is exact-tier with no gap; an inexact one
+        # leaves both unset, as a timeout does.
+        provenance = {"tier": TIER_EXACT, "gap": 0.0} if result.exact else {}
         return self._response(
             pending, status, lower=result.lower, upper=result.upper,
             exact=result.exact, error=cause, fingerprint=prepared.fingerprint,
-            dedup=dedup, tier=TIER_EXACT, gap=0.0,
-            solve_ms=result.stats["solve_time"] * 1e3,
+            dedup=dedup, solve_ms=result.stats["solve_time"] * 1e3, **provenance,
         )
 
     def _degrade(

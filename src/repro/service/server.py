@@ -94,6 +94,9 @@ class QueryService:
         self.slow_log: Optional[SlowQueryRing] = None
         if slow_threshold_ms is not None:
             self.slow_log = SlowQueryRing(slow_log_dir or "slow-queries")
+        # Build the fabric (a process fabric forks its workers here) before
+        # the scheduler starts any thread a fork could copy a held lock from.
+        self.context.fabric
         self.scheduler = QueryScheduler(
             self.context,
             workers=workers,

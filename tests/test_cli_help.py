@@ -50,7 +50,7 @@ def test_perfcheck_help_owns_its_argv(capsys):
         main(["perfcheck", "--help"])
     assert excinfo.value.code == 0
     out = capsys.readouterr().out
-    assert "--update" in out and "--decompose" in out
+    assert "--update" in out and "--inject-slowdown" in out
 
 
 def test_readme_command_table_lists_every_subcommand():

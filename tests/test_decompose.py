@@ -383,6 +383,40 @@ def test_session_perturbation_resolves_only_touched_component():
     assert perturbed.stats["cache_hits"] == 0  # not *all* components hit
 
 
+def test_k_anonymity_requeries_match_the_whole_bip_and_reuse_untouched_blocks():
+    """Q1 on a k-anonymity encoding splits into one block per group.  A
+    re-query perturbed by a trivially-true row on one variable re-solves
+    only that block, and every answer equals the whole pruned BIP's."""
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.runner import ExperimentContext
+    from repro.queries.licm_eval import evaluate_licm
+
+    context = ExperimentContext(
+        ExperimentConfig(num_transactions=80, num_items=32, mc_samples=4, seed=3)
+    )
+    try:
+        encoded = context.encoding("k-anonymity", 2).encoded
+        model = encoded.model
+        objective = evaluate_licm(context.plan("Q1", encoded), encoded.relations)
+        session = SolveSession(model)
+        for extra in [[]] + [
+            [LinearConstraint([(1, var)], "<=", 1)] for var in sorted(objective.coeffs)[:5]
+        ]:
+            answer = session.bounds(objective, extra_constraints=extra)
+            seeds = set(objective.coeffs) | {i for c in extra for i in c.variables}
+            pruned = prune(model.constraints, seeds, session.prune_method, model=model)
+            problem, _ = from_licm(objective, pruned.constraints + extra)
+            whole = tuple(solve(problem, sense).objective for sense in SENSES)
+            assert (answer.lower, answer.upper) == whole
+            components = answer.stats["components"]
+            assert components > 10
+            if extra:
+                # At most the touched block's two entries miss.
+                assert answer.stats["component_cache_hits"] >= 2 * components - 2
+    finally:
+        context.close()
+
+
 def test_session_identical_blocks_share_cache_within_one_solve():
     # Three structurally identical groups with identical coefficients
     # canonicalize to one fingerprint: the cold solve itself hits for the

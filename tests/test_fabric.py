@@ -134,6 +134,37 @@ def test_make_fabric_builds_inline_or_process():
             make_fabric(kind)
 
 
+def test_process_fabric_forks_every_worker_in_its_constructor():
+    """A child forked while other threads hold locks can inherit one held
+    forever, so every worker exists before the first unit is submitted."""
+    with ProcessFabric(workers=2) as fabric:
+        pids = list(fabric._pool._processes)
+        assert len(pids) == 2
+        for pid in pids:
+            os.kill(pid, 0)  # raises ProcessLookupError if it does not exist
+
+
+def test_query_service_builds_its_fabric_before_the_scheduler(monkeypatch):
+    from repro.service import server as server_module
+
+    built = []
+    real = server_module.QueryScheduler
+
+    def scheduler(context, **kwargs):
+        built.append(context.fabric_stats()["started"])
+        return real(context, **kwargs)
+
+    monkeypatch.setattr(server_module, "QueryScheduler", scheduler)
+    config = ExperimentConfig(
+        num_transactions=40, num_items=16, solve_fabric="process", solve_workers=1
+    )
+    service = server_module.QueryService(config, workers=1)
+    try:
+        assert built == [True]
+    finally:
+        service.close()
+
+
 @pytest.mark.parametrize("kind", ["inline", "process"])
 def test_fabric_stats_report_the_workers_that_run(kind):
     """``--solve-workers 4`` is reported as 4 only where a process pool

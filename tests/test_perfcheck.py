@@ -29,17 +29,19 @@ def _toy_scenarios(order_log=None):
 
 
 # -- measure -----------------------------------------------------------------
-def test_measure_interleaves_round_robin_with_warmup():
+def test_measure_interleaves_round_robin_with_warmup(monkeypatch):
     log = []
+    monkeypatch.setattr(perfcheck, "calibrate", lambda: log.append("spin") or 1.0)
     result = measure(_toy_scenarios(log), reps=3)
-    # warmup (alpha, beta) then three interleaved rounds
-    assert log == ["alpha", "beta"] * 4
+    # warmup (alpha, beta), then three interleaved rounds, each closed by
+    # one calibration spin
+    assert log == ["alpha", "beta"] + ["alpha", "beta", "spin"] * 3
     for name in ("alpha", "beta"):
         stats = result["scenarios"][name]
         assert len(stats["samples"]) == 3
         assert stats["median_s"] >= 0
         assert stats["mad_s"] >= 0
-    assert result["calibration_s"] > 0
+    assert result["calibration_s"] == 1.0
 
 
 def test_measure_inject_slowdown_scales_samples():
@@ -108,6 +110,16 @@ def test_check_mad_slack_absorbs_noisy_scenarios():
     assert report["ok"], report["scenarios"]["a"]
 
 
+def test_check_mad_slack_does_not_grow_with_the_slowdown():
+    # A 3x slowdown triples the current MAD with the median; the slack is
+    # sized by the relative MAD (10%), so the limit stays at 1.75x.
+    baseline = _result({"a": 0.100}, mads={"a": 0.010})
+    current = _result({"a": 0.300}, mads={"a": 0.030})
+    report = check(current, baseline)
+    assert report["scenarios"]["a"]["limit_s"] == pytest.approx(0.175)
+    assert not report["ok"]
+
+
 def test_check_new_and_missing_scenarios_never_fail_the_gate():
     baseline = _result({"a": 0.1, "gone": 0.1})
     current = _result({"a": 0.1, "fresh": 0.1})
@@ -117,32 +129,37 @@ def test_check_new_and_missing_scenarios_never_fail_the_gate():
     assert report["missing_from_current"] == ["gone"]
 
 
+# -- the scenario list --------------------------------------------------------
+def test_scenario_names_match_the_committed_baseline():
+    """A scenario missing from the baseline is reported NEW and never
+    fails the gate, so every built scenario must have a committed entry
+    (and every entry a scenario).  Building the list runs nothing."""
+    names = [scenario.name for scenario in perfcheck.scenarios()]
+    assert len(names) == len(set(names))
+    path = perfcheck.default_baseline_path()
+    with open(path, encoding="utf-8") as handle:
+        baseline = json.load(handle)
+    assert set(baseline) >= {"calibration_s", "reps", "scenarios"}
+    assert sorted(names) == sorted(baseline["scenarios"])
+
+
 # -- CLI ---------------------------------------------------------------------
 def test_main_update_then_pass_then_injected_failure(tmp_path, monkeypatch):
-    monkeypatch.setattr(
-        perfcheck, "default_scenarios", lambda quick=False: _toy_scenarios()
-    )
+    monkeypatch.setattr(perfcheck, "scenarios", _toy_scenarios)
     monkeypatch.setattr(perfcheck, "_CALIBRATION_ITERS", 10_000)
     baseline_path = str(tmp_path / "BENCH_perfcheck.json")
 
     assert perfcheck.main(["--update", "--baseline", baseline_path, "--reps", "3"]) == 0
     document = json.load(open(baseline_path, encoding="utf-8"))
-    assert "full" in document["modes"]
+    assert document["reps"] == 3
+    assert sorted(document["scenarios"]) == ["alpha", "beta"]
 
     report_path = str(tmp_path / "report.json")
     # Generous tolerance: this step checks CLI plumbing, not noise
     # sensitivity, and microsecond toy scenarios jitter under suite load.
+    monkeypatch.setattr(perfcheck, "REL_TOL", 3.0)
     code = perfcheck.main(
-        [
-            "--baseline",
-            baseline_path,
-            "--reps",
-            "3",
-            "--rel-tol",
-            "3.0",
-            "--json",
-            report_path,
-        ]
+        ["--baseline", baseline_path, "--reps", "3", "--json", report_path]
     )
     assert code == 0
     report = json.load(open(report_path, encoding="utf-8"))
@@ -157,11 +174,13 @@ def test_main_update_then_pass_then_injected_failure(tmp_path, monkeypatch):
 
 
 def test_main_missing_baseline_exits_2(tmp_path, monkeypatch):
-    monkeypatch.setattr(
-        perfcheck, "default_scenarios", lambda quick=False: _toy_scenarios()
-    )
+    monkeypatch.setattr(perfcheck, "scenarios", _toy_scenarios)
     code = perfcheck.main(["--baseline", str(tmp_path / "absent.json"), "--reps", "2"])
     assert code == 2
+    # A file without a flat scenario table is no baseline either.
+    stale = tmp_path / "modes.json"
+    stale.write_text(json.dumps({"modes": {"quick": {"scenarios": {}}}}))
+    assert perfcheck.main(["--baseline", str(stale), "--reps", "2"]) == 2
 
 
 # -- baseline resolution ------------------------------------------------------
@@ -188,9 +207,7 @@ def test_default_baseline_path_prefers_existing_dir_for_update(tmp_path, monkeyp
 def test_main_outside_checkout_exits_2_with_clear_error(tmp_path, monkeypatch, capsys):
     """A pip-installed package outside any checkout must say so instead of
     the misleading 'run --update first'."""
-    monkeypatch.setattr(
-        perfcheck, "default_scenarios", lambda quick=False: _toy_scenarios()
-    )
+    monkeypatch.setattr(perfcheck, "scenarios", _toy_scenarios)
     # Simulate site-packages: no benchmarks/ above the module or the CWD.
     monkeypatch.setattr(
         perfcheck, "__file__", str(tmp_path / "site-packages" / "repro" / "perfcheck.py")
@@ -202,31 +219,6 @@ def test_main_outside_checkout_exits_2_with_clear_error(tmp_path, monkeypatch, c
     err = capsys.readouterr().err
     assert "not a repo checkout" in err
     assert "--baseline" in err
-
-
-def test_main_mode_mismatch_exits_2(tmp_path, monkeypatch):
-    monkeypatch.setattr(
-        perfcheck, "default_scenarios", lambda quick=False: _toy_scenarios()
-    )
-    baseline_path = str(tmp_path / "b.json")
-    assert perfcheck.main(["--update", "--baseline", baseline_path, "--reps", "2"]) == 0
-    # Full baseline exists, quick entry does not.
-    code = perfcheck.main(["--quick", "--baseline", baseline_path, "--reps", "2"])
-    assert code == 2
-
-
-def test_main_update_preserves_other_mode(tmp_path, monkeypatch):
-    monkeypatch.setattr(
-        perfcheck, "default_scenarios", lambda quick=False: _toy_scenarios()
-    )
-    baseline_path = str(tmp_path / "b.json")
-    assert perfcheck.main(["--update", "--baseline", baseline_path, "--reps", "2"]) == 0
-    assert (
-        perfcheck.main(["--quick", "--update", "--baseline", baseline_path, "--reps", "2"])
-        == 0
-    )
-    document = json.load(open(baseline_path, encoding="utf-8"))
-    assert set(document["modes"]) == {"full", "quick"}
 
 
 def test_cli_registered_under_python_dash_m_repro(capsys):
