@@ -250,7 +250,7 @@ def _serve(args: argparse.Namespace) -> int:
     if args.profile is not None:
         from repro.obs.profiler import SamplingProfiler
 
-        # thread mode: the request work happens on scheduler worker
+        # thread mode: the request work happens on HTTP handler
         # threads, which the signal engine can never sample.
         profiler = SamplingProfiler(mode="thread").start()
         log.info("profiling to %s (thread sampler)", args.profile)
@@ -366,7 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--k", type=int, nargs="+", default=[2], help="anonymity parameters to pre-encode"
     )
     server.add_argument(
-        "--workers", type=int, default=4, help="scheduler worker threads"
+        "--workers",
+        type=int,
+        default=4,
+        help="requests served at once, each on its HTTP handler thread",
     )
     server.add_argument(
         "--queue-size", type=int, default=64, help="admission queue bound (429 when full)"
@@ -424,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         const="serve-profile.folded",
         default=None,
         metavar="PATH",
-        help="run the sampling profiler (thread mode, all worker threads); "
+        help="run the sampling profiler (thread mode, all threads); "
         "write flamegraph-compatible collapsed stacks here on shutdown",
     )
     server.add_argument(

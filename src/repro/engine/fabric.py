@@ -383,22 +383,16 @@ def _worker_init() -> None:
 
 _FABRIC_IDS = itertools.count(1)
 
-#: cancel-event slots per process fabric: slot 0 is the fabric-wide abort
-#: signal, the rest are handed out round-robin by
-#: :meth:`ProcessFabric.new_token`
-_TOKEN_SLOTS = 33
-
 
 class ProcessFabric(ExecutorFabric):
     """Schedule units on forked worker processes.
 
-    The fabric owns one cancellation scope, created with the fork
-    context's events *before* the pool exists, so workers inherit the
-    registry and the picklable tokens resolve inside them: :meth:`abort`
-    stops every in-flight unit cooperatively, and :meth:`new_token`
-    mints a per-caller token for targeted cancellation.  ``stop_check``
-    closures are stripped at submit (they cannot cross the boundary);
-    absolute deadlines and cancel tokens survive.
+    The fabric owns one cancellation scope holding one abort event,
+    created with the fork context *before* the pool exists, so workers
+    inherit the registry and the picklable :attr:`abort_token` resolves
+    inside them: :meth:`abort` stops every in-flight unit cooperatively.
+    ``stop_check`` closures are stripped at submit (they cannot cross the
+    boundary); absolute deadlines and cancel tokens survive.
     """
 
     kind = "process"
@@ -413,8 +407,7 @@ class ProcessFabric(ExecutorFabric):
         self._ctx = multiprocessing.get_context(start_method)
         self.repatriate = repatriate
         self._scope_name = f"repro-fabric-{os.getpid()}-{next(_FABRIC_IDS)}"
-        self._token_slots = itertools.count(1)
-        create_scope(self._scope_name, _TOKEN_SLOTS, factory=self._ctx.Event)
+        create_scope(self._scope_name, 1, factory=self._ctx.Event)
         # Fork every worker now, while the caller is (as a server's boot
         # is) the only thread: a child forked while serving threads hold
         # locks can inherit one held forever.  A fork-context pool
@@ -428,12 +421,6 @@ class ProcessFabric(ExecutorFabric):
     @property
     def abort_token(self) -> CancelToken:
         return CancelToken(self._scope_name, 0)
-
-    def new_token(self) -> CancelToken:
-        """A fresh token for one caller-managed cancellation."""
-        return CancelToken(
-            self._scope_name, 1 + next(self._token_slots) % (_TOKEN_SLOTS - 1)
-        )
 
     def abort(self) -> None:
         """Cooperatively stop every in-flight and queued unit."""

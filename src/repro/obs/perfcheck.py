@@ -102,7 +102,7 @@ _CALIBRATION_ITERS = 1_000_000
 
 @dataclass
 class Scenario:
-    """One gated workload: a setup thunk and a timed rep."""
+    """One gated workload: a setup thunk, a timed rep and a teardown."""
 
     name: str
     #: Built once, before the warmup rep; its return value is passed to
@@ -110,6 +110,9 @@ class Scenario:
     setup: Callable[[], object]
     #: One timed repetition.
     run: Callable[[object], None]
+    #: Releases what ``setup`` acquired (worker processes, temporary
+    #: files); :func:`measure` calls it with the state once every rep ran.
+    teardown: Optional[Callable[[object], None]] = None
     state: object = field(default=None, repr=False)
 
 
@@ -300,6 +303,7 @@ def _fabric_scenarios(workload: Callable[[], tuple]) -> List[Scenario]:
     gates the SQLite read path a process-fabric worker takes before
     every solve.
     """
+    import shutil
     import tempfile
 
     from repro.engine.cache import CachedSolve
@@ -310,19 +314,23 @@ def _fabric_scenarios(workload: Callable[[], tuple]) -> List[Scenario]:
     def make_setup(kind: str, workers: int):
         def setup():
             encoded, objective = workload()
-            session = SolveSession(
-                encoded.model, cache_size=0, fabric=make_fabric(kind, workers)
-            )
-            return {"session": session, "objective": objective}
+            fabric = make_fabric(kind, workers)
+            session = SolveSession(encoded.model, cache_size=0, fabric=fabric)
+            return {"session": session, "fabric": fabric, "objective": objective}
 
         return setup
 
     def run_solve(state) -> None:
         state["session"].bounds(state["objective"])
 
+    def close_fabric(state) -> None:
+        # The session keeps an injected fabric open: close it here.
+        state["session"].close()
+        state["fabric"].close()
+
     def setup_l2():
-        path = os.path.join(tempfile.mkdtemp(prefix="perfcheck_l2_"), "l2.sqlite")
-        cache = L2SolveCache(path)
+        directory = tempfile.mkdtemp(prefix="perfcheck_l2_")
+        cache = L2SolveCache(os.path.join(directory, "l2.sqlite"))
         entry = CachedSolve(
             status="optimal",
             objective=42,
@@ -333,7 +341,7 @@ def _fabric_scenarios(workload: Callable[[], tuple]) -> List[Scenario]:
         )
         for i in range(32):
             cache.put(f"fingerprint-{i}", "max", entry)
-        return {"cache": cache}
+        return {"cache": cache, "directory": directory}
 
     def run_l2_warm_get(state) -> None:
         cache = state["cache"]
@@ -341,10 +349,14 @@ def _fabric_scenarios(workload: Callable[[], tuple]) -> List[Scenario]:
             for i in range(32):
                 assert cache.get(f"fingerprint-{i}", "max") is not None
 
+    def remove_l2(state) -> None:
+        state["cache"].close()
+        shutil.rmtree(state["directory"], ignore_errors=True)
+
     return [
-        Scenario("solve_inline", make_setup("inline", 1), run_solve),
-        Scenario("solve_process", make_setup("process", 2), run_solve),
-        Scenario("l2_warm_get", setup_l2, run_l2_warm_get),
+        Scenario("solve_inline", make_setup("inline", 1), run_solve, close_fabric),
+        Scenario("solve_process", make_setup("process", 2), run_solve, close_fabric),
+        Scenario("l2_warm_get", setup_l2, run_l2_warm_get, remove_l2),
     ]
 
 
@@ -467,34 +479,44 @@ def measure(
     "median_s": ..., "mad_s": ...}}}``; ``calibration_s`` is the median
     spin.  ``inject_slowdown`` > 1 busy-waits each scenario rep out to
     ``factor ×`` its measured wall time (the gate's self-test knob).
+    Each set-up scenario's ``teardown`` runs afterwards, also when a
+    setup or a rep raised.
     """
     say = progress or (lambda _msg: None)
-    for scenario in scenarios:
-        say(f"setup {scenario.name}")
-        scenario.state = scenario.setup()
-        scenario.run(scenario.state)  # warmup (untimed)
-    # Freeze the setup heap, so a collection inside one scenario's rep
-    # never scans every other scenario's data, and start each rep from an
-    # empty young generation, so its collections fall at the same points.
-    gc.collect()
-    gc.freeze()
     samples: Dict[str, List[float]] = {s.name: [] for s in scenarios}
     spins: List[float] = []
+    ready: List[Scenario] = []
     try:
-        for rep in range(reps):
-            for scenario in scenarios:
-                gc.collect()
-                t0 = time.perf_counter()
-                scenario.run(scenario.state)
-                elapsed = time.perf_counter() - t0
-                if inject_slowdown > 1.0:
-                    _busy_wait(elapsed * (inject_slowdown - 1.0))
-                    elapsed *= inject_slowdown
-                samples[scenario.name].append(elapsed)
-            spins.append(calibrate())
-            say(f"rep {rep + 1}/{reps} done")
+        for scenario in scenarios:
+            say(f"setup {scenario.name}")
+            scenario.state = scenario.setup()
+            ready.append(scenario)
+            scenario.run(scenario.state)  # warmup (untimed)
+        # Freeze the setup heap, so a collection inside one scenario's rep
+        # never scans every other scenario's data, and start each rep from
+        # an empty young generation, so its collections fall at the same
+        # points.
+        gc.collect()
+        gc.freeze()
+        try:
+            for rep in range(reps):
+                for scenario in scenarios:
+                    gc.collect()
+                    t0 = time.perf_counter()
+                    scenario.run(scenario.state)
+                    elapsed = time.perf_counter() - t0
+                    if inject_slowdown > 1.0:
+                        _busy_wait(elapsed * (inject_slowdown - 1.0))
+                        elapsed *= inject_slowdown
+                    samples[scenario.name].append(elapsed)
+                spins.append(calibrate())
+                say(f"rep {rep + 1}/{reps} done")
+        finally:
+            gc.unfreeze()
     finally:
-        gc.unfreeze()
+        for scenario in ready:
+            if scenario.teardown is not None:
+                scenario.teardown(scenario.state)
     out = {"calibration_s": statistics.median(spins), "scenarios": {}}
     for name, values in samples.items():
         median = statistics.median(values)

@@ -18,7 +18,7 @@ Two sampling engines share the same output format:
   these.
 * ``mode="thread"`` — a daemon thread polling ``sys._current_frames()``
   every ``interval`` seconds.  Samples *every* thread (the service's
-  scheduler workers and the engine's solve pools), which is what
+  request handler threads and the engine's solve pools), which is what
   ``python -m repro serve --profile`` uses.  No ``sys.settrace``, no
   per-call overhead — cost is proportional to the sampling rate, not to
   the work being profiled.

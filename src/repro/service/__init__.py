@@ -6,9 +6,10 @@ plus a shared :class:`~repro.engine.session.SolveSession` resident per
 
 * :mod:`repro.service.api` — typed request/response dataclasses with JSON
   (de)serialization and validation;
-* :mod:`repro.service.scheduler` — bounded admission queue, worker pool,
-  per-request deadlines (cooperative BIP cancellation + degradation to
-  a containing interval) and in-flight dedup keyed by the plan identity;
+* :mod:`repro.service.scheduler` — bounded admission, serving slots on
+  the caller's thread, per-request deadlines (cooperative BIP
+  cancellation + degradation to a containing interval) and in-flight
+  dedup keyed by the plan identity;
 * :mod:`repro.service.server` — the stdlib ``ThreadingHTTPServer``
   front-end (``POST /v1/query``, ``GET /v1/status``, ``GET /healthz``,
   ``GET /metrics``);

@@ -229,7 +229,7 @@ class QueryResponse:
     error: Optional[str] = None
     fingerprint: Optional[str] = None
     #: coalesced onto another in-flight request for the same plan.  A
-    #: deduped follower is *parked* (no worker slot held) until the
+    #: deduped follower is *parked* (no serving slot held) until the
     #: leader finishes, then answers the leader's prepared problem at its
     #: own precision — solve-cache hits, so its ``solve_ms`` is small — or
     #: degrades over it when its deadline expires first.

@@ -1,9 +1,11 @@
-"""Concurrent request scheduling: admission, deadlines, in-flight dedup.
+"""Request scheduling: admission, deadlines, in-flight dedup.
 
-The scheduler is the service's core loop.  Requests enter a queue under a
-*bounded admission count* (admission control: a full queue rejects
-immediately with 429-semantics rather than building unbounded backlog)
-and a worker pool drains it.  Each worker:
+The scheduler serves each request on the thread that asks for it — in the
+server, the HTTP handler's thread — and starts no thread of its own.
+Admission is bounded: at most ``max_queue`` admitted requests wait for one
+of ``workers`` serving slots, and a request beyond that is rejected at
+once with 429-semantics rather than building unbounded backlog.  A
+request holding a slot:
 
 1. opens a ``service.request`` root span under a **fresh trace id**, so
    the request's whole scheduler → engine → solver span tree is
@@ -18,14 +20,14 @@ and a worker pool drains it.  Each worker:
    query or aggregate, params): concurrent requests for one plan
    coalesce *before* plan evaluation, at any precision.  The leader
    evaluates, prepares and publishes its prepared problem on the flight,
-   then answers on its own worker; only followers **park**: they attach
-   a completion callback to the leader's flight and release their worker
-   slot, so a burst of identical requests cannot starve the pool.  On
-   resume a follower answers the leader's prepared problem at its own
-   precision, reading the caches, kept answers and estimator verdicts
-   the leader left behind — identical concurrent problems cost one
-   engine solve.  A deadline-monitor thread fires the degrade path for
-   any parked request whose budget runs out first;
+   then answers in its slot; only followers **park**: they give up their
+   slot and wait for the leader's flight, so a burst of identical
+   requests cannot starve the slots.  Once the leader finishes, a
+   follower re-takes a slot and answers the leader's prepared problem at
+   its own precision, reading the caches, kept answers and estimator
+   verdicts the leader left behind — identical concurrent problems cost
+   one engine solve.  A follower whose budget runs out first degrades at
+   its deadline;
 4. answers at the request's **precision**: a COUNT/SUM problem through
    :meth:`~repro.estimator.TieredAnswerer.answer` — ``tight`` solves
    every component exactly; ``fast``/``balanced`` consult the estimator
@@ -36,16 +38,16 @@ and a worker pool drains it.  Each worker:
    are kept whole** in the session L1 under the plan identity — ``tight``
    COUNT/SUM and MIN/MAX at any precision — so a repeated exact answer is
    one read (wide event ``cache_tier="answer"``);
-5. enforces the request **deadline** with a deadline-clamped
-   ``time_limit`` plus the solver's absolute ``deadline_at`` (picklable —
-   it crosses into forked solve workers, unlike a closure); an answer cut
-   short by its budget **degrades** instead of hanging, always to an
-   interval that contains the exact range: a fast estimator pass when
-   the request, or the leader it follows, holds a prepared COUNT/SUM
-   problem, or the interval a MIN/MAX leader's stopped probes still
-   prove.  Every other expiry — in the queue, before the leader
-   prepared, a parked MIN/MAX follower, a failed estimator pass —
-   answers ``timeout``.
+5. enforces the request **deadline** through the solver's absolute
+   ``deadline_at`` (picklable — it crosses into forked solve workers,
+   unlike a closure; the solver folds it into every backend's time
+   limit); an answer cut short by its budget **degrades** instead of
+   hanging, always to an interval that contains the exact range: a fast
+   estimator pass when the request, or the leader it follows, holds a
+   prepared COUNT/SUM problem, or the interval a MIN/MAX leader's
+   stopped probes still prove.  Every other expiry — waiting for a slot,
+   before the leader prepared, a parked MIN/MAX follower, a failed
+   estimator pass — answers ``timeout``, at the deadline.
 
 Every request therefore reaches a terminal status — ``ok``, ``degraded``,
 ``timeout``, ``rejected`` or ``error`` — the service's no-hang invariant.
@@ -54,11 +56,7 @@ Every request therefore reaches a terminal status — ``ok``, ``degraded``,
 from __future__ import annotations
 
 import dataclasses
-import functools
-import heapq
-import itertools
 import logging
-import queue
 import threading
 import time
 from typing import Dict, Iterable, Optional, Tuple
@@ -104,76 +102,43 @@ def _agg(plan) -> str:
 
 
 class _Flight:
-    """One in-flight plan answer, continued by deduped followers.
+    """One in-flight plan answer, followed by deduped requests.
 
     The leader sets ``prepared`` as soon as it holds the prepared problem,
-    before it answers; followers answer that problem at their own
-    precision once :meth:`finish` fires their callbacks, or degrade over
-    it when their deadline expires first.  ``prepared`` stays ``None``
-    when the leader failed before preparing — followers then serve
-    themselves.
+    before it answers, and sets ``done`` when it finishes; followers then
+    answer that problem at their own precision, or degrade over it when
+    their deadline expires first.  ``prepared`` stays ``None`` when the
+    leader failed before preparing — followers then serve themselves.
     """
 
-    __slots__ = ("key", "prepared", "_lock", "_callbacks", "_finished")
+    __slots__ = ("key", "prepared", "done")
 
     def __init__(self, key: tuple):
         self.key = key
         self.prepared = None
-        self._lock = threading.Lock()
-        self._callbacks: list = []
-        self._finished = False
-
-    def attach(self, callback) -> bool:
-        """Register a completion callback; False if already finished
-        (the caller should run its continuation itself)."""
-        with self._lock:
-            if not self._finished:
-                self._callbacks.append(callback)
-                return True
-        return False
-
-    def finish(self) -> None:
-        with self._lock:
-            self._finished = True
-            callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            try:
-                callback()
-            except Exception:  # noqa: BLE001 — one follower must not block others
-                logger.exception("flight continuation failed")
-
-
-class _Task:
-    """An internal work item (a parked follower's continuation).
-
-    ``on_shutdown`` runs instead of ``run`` when the scheduler closes
-    before the task executes — it must still drive the owning request to
-    a terminal response (the no-hang invariant).
-    """
-
-    __slots__ = ("run", "on_shutdown")
-
-    def __init__(self, run, on_shutdown):
-        self.run = run
-        self.on_shutdown = on_shutdown
+        self.done = threading.Event()
 
 
 class _Pending:
-    """A submitted request waiting for (or holding) its terminal response."""
+    """An admitted request and, once answered, its terminal response.
+
+    One thread serves it — the caller of :meth:`QueryScheduler.execute`,
+    or the thread :meth:`QueryScheduler.submit` starts — so it completes
+    exactly once.
+    """
 
     __slots__ = (
         "request",
         "enqueued",
         "deadline_at",
         "_done",
-        "_claim_lock",
-        "_claimed",
         "response",
         "explain_ctx",
         "queue_ms",
         "trace_id",
         "kept",
         "invalid",
+        "slot",
     )
 
     def __init__(self, request: QueryRequest, deadline_at: Optional[float]):
@@ -181,10 +146,8 @@ class _Pending:
         self.enqueued = time.monotonic()
         self.deadline_at = deadline_at
         self._done = threading.Event()
-        self._claim_lock = threading.Lock()
-        self._claimed = False
         self.response: Optional[QueryResponse] = None
-        #: Set at the start of each serve attempt: the admission-to-worker
+        #: Set at the start of each serve attempt: the admission-to-slot
         #: wait and the attempt's trace id, reported by every response.
         self.queue_ms = 0.0
         self.trace_id: Optional[str] = None
@@ -198,16 +161,8 @@ class _Pending:
         #: decomposition map, tier provenance, IIS) — assembled into the
         #: response's ``explain`` block at completion.
         self.explain_ctx: dict = {}
-
-    def claim(self) -> bool:
-        """First-wins completion right: a parked request can be finished
-        by its leader's continuation *or* the deadline monitor — whichever
-        claims first owns the terminal response."""
-        with self._claim_lock:
-            if self._claimed:
-                return False
-            self._claimed = True
-            return True
+        #: Holds one of the scheduler's serving slots.
+        self.slot = False
 
     def finish(self, response: QueryResponse) -> None:
         self.response = response
@@ -238,15 +193,16 @@ def _adhoc_plan(encoded, aggregate: str):
 
 
 class QueryScheduler:
-    """Admission-bounded, worker-pool executor for aggregate-bound requests.
+    """Admission-bounded executor for aggregate-bound requests, serving
+    each on its caller's thread.
 
     :param context: an :class:`~repro.experiments.runner.ExperimentContext`
         holding the resident encodings and shared solve sessions.
-    :param workers: worker threads draining the queue.
-    :param max_queue: admission bound on queued *external* requests; at
-        the bound new requests are rejected.  Internal continuations
-        (parked followers resuming) are not admission-bounded — they are
-        already-admitted work.
+    :param workers: serving slots: the requests served at once.  A
+        parked follower holds none.
+    :param max_queue: admission bound on requests waiting for a slot; at
+        the bound new requests are rejected.  A follower re-taking a slot
+        after its leader finished is already admitted and not bounded.
     :param default_deadline_ms: applied when a request carries none
         (``None`` = no deadline).
     :param allow_cold: build encodings on first use instead of rejecting
@@ -317,7 +273,7 @@ class QueryScheduler:
         for counter in (self._dedup_hits, self._deadline_misses, self._rejected_full):
             counter.inc(0)  # expose the zero sample before the first event
         self._hist_queue_wait = self.metrics.histogram(
-            "service_queue_wait_seconds", "Admission-to-worker queue wait"
+            "service_queue_wait_seconds", "Admission-to-slot wait"
         )
         self._hist_solve = self.metrics.histogram(
             "service_solve_duration_seconds", "BIP solve wall per request"
@@ -350,13 +306,12 @@ class QueryScheduler:
             "Wall seconds spent per answering tier for one request",
             buckets=ESTIMATOR_BUCKETS,
         )
-        # The queue itself is unbounded: it carries external requests
-        # (bounded by the _external_queued admission counter) plus
-        # internal continuation tasks, which must never be refused —
-        # refusing one would strand an already-admitted request.
-        self._queue: "queue.Queue" = queue.Queue()
-        self._depth_lock = threading.Lock()
-        self._external_queued = 0
+        # Serving slots and admission, under one condition: ``_waiting``
+        # admitted requests wait for a slot, ``_active`` slots are held.
+        self._slots = threading.Condition()
+        self._waiting = 0
+        self._active = 0
+        self._closed = False
         # Keyed by the plan identity (scheme, k, kind, name, params): one
         # in-flight answer per plan.
         self._inflight: Dict[tuple, _Flight] = {}
@@ -364,25 +319,6 @@ class QueryScheduler:
         self._model_locks: Dict[Tuple[str, int], threading.Lock] = {}
         self._locks_lock = threading.Lock()
         self._warmed: set = set()
-        self._closed = False
-        self._close_lock = threading.Lock()
-        # Deadline watches for parked followers: a heap of
-        # (deadline_at, seq, pending, expiry task) drained by the monitor.
-        self._monitor_cv = threading.Condition()
-        self._watched: list = []
-        self._watch_seq = itertools.count()
-        self._threads = [
-            threading.Thread(
-                target=self._worker_loop, name=f"repro-serve-{i}", daemon=True
-            )
-            for i in range(self.workers)
-        ]
-        for thread in self._threads:
-            thread.start()
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="repro-serve-deadline", daemon=True
-        )
-        self._monitor.start()
 
     # -- lifecycle ---------------------------------------------------------
     def warm(self, pairs: Iterable[Tuple[str, int]]) -> None:
@@ -398,34 +334,18 @@ class QueryScheduler:
         return set(self._warmed)
 
     def close(self) -> None:
-        """Drain-stop the workers (idempotent).
+        """Stop serving (idempotent).
 
-        Already-queued requests are answered ``rejected`` and parked
-        continuations run their shutdown path, so no caller is left
-        hanging; in-progress requests finish normally.
+        New requests, requests still waiting for a slot and parked
+        followers that wake afterwards answer ``rejected``, so no caller
+        is left hanging.  Requests holding a slot finish normally: close
+        waits for them (up to 30 s), so their answers and accounting
+        precede whatever the caller shuts down next.
         """
-        with self._close_lock:
-            if self._closed:
-                return
+        with self._slots:
             self._closed = True
-        try:
-            while True:
-                item = self._queue.get_nowait()
-                if isinstance(item, _Task):
-                    item.on_shutdown()
-                elif item is not None:
-                    with self._depth_lock:
-                        self._external_queued -= 1
-                    self._reject(item)
-        except queue.Empty:
-            pass
-        for _ in self._threads:
-            self._queue.put(None)
-        for thread in self._threads:
-            thread.join(timeout=30.0)
-        with self._monitor_cv:
-            self._monitor_cv.notify_all()
-        self._monitor.join(timeout=5.0)
+            self._slots.notify_all()
+            self._slots.wait_for(lambda: self._active == 0, timeout=30.0)
 
     def __enter__(self) -> "QueryScheduler":
         return self
@@ -436,8 +356,8 @@ class QueryScheduler:
     # -- gauges ------------------------------------------------------------
     @property
     def queue_depth(self) -> int:
-        with self._depth_lock:
-            return self._external_queued
+        """Admitted requests waiting for a serving slot."""
+        return self._waiting
 
     @property
     def in_flight(self) -> int:
@@ -465,49 +385,39 @@ class QueryScheduler:
 
     # -- submission --------------------------------------------------------
     def submit(self, request: QueryRequest) -> _Pending:
-        """Admit a request (validated) or answer ``rejected`` immediately.
+        """Admit a request (validated) and serve it on a thread of its
+        own, or answer ``rejected`` at once.
 
-        Never blocks on solve progress: admission enqueues the pending
-        future and returns; worker completion callbacks fulfill it.
+        Returns without waiting for the answer; :meth:`_Pending.wait`
+        blocks for it.
         """
-        request.validate()
-        deadline_ms = (
-            request.deadline_ms
-            if request.deadline_ms is not None
-            else self.default_deadline_ms
-        )
-        deadline_at = (
-            time.monotonic() + deadline_ms / 1000.0 if deadline_ms is not None else None
-        )
-        pending = _Pending(request, deadline_at)
-        with self._close_lock:
-            self._submitted += 1
-            if self._closed:
-                rejection = "scheduler is shut down"
-            else:
-                with self._depth_lock:
-                    if self._external_queued >= self.max_queue:
-                        rejection = f"admission queue full ({self.max_queue})"
-                    else:
-                        self._external_queued += 1
-                        rejection = None
-                if rejection is None:
-                    self._queue.put(pending)
-        if rejection is not None:
-            self._reject(pending, rejection, admission=True)
+        pending = self._admit(request)
+        if not pending.done:
+            threading.Thread(
+                target=self._run, args=(pending,), name="repro-request", daemon=True
+            ).start()
         return pending
 
     def execute(
         self, request: QueryRequest, timeout: Optional[float] = None
     ) -> QueryResponse:
-        """Submit and block for the terminal response."""
-        pending = self.submit(request)
-        response = pending.wait(timeout)
-        if response is None:
-            raise ServiceError(
-                f"request {request.request_id} did not complete within {timeout}s"
-            )
-        return response
+        """Admit a request and serve it on the calling thread.
+
+        With a ``timeout`` the request is :meth:`submit`-ted instead, and
+        :class:`ServiceError` is raised if it has not answered within
+        ``timeout`` seconds.
+        """
+        if timeout is not None:
+            response = self.submit(request).wait(timeout)
+            if response is None:
+                raise ServiceError(
+                    f"request {request.request_id} did not complete within {timeout}s"
+                )
+            return response
+        pending = self._admit(request)
+        if not pending.done:
+            self._run(pending)
+        return pending.response
 
     # -- internals ---------------------------------------------------------
     def _model_lock(self, scheme: str, k: int) -> threading.Lock:
@@ -518,112 +428,108 @@ class QueryScheduler:
                 lock = self._model_locks[key] = threading.Lock()
             return lock
 
-    def _enqueue_internal(self, task: _Task) -> None:
-        """Queue a continuation; on a closed scheduler run its shutdown
-        path inline so the owning request still terminates."""
-        with self._close_lock:
-            if not self._closed:
-                self._queue.put(task)
-                return
-        task.on_shutdown()
+    def _admit(self, request: QueryRequest) -> _Pending:
+        """Validate ``request`` and count it as waiting for a slot, or
+        answer it ``rejected`` (closed, or ``max_queue`` already waiting)."""
+        request.validate()
+        deadline_ms = (
+            request.deadline_ms
+            if request.deadline_ms is not None
+            else self.default_deadline_ms
+        )
+        deadline_at = (
+            time.monotonic() + deadline_ms / 1000.0 if deadline_ms is not None else None
+        )
+        pending = _Pending(request, deadline_at)
+        with self._slots:
+            self._submitted += 1
+            if self._closed:
+                rejection = "scheduler is shut down"
+            elif self._waiting >= self.max_queue:
+                rejection = f"admission queue full ({self.max_queue})"
+            else:
+                self._waiting += 1
+                return pending
+        self._rejected_full.inc()
+        self._complete(pending, self._response(pending, STATUS_REJECTED, error=rejection))
+        return pending
 
-    def _reject(
-        self,
-        pending: _Pending,
-        reason: str = "scheduler shut down before execution",
-        admission: bool = False,
-    ) -> None:
-        """Answer ``rejected`` (admission, queue drain at shutdown, a
-        parked continuation's shutdown path) through :meth:`_complete`,
-        unless the request is already claimed.  ``admission`` — always a
-        fresh, unclaimed request — also counts it in ``rejected_full``."""
-        if admission:
-            self._rejected_full.inc()
-        self._complete(pending, self._response(pending, STATUS_REJECTED, error=reason))
-
-    def _watch_deadline(self, pending: _Pending, expiry: _Task) -> None:
-        """Arm the deadline monitor to enqueue ``expiry`` for a parked request."""
-        if pending.deadline_at is None:
-            return
-        with self._monitor_cv:
-            heapq.heappush(
-                self._watched,
-                (pending.deadline_at, next(self._watch_seq), pending, expiry),
-            )
-            self._monitor_cv.notify()
-
-    def _monitor_loop(self) -> None:
-        while True:
-            with self._monitor_cv:
-                if self._closed:
-                    return
-                if not self._watched:
-                    self._monitor_cv.wait(timeout=0.5)
-                    continue
-                deadline_at, _, pending, expiry = self._watched[0]
-                now = time.monotonic()
-                if deadline_at > now:
-                    self._monitor_cv.wait(timeout=min(deadline_at - now, 0.5))
-                    continue
-                heapq.heappop(self._watched)
-            if not pending.done:
-                try:
-                    self._enqueue_internal(expiry)
-                except Exception:  # noqa: BLE001 — monitor must survive
-                    logger.exception("deadline continuation failed")
-
-    def _worker_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            if isinstance(item, _Task):
-                try:
-                    item.run()
-                except Exception:  # noqa: BLE001 — a continuation never kills a worker
-                    logger.exception("internal task failed")
-                continue
-            with self._depth_lock:
-                self._external_queued -= 1
-            if item.done:  # rejected/drained before execution
-                continue
-            self._run_request(item)
-
-    def _run_request(self, pending: _Pending, serve=None) -> None:
-        """One serve attempt — ``serve(pending)``, a full :meth:`_serve`
-        by default — always ending in a terminal response; parked
-        requests complete later via their flight continuation (``serve``
-        returns None)."""
+    def _run(self, pending: _Pending) -> None:
+        """Serve an admitted request on this thread to its terminal response."""
         try:
-            response = (serve or self._serve)(pending)
+            if self._take_slot(pending, queued=True):
+                response = self._attempt(pending)
+            else:
+                pending.queue_ms = (time.monotonic() - pending.enqueued) * 1e3
+                response = self._refused(pending, "queue wait")
+            self._complete(pending, response)
+        finally:
+            self._release_slot(pending)
+
+    def _take_slot(self, pending: _Pending, queued: bool) -> bool:
+        """Wait, at most until the request's deadline, for a serving slot;
+        False if the deadline passed or the scheduler closed first.  A
+        ``queued`` (just admitted) request leaves ``waiting`` either way; a
+        follower re-taking a slot was never counted there."""
+        remaining = self._remaining_s(pending)
+        with self._slots:
+            free = self._slots.wait_for(
+                lambda: self._closed or self._active < self.workers,
+                None if remaining is None else max(remaining, 0.0),
+            )
+            if queued:
+                self._waiting -= 1
+            if self._closed or not free:
+                return False
+            self._active += 1
+        pending.slot = True
+        return True
+
+    def _release_slot(self, pending: _Pending) -> None:
+        if pending.slot:
+            pending.slot = False
+            with self._slots:
+                self._active -= 1
+                self._slots.notify_all()
+
+    def _refused(self, pending: _Pending, cause: str, **degrade) -> QueryResponse:
+        """No slot: ``rejected`` once the scheduler closed, else the
+        deadline passed first (:meth:`_degrade` with ``degrade``)."""
+        if self._closed:
+            return self._response(
+                pending, STATUS_REJECTED, error="scheduler shut down before execution"
+            )
+        return self._degrade(pending, cause, **degrade)
+
+    def _attempt(self, pending: _Pending) -> QueryResponse:
+        """:meth:`_serve`, any exception answering ``error``."""
+        try:
+            return self._serve(pending)
         except ValidationError as exc:
             pending.invalid = True
-            response = self._response(pending, STATUS_ERROR, error=str(exc))
+            return self._response(pending, STATUS_ERROR, error=str(exc))
         except Exception as exc:  # noqa: BLE001 — terminal status, always
             logger.exception("request %s failed", pending.request.request_id)
-            response = self._response(pending, STATUS_ERROR, error=repr(exc))
-        if response is not None:
-            self._complete(pending, response)
+            return self._response(pending, STATUS_ERROR, error=repr(exc))
 
     def _complete(self, pending: _Pending, response: QueryResponse) -> None:
-        """Deliver and account one terminal response exactly once
-        (claim-guarded) — every status, rejections included.
+        """Deliver and account one terminal response — every status,
+        rejections included; the request's one serving thread calls it
+        once.
 
         Before ``pending.finish``: the request's finished span tree is
         popped, an ``explain`` request's explanation is built, and
         ``total_ms`` is stamped — the one total that the response, the
         wide event, the latency histogram and the SLO event all carry.
-        After it (the caller is already unblocked, and a failure here must
-        never turn a served request into an error): the request counters
-        and histograms, the SLO event (none for an invalid request: the
-        client's fault is not the service's unavailability), the wide log
-        line and slow-query capture.  The explanation is built at most
-        once; a slow request without ``explain`` builds it for its ring
-        entry.  Explanations
-        are attached per-response, never published onto flights or caches.
+        After it (a :meth:`submit` caller is already unblocked, and a
+        failure here must never turn a served request into an error): the
+        request counters and histograms, the SLO event (none for an
+        invalid request: the client's fault is not the service's
+        unavailability), the wide log line and slow-query capture.  The
+        explanation is built at most once; a slow request without
+        ``explain`` builds it for its ring entry.  Explanations are
+        attached per-response, never published onto flights or caches.
         """
-        if not pending.claim():
-            return
         request = pending.request
         spans = (
             self.span_buffer.pop(response.trace_id)
@@ -825,17 +731,12 @@ class QueryScheduler:
         return remaining is not None and remaining <= 0
 
     def _deadline_options(self, session, pending: _Pending) -> Optional[SolverOptions]:
-        remaining = self._remaining_s(pending)
-        if remaining is None:
+        if pending.deadline_at is None:
             return None
         # The absolute deadline (not a closure) so it survives pickling
-        # into forked solve workers; the clamped time_limit covers
-        # backends that only understand a relative budget.
-        return dataclasses.replace(
-            session.options,
-            time_limit=min(session.options.time_limit, max(remaining, 1e-3)),
-            deadline_at=pending.deadline_at,
-        )
+        # into forked solve workers; the solver folds it into every
+        # backend's time limit when the solve starts.
+        return dataclasses.replace(session.options, deadline_at=pending.deadline_at)
 
     def _effective_precision(self, request: QueryRequest) -> str:
         """The request's precision, falling back to the server default."""
@@ -868,15 +769,14 @@ class QueryScheduler:
                 raise ValidationError(f"params: {exc}") from exc
         return _adhoc_plan(encoded, request.aggregate)
 
-    def _serve(self, pending: _Pending) -> Optional[QueryResponse]:
-        """One serve attempt, the one path for every plan.  ``None`` means
-        the request parked on a leader's flight; a continuation owns its
-        completion.
+    def _serve(self, pending: _Pending) -> QueryResponse:
+        """One serve attempt, the one path for every plan, in a slot.
 
         Concurrent requests for one plan — any precision — coalesce
-        **before** plan evaluation: followers park and answer the prepared
-        problem the leader publishes on its flight.  The model lock covers
-        evaluation and prepare only.
+        **before** plan evaluation: followers leave their request span and
+        :meth:`_follow` the leader, answering the prepared problem it
+        publishes on its flight.  The model lock covers evaluation and
+        prepare only.
         """
         request = pending.request
         pending.queue_ms = (time.monotonic() - pending.enqueued) * 1e3
@@ -889,7 +789,7 @@ class QueryScheduler:
             scheme=request.scheme,
             k=request.k,
         ) as root, tagged(root.trace_id or None):
-            # Attribute this worker's profiler samples to the request's
+            # Attribute this thread's profiler samples to the request's
             # trace id (no-op when no sampling profiler is running).
             pending.trace_id = root.trace_id or None
             encoded, session, model_lock = self._resolve(request)
@@ -900,36 +800,39 @@ class QueryScheduler:
             plan_key = request.plan_key()
             minmax = isinstance(plan, _MINMAX)
             flight, leader = self._join_flight(plan_key)
-            if not leader:
-                self._park(root, pending, flight, session, plan)
-                return None
-            try:
-                prepared = session.memoized(plan_key)
-                if prepared is None:
-                    # Evaluation writes lineage to the shared model: one
-                    # scope per encoding at a time.
-                    with model_lock, encoded.model.scoped():
-                        with phase("l_query"):
-                            target = evaluate_licm(
-                                plan.child if minmax else plan, encoded.relations
+            if leader:
+                try:
+                    prepared = session.memoized(plan_key)
+                    if prepared is None:
+                        # Evaluation writes lineage to the shared model:
+                        # one scope per encoding at a time.
+                        with model_lock, encoded.model.scoped():
+                            with phase("l_query"):
+                                target = evaluate_licm(
+                                    plan.child if minmax else plan, encoded.relations
+                                )
+                            prepared = (
+                                bounds.prepare_minmax(
+                                    session, target, plan.attribute, _agg(plan),
+                                    key=plan_key,
+                                )
+                                if minmax else session.prepare(target, key=plan_key)
                             )
-                        prepared = (
-                            bounds.prepare_minmax(
-                                session, target, plan.attribute, _agg(plan), key=plan_key
-                            )
-                            if minmax else session.prepare(target, key=plan_key)
-                        )
-                flight.prepared = prepared
-                root.set("fingerprint", prepared.fingerprint)
-                response = self._answer_prepared(
-                    pending, session, prepared, plan, dedup=False
-                )
-            finally:
-                self._finish_flight(flight)
-            if response.status == STATUS_OK:
-                root.set("outcome", STATUS_OK)
-                root.set("tier", response.tier)
-            return response
+                    flight.prepared = prepared
+                    root.set("fingerprint", prepared.fingerprint)
+                    response = self._answer_prepared(
+                        pending, session, prepared, plan, dedup=False
+                    )
+                finally:
+                    self._finish_flight(flight)
+                if response.status == STATUS_OK:
+                    root.set("outcome", STATUS_OK)
+                    root.set("tier", response.tier)
+                return response
+            self._dedup_hits.inc()
+            root.set("dedup", True)
+            root.set("outcome", "parked")
+        return self._follow(pending, flight, session, plan)
 
     def _join_flight(self, key: tuple) -> Tuple[_Flight, bool]:
         """Register (leader) or join (follower) the in-flight unit ``key``."""
@@ -941,11 +844,11 @@ class QueryScheduler:
             return flight, False
 
     def _finish_flight(self, flight: _Flight) -> None:
-        """Retire the leader's flight and fire every follower continuation."""
+        """Retire the leader's flight and wake its followers."""
         with self._inflight_lock:
             if self._inflight.get(flight.key) is flight:
                 del self._inflight[flight.key]
-        flight.finish()
+        flight.done.set()
 
     def _answer_response(
         self, pending, answer, fingerprint, dedup,
@@ -998,56 +901,37 @@ class QueryScheduler:
         except Exception:  # noqa: BLE001 — observability must not break serving
             logger.exception("estimator tier accounting failed")
 
-    def _park(self, root, pending: _Pending, flight: _Flight, session, plan) -> None:
-        """Follow the leader's ``flight`` without holding this worker slot.
+    def _follow(self, pending: _Pending, flight: _Flight, session, plan) -> QueryResponse:
+        """Follow the leader's ``flight`` without holding a slot.
 
-        Records a dedup hit and attaches the resume continuation, enqueued
-        when the leader finishes (at once, if it has).  On resume the
-        follower answers the leader's prepared problem through
-        :meth:`_answer_prepared` — the caches, kept answers and verdicts
-        make that a read — or serves itself afresh if the leader failed
-        before preparing.  If its budget runs out first, the deadline
-        monitor enqueues the degrade path instead — over the published
-        problem if it is COUNT/SUM, else ``timeout``; the first to claim
-        the pending wins.  Every answer over the flight reports
-        ``dedup=True``.
+        Waits for the leader to finish, at most until the request's
+        deadline.  In time, the follower re-takes a slot and answers the
+        leader's prepared problem through :meth:`_answer_prepared` — the
+        caches, kept answers and verdicts make that a read — or serves
+        itself afresh if the leader failed before preparing.  If its
+        budget runs out first, it degrades at its deadline, still without
+        a slot: over the published problem if it is COUNT/SUM, else
+        ``timeout``.  Once the scheduler closed it answers ``rejected``.
+        Every answer over the flight reports ``dedup=True``.
         """
-        self._dedup_hits.inc()
-        root.set("dedup", True)
-        root.set("outcome", "parked")
-
-        def answer_published(pending):
-            prepared = flight.prepared
-            with current_tracer().span(
-                "service.resume",
-                trace_id=pending.trace_id,
-                request_id=pending.request.request_id,
-                fingerprint=prepared.fingerprint,
-            ):
-                return self._answer_prepared(
-                    pending, session, prepared, plan, dedup=True
-                )
-
-        def resume():
-            if not pending.done:
-                self._run_request(
-                    pending, answer_published if flight.prepared is not None else None
-                )
-
-        def expire():
-            if not pending.done:
-                prepared = None if isinstance(plan, _MINMAX) else flight.prepared
-                self._complete(pending, self._degrade(
-                    pending, "deduped request exceeded deadline",
-                    session=session, prepared=prepared, dedup=True,
-                ))
-
-        shutdown = functools.partial(self._reject, pending)
-        task = _Task(resume, on_shutdown=shutdown)
-        if flight.attach(lambda: self._enqueue_internal(task)):
-            self._watch_deadline(pending, _Task(expire, on_shutdown=shutdown))
-        else:
-            self._enqueue_internal(task)
+        self._release_slot(pending)
+        flight.done.wait(self._remaining_s(pending))
+        if not (flight.done.is_set() and self._take_slot(pending, queued=False)):
+            return self._refused(
+                pending, "deduped request exceeded deadline", session=session,
+                prepared=None if isinstance(plan, _MINMAX) else flight.prepared,
+                dedup=True,
+            )
+        prepared = flight.prepared
+        if prepared is None:
+            return self._serve(pending)
+        with current_tracer().span(
+            "service.resume",
+            trace_id=pending.trace_id,
+            request_id=pending.request.request_id,
+            fingerprint=prepared.fingerprint,
+        ):
+            return self._answer_prepared(pending, session, prepared, plan, dedup=True)
 
     def _answer_prepared(self, pending, session, prepared, plan, dedup: bool) -> QueryResponse:
         """The one answer path, for leaders and followers.
@@ -1171,7 +1055,7 @@ class QueryScheduler:
         With a prepared COUNT/SUM problem, a ``fast`` pass over the
         estimator tiers yields a *provably containing* interval in
         microseconds; it runs slightly past the deadline on purpose.
-        Without one — the deadline passed in the queue or before the
+        Without one — the deadline passed waiting for a slot or before the
         leader prepared, or the problem is MIN/MAX, whose objective is not
         the aggregate (callers pass none) — or when that pass fails, the
         request answers ``timeout``.  ``exact`` is always False here, and

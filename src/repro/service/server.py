@@ -95,7 +95,7 @@ class QueryService:
         if slow_threshold_ms is not None:
             self.slow_log = SlowQueryRing(slow_log_dir or "slow-queries")
         # Build the fabric (a process fabric forks its workers here) before
-        # the scheduler starts any thread a fork could copy a held lock from.
+        # any request thread runs that a fork could copy a held lock from.
         self.context.fabric
         self.scheduler = QueryScheduler(
             self.context,
@@ -190,7 +190,7 @@ class QueryService:
         histogram buckets and ends with ``# EOF``.
         """
         registry = MetricsRegistry()
-        registry.gauge("service_queue_depth", "Requests waiting for a worker").set(
+        registry.gauge("service_queue_depth", "Requests waiting for a serving slot").set(
             self.scheduler.queue_depth
         )
         registry.gauge(

@@ -49,12 +49,6 @@ def drop_scope(scope: str) -> None:
         _SCOPES.pop(scope, None)
 
 
-def scope_size(scope: str) -> int:
-    with _SCOPES_LOCK:
-        events = _SCOPES.get(scope)
-        return len(events) if events else 0
-
-
 @dataclass(frozen=True)
 class CancelToken:
     """A picklable handle to one shared cancellation event.
@@ -84,8 +78,3 @@ class CancelToken:
         event = self._event()
         if event is not None:
             event.set()
-
-    def clear(self) -> None:
-        event = self._event()
-        if event is not None:
-            event.clear()

@@ -68,12 +68,12 @@ class SolverOptions:
       ``CLOCK_MONOTONIC`` is system-wide).  The service layer uses this
       to enforce per-request deadlines across processes.
     * ``cancel`` — a :class:`~repro.solver.cancel.CancelToken` resolving
-      to a shared (inheritable) event; the parent can stop one specific
-      in-flight solve mid-search.
+      to a shared (inheritable) event; the process fabric's abort token
+      stops its in-flight solves mid-search.
 
-    The SciPy backend polls only before each HiGHS call, not mid-solve,
-    so deadline callers must *also* clamp ``time_limit`` (the solver
-    facade derives the clamp from ``deadline_at`` automatically).
+    The SciPy backend polls only before each HiGHS call, not mid-solve;
+    the solver facade therefore clamps ``time_limit`` by ``deadline_at``
+    when a solve starts, so callers set only the deadline.
 
     ``seed_incumbent`` installs a greedy node-0 incumbent before search
     (see docs/solver.md).

@@ -242,19 +242,18 @@ def test_stop_check_closure_is_stripped_at_the_process_boundary():
 
 
 def test_cancellation_reaches_a_forked_worker_mid_search():
-    """A cancel token set in the parent stops B&B inside the worker."""
+    """The fabric's abort, set in the parent, stops B&B inside the worker."""
     model, objective = _objective()
     session = SolveSession(model)
     prepared = session.prepare(objective)
     (part,) = prepared.components
     with ProcessFabric(workers=1) as fabric:
-        token = fabric.new_token()
-        token.set()  # the first should_stop() poll inside B&B sees this
+        fabric.abort()  # the first should_stop() poll inside B&B sees this
         unit = SolveUnit(
             problem=part.problem,
             sense="max",
             fingerprint=part.fingerprint,
-            options=SolverOptions(backend="bb", cancel=token),
+            options=SolverOptions(backend="bb"),
         )
         result = fabric.submit_unit(unit).result(timeout=60.0)
     assert result.status != "optimal"  # truncated, not solved to proof

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import glob
 import json
+import multiprocessing
+import os
+import tempfile
 
 import pytest
 
@@ -141,6 +145,32 @@ def test_scenario_names_match_the_committed_baseline():
         baseline = json.load(handle)
     assert set(baseline) >= {"calibration_s", "reps", "scenarios"}
     assert sorted(names) == sorted(baseline["scenarios"])
+
+
+def test_measure_tears_down_fabric_workers_and_the_l2_directory():
+    """The process fabric's forked workers and the L2 scenario's temporary
+    directory do not outlive :func:`measure`."""
+    names = ("solve_inline", "solve_process", "l2_warm_get")
+    chosen = [s for s in perfcheck.scenarios() if s.name in names]
+    assert sorted(s.name for s in chosen) == sorted(names)
+    l2_dirs = set(glob.glob(os.path.join(tempfile.gettempdir(), "perfcheck_l2_*")))
+    children = set(multiprocessing.active_children())
+    result = measure(chosen, reps=1)
+    assert sorted(result["scenarios"]) == sorted(names)
+    assert set(multiprocessing.active_children()) <= children
+    assert set(glob.glob(os.path.join(tempfile.gettempdir(), "perfcheck_l2_*"))) <= l2_dirs
+
+
+def test_measure_tears_down_after_a_failing_rep():
+    torn = []
+
+    def fail(state):
+        raise RuntimeError("rep failed")
+
+    scenario = Scenario("s", lambda: "state", fail, teardown=torn.append)
+    with pytest.raises(RuntimeError, match="rep failed"):
+        measure([scenario], reps=1)
+    assert torn == ["state"]
 
 
 # -- CLI ---------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import re
+import sys
 import threading
 import time
 
@@ -719,3 +720,160 @@ def test_every_terminal_status_is_accounted_once(context, caplog):
     assert requests_total == 5
     assert sched.slo.total == 4
     assert len(_wide_events(caplog)) == 5
+
+
+# -- serving on the caller's thread ----------------------------------------
+def _stall_first_thread(monkeypatch):
+    """Stall the solver calls of the first thread that reaches a solver
+    until the returned ``release`` is set; ``solving`` is set when it
+    arrives.  Every other thread solves unhindered."""
+    solving, release = threading.Event(), threading.Event()
+    first = []
+
+    def stall(entry):
+        if not first:
+            first.append(threading.get_ident())
+        if first[0] == threading.get_ident():
+            solving.set()
+            assert release.wait(timeout=60.0)
+
+    _patch_solvers(monkeypatch, stall)
+    return solving, release
+
+
+def test_the_scheduler_starts_no_thread_and_serves_on_the_callers(
+    context, monkeypatch
+):
+    before = set(threading.enumerate())
+    solver_threads = []
+    _patch_solvers(monkeypatch, lambda entry: solver_threads.append(threading.current_thread()))
+    context.session("km", 2).cache.clear()  # the request below really solves
+    with QueryScheduler(context, workers=4) as sched:
+        assert set(threading.enumerate()) <= before  # no new thread
+        sched.warm([("km", 2)])
+        response = sched.execute(QueryRequest(query="Q1", params={"pb_selectivity": 0.64}))
+        assert response.status == STATUS_OK
+        assert set(threading.enumerate()) <= before  # no new thread
+    assert solver_threads and set(solver_threads) == {threading.current_thread()}
+    assert not [t for t in threading.enumerate() if t.name.startswith("repro-serve-")]
+
+
+def test_a_request_waiting_for_a_slot_times_out_at_its_deadline(context, monkeypatch):
+    """With the only slot held by a stalled request, a queued request
+    answers ``timeout`` at its deadline, not when the slot frees up."""
+    solving, release = _stall_first_thread(monkeypatch)
+    context.session("km", 2).cache.clear()
+    with QueryScheduler(context, workers=1) as sched:
+        sched.warm([("km", 2)])
+        busy = sched.submit(QueryRequest(query="Q1", params={"pb_selectivity": 0.65}))
+        try:
+            assert solving.wait(timeout=30.0)
+            queued = sched.submit(
+                QueryRequest(query="Q1", params={"pb_selectivity": 0.66}, deadline_ms=200.0)
+            )
+            expired = queued.wait(timeout=5.0)
+            assert expired is not None and not busy.done
+            assert expired.status == STATUS_TIMEOUT
+            assert expired.error == "queue wait"
+            assert 150.0 <= expired.total_ms < 1000.0
+            assert expired.queue_ms >= 150.0
+            assert sched.queue_depth == 0
+        finally:
+            release.set()
+        assert busy.wait(timeout=60.0).status == STATUS_OK
+    assert sched.status()["deadline_misses"] == 1
+
+
+def test_parked_followers_hold_no_slot(context, monkeypatch):
+    """Two slots, one held by a stalled leader and none by its three
+    parked followers: a fourth, distinct request still gets served."""
+    solving, release = _stall_first_thread(monkeypatch)
+    context.session("km", 2).cache.clear()
+    params = {"pb_selectivity": 0.67}
+    with QueryScheduler(context, workers=2) as sched:
+        sched.warm([("km", 2)])
+        leader = sched.submit(QueryRequest(query="Q1", params=params))
+        try:
+            assert solving.wait(timeout=30.0)
+            followers = [
+                sched.submit(QueryRequest(query="Q1", params=params)) for _ in range(3)
+            ]
+            deadline = time.monotonic() + 30.0
+            while sched.status()["dedup_hits"] < 3 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert sched.status()["dedup_hits"] == 3
+            other = sched.execute(QueryRequest(query="Q1", params={"pb_selectivity": 0.68}))
+            assert other.status == STATUS_OK and not other.dedup
+            assert not leader.done and not any(f.done for f in followers)
+        finally:
+            release.set()
+        exact = leader.wait(timeout=60.0)
+        answers = [f.wait(timeout=60.0) for f in followers]
+    assert exact.status == STATUS_OK and not exact.dedup
+    for answer in answers:
+        assert answer is not None and answer.status == STATUS_OK and answer.dedup
+        assert (answer.lower, answer.upper) == (exact.lower, exact.upper)
+
+
+def test_close_waits_for_the_request_in_progress(context, monkeypatch):
+    solving, release = _stall_first_thread(monkeypatch)
+    context.session("km", 2).cache.clear()
+    sched = QueryScheduler(context, workers=1)
+    sched.warm([("km", 2)])
+    busy = sched.submit(QueryRequest(query="Q1", params={"pb_selectivity": 0.69}))
+    assert solving.wait(timeout=30.0)
+    seen_at_return = []
+
+    def close():
+        sched.close()
+        seen_at_return.append((busy.done, dict(sched.status()["by_status"])))
+
+    closer = threading.Thread(target=close)
+    closer.start()
+    closer.join(timeout=0.3)
+    assert closer.is_alive()  # still waiting for busy
+    release.set()
+    closer.join(timeout=30.0)
+    assert not closer.is_alive()
+    assert seen_at_return == [(True, {STATUS_OK: 1})]  # answered and accounted
+    assert busy.wait(timeout=1.0).status == STATUS_OK
+
+
+def test_slot_accounting_under_a_concurrent_burst(context):
+    """Many threads at once, with a short switch interval: never more
+    than ``workers`` requests in a slot, and every admitted request
+    answered with both counters back at zero."""
+    with QueryScheduler(context, workers=2, max_queue=64) as sched:
+        sched.warm([("km", 2)])
+        lock, serving, peak = threading.Lock(), [0], [0]
+        real = sched._answer_prepared
+
+        def counted(*args, **kwargs):
+            with lock:
+                serving[0] += 1
+                peak[0] = max(peak[0], serving[0])
+            try:
+                time.sleep(0.001)
+                return real(*args, **kwargs)
+            finally:
+                with lock:
+                    serving[0] -= 1
+
+        sched._answer_prepared = counted
+        requests = [
+            QueryRequest(query="Q1", params={"pb_selectivity": round(0.40 + 0.01 * (i % 6), 2)})
+            for i in range(18)
+        ] + [QueryRequest(query="Q2", deadline_ms=0.01) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pending = [sched.submit(request) for request in requests]
+            responses = [p.wait(timeout=120.0) for p in pending]
+        finally:
+            sys.setswitchinterval(interval)
+    # close() returned: no request holds a slot any more.
+    assert all(r is not None and r.status in STATUSES for r in responses)
+    assert 1 <= peak[0] <= 2
+    assert (sched.queue_depth, sched._active, sched.in_flight) == (0, 0, 0)
+    status = sched.status()
+    assert status["submitted"] == sum(status["by_status"].values()) == len(requests)
