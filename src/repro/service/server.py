@@ -10,7 +10,8 @@
 * ``GET /healthz``    — liveness probe.
 * ``GET /metrics``    — the engine counters and phase timings of
   :func:`repro.obs.export.global_registry` plus service gauges (queue
-  depth, in-flight leaders) and the scheduler's request counters (per
+  depth, in-flight leaders, the collector's frozen objects and
+  collections per generation) and the scheduler's request counters (per
   status, dedup hits, deadline misses) and latency histograms.
   Content-negotiated: plain requests get
   Prometheus text 0.0.4 (exemplar-free — exemplars are illegal there);
@@ -21,10 +22,14 @@ The process keeps one long-lived :class:`~repro.obs.tracer.Tracer`
 active; each request's root span carries a fresh trace id (see
 ``Tracer.span(trace_id=...)``), so a ``--trace`` JSONL stream contains
 one distinguishable span tree per request.
+
+A process started by :func:`serve` with ``block=True`` owns its heap and
+settles it once after warm-up (:func:`_settle_heap`).
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import logging
@@ -56,6 +61,40 @@ from repro.service.api import QueryRequest, http_status_for
 from repro.service.scheduler import QueryScheduler
 
 logger = logging.getLogger(__name__)
+
+#: Young-generation threshold of a serving process that owns its heap.
+#: A request keeps its lineage (``BoolVar``s, ``LinearConstraint``s,
+#: rows) alive until it returns, and it then dies by refcount; at the
+#: default 700 the collector re-scanned it ~80 times per ``sweep``
+#: request.  This is above the peak of live tracked objects of most
+#: requests (Q1/Q2 on the benchmark's fixture: at most ~47k; a Q3 on
+#: k-anonymity or km peaks at 108-153k and pays one or two young
+#: collections), and requests create no cyclic garbage
+#: (tests/test_heap_policy.py), so the collector has nothing to reclaim
+#: that refcounting does not.  Unlike ``gc.disable()`` it still bounds a
+#: future cycle leak at this many young objects.
+YOUNG_GC_THRESHOLD = 100_000
+
+
+def _settle_heap() -> None:
+    """Collect once, move the warmed heap (dataset, encodings, sessions)
+    to the permanent generation, and raise the young threshold, so later
+    collections scan only what requests allocate."""
+    gc.collect()
+    gc.freeze()
+    gc.set_threshold(YOUNG_GC_THRESHOLD, 50, 100)
+
+
+def _gc_state() -> dict:
+    """The ``/v1/status`` ``gc`` block: the collector's settings and
+    per-generation counts since the process started."""
+    stats = gc.get_stats()
+    return {
+        "frozen": gc.get_freeze_count(),
+        "threshold": list(gc.get_threshold()),
+        "collections": [generation["collections"] for generation in stats],
+        "collected": [generation["collected"] for generation in stats],
+    }
 
 
 class QueryService:
@@ -158,6 +197,7 @@ class QueryService:
             "sessions": self.context.cache_stats(),
             "fabric": self.context.fabric_stats(),
             "slo": self.slo.snapshot(),
+            "gc": _gc_state(),
             "trace": self._sink.path if self._sink else None,
             "slow_log": (
                 {
@@ -199,6 +239,14 @@ class QueryService:
         registry.gauge("service_uptime_seconds", "Seconds since service start").set(
             self.uptime_s
         )
+        registry.gauge(
+            "service_gc_frozen_objects", "Objects in the collector's permanent generation"
+        ).set(gc.get_freeze_count())
+        collections = registry.counter(
+            "service_gc_collections_total", "Cyclic-collector runs per generation"
+        )
+        for generation, stats in enumerate(gc.get_stats()):
+            collections.inc(stats["collections"], labels={"generation": str(generation)})
         if self.slow_log is not None:
             registry.counter(
                 "service_slow_queries_total", "Requests captured by the slow-query log"
@@ -371,10 +419,12 @@ def serve(
     what the CI smoke job asserts.  ``None`` keeps the historical plain
     ``print`` banner (tests calling ``serve(block=False)``).
 
-    With ``block=True`` (the CLI path) this serves until interrupted and
-    returns an exit code.  With ``block=False`` (tests) it returns the
-    running ``(ServiceHTTPServer, QueryService, Thread)`` triple; the
-    caller owns shutdown.
+    With ``block=True`` (the CLI path) the process is the server's own:
+    the warmed heap is settled (:func:`_settle_heap`) before the ready
+    file is written, and this serves until interrupted and returns an
+    exit code.  With ``block=False`` (tests) it leaves the collector
+    alone and returns the running ``(ServiceHTTPServer, QueryService,
+    Thread)`` triple; the caller owns shutdown.
     """
     if log_format is not None:
         configure_logging(log_format)
@@ -397,6 +447,8 @@ def serve(
     except Exception:
         service.close()
         raise
+    if block:
+        _settle_heap()
     bound_host, bound_port = httpd.server_address[:2]
     ready = {
         "host": bound_host,

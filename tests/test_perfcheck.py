@@ -180,7 +180,8 @@ def test_main_update_then_pass_then_injected_failure(tmp_path, monkeypatch):
     baseline_path = str(tmp_path / "BENCH_perfcheck.json")
 
     assert perfcheck.main(["--update", "--baseline", baseline_path, "--reps", "3"]) == 0
-    document = json.load(open(baseline_path, encoding="utf-8"))
+    with open(baseline_path, encoding="utf-8") as handle:
+        document = json.load(handle)
     assert document["reps"] == 3
     assert sorted(document["scenarios"]) == ["alpha", "beta"]
 
@@ -192,7 +193,8 @@ def test_main_update_then_pass_then_injected_failure(tmp_path, monkeypatch):
         ["--baseline", baseline_path, "--reps", "3", "--json", report_path]
     )
     assert code == 0
-    report = json.load(open(report_path, encoding="utf-8"))
+    with open(report_path, encoding="utf-8") as handle:
+        report = json.load(handle)
     assert report["ok"]
 
     # Toy scenarios run in microseconds; a massive injected slowdown must
