@@ -328,6 +328,15 @@ def _cold_solve_phase(url: str, clients: int, keys: int, base: float) -> dict:
     }
 
 
+def _previous_sweep(results_path: str) -> dict | None:
+    """The ``worker_sweep`` section already in ``results_path``, if any."""
+    try:
+        with open(results_path, encoding="utf-8") as handle:
+            return json.load(handle).get("worker_sweep")
+    except (OSError, ValueError, AttributeError):
+        return None
+
+
 def run_worker_sweep(
     fabrics: tuple = ("process",),
     workers_list: tuple = (1, 2, 4, 8),
@@ -442,6 +451,11 @@ def run_benchmark(
                 proc.kill()
     if sweep:
         results["worker_sweep"] = run_worker_sweep()
+    else:
+        # A run without --sweep keeps the curve a sweeping run recorded.
+        previous = _previous_sweep(results_path)
+        if previous is not None:
+            results["worker_sweep"] = previous
     with open(results_path, "w", encoding="utf-8") as handle:
         json.dump(results, handle, indent=2)
         handle.write("\n")

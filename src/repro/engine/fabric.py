@@ -7,7 +7,7 @@ column order, its fingerprint, deadline-carrying options, and the L2
 cache path — and :func:`run_unit` is the one execution path every
 fabric runs it through:
 
-    L2 probe -> closed form (free blocks) -> backend solve -> L2 write
+    L2 probe (checked) -> closed form (free blocks) -> backend solve -> L2 write
 
 Two interchangeable fabrics schedule units:
 
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import logging
 import multiprocessing
 import os
 import threading
@@ -55,6 +56,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.engine.cache import CachedSolve
 from repro.engine.l2cache import L2SolveCache
+from repro.obs.export import global_registry
 from repro.obs.tracer import Stopwatch
 from repro.solver.cancel import CancelToken, create_scope, drop_scope
 from repro.solver.decompose import closed_form
@@ -67,11 +69,14 @@ __all__ = [
     "ProcessFabric",
     "SolveUnit",
     "UnitResult",
+    "l2_read",
     "make_fabric",
     "run_unit",
 ]
 
 FABRIC_KINDS = ("inline", "process")
+
+logger = logging.getLogger(__name__)
 
 # The unit-solve seam, kept by name: traced_serve.py wraps it, tests monkeypatch it.
 portfolio_solve = solve
@@ -177,12 +182,40 @@ def l2_handle(path: Optional[str]) -> Optional[L2SolveCache]:
         return handle
 
 
+def l2_read(
+    l2: L2SolveCache, problem, fingerprint: str, sense: str
+) -> Optional[CachedSolve]:
+    """The L2 row of ``(fingerprint, sense)``, checked against ``problem``.
+
+    An ``optimal`` row is an answer only when its vector is a feasible
+    point of the block (:meth:`~repro.solver.model.BIPProblem.is_feasible`)
+    whose objective value equals the stored ``objective``.  Any other
+    ``optimal`` row — a tampered or corrupt one — is a miss: it counts in
+    ``repro_cache_rejected_total{tier="l2"}`` and logs one warning, and
+    the caller's re-solve overwrites it.
+    """
+    entry = l2.get(fingerprint, sense)
+    if entry is None or entry.status != "optimal":
+        return entry
+    x = entry.x_canonical
+    if x is not None and problem.is_feasible(x) and problem.objective_value(x) == entry.objective:
+        return entry
+    global_registry().counter(
+        "cache_rejected_total", "Cached solve outcomes that failed their check"
+    ).inc(labels={"tier": "l2"})
+    logger.warning(
+        "rejected L2 row %s/%s: its vector does not attain objective %s on its block",
+        fingerprint, sense, entry.objective,
+    )
+    return None
+
+
 # -- the one execution path ---------------------------------------------------
 def _execute(unit: SolveUnit) -> UnitResult:
     l2 = l2_handle(unit.l2_path)
     if l2 is not None:
         read = Stopwatch()
-        entry = l2.get(unit.fingerprint, unit.sense)
+        entry = l2_read(l2, unit.problem, unit.fingerprint, unit.sense)
         if entry is not None:
             # An L2 hit's cost is its read: what fetching it again takes.
             return UnitResult.from_cached(
@@ -233,8 +266,6 @@ def run_unit(unit: SolveUnit) -> UnitResult:
     from repro.obs.tracer import RecordingTracer, activate, current_tracer
 
     if _IN_WORKER and unit.repatriate:
-        from repro.obs.export import global_registry
-
         recorder = RecordingTracer(
             trace_id=unit.trace_id, sample_every=unit.sample_every
         )
@@ -374,7 +405,6 @@ def _worker_init() -> None:
     """
     global _IN_WORKER
     import repro.obs.tracer as tracer_module
-    from repro.obs.export import global_registry
 
     tracer_module._active = tracer_module.NULL_TRACER
     global_registry().snapshot_delta()

@@ -52,6 +52,7 @@ from repro.engine.fabric import (
     SolveUnit,
     UnitResult,
     l2_handle,
+    l2_read,
 )
 from repro.errors import EngineError, InfeasibleError
 from repro.obs.export import count, global_registry, phase
@@ -158,9 +159,13 @@ def _fingerprint(components: Sequence[PreparedComponent], offset) -> str:
     return hashlib.blake2b(repr(key).encode("utf-8"), digest_size=16).hexdigest()
 
 
-def _root_span_record(result: UnitResult, component: int, start_unix: float) -> dict:
+def _root_span_record(
+    result: UnitResult, component: int, start_unix: float, source: str
+) -> dict:
     """The ``engine.solve.*`` span of a block the root pass claimed, as a
-    record ``_collect`` ingests like a worker's (see ``run_unit``)."""
+    record ``_collect`` ingests like a worker's (see ``run_unit``).
+    ``source`` names what found the closing point: ``seed`` (the greedy
+    seed) or ``enumeration``."""
     attributes = {
         "component": component,
         "cached": False,
@@ -177,7 +182,7 @@ def _root_span_record(result: UnitResult, component: int, start_unix: float) -> 
         # space (see explain.mine_timeline).
         signed = -result.objective if result.sense == "min" else result.objective
         attributes["incumbents"] = [
-            {"node": 0, "objective": signed, "source": "seed", "t": result.solve_time}
+            {"node": 0, "objective": signed, "source": source, "t": result.solve_time}
         ]
     return {
         "name": f"engine.solve.{result.sense}",
@@ -488,14 +493,20 @@ class SolveSession:
         route to the branch-and-bound, stacks them into one
         :class:`~repro.solver.kernels.RootBatch` and
         keeps the blocks the root kernels close: propagation proved them
-        infeasible, or a validated greedy point reaches the kernel bound.
-        That is the proof of the branch-and-bound's node-0 seed shortcut,
-        so a claimed block carries what its unit would have returned:
-        ``backend='bb'``, one node (none when presolve would have fixed
-        every variable or proved infeasibility).  Constraint-free blocks
-        get their closed form, as in a unit.  A claimed key found in L2
-        takes the stored outcome, and a fresh one is written through, so
-        L2 sees exactly what the unit path would show it.  Returns the
+        infeasible, or a validated greedy point reaches the kernel bound
+        (the proof of the branch-and-bound's node-0 seed shortcut), or
+        the block has at most
+        :data:`~repro.solver.kernels.ENUMERATE_MAX_FREE` free variables
+        left and listing every completion found its checked optimum or
+        proved it infeasible.  A claimed block carries what its unit
+        would have returned: ``backend='bb'``, one node (none when
+        presolve would have fixed every variable or proved
+        infeasibility).  Constraint-free blocks get their closed form,
+        as in a unit.  A claimed key found in L2 takes the stored
+        outcome if it passes :func:`~repro.engine.fabric.l2_read`'s
+        check, and a fresh one is written through, so L2 sees exactly
+        what the unit path would show it.  The ``engine.root_pass`` span
+        records ``blocks``, ``closed`` and ``enumerated``.  Returns the
         claimed results by key; every other task becomes a unit.
 
         Skipped when ``seed_incumbent=False`` (each unit then runs as
@@ -532,11 +543,18 @@ class SolveSession:
             verdicts = kernels.close_roots(
                 [(todo[key][0].kernel, 1 if key[1] == "max" else -1) for key in kernel_keys]
             )
+            enumerated = 0
             for key, verdict in zip(kernel_keys, verdicts):
                 if verdict.closed:
                     solved[key] = verdict
+                    enumerated += verdict.enumerated
             share = clock.stop() / max(len(solved), 1)
-            pass_span.set("closed", len(solved))
+            pass_span.set("closed", len(solved)).set("enumerated", enumerated)
+            if enumerated:
+                global_registry().counter(
+                    "engine_root_enumerated_total",
+                    "Blocks the root pass settled by enumerating every completion",
+                ).inc(enumerated)
 
             claims: Dict[Tuple[str, str], UnitResult] = {}
             l2 = l2_handle(self.l2_path)
@@ -544,7 +562,9 @@ class SolveSession:
                 part, component = todo[key]
                 fingerprint, sense = key
                 read = Stopwatch()
-                stored = l2.get(fingerprint, sense) if l2 is not None else None
+                stored = (
+                    l2_read(l2, part.problem, fingerprint, sense) if l2 is not None else None
+                )
                 if stored is not None:
                     result = UnitResult.from_cached(
                         fingerprint, sense, stored, l2_hit=True,
@@ -558,7 +578,10 @@ class SolveSession:
                             authoritative=options is None,
                         )
                 if tracer.enabled:
-                    result.spans.append(_root_span_record(result, component, start_unix))
+                    source = "enumeration" if getattr(outcome, "enumerated", False) else "seed"
+                    result.spans.append(
+                        _root_span_record(result, component, start_unix, source)
+                    )
                 claims[key] = result
         return claims
 
@@ -578,8 +601,13 @@ class SolveSession:
             if objective is not None and sense == "min":
                 objective = -objective
             # Presolve settles a block its root propagation fixes or
-            # refutes before the search counts a node.
-            presolved = options.use_presolve and (not outcome.feasible or outcome.fixed)
+            # refutes before the search counts a node; a block only
+            # enumeration settles would have reached the search.
+            presolved = (
+                options.use_presolve
+                and not outcome.enumerated
+                and (not outcome.feasible or outcome.fixed)
+            )
             nodes = 0 if presolved else 1
             backend = "bb"
         return UnitResult(

@@ -27,7 +27,9 @@ the per-node primitives as whole-matrix batch operations:
   verdict per block.  A block whose validated greedy point reaches its
   kernel bound is closed without a search — the same proof as the
   branch-and-bound's node-0 seed shortcut, paid once per request instead
-  of once per component.
+  of once per component.  A block still open with at most
+  :data:`ENUMERATE_MAX_FREE` free variables after propagation is closed
+  by listing every completion (:func:`best_completion`).
 
 These kernels are the branch-and-bound's only inner loop.  The scalar
 :mod:`repro.solver.propagation` and :mod:`repro.solver.cuts` stay as the
@@ -44,7 +46,7 @@ values are integers, so dual bounds may be floored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,9 +56,11 @@ from repro.solver.model import BIPConstraint, BIPProblem
 from repro.solver.propagation import FREE, ONE, ZERO
 
 __all__ = [
+    "ENUMERATE_MAX_FREE",
     "CompiledProblem",
     "RootBatch",
     "RootVerdict",
+    "best_completion",
     "close_roots",
     "compile_problem",
     "separate_cover_cuts_vec",
@@ -64,6 +68,11 @@ __all__ = [
 
 #: same epsilon branch_and_bound uses when flooring fractional bounds
 _FLOOR_EPS = 1e-7
+
+#: Most free variables a block may keep after root propagation for
+#: :func:`close_roots` to settle it by enumeration: 2**12 = 4096
+#: completions, each checked against only the rows that touch them.
+ENUMERATE_MAX_FREE = 12
 
 
 def _segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -466,9 +475,10 @@ class RootVerdict:
     """What the root kernels proved about one block of a :class:`RootBatch`.
 
     Values are in the block's own (signed) maximization space.  ``closed``
-    means no search is needed: either propagation proved the block
-    infeasible, or the validated greedy point ``x`` reaches the kernel
-    upper ``bound``, so ``objective`` is optimal.
+    means no search is needed: propagation proved the block infeasible,
+    the validated greedy point ``x`` reaches the kernel upper ``bound``,
+    or (``enumerated``) listing every completion of the propagated
+    domains found the best feasible point ``x`` or proved there is none.
     """
 
     feasible: bool
@@ -476,12 +486,66 @@ class RootVerdict:
     bound: Optional[int]
     x: Optional[List[int]]
     objective: Optional[int]
+    enumerated: bool = False
 
     @property
     def closed(self) -> bool:
-        if not self.feasible:
+        if not self.feasible or self.enumerated:
             return True
         return self.x is not None and self.objective >= self.bound
+
+
+def best_completion(
+    compiled: CompiledProblem, sign: int, domains: np.ndarray
+) -> Optional[Tuple[List[int], int]]:
+    """``(x, value)``: the best feasible completion of ``domains`` and its
+    objective, or ``None`` if no completion is feasible.
+
+    Lists all ``2**k`` assignments of the ``k`` free variables (fixed
+    ones keep their values) and checks them against the rows that touch
+    a free variable; a row over fixed variables only is one propagation
+    already found satisfied.  The objective is ``sign`` times the
+    block's (constant included), and ties go to the first completion in
+    counting order (bit ``j`` of the count is the ``j``-th free
+    variable).  Memory is ``2**k`` times the touched rows, so callers
+    bound ``k``.
+    """
+    free = np.flatnonzero(domains == FREE)
+    k = free.size
+    x = np.maximum(domains, 0).astype(np.int64)
+    points = (np.arange(1 << k, dtype=np.int64)[:, None] >> np.arange(k)) & 1
+    ok = np.ones(1 << k, dtype=bool)
+    position = np.full(domains.size, -1, dtype=np.int64)
+    position[free] = np.arange(k)
+    touched = position[compiled.cols] >= 0
+    rows = np.unique(compiled.row[touched])
+    if rows.size:
+        fixed_activity = _segment_sum(compiled.coefs * x[compiled.cols], compiled.indptr)
+        matrix = np.zeros((rows.size, k), dtype=np.int64)
+        np.add.at(
+            matrix,
+            (
+                np.searchsorted(rows, compiled.row[touched]),
+                position[compiled.cols[touched]],
+            ),
+            compiled.coefs[touched],
+        )
+        activity = points @ matrix.T + fixed_activity[rows]
+        rhs = compiled.rhs[rows]
+        ok = np.all(
+            (~compiled.check_le[rows] | (activity <= rhs))
+            & (~compiled.check_ge[rows] | (activity >= rhs)),
+            axis=1,
+        )
+    feasible = np.flatnonzero(ok)
+    if not feasible.size:
+        return None
+    c = sign * compiled.c
+    values = points[feasible] @ c[free]
+    best = int(np.argmax(values))
+    value = int(c @ x) + int(values[best]) + sign * compiled.problem.objective_constant
+    x[free] = points[feasible[best]]
+    return x.tolist(), value
 
 
 class RootBatch:
@@ -683,6 +747,14 @@ def close_roots(
     proof a closed verdict rests on is the one the branch-and-bound's
     node-0 shortcut uses: a point feasible on every row that attains a
     valid upper bound is optimal.
+
+    A block those leave open, feasible after propagation with 1 to
+    :data:`ENUMERATE_MAX_FREE` free variables, is settled by
+    :func:`best_completion`.  Propagation removes no feasible point, so
+    the best completion is the block's optimum, and no completion means
+    no feasible point.  The optimum is claimed only once it satisfies the
+    block's :meth:`~repro.solver.model.BIPProblem.is_feasible` and its
+    objective value is recomputed from the problem.
     """
     if not blocks:
         return []
@@ -693,22 +765,38 @@ def close_roots(
     value = batch.objective(x)
     free_left = np.bincount(batch.var_block[domains == FREE], minlength=batch.size)
     verdicts = []
-    for b in range(batch.size):
+    for b, (compiled, sign) in enumerate(blocks):
         if not feasible[b]:
             verdicts.append(RootVerdict(False, False, None, None, None))
             continue
         lo, hi = batch.var_ptr[b], batch.var_ptr[b + 1]
         point = x[lo:hi].tolist() if found[b] else None
-        verdicts.append(
-            RootVerdict(
-                feasible=True,
-                fixed=free_left[b] == 0,
-                bound=int(bound[b]),
-                x=point,
-                objective=int(value[b]) if point is not None else None,
-            )
+        verdict = RootVerdict(
+            feasible=True,
+            fixed=free_left[b] == 0,
+            bound=int(bound[b]),
+            x=point,
+            objective=int(value[b]) if point is not None else None,
         )
+        if not verdict.closed and 0 < free_left[b] <= ENUMERATE_MAX_FREE:
+            verdict = _enumerated(compiled, sign, domains[lo:hi], verdict)
+        verdicts.append(verdict)
     return verdicts
+
+
+def _enumerated(
+    compiled: CompiledProblem, sign: int, domains: np.ndarray, verdict: RootVerdict
+) -> RootVerdict:
+    """``verdict`` settled by :func:`best_completion`; unchanged if the
+    best completion fails its check against the problem."""
+    best = best_completion(compiled, sign, domains)
+    if best is None:
+        return RootVerdict(False, False, None, None, None, enumerated=True)
+    point, value = best
+    problem = compiled.problem
+    if not problem.is_feasible(point) or sign * problem.objective_value(point) != value:
+        return verdict
+    return replace(verdict, x=point, objective=value, enumerated=True)
 
 
 def separate_cover_cuts_vec(

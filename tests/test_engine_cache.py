@@ -24,6 +24,7 @@ from repro.core.database import LICMModel
 from repro.core.linexpr import LinearExpr, linear_sum
 from repro.engine import SolveSession
 from repro.engine.cache import LRUCache, SolveCache
+from repro.solver.kernels import ENUMERATE_MAX_FREE
 
 from tests.helpers import counter_totals, delta
 
@@ -251,7 +252,9 @@ def test_concurrent_puts_and_gets_stay_within_maxsize():
 
 # -- the session: an expensive solve outlives cheap components ------------
 
-CHAIN = 8  # variables in the one-component problem
+#: variables in the one-component problem: more than the root pass
+#: enumerates, so its solves stay fabric units
+CHAIN = ENUMERATE_MAX_FREE + 2
 
 
 def _flood_model(blocks: int):

@@ -3,13 +3,17 @@
 ``SolveSession._solve_tasks`` closes every root-closable component of a
 request in one kernel pass before any unit reaches the fabric.  These
 tests check what that pass must not change: exact bounds through the
-scheduler, the L1/L2 bookkeeping a unit would have done (including an
-L2 file outliving its session), and a deadline that has already passed.
+scheduler (blocks settled by enumeration included), the L1/L2
+bookkeeping a unit would have done (including an L2 file outliving its
+session), and a deadline that has already passed.  They also check that
+an L2 row is an answer only when its vector attains its objective on its
+block, on the root pass's read and on a unit's.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sqlite3
 import time
 
 import pytest
@@ -20,6 +24,7 @@ from repro.core.linexpr import LinearExpr, linear_sum
 from repro.engine import SolveSession
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentContext
+from repro.obs.export import global_registry
 from repro.queries import QUERY_BUILDERS, answer_licm
 from repro.service.api import STATUS_OK, QueryRequest
 from repro.service.scheduler import QueryScheduler
@@ -167,3 +172,87 @@ def test_expired_deadline_claims_nothing():
         assert not bounds.exact
         assert bounds.stats["nodes"] == 0
         assert len(session.cache) == 0
+
+
+def _total(name: str) -> float:
+    """A process-wide counter family's total over all its label sets."""
+    counter = global_registry().counter(name)
+    with counter._lock:
+        return sum(counter.series.values())
+
+
+@pytest.mark.parametrize("scheme", ["km", "k-anonymity", "bipartite"])
+def test_served_answers_equal_unit_solves(context, scheme):
+    """Q1-Q3 served tight through the scheduler, whose root pass settles
+    small blocks by enumeration, equal a session with
+    ``seed_incumbent=False``, which skips the root pass and sends every
+    block through a unit."""
+    encoded = context.encoding(scheme, 2).encoded
+    enumerated = _total("engine_root_enumerated_total")
+    with QueryScheduler(context, workers=2, max_queue=8) as scheduler:
+        scheduler.warm([(scheme, 2)])
+        for query in ("Q1", "Q2", "Q3"):
+            response = scheduler.execute(
+                QueryRequest(query=query, scheme=scheme, precision="tight")
+            )
+            assert response.status == STATUS_OK, response.error
+            assert response.exact
+            plan = QUERY_BUILDERS[query](encoded, context.config.params)
+            with SolveSession(
+                encoded.model, cache_size=0, options=SolverOptions(seed_incumbent=False)
+            ) as units:
+                reference = answer_licm(encoded, plan, session=units)
+            assert reference.bounds.exact
+            assert (response.lower, response.upper) == (reference.lower, reference.upper)
+    if scheme == "bipartite":
+        assert _total("engine_root_enumerated_total") > enumerated
+
+
+def _tamper(path: str, statement: str) -> int:
+    """Run one UPDATE on the L2 file; the number of rows it changed."""
+    with sqlite3.connect(path) as conn:
+        changed = conn.execute(statement).rowcount
+    conn.close()
+    return changed
+
+
+def _l2_interval(encoded, plan, path: str, options: SolverOptions):
+    """A fresh process's answer over the L2 file at ``path``."""
+    fabric_module._L2_HANDLES.clear()
+    with SolveSession(encoded.model, cache_size=0, l2_path=path, options=options) as session:
+        answer = answer_licm(encoded, plan, session=session)
+    return answer.lower, answer.upper, answer.bounds.exact
+
+
+@pytest.mark.parametrize(
+    "options", [SolverOptions(), SolverOptions(seed_incumbent=False)], ids=["root", "units"]
+)
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "UPDATE solves SET objective = objective + 1 WHERE sense = 'max'",
+        # Flip the first bit of every stored vector.
+        "UPDATE solves SET x_canonical = '[' || (1 - CAST(substr(x_canonical, 2, 1) AS INT))"
+        " || substr(x_canonical, 3) WHERE status = 'optimal' AND x_canonical != '[]'",
+    ],
+    ids=["objective", "vector"],
+)
+def test_a_wrong_l2_row_is_rejected_and_overwritten(context, tmp_path, options, statement):
+    """A well-formed L2 row whose vector does not attain its objective is
+    a miss: the fresh session re-solves, answers the true interval,
+    counts the rejection and overwrites the row.  ``root`` reads L2 in
+    the root pass, ``units`` (no root pass) in the fabric's units."""
+    encoded = context.encoding("k-anonymity", 2).encoded
+    plan = QUERY_BUILDERS["Q1"](encoded, context.config.params)
+    path = str(tmp_path / "l2.sqlite")
+    truth = _l2_interval(encoded, plan, path, options)
+    assert truth[2]
+    changed = _tamper(path, statement)
+    assert changed > 0
+    rejected = _total("cache_rejected_total")
+    assert _l2_interval(encoded, plan, path, options) == truth
+    assert _total("cache_rejected_total") - rejected == changed
+    # The re-solves overwrote every tampered row: a third read rejects none.
+    rejected = _total("cache_rejected_total")
+    assert _l2_interval(encoded, plan, path, options) == truth
+    assert _total("cache_rejected_total") == rejected

@@ -9,6 +9,7 @@ from repro.core.linexpr import linear_sum
 from repro.engine.session import SolveSession
 from repro.obs import NULL_TRACER, Tracer, activate, current_tracer
 from repro.obs.tracer import NullSpan, iter_tree
+from repro.solver.kernels import ENUMERATE_MAX_FREE
 from repro.queries import answer_licm  # noqa: F401 - import keeps facade covered
 from repro.solver.result import SolverOptions
 
@@ -142,7 +143,9 @@ def test_concurrent_spans_stay_per_thread():
 
 def test_bb_search_span_profiles_nodes():
     model = LICMModel()
-    vs = model.new_vars(8)
+    # More free variables than the root pass enumerates: the max reaches
+    # the search.
+    vs = model.new_vars(ENUMERATE_MAX_FREE + 2)
     model.add(linear_sum(vs) <= 5)
     model.add((vs[0] + vs[1]) <= 1)
 
