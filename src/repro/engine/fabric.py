@@ -198,8 +198,9 @@ def l2_read(
     if entry is None or entry.status != "optimal":
         return entry
     x = entry.x_canonical
-    if x is not None and problem.is_feasible(x) and problem.objective_value(x) == entry.objective:
-        return entry
+    if x is not None and problem.is_feasible(x):
+        if problem.objective_value(x) == entry.objective:
+            return entry
     global_registry().counter(
         "cache_rejected_total", "Cached solve outcomes that failed their check"
     ).inc(labels={"tier": "l2"})
