@@ -14,13 +14,16 @@ Two interchangeable fabrics schedule units:
 * :class:`InlineFabric` — runs the unit on the calling thread (the
   serial engine path, zero scheduling overhead);
 * :class:`ProcessFabric` — a ``ProcessPoolExecutor`` of forked workers;
-  solves run on real cores.  Options are stripped of their unpicklable
+  solves run on real cores.  Fork is the only start method: the
+  cancellation scope reaches a worker by fork inheritance
+  (:mod:`repro.solver.cancel`), so a spawned worker could not be
+  aborted.  Options are stripped of their unpicklable
   ``stop_check`` closure (the picklable ``deadline_at`` float and
   :class:`~repro.solver.cancel.CancelToken` survive), workers run with
   the null tracer (they must not write into the parent's span sinks),
-  and each unit's ``engine.solve.*`` span comes home as a serialized
-  record for :meth:`~repro.obs.tracer.Tracer.ingest` to re-parent into
-  the request trace.
+  and each unit's spans come home as serialized records for
+  :meth:`~repro.obs.tracer.Tracer.ingest` to re-parent into the request
+  trace.
 
 There is no thread-pool fabric: on every Q1-Q3 plan of the service
 benchmark a two-thread pool measured no faster than inline, one request
@@ -31,8 +34,8 @@ The point of the abstraction: inline and process execution are
 talks only to the fabric interface; swapping ``--fabric inline`` for
 ``--fabric process`` changes scheduling, never semantics.
 
-Worker-side telemetry is *repatriated*, not lost: each worker runs the
-unit under a bounded :class:`~repro.obs.tracer.RecordingTracer`, so
+Worker-side telemetry is always *repatriated*, not lost: each worker
+runs the unit under a bounded :class:`~repro.obs.tracer.RecordingTracer`, so
 solver-internal spans (``solver.solve``, ``bb.search`` with sampled
 node events) come home as serialized records on the result, and the
 worker's ``global_registry()`` delta (``repro_bb_nodes_per_solve`` and
@@ -49,7 +52,6 @@ import logging
 import multiprocessing
 import os
 import threading
-import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -93,8 +95,7 @@ class SolveUnit:
 
     ``trace_id``/``sample_every`` seed the worker's recording tracer so
     repatriated spans and metric exemplars carry the *requesting*
-    trace's id; ``repatriate=False`` turns worker-side telemetry
-    capture off entirely (the overhead-benchmark control arm).
+    trace's id.
     """
 
     problem: object
@@ -106,7 +107,6 @@ class SolveUnit:
     l2_path: Optional[str] = None
     trace_id: Optional[str] = None
     sample_every: int = 64
-    repatriate: bool = True
 
 
 @dataclass
@@ -260,13 +260,11 @@ def run_unit(unit: SolveUnit) -> UnitResult:
     ``engine.solve.*`` span *and* everything the solver
     opens beneath it (``solver.solve``, ``bb.search`` node sampling)
     are serialized onto the result, together with the worker registry's
-    metrics delta, for the parent to ingest/merge.  With
-    ``repatriate=False`` a worker ships only the coarse
-    ``engine.solve.*`` record.
+    metrics delta, for the parent to ingest/merge.
     """
     from repro.obs.tracer import RecordingTracer, activate, current_tracer
 
-    if _IN_WORKER and unit.repatriate:
+    if _IN_WORKER:
         recorder = RecordingTracer(
             trace_id=unit.trace_id, sample_every=unit.sample_every
         )
@@ -286,44 +284,17 @@ def run_unit(unit: SolveUnit) -> UnitResult:
         return result
 
     tracer = current_tracer()
-    if tracer.enabled:
-        with tracer.span(f"engine.solve.{unit.sense}") as span:
-            result = _execute(unit)
-            if unit.component is not None:
-                span.set("component", unit.component)
-            span.set("cached", False).set("status", result.status)
-            span.set("objective", result.objective).set("nodes", result.nodes)
-            span.set("backend", result.backend)
-            if result.l2_hit:
-                span.set("l2_hit", True)
-        return result
-    if not _IN_WORKER:
+    if not tracer.enabled:
         return _execute(unit)
-    start_unix = time.time()
-    t0 = time.perf_counter()
-    result = _execute(unit)
-    attributes = {
-        "cached": False,
-        "status": result.status,
-        "objective": result.objective,
-        "nodes": result.nodes,
-        "backend": result.backend,
-        "worker_pid": result.worker_pid,
-    }
-    if unit.component is not None:
-        attributes["component"] = unit.component
-    if result.l2_hit:
-        attributes["l2_hit"] = True
-    result.spans.append(
-        {
-            "name": f"engine.solve.{unit.sense}",
-            "start_unix": start_unix,
-            "duration": time.perf_counter() - t0,
-            "status": "ok",
-            "thread": threading.current_thread().name,
-            "attributes": attributes,
-        }
-    )
+    with tracer.span(f"engine.solve.{unit.sense}") as span:
+        result = _execute(unit)
+        if unit.component is not None:
+            span.set("component", unit.component)
+        span.set("cached", False).set("status", result.status)
+        span.set("objective", result.objective).set("nodes", result.nodes)
+        span.set("backend", result.backend)
+        if result.l2_hit:
+            span.set("l2_hit", True)
     return result
 
 
@@ -422,21 +393,17 @@ class ProcessFabric(ExecutorFabric):
     created with the fork context *before* the pool exists, so workers
     inherit the registry and the picklable :attr:`abort_token` resolves
     inside them: :meth:`abort` stops every in-flight unit cooperatively.
-    ``stop_check`` closures are stripped at submit (they cannot cross the
-    boundary); absolute deadlines and cancel tokens survive.
+    Workers are always forked — no other start method inherits the
+    scope.  ``stop_check`` closures are stripped at submit (they cannot
+    cross the boundary); absolute deadlines and cancel tokens survive.
+    Every worker ships its spans and metrics delta home (:func:`run_unit`).
     """
 
     kind = "process"
 
-    def __init__(
-        self,
-        workers: int = 2,
-        start_method: str = "fork",
-        repatriate: bool = True,
-    ):
+    def __init__(self, workers: int = 2):
         super().__init__(workers=workers)
-        self._ctx = multiprocessing.get_context(start_method)
-        self.repatriate = repatriate
+        self._ctx = multiprocessing.get_context("fork")
         self._scope_name = f"repro-fabric-{os.getpid()}-{next(_FABRIC_IDS)}"
         create_scope(self._scope_name, 1, factory=self._ctx.Event)
         # Fork every worker now, while the caller is (as a server's boot
@@ -466,11 +433,7 @@ class ProcessFabric(ExecutorFabric):
             cancel=unit.options.cancel or self.abort_token,
             stop_check=None,
         )
-        unit = dataclasses.replace(
-            unit,
-            options=options,
-            repatriate=self.repatriate and unit.repatriate,
-        )
+        unit = dataclasses.replace(unit, options=options)
         # The worker records span dicts; the parent re-parents them on ingest.
         return self._pool.submit(run_unit, unit)
 
@@ -499,12 +462,11 @@ class ProcessFabric(ExecutorFabric):
             pass
 
 
-def make_fabric(kind: str, workers: int = 1, **kwargs) -> ExecutorFabric:
-    """Build a fabric from CLI-ish configuration (``workers`` and
-    ``kwargs`` configure the process pool; inline runs one unit at a
-    time)."""
+def make_fabric(kind: str, workers: int = 1) -> ExecutorFabric:
+    """Build a fabric from CLI-ish configuration (``workers`` sizes the
+    process pool; inline runs one unit at a time)."""
     if kind == "inline":
         return InlineFabric()
     if kind == "process":
-        return ProcessFabric(workers, **kwargs)
+        return ProcessFabric(workers)
     raise ValueError(f"unknown fabric kind {kind!r}; expected one of {FABRIC_KINDS}")

@@ -1,13 +1,6 @@
 """The paper's query workload: plan builders and the LICM evaluator."""
 
 from repro.queries.answer import LICMAnswer, answer_licm
-from repro.queries.estimate import (
-    CardinalityInterval,
-    PlanEstimate,
-    choose_plan,
-    estimate_cost,
-    estimate_plan,
-)
 from repro.queries.fluent import Q, Query
 from repro.queries.licm_eval import evaluate_licm
 from repro.queries.predicates import location_predicate, price_predicate
@@ -21,17 +14,12 @@ from repro.queries.workload import (
 )
 
 __all__ = [
-    "CardinalityInterval",
     "LICMAnswer",
-    "PlanEstimate",
     "Q",
     "QUERY_BUILDERS",
     "Query",
     "QueryParams",
     "answer_licm",
-    "choose_plan",
-    "estimate_cost",
-    "estimate_plan",
     "evaluate_licm",
     "location_predicate",
     "price_predicate",

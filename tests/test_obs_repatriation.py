@@ -19,7 +19,7 @@ from helpers import fig2c_model
 from repro.core.aggregates import count_objective
 from repro.core.operators import licm_select
 from repro.engine import SolveSession
-from repro.engine.fabric import InlineFabric, ProcessFabric, SolveUnit
+from repro.engine.fabric import InlineFabric, ProcessFabric
 from repro.obs.export import MetricsRegistry, global_registry
 from repro.obs.tracer import RecordingTracer, Tracer, activate
 from repro.relational.predicates import Compare
@@ -187,26 +187,6 @@ def test_process_fabric_repatriates_spans_and_metrics():
         unit_span = by_id[span.parent_id]
         assert unit_span.name.startswith("engine.solve.")
         assert unit_span.parent_id == request.span_id
-
-
-def test_process_fabric_repatriate_off_is_the_old_coarse_record():
-    """The benchmark control arm: ``repatriate=False`` ships only the
-    single coarse span record and no registry delta."""
-    model, objective = _objective()
-    session = SolveSession(model, options=SolverOptions(backend="bb"))
-    prepared = session.prepare(objective)
-    (part,) = prepared.components
-    unit = SolveUnit(
-        problem=part.problem,
-        sense="max",
-        fingerprint=part.fingerprint,
-        options=SolverOptions(backend="bb"),
-    )
-    with ProcessFabric(workers=1, repatriate=False) as fabric:
-        result = fabric.submit_unit(unit).result(timeout=60.0)
-    assert result.status == "optimal"
-    assert result.metrics_delta is None
-    assert [record["name"] for record in result.spans] == ["engine.solve.max"]
 
 
 def test_fabric_ping():
