@@ -28,17 +28,6 @@ class GeneralizedDataset:
     #: groups of tids with identical generalized representation (k-anonymity)
     equivalence_classes: Optional[List[List[str]]] = None
 
-    @property
-    def generalized_node_count(self) -> int:
-        """How many (transaction, node) pairs are internal (uncertain)."""
-        return sum(
-            1
-            for _, nodes in self.transactions
-            if nodes
-            for node in nodes
-            if not self.hierarchy.is_leaf(node)
-        )
-
     def information_loss(self) -> float:
         """Average LM loss over all (transaction, node) occurrences."""
         total, count = 0.0, 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Iterable, Iterator, KeysView, Mapping, Optional, Tuple
+from typing import Iterable, Iterator, KeysView, Mapping, Optional, Sequence, Tuple
 
 from repro.core.linexpr import LinearExpr
 from repro.errors import ConstraintError
@@ -54,6 +54,21 @@ class LinearConstraint:
         self.tag = tag
 
     @classmethod
+    def normal(cls, terms: Tuple[Tuple[int, int], ...], op: str, rhs: int) -> "LinearConstraint":
+        """A row whose ``terms`` are already in normal form: a tuple of
+        ``(coefficient, var_index)`` pairs with non-zero integer
+        coefficients and strictly ascending indices, ``op`` one of
+        ``<=``/``>=``/``==`` and an integer ``rhs``.  Nothing is checked
+        or merged: this is the operators' lineage path, which writes a
+        fresh variable (the newest index, so last) next to its parents."""
+        row = object.__new__(cls)
+        row.terms = terms
+        row.op = op
+        row.rhs = rhs
+        row.tag = None
+        return row
+
+    @classmethod
     def from_exprs(cls, lhs: LinearExpr, op: str, rhs: LinearExpr) -> "LinearConstraint":
         """Build the normal form of ``lhs op rhs`` from two expressions."""
         diff = lhs - rhs
@@ -67,7 +82,7 @@ class LinearConstraint:
     @property
     def variables(self) -> Tuple[int, ...]:
         """Indices of the variables mentioned by this constraint."""
-        return tuple(index for _, index in self.terms)
+        return tuple([index for _, index in self.terms])
 
     def satisfied_by(self, assignment: Mapping[int, int]) -> bool:
         """Check the constraint under a (possibly partial) 0/1 assignment.
@@ -154,24 +169,31 @@ class ConstraintStore:
 
     def add(self, constraint: LinearConstraint) -> None:
         """Append one constraint and index its variables."""
-        if not isinstance(constraint, LinearConstraint):
-            raise ConstraintError(
-                f"expected LinearConstraint, got {type(constraint).__name__}; "
-                "did you write 'b == x' (identity) instead of 'b.eq(x)'?"
-            )
-        position = len(self._constraints)
-        self._constraints.append(constraint)
-        if self._scope_length is None:
-            self._generation += 1
-            self._position_of[id(constraint)] = position
-        else:
-            self._position_of.setdefault(id(constraint), position)
-        for index in constraint.variables:
-            self._by_var.setdefault(index, []).append(position)
+        self.extend((constraint,))
 
     def extend(self, constraints: Iterable[LinearConstraint]) -> None:
+        """Append constraints in order and index their variables."""
+        rows, by_var, position_of = self._constraints, self._by_var, self._position_of
+        scoped = self._scope_length is not None
         for constraint in constraints:
-            self.add(constraint)
+            if not isinstance(constraint, LinearConstraint):
+                raise ConstraintError(
+                    f"expected LinearConstraint, got {type(constraint).__name__}; "
+                    "did you write 'b == x' (identity) instead of 'b.eq(x)'?"
+                )
+            position = len(rows)
+            rows.append(constraint)
+            if scoped:
+                position_of.setdefault(id(constraint), position)
+            else:
+                self._generation += 1
+                position_of[id(constraint)] = position
+            for _, index in constraint.terms:
+                positions = by_var.get(index)
+                if positions is None:
+                    by_var[index] = [position]
+                else:
+                    positions.append(position)
 
     @contextmanager
     def scoped(self) -> Iterator[None]:
@@ -202,6 +224,11 @@ class ConstraintStore:
     def constraints_on(self, var_index: int) -> list[LinearConstraint]:
         """All constraints mentioning the given variable index."""
         return [self._constraints[pos] for pos in self._by_var.get(var_index, ())]
+
+    def positions_on(self, var_index: int) -> Sequence[int]:
+        """Ascending store positions of the constraints mentioning the
+        variable: the store's own list, so read it, never mutate it."""
+        return self._by_var.get(var_index, ())
 
     def position(self, constraint: LinearConstraint) -> int:
         """Position of this constraint *object* in the store (the last

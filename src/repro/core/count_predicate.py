@@ -34,33 +34,38 @@ arises there.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Sequence
 
 from repro.core.constraints import LinearConstraint
 from repro.core.database import LICMModel
-from repro.core.operators import and_ext, licm_dedup, same_pool
-from repro.core.relation import Ext, LICMRelation
+from repro.core.operators import and_ext, group_exts, licm_dedup, same_pool
+from repro.core.relation import Ext, LICMRelation, LICMTuple
 from repro.core.variables import BoolVar
 from repro.errors import QueryError
 
 
-def _group_rows(relation: LICMRelation, group_by: Sequence[str]):
-    """Group the relation's distinct rows by the group-by key.
+def _group_rows(relation: LICMRelation, group_by: Sequence[str]) -> dict[tuple, list[Ext]]:
+    """Group the relation's distinct rows by the group-by key, the keys in
+    order of first appearance.
 
     Duplicate value-rows are merged first (set semantics: COUNT counts
     distinct tuples), matching the deterministic engine's ``having_count``.
     """
     deduped = licm_dedup(relation)
     positions = [deduped.position(a) for a in group_by]
-    groups: dict[tuple, list[Ext]] = defaultdict(list)
-    order: list[tuple] = []
-    for row in deduped.rows:
-        key = tuple(row.values[p] for p in positions)
-        if key not in groups:
-            order.append(key)
-        groups[key].append(row.ext)
-    return order, groups
+    return group_exts(deduped.keys(positions), [row.ext for row in deduped.rows])
+
+
+def _sum_terms(variables: list[BoolVar], coef: int) -> list[tuple[int, int]]:
+    """``coef * Σ bi`` in normal form: ascending indices, the coefficients
+    of a variable that several members share added up."""
+    terms: list[tuple[int, int]] = []
+    for index in sorted([var.index for var in variables]):
+        if terms and terms[-1][1] == index:
+            terms[-1] = (terms[-1][0] + coef, index)
+        else:
+            terms.append((coef, index))
+    return terms
 
 
 def _le_ext(model: LICMModel, variables: list[BoolVar], n: int, d: int) -> Ext | None:
@@ -72,14 +77,13 @@ def _le_ext(model: LICMModel, variables: list[BoolVar], n: int, d: int) -> Ext |
         return None
     b = model.new_var()
     same_pool(b, variables)
-    k, total = b.index, [(1, var.index) for var in variables]  # B = Σ bi
-    constraints = [
+    k, total = b.index, _sum_terms(variables, 1)  # B = Σ bi
+    model.add_lineage(b, variables, [
         # d - n + 1 <= (d - n + 1) b + B
-        model.add(LinearConstraint([(d - n + 1, k), *total], ">=", d - n + 1)),
+        LinearConstraint.normal((*total, (d - n + 1, k)), ">=", d - n + 1),
         # m >= (m - d + n) b + B
-        model.add(LinearConstraint([(m - d + n, k), *total], "<=", m)),
-    ]
-    model.register_lineage(b, variables, constraints)
+        LinearConstraint.normal((*total, (m - d + n, k)), "<=", m),
+    ])
     return b
 
 
@@ -92,14 +96,13 @@ def _ge_ext(model: LICMModel, variables: list[BoolVar], n: int, d: int) -> Ext |
         return None
     b = model.new_var()
     same_pool(b, variables)
-    k, minus_total = b.index, [(-1, var.index) for var in variables]  # -B = -Σ bi
-    constraints = [
+    k, minus_total = b.index, _sum_terms(variables, -1)  # -B = -Σ bi
+    model.add_lineage(b, variables, [
         # (d - n) b <= B
-        model.add(LinearConstraint([(d - n, k), *minus_total], "<=", 0)),
+        LinearConstraint.normal((*minus_total, (d - n, k)), "<=", 0),
         # d - n - 1 + (m - d + n + 1) b >= B
-        model.add(LinearConstraint([(m - d + n + 1, k), *minus_total], ">=", -(d - n - 1))),
-    ]
-    model.register_lineage(b, variables, constraints)
+        LinearConstraint.normal((*minus_total, (m - d + n + 1, k)), ">=", -(d - n - 1)),
+    ])
     return b
 
 
@@ -123,12 +126,12 @@ def licm_having_count(
         raise QueryError(f"unsupported count comparison {op!r}")
 
     model = relation.model
-    order, groups = _group_rows(relation, group_by)
+    groups = _group_rows(relation, group_by)
     out = model.derived(tuple(group_by), f"having({relation.name})")
-    for key in order:
-        exts = groups[key]
-        n = sum(1 for e in exts if not isinstance(e, BoolVar))
+    rows = []
+    for key, exts in groups.items():
         variables = [e for e in exts if isinstance(e, BoolVar)]
+        n = len(exts) - len(variables)
         if op == "<=":
             ext = _le_ext(model, variables, n, threshold)
             if ext is not None and n == 0:
@@ -145,5 +148,6 @@ def licm_having_count(
             ge = _ge_ext(model, variables, n, threshold)
             ext = None if le is None or ge is None else and_ext(model, le, ge)
         if ext is not None:
-            out.insert(key, ext)
+            rows.append(LICMTuple(key, ext))
+    out.extend(rows)
     return out

@@ -90,7 +90,13 @@ class LICMModel:
         uniquely given any assignment of the parents."""
         self.lineage_parents[derived.index] = [p.index for p in parents]
         self.lineage_constraints[derived.index] = list(constraints)
-        self._lineage_constraint_ids.update(id(c) for c in constraints)
+        self._lineage_constraint_ids.update(map(id, constraints))
+
+    def add_lineage(self, derived: BoolVar, parents, constraints) -> None:
+        """Append an operator's lineage rows to the store, in order, and
+        register them (:meth:`register_lineage`)."""
+        self.constraints.extend(constraints)
+        self.register_lineage(derived, parents, constraints)
 
     def is_lineage_constraint(self, constraint) -> bool:
         """Was this constraint registered as operator lineage?"""

@@ -15,20 +15,20 @@ The existence-combination logic is factored into two tiny kernels:
   elimination; Algorithm 1, including Example 7's single-variable reuse
   optimization).
 
-Lineage rows are written directly as :class:`LinearConstraint` terms over
-variable indices, in the normal form expression arithmetic would produce
-(the paper's form is in a comment beside each row); ``LinearExpr``
-arithmetic is for encoders, objectives and hand-written constraints.
+Lineage rows are written directly in the normal form expression arithmetic
+would produce (:meth:`LinearConstraint.normal`; the paper's form is in a
+comment beside each row); ``LinearExpr`` arithmetic is for encoders,
+objectives and hand-written constraints.  Each operator builds its output
+rows in one list and appends them in one :meth:`LICMRelation.extend`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Sequence
+from typing import Hashable, Iterable, Sequence
 
 from repro.core.constraints import LinearConstraint
 from repro.core.database import LICMModel
-from repro.core.relation import Ext, LICMRelation, is_certain
+from repro.core.relation import Ext, LICMRelation, LICMTuple, is_certain
 from repro.core.variables import BoolVar
 from repro.errors import ConstraintError, QueryError, SchemaError
 from repro.relational.predicates import Predicate
@@ -62,12 +62,13 @@ def and_ext(model: LICMModel, left: Ext, right: Ext) -> Ext:
     b = model.new_var()
     same_pool(b, (left, right))
     k, i, j = b.index, left.index, right.index
-    constraints = [
-        model.add(LinearConstraint(((1, k), (-1, i)), "<=", 0)),  # b <= bi
-        model.add(LinearConstraint(((1, k), (-1, j)), "<=", 0)),  # b <= bj
-        model.add(LinearConstraint(((1, k), (-1, i), (-1, j)), ">=", -1)),  # b >= bi + bj - 1
-    ]
-    model.register_lineage(b, [left, right], constraints)
+    both = ((-1, i), (-1, j)) if i < j else ((-1, j), (-1, i))
+    normal = LinearConstraint.normal
+    model.add_lineage(b, [left, right], [
+        normal(((-1, i), (1, k)), "<=", 0),  # b <= bi
+        normal(((-1, j), (1, k)), "<=", 0),  # b <= bj
+        normal((*both, (1, k)), ">=", -1),  # b >= bi + bj - 1
+    ])
     return b
 
 
@@ -94,14 +95,45 @@ def or_ext(model: LICMModel, exts: Sequence[Ext]) -> Ext:
     b = model.new_var()
     same_pool(b, variables)
     k = b.index
-    constraints = [  # b >= bj for each j
-        model.add(LinearConstraint(((1, k), (-1, var.index)), ">=", 0)) for var in variables
-    ]
-    terms = [(1, k)]
-    terms.extend((-1, var.index) for var in variables)
-    constraints.append(model.add(LinearConstraint(terms, "<=", 0)))  # b <= Σ bj
-    model.register_lineage(b, variables, constraints)
+    normal = LinearConstraint.normal
+    constraints = [normal(((-1, var.index), (1, k)), ">=", 0) for var in variables]  # b >= bj
+    total = [(-1, index) for index in sorted([var.index for var in variables])]
+    total.append((1, k))
+    constraints.append(normal(tuple(total), "<=", 0))  # b <= Σ bj
+    model.add_lineage(b, variables, constraints)
     return b
+
+
+def group_exts(keys: Iterable[Hashable], exts: Iterable[Ext]) -> dict[Hashable, list[Ext]]:
+    """Ext values grouped by their keys, the keys in order of first
+    appearance."""
+    groups: dict[Hashable, list[Ext]] = {}
+    for key, ext in zip(keys, exts):
+        members = groups.get(key)
+        if members is None:
+            groups[key] = [ext]
+        else:
+            members.append(ext)
+    return groups
+
+
+def _any_ext(model: LICMModel, exts: Sequence[Ext]) -> Ext:
+    """:func:`or_ext` of one group; a group of one keeps its Ext."""
+    if len(exts) == 1:
+        ext = exts[0]
+        return ext if isinstance(ext, BoolVar) else 1
+    return or_ext(model, exts)
+
+
+def _disjoined(model: LICMModel, groups: dict[tuple, list[Ext]]) -> list[LICMTuple]:
+    """One row per group, its Ext the :func:`_any_ext` of the group's."""
+    return [LICMTuple(values, _any_ext(model, exts)) for values, exts in groups.items()]
+
+
+def _by_values(relation: LICMRelation) -> dict[tuple, list[Ext]]:
+    """The relation's Ext values grouped by row values."""
+    rows = relation.rows
+    return group_exts([row.values for row in rows], [row.ext for row in rows])
 
 
 def licm_select(relation: LICMRelation, predicate: Predicate) -> LICMRelation:
@@ -114,9 +146,7 @@ def licm_select(relation: LICMRelation, predicate: Predicate) -> LICMRelation:
     model = relation.model
     fn = predicate.compile(relation.position)
     out = model.derived(relation.attributes, f"select({relation.name})")
-    for row in relation.rows:
-        if fn(row.values):
-            out.insert(row.values, row.ext)
+    out.extend([row for row in relation.rows if fn(row.values)])
     return out
 
 
@@ -128,16 +158,9 @@ def licm_project(relation: LICMRelation, attributes: Sequence[str]) -> LICMRelat
     """
     model = relation.model
     positions = [relation.position(a) for a in attributes]
-    groups: dict[tuple, list[Ext]] = defaultdict(list)
-    order: list[tuple] = []
-    for row in relation.rows:
-        key = tuple(row.values[p] for p in positions)
-        if key not in groups:
-            order.append(key)
-        groups[key].append(row.ext)
+    groups = group_exts(relation.keys(positions), [row.ext for row in relation.rows])
     out = model.derived(attributes, f"project({relation.name})")
-    for key in order:
-        out.insert(key, or_ext(model, groups[key]))
+    out.extend(_disjoined(model, groups))
     return out
 
 
@@ -156,24 +179,20 @@ def licm_intersect(left: LICMRelation, right: LICMRelation) -> LICMRelation:
             f"intersection requires identical schemas, got "
             f"{list(left.attributes)} vs {list(right.attributes)}"
         )
-    right_by_values: dict[tuple, list[Ext]] = defaultdict(list)
-    for row in right.rows:
-        right_by_values[row.values].append(row.ext)
-    # Left copies per value-tuple, in order of first appearance.
-    left_by_values: dict[tuple, list[Ext]] = defaultdict(list)
-    for row in left.rows:
-        left_by_values[row.values].append(row.ext)
+    right_groups = _by_values(right)
     out = model.derived(left.attributes, f"({left.name} ∩ {right.name})")
-    for values, left_copies in left_by_values.items():
-        matches = right_by_values.get(values)
-        if not matches:
+    rows = []
+    for values, left_exts in _by_values(left).items():
+        right_exts = right_groups.get(values)
+        if right_exts is None:
             continue
         # A value-tuple may occur several times on either side; it is in the
         # intersection when it exists on the left AND on the right, where
         # each side's existence is the OR of its copies.
-        left_ext = left_copies[0] if len(left_copies) == 1 else or_ext(model, left_copies)
-        right_ext = matches[0] if len(matches) == 1 else or_ext(model, matches)
-        out.insert(values, and_ext(model, left_ext, right_ext))
+        left_ext = _any_ext(model, left_exts)
+        right_ext = _any_ext(model, right_exts)
+        rows.append(LICMTuple(values, and_ext(model, left_ext, right_ext)))
+    out.extend(rows)
     return out
 
 
@@ -188,15 +207,10 @@ def licm_union(left: LICMRelation, right: LICMRelation) -> LICMRelation:
     model.check_owns(right)
     if left.attributes != right.attributes:
         raise SchemaError("union requires identical schemas")
-    groups: dict[tuple, list[Ext]] = defaultdict(list)
-    order: list[tuple] = []
-    for row in list(left.rows) + list(right.rows):
-        if row.values not in groups:
-            order.append(row.values)
-        groups[row.values].append(row.ext)
+    rows = (*left.rows, *right.rows)
+    groups = group_exts([row.values for row in rows], [row.ext for row in rows])
     out = model.derived(left.attributes, f"({left.name} ∪ {right.name})")
-    for values in order:
-        out.insert(values, or_ext(model, groups[values]))
+    out.extend(_disjoined(model, groups))
     return out
 
 
@@ -211,17 +225,16 @@ def licm_difference(left: LICMRelation, right: LICMRelation) -> LICMRelation:
     model.check_owns(right)
     if left.attributes != right.attributes:
         raise SchemaError("difference requires identical schemas")
-    right_groups: dict[tuple, list[Ext]] = defaultdict(list)
-    for row in right.rows:
-        right_groups[row.values].append(row.ext)
-    dedup_left = licm_dedup(left)
+    right_groups = _by_values(right)
+    normal = LinearConstraint.normal
     out = model.derived(left.attributes, f"({left.name} - {right.name})")
-    for row in dedup_left.rows:
+    rows = []
+    for row in licm_dedup(left).rows:
         matches = right_groups.get(row.values)
-        if not matches:
-            out.insert(row.values, row.ext)
+        if matches is None:
+            rows.append(row)
             continue
-        right_ext = matches[0] if len(matches) == 1 else or_ext(model, matches)
+        right_ext = _any_ext(model, matches)
         if is_certain(right_ext):
             continue  # always removed
         if is_certain(row.ext):
@@ -229,20 +242,25 @@ def licm_difference(left: LICMRelation, right: LICMRelation) -> LICMRelation:
             b = model.new_var()
             same_pool(b, (right_ext,))
             k, r = b.index, right_ext.index
-            constraints = [model.add(LinearConstraint(((1, k), (1, r)), "==", 1))]  # b = 1 - br
-            model.register_lineage(b, [right_ext], constraints)
-            out.insert(row.values, b)
+            model.add_lineage(b, [right_ext], [normal(((1, r), (1, k)), "==", 1)])  # b = 1 - br
+            rows.append(LICMTuple(row.values, b))
             continue
         b = model.new_var()
         same_pool(b, (row.ext, right_ext))
         k, q, r = b.index, row.ext.index, right_ext.index
-        constraints = [
-            model.add(LinearConstraint(((1, k), (-1, q)), "<=", 0)),  # b <= bl
-            model.add(LinearConstraint(((1, k), (1, r)), "<=", 1)),  # b <= 1 - br
-            model.add(LinearConstraint(((1, k), (-1, q), (1, r)), ">=", 0)),  # b >= bl - br
-        ]
-        model.register_lineage(b, [row.ext, right_ext], constraints)
-        out.insert(row.values, b)
+        if q < r:
+            net = ((-1, q), (1, r), (1, k))
+        elif r < q:
+            net = ((1, r), (-1, q), (1, k))
+        else:  # the same variable on both sides: bl - br is 0
+            net = ((1, k),)
+        model.add_lineage(b, [row.ext, right_ext], [
+            normal(((-1, q), (1, k)), "<=", 0),  # b <= bl
+            normal(((1, r), (1, k)), "<=", 1),  # b <= 1 - br
+            normal(net, ">=", 0),  # b >= bl - br
+        ])
+        rows.append(LICMTuple(row.values, b))
+    out.extend(rows)
     return out
 
 
@@ -251,9 +269,46 @@ def licm_rename(relation: LICMRelation, mapping: dict[str, str]) -> LICMRelation
     model = relation.model
     attributes = [mapping.get(a, a) for a in relation.attributes]
     out = model.derived(attributes, f"rename({relation.name})")
-    for row in relation.rows:
-        out.insert(row.values, row.ext)
+    out.extend(relation.rows)
     return out
+
+
+def _pairs(
+    model: LICMModel,
+    left: LICMRelation,
+    left_pos: Sequence[int],
+    right: LICMRelation,
+    buckets: dict[tuple, list[LICMTuple]],
+    rest: Sequence[int],
+) -> list[LICMTuple]:
+    """Every left row paired with the right rows in its key's bucket:
+    values ``left + right values at rest``, Ext the conjunction of the two.
+
+    A bucket's suffix tuples are built once, on the first left row that
+    reaches it.  A certain left row takes each right Ext as it is, and a
+    maybe left row keeps its own against a certain right row: what
+    :func:`and_ext` returns, without the call."""
+    suffixes: dict[tuple, list[tuple[tuple, Ext]]] = {}
+    rows: list[LICMTuple] = []
+    for lrow, key in zip(left.rows, left.keys(left_pos)):
+        matches = suffixes.get(key)
+        if matches is None:
+            bucket = buckets.get(key, ())
+            matches = suffixes[key] = list(
+                zip(right.keys(rest, bucket), [rrow.ext for rrow in bucket])
+            )
+        values, ext = lrow.values, lrow.ext
+        if isinstance(ext, BoolVar):
+            rows += [
+                LICMTuple(
+                    values + suffix,
+                    and_ext(model, ext, rext) if isinstance(rext, BoolVar) else ext,
+                )
+                for suffix, rext in matches
+            ]
+        else:
+            rows += [LICMTuple(values + suffix, rext) for suffix, rext in matches]
+    return rows
 
 
 def licm_product(left: LICMRelation, right: LICMRelation) -> LICMRelation:
@@ -270,9 +325,8 @@ def licm_product(left: LICMRelation, right: LICMRelation) -> LICMRelation:
         tuple(left.attributes) + tuple(right.attributes),
         f"({left.name} × {right.name})",
     )
-    for lrow in left.rows:
-        for rrow in right.rows:
-            out.insert(lrow.values + rrow.values, and_ext(model, lrow.ext, rrow.ext))
+    everything = {(): right.rows}
+    out.extend(_pairs(model, left, (), right, everything, range(len(right.attributes))))
     return out
 
 
@@ -299,9 +353,5 @@ def licm_join(left: LICMRelation, right: LICMRelation) -> LICMRelation:
     out_attrs = tuple(left.attributes) + tuple(right.attributes[i] for i in right_rest)
     buckets = right.index(right_pos)
     out = model.derived(out_attrs, f"({left.name} ⋈ {right.name})")
-    for lrow in left.rows:
-        key = tuple(lrow.values[p] for p in left_pos)
-        for rrow in buckets.get(key, ()):
-            values = lrow.values + tuple(rrow.values[i] for i in right_rest)
-            out.insert(values, and_ext(model, lrow.ext, rrow.ext))
+    out.extend(_pairs(model, left, left_pos, right, buckets, right_rest))
     return out

@@ -110,27 +110,37 @@ def prune_lineage(model, seeds: Iterable[int]) -> PruneResult:
     original_variables = _count_variables(store, reachable)
     kept_positions: set[int] = set()
     queue = deque(reachable)
+    positions_on, position = store.positions_on, store.position
+    lineage_parents, lineage_constraints = model.lineage_parents, model.lineage_constraints
+    is_lineage = model.is_lineage_constraint
     while queue:
         var = queue.popleft()
         # (1) the variable's own lineage: keep its defining constraints and
         # walk to its parents.
-        if var in model.lineage_parents:
-            for constraint in model.lineage_constraints[var]:
-                kept_positions.add(store.position(constraint))
-            for parent in model.lineage_parents[var]:
+        parents = lineage_parents.get(var)
+        if parents is not None:
+            for constraint in lineage_constraints[var]:
+                kept_positions.add(position(constraint))
+            for parent in parents:
                 if parent not in reachable:
                     reachable.add(parent)
                     queue.append(parent)
         # (2) base / user constraints mentioning the variable: keep them and
-        # pull in their other variables.
-        for constraint in store.constraints_on(var):
-            if model.is_lineage_constraint(constraint):
+        # pull in their other variables.  A kept position is skipped before
+        # anything else is read: most are the lineage of (1).
+        for pos in positions_on(var):
+            if pos in kept_positions:
+                continue
+            constraint = store[pos]
+            if is_lineage(constraint):
                 continue  # sibling lineage is dropped; own lineage handled above
-            pos = store.position(constraint)
+            # A constraint object appended twice is kept once, at the
+            # position the store reports for it.
+            pos = position(constraint)
             if pos in kept_positions:
                 continue
             kept_positions.add(pos)
-            for other in constraint.variables:
+            for _, other in constraint.terms:
                 if other not in reachable:
                     reachable.add(other)
                     queue.append(other)

@@ -8,7 +8,8 @@ certain) or a binary variable (the tuple is a *maybe-tuple*).
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Iterator, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence, Tuple, Union
 
 from repro.core.variables import BoolVar
 from repro.errors import SchemaError
@@ -18,7 +19,7 @@ Ext = Union[int, BoolVar]
 
 def is_certain(ext: Ext) -> bool:
     """True when the Ext value is the constant 1 (tuple exists in every world)."""
-    return ext == 1 and not isinstance(ext, BoolVar)
+    return not isinstance(ext, BoolVar) and ext == 1
 
 
 class LICMTuple:
@@ -84,6 +85,15 @@ class LICMRelation:
         self._indexes = {}
         return row
 
+    def extend(self, rows: Iterable[LICMTuple]) -> None:
+        """Append rows the operators built, unchecked: their values come
+        from rows of the input relations and their Ext from the operator
+        kernels.  Encoders and users go through :meth:`insert`.  Rows are
+        shared with the input relations where an operator passes them
+        through unchanged; nothing mutates a row."""
+        self.rows.extend(rows)
+        self._indexes = {}  # as in insert: a new dict, once per batch
+
     def insert_maybe(self, values: Sequence) -> LICMTuple:
         """Append a maybe-tuple with a fresh existence variable."""
         return self.insert(values, self.model.new_var())
@@ -129,12 +139,30 @@ class LICMRelation:
         indexes = self._indexes
         buckets = indexes.get(key)
         if buckets is None:
+            rows = list(self.rows)
             buckets = defaultdict(list)
-            for row in self.rows:
-                buckets[tuple([row.values[p] for p in key])].append(row)
+            for values, row in zip(self.keys(key, rows), rows):
+                buckets[values].append(row)
             buckets.default_factory = None  # a miss is a KeyError, not a new bucket
             indexes[key] = buckets
         return buckets
+
+    def keys(
+        self, positions: Sequence[int], rows: Sequence[LICMTuple] | None = None
+    ) -> list[Tuple]:
+        """``tuple(row.values[p] for p in positions)`` for every row (of
+        ``rows``, by default this relation's), in row order."""
+        if rows is None:
+            rows = self.rows
+        if len(positions) == 1:
+            position = positions[0]
+            return [(row.values[position],) for row in rows]
+        if list(positions) == list(range(len(self.attributes))):
+            return [row.values for row in rows]
+        if not positions:
+            return [()] * len(rows)
+        get = itemgetter(*positions)
+        return [get(row.values) for row in rows]
 
     def getter(self, attributes: Sequence[str]) -> Callable[[LICMTuple], Tuple]:
         """Fast key extractor over a subset of attributes."""

@@ -16,7 +16,7 @@ be written the way the paper writes them::
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 
 class BoolVar:
@@ -118,6 +118,12 @@ class VariablePool:
     def get(self, index: int) -> BoolVar:
         """Return the variable with the given dense index."""
         return self._vars[index]
+
+    def names(self, indices: Iterable[int]) -> dict[int, str]:
+        """``{index: name}`` for every given index the pool holds."""
+        variables = self._vars
+        size = len(variables)
+        return {index: variables[index].name for index in indices if index < size}
 
     def truncate(self, length: int) -> None:
         """Drop every variable created after the first ``length``."""

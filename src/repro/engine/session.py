@@ -351,8 +351,7 @@ class SolveSession:
                     for block in blocks
                 ]
         with phase("normalize"):
-            pool = self.model.pool
-            names = {i: pool.get(i).name for i in variables if i < len(pool)}
+            names = self.model.pool.names(variables)
             components = []
             for sub_objective, sub_constraints in parts:
                 problem, dense = from_licm(sub_objective, sub_constraints, names)

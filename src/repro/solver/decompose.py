@@ -26,7 +26,8 @@ Entry points:
 * :func:`split_blocks` — the union-find pass over constraint scopes (plus
   objective-only singleton variables, merged into one trailing *free*
   block), generic over hashable variable keys so the engine can reuse it
-  at the LICM level;
+  at the LICM level; the keys get dense int ids, and the forest lives in
+  lists;
 * :func:`closed_form` — exact solutions for constraint-free blocks
   without touching a backend.
 
@@ -44,42 +45,6 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.solver.model import BIPProblem
 from repro.solver.result import Solution
-
-
-class UnionFind:
-    """Disjoint sets over arbitrary hashable keys (path halving, by size)."""
-
-    def __init__(self):
-        self._parent: Dict[Hashable, Hashable] = {}
-        self._size: Dict[Hashable, int] = {}
-
-    def add(self, key: Hashable) -> None:
-        if key not in self._parent:
-            self._parent[key] = key
-            self._size[key] = 1
-
-    def find(self, key: Hashable) -> Hashable:
-        parent = self._parent
-        while parent[key] != key:
-            parent[key] = parent[parent[key]]
-            key = parent[key]
-        return key
-
-    def union(self, a: Hashable, b: Hashable) -> Hashable:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-        return ra
-
-    def __iter__(self):
-        return iter(self._parent)
-
-    def __len__(self) -> int:
-        return len(self._parent)
 
 
 @dataclass(frozen=True)
@@ -118,8 +83,16 @@ def split_blocks(
     smallest variable key; the free block, if any, comes last.  Each
     input variable lands in exactly one block.
     """
-    uf = UnionFind()
-    firsts: List[Hashable] = []
+    ids: Dict[Hashable, int] = {}  # variable key -> dense id, by first appearance
+    parent: List[int] = []  # union-find forest over the ids
+    size: List[int] = []
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]  # path halving
+        return i
+
+    firsts: List[int] = []
     for scope in scopes:
         iterator = iter(scope)
         first = next(iterator, None)
@@ -127,29 +100,59 @@ def split_blocks(
             raise ValueError(
                 "constraint with an empty scope cannot be placed in a block"
             )
-        uf.add(first)
-        firsts.append(first)
+        a = ids.get(first)
+        if a is None:
+            a = ids[first] = len(parent)
+            parent.append(a)
+            size.append(1)
+        firsts.append(a)
         for var in iterator:
-            uf.add(var)
-            uf.union(first, var)
+            while parent[a] != a:  # the first's root (inline find)
+                parent[a] = a = parent[parent[a]]
+            b = ids.get(var)
+            if b is None:  # a new singleton: hang it under that root
+                ids[var] = len(parent)
+                parent.append(a)
+                size.append(0)
+                size[a] += 1
+                continue
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                size[a] += size[b]
     for var in variables:
-        uf.add(var)
+        if var not in ids:
+            ids[var] = len(parent)
+            parent.append(len(parent))
 
-    members: Dict[Hashable, List[Hashable]] = {}
-    for key in uf:
-        members.setdefault(uf.find(key), []).append(key)
-    constraints_by_root: Dict[Hashable, List[int]] = {}
+    members: Dict[int, List[Hashable]] = {}
+    for key, i in ids.items():
+        r = root(i)
+        block = members.get(r)
+        if block is None:
+            members[r] = [key]
+        else:
+            block.append(key)
+    constraints_by_root: Dict[int, List[int]] = {}
     for cid, first in enumerate(firsts):
-        constraints_by_root.setdefault(uf.find(first), []).append(cid)
+        r = root(first)
+        block = constraints_by_root.get(r)
+        if block is None:
+            constraints_by_root[r] = [cid]
+        else:
+            block.append(cid)
 
     blocks: List[Block] = []
     free_vars: List[Hashable] = []
-    for root, block_vars in members.items():
-        ids = constraints_by_root.get(root)
-        if ids is None:
+    for r, block_vars in members.items():
+        cids = constraints_by_root.get(r)
+        if cids is None:
             free_vars.extend(block_vars)
         else:
-            blocks.append(Block(tuple(sorted(block_vars)), tuple(ids)))
+            blocks.append(Block(tuple(sorted(block_vars)), tuple(cids)))
     blocks.sort(key=lambda block: block.variables[0])
     if free_vars:
         blocks.append(Block(tuple(sorted(free_vars)), ()))

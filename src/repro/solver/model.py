@@ -109,9 +109,7 @@ def from_licm(
             if idx not in dense:
                 dense[idx] = len(dense)
     bip_constraints = [
-        BIPConstraint(
-            tuple((coef, dense[idx]) for coef, idx in c.terms), c.op, c.rhs
-        )
+        BIPConstraint(tuple([(coef, dense[idx]) for coef, idx in c.terms]), c.op, c.rhs)
         for c in constraints
     ]
     names = [

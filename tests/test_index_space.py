@@ -5,8 +5,11 @@ The fingerprints of three fixed blocks are pinned to the digests the
 engine produced before the column order and the fingerprint were unified
 (so kept answers and L2 files written then still hit); a property test
 checks that a shared fingerprint means an equal problem, whose cached
-vector is an optimal witness; and an L2 file written through one session
-serves a fresh session on a re-encoded model.
+vector is an optimal witness; an L2 file written through one session
+serves a fresh session on a re-encoded model; and the lineage Q1-Q3
+write on every scheme, with the component fingerprints it prepares
+into, is pinned to digests taken before the operators built their
+output in bulk.
 """
 
 from __future__ import annotations
@@ -187,3 +190,56 @@ def test_l2_file_serves_a_fresh_session_on_a_reencoded_model(tmp_path, monkeypat
     for bound, witness in ((warm.lower, warm.lower_witness), (warm.upper, warm.upper_witness)):
         assert objective.value({**{i: 0 for i in objective.coeffs}, **witness}) == bound
         assert all(c.satisfied_by(witness) for c in model.constraints)
+
+
+# -- the served lineage is pinned ---------------------------------------------
+def _served_lineage_digests():
+    """Evaluate Q1-Q3 on every scheme (one scope each) at a small fixture
+    and digest (a) the store, the pool size and the lineage registry as
+    each evaluation leaves them, (b) each prepared problem's sorted
+    component fingerprints."""
+    import hashlib
+
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.runner import ExperimentContext
+    from repro.queries.licm_eval import evaluate_licm
+
+    store_digest = hashlib.blake2b(digest_size=16)
+    fingerprint_digest = hashlib.blake2b(digest_size=16)
+    context = ExperimentContext(
+        ExperimentConfig(num_transactions=60, num_items=24, k_values=(2,), seed=7)
+    )
+    try:
+        for scheme in ("k-anonymity", "km", "bipartite"):
+            encoded = context.encoding(scheme, 2).encoded
+            session, model = context.session(scheme, 2), encoded.model
+            for query in ("Q1", "Q2", "Q3"):
+                plan = context.plan(query, encoded)
+                with model.scoped():
+                    objective = evaluate_licm(plan, encoded.relations)
+                    store = model.constraints
+                    state = (
+                        len(model.pool),
+                        [(c.terms, c.op, c.rhs) for c in store],
+                        list(model.lineage_parents.items()),
+                        [(v, [store.position(c) for c in cs])
+                         for v, cs in model.lineage_constraints.items()],
+                        sorted(objective.coeffs.items()),
+                    )
+                    store_digest.update(repr(state).encode())
+                    prepared = session.prepare(objective)
+                    fingerprints = sorted(c.fingerprint for c in prepared.components)
+                    fingerprint_digest.update(repr(fingerprints).encode())
+    finally:
+        context.close()
+    return store_digest.hexdigest(), fingerprint_digest.hexdigest()
+
+
+def test_served_lineage_and_component_fingerprints_are_pinned():
+    """The operators' lineage and the blocks it prepares into are what
+    L2 keys are made of: the digests were taken before the operators
+    built their output in bulk, and must not move."""
+    assert _served_lineage_digests() == (
+        "e4e8ffadbb26b69942c3940f69845405",
+        "a98d97d852241dc8a9f74f9c46fd4b10",
+    )
